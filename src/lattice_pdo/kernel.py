@@ -7,8 +7,11 @@ difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
 Storage is dense; desk-scale boxes keep full Hermitian eigensolves cheap
-and banded structure is treated as an optimization, not a contract.
-Truncation is plain restriction to the box (no boundary corrections).
+and banded structure is treated as an optimization, not a contract.  The
+entries decide the dtype: real entries are stored as float64 (so real
+symmetric operators get the real eigensolvers), anything else as
+complex128.  `assemble` always returns complex128.  Truncation is plain
+restriction to the box (no boundary corrections).
 """
 
 import struct
@@ -23,9 +26,19 @@ from .fourier import DEFAULT_SAMPLES, spectrum_of_row
 from ._util import parallel_map
 
 
+def stored_entries(a) -> np.ndarray:
+    """The storage rule: real entries as float64, anything else as complex128."""
+    a = np.asarray(a)
+    return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
+
+
 @dataclass
 class KernelMatrix:
-    """Dense truncated matrix of an operator over a box of lattice points."""
+    """Dense truncated matrix of an operator over a box of lattice points.
+
+    Entries are stored read-only by the rule of `stored_entries`: float64
+    when they are real, complex128 otherwise.
+    """
 
     spec: LatticeSpec
     box: BoxTruncation
@@ -33,7 +46,7 @@ class KernelMatrix:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = stored_entries(self.entries)
         size = self.box.size(self.spec.dim)
         if e.shape != (size, size):
             raise ValueError(f"entries must be {size}x{size} for this box, got {e.shape}")

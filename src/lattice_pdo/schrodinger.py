@@ -89,13 +89,14 @@ def build_hamiltonian(spec: LatticeSpec, V, box: BoxTruncation,
 
     Diagonal 2n hbar^-2 + V(k) + lam; -hbar^-2 between nearest neighbors
     that both lie inside the box; agrees entrywise with assembling the
-    Schrodinger symbol on the same box.
+    Schrodinger symbol on the same box.  Stored as float64, so eigensolves
+    run in real arithmetic.
     """
     zs = enumerate_box_integers(spec, box)
     pts = spec.hbar * zs.astype(float)
     size = len(pts)
     h2 = spec.hbar ** -2
-    entries = np.zeros((size, size), dtype=complex)
+    entries = np.zeros((size, size))
     diag = np.array([2 * spec.dim * h2 + float(V(p)) + lam for p in pts])
     entries[np.arange(size), np.arange(size)] = diag
 
@@ -155,7 +156,8 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     Eigenvalue j counts as converged when successive radii give values
     within tol * (1 + |lambda_j|).  The scan stops early when everything
     requested has converged, or at the matrix-dimension budget (partial
-    result, flags False).
+    result, flags False).  start_radius must be at least 1: box doubling
+    never leaves radius 0.
     """
     if not isinstance(V, PotentialSpec):
         raise TypeError("spectrum_converged requires a validated PotentialSpec")
@@ -164,6 +166,8 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     if not (tol > 0):
         raise ValueError("tol must be positive")
     R = start_radius if start_radius is not None else _start_radius(spec)
+    if R < 1:
+        raise ValueError(f"start_radius must be at least 1, got {R}")
     radii = []
     prev = None
     best_vals = np.full(j_max, np.nan)

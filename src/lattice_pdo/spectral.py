@@ -16,18 +16,16 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelMatrix, hermitian_check, split_diagonal
+from .kernel import KernelMatrix, hermitian_check, split_diagonal, stored_entries
 from .symbols import SymbolOrder
 
 HERMITIAN_TOL = 1e-9
-POWER_ITER_TOL = 1e-10
-POWER_ITER_MAX = 10000
 
 
 def _as_matrix(K):
     if isinstance(K, KernelMatrix):
         return K.entries, {"radius": K.box.radius, "dim": K.spec.dim, "hbar": K.spec.hbar}
-    a = np.asarray(K, dtype=complex)
+    a = stored_entries(K)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a, None
@@ -56,7 +54,10 @@ class SpectralResult:
 
 
 def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
-    """Full spectrum of a Hermitian kernel matrix (or plain square array)."""
+    """Full spectrum of a Hermitian kernel matrix (or plain square array).
+
+    Real input is solved in real arithmetic, with real eigenvectors.
+    """
     mat, trunc = _as_matrix(K)
     _check_hermitian(mat)
     if want_vectors:
@@ -75,8 +76,9 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 def residue_norm(K) -> float:
     """Spectral norm of the off-diagonal part.
 
-    Hermitian residues go through their own eigendecomposition; otherwise
-    the largest singular value is found by power iteration on R^H R.
+    Hermitian residues go through their own eigenvalues; otherwise the
+    largest singular value comes from an SVD.  Both are exact up to
+    rounding, so callers may use the result as an upper bound.
     """
     mat, _ = _as_matrix(K)
     res = np.array(mat)
@@ -86,21 +88,7 @@ def residue_norm(K) -> float:
     asym = float(np.max(np.abs(res - res.conj().T)))
     if asym <= HERMITIAN_TOL:
         return float(np.max(np.abs(np.linalg.eigvalsh(res))))
-    # deterministic start vector, slightly tilted to avoid orthogonal starts
-    x = 1.0 + 0.001 * np.arange(res.shape[0])
-    x = x / np.linalg.norm(x)
-    est = 0.0
-    for _ in range(POWER_ITER_MAX):
-        y = res.conj().T @ (res @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        new_est = float(np.sqrt(np.real(np.vdot(x, y))))
-        x = y / ny
-        if abs(new_est - est) <= POWER_ITER_TOL * max(1.0, new_est):
-            return new_est
-        est = new_est
-    return est
+    return float(np.linalg.norm(res, 2))
 
 
 @dataclass

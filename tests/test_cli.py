@@ -169,6 +169,23 @@ def test_config_error_bad_json(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("task", ["spectrum", "fit-growth"])
+def test_config_error_scan_radius_zero(tmp_path, capsys, time_limit, task):
+    cfg = base_config(
+        task,
+        symbol={"family": "schrodinger",
+                "params": {"potential": {"c": 1.0, "l": 1}, "lambda": 0.0}},
+        truncation={"radius": 0},
+        params={"j_max": 3, "tol": 1e-8, "j_range": [1, 3]},
+    )
+    with time_limit(10):
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+
+
 def test_budget_failure_exit_code(tmp_path, capsys):
     cfg = base_config(
         "spectrum",

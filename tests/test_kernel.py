@@ -111,10 +111,25 @@ def test_roundtrip_random_kernels():
 
 
 def test_kernel_rejects_nonfinite():
-    M = np.eye(3, dtype=complex)
-    M[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        KernelMatrix(SPEC1, BoxTruncation(1), M)
+    for dtype in (complex, float):
+        for bad in (np.nan, np.inf):
+            M = np.eye(3, dtype=dtype)
+            M[0, 0] = bad
+            with pytest.raises(ValueError):
+                KernelMatrix(SPEC1, BoxTruncation(1), M)
+
+
+def test_kernel_storage_follows_entries():
+    box = BoxTruncation(1)
+    for real in (np.eye(3), np.eye(3, dtype=int), np.eye(3, dtype=np.float32)):
+        K = KernelMatrix(SPEC1, box, real)
+        assert K.entries.dtype == np.float64
+        assert not K.entries.flags.writeable
+    K = KernelMatrix(SPEC1, box, np.eye(3, dtype=complex))
+    assert K.entries.dtype == np.complex128
+    assert not K.entries.flags.writeable
+    # assemble keeps complex storage, even for a real symmetric operator
+    assert assemble(schrodinger_k2(), SPEC1, box).entries.dtype == np.complex128
 
 
 def test_kernel_rejects_wrong_shape():

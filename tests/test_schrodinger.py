@@ -30,6 +30,7 @@ def test_potential_validation():
 
 def test_build_hamiltonian_harmonic_3x3():
     H = build_hamiltonian(SPEC1, HARMONIC, BoxTruncation(1))
+    assert H.entries.dtype == np.float64
     expected = np.array([[3, -1, 0], [-1, 2, -1], [0, -1, 3]], dtype=float)
     np.testing.assert_array_equal(H.entries.real, expected)
     np.testing.assert_array_equal(H.entries.imag, np.zeros((3, 3)))
@@ -76,6 +77,33 @@ def test_spectrum_converged_harmonic():
     # Weyl sandwich against the sorted-potential oracle
     oracle = weyl_oracle(SPEC1, HARMONIC, BoxTruncation(res.radius_used), 10)
     assert np.max(np.abs(res.eigenvalues - oracle)) <= 4.0 + 1e-8
+
+
+def test_spectrum_real_scan_matches_complex_assembly():
+    # the scan solves the float64 H; the complex assembled symbol is the oracle
+    spec = LatticeSpec(1.0, 2)
+    pot = PotentialSpec.anharmonic(1.0, 1, dim=2)
+    full = spectrum_converged(spec, pot, j_max=6, tol=1e-8, start_radius=3)
+    assert len(full.radii_scanned) >= 2
+    for R in full.radii_scanned:
+        box = BoxTruncation(R)
+        res = spectrum_converged(spec, pot, j_max=6, tol=1e-8, start_radius=3,
+                                 max_dim=box.size(2))
+        assert res.radius_used == R
+        K = assemble(schrodinger_symbol(pot, 0.0, spec), spec, box)
+        ref = np.linalg.eigvalsh(K.entries)[:6]
+        np.testing.assert_allclose(res.eigenvalues, ref, rtol=1e-10, atol=0)
+
+
+def test_spectrum_rejects_radius_below_one(time_limit):
+    # doubling never leaves radius 0: j_max > 1 used to hang, and j_max = 1
+    # compared the 1-point box with itself and called lambda_1 = 2 converged
+    with time_limit(10):
+        for start in (0, -1):
+            for j_max in (3, 1):
+                with pytest.raises(ValueError, match="start_radius"):
+                    spectrum_converged(SPEC1, HARMONIC, j_max=j_max, tol=1e-8,
+                                       start_radius=start)
 
 
 def test_spectrum_requires_potential_spec():

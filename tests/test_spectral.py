@@ -101,14 +101,38 @@ def test_residue_norm_hopping_toeplitz():
     assert residue_norm(K) == pytest.approx(expected, abs=1e-10)
 
 
-def test_residue_norm_power_iteration_vs_svd():
-    # non-Hermitian residues go through power iteration; SVD is the oracle
+def test_residue_norm_non_hermitian_vs_svd():
+    # non-Hermitian residues go through the 2-norm; the full SVD is the oracle
     rng = np.random.default_rng(17)
     for _ in range(5):
         M = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         off = M - np.diag(np.diag(M))
         expected = np.linalg.svd(off, compute_uv=False)[0]
         assert residue_norm(M) == pytest.approx(expected, abs=1e-8)
+
+
+def test_residue_norm_is_an_upper_bound():
+    # a weighted cyclic shift has a zero diagonal and singular values |d_i|;
+    # nearly equal top values stall an iterative estimate below the norm
+    rng = np.random.default_rng(4)
+    n = 8
+    for gap in (1e-4, 1e-6, 1e-8, 1e-10):
+        d = np.array([1.0, 1.0 - gap, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
+        R = np.zeros((n, n), dtype=complex)
+        R[(np.arange(n) + 1) % n, np.arange(n)] = d * np.exp(2j * np.pi * rng.random(n))
+        assert residue_norm(R) >= np.linalg.norm(R, 2)
+
+
+def test_real_input_stays_real():
+    rng = np.random.default_rng(6)
+    M = rng.normal(size=(12, 12))
+    M = M + M.T
+    dec = eigendecompose_hermitian(M, want_vectors=True)
+    assert dec.eigenvectors.dtype == np.float64
+    ref = np.linalg.eigvalsh(M.astype(complex))
+    np.testing.assert_allclose(dec.eigenvalues, ref, rtol=1e-12, atol=1e-12)
+    off = M - np.diag(np.diag(M))
+    assert residue_norm(M) == pytest.approx(np.linalg.norm(off, 2), rel=1e-12)
 
 
 def test_weyl_perturbation_property():
