@@ -185,8 +185,12 @@ def _query_from(cfg, spec):
         raise ConfigError("params", str(e))
 
 
-def _sum_rows(cfg, spec, threads, sums):
-    """Evaluate each named sum at the configured radius and its double."""
+def _check_sums(cfg, spec, outdir, threads, query, sums, only=None):
+    """Evaluate each named sum at the configured radius and its double.
+
+    Writes sums.csv and report.json; the report's doubling_ratio and
+    diverging fields are per sum, or the values of sum ``only`` when given.
+    """
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
     rows = []
@@ -197,7 +201,21 @@ def _sum_rows(cfg, spec, threads, sums):
             v = fn(K)
             values.setdefault(name, []).append(v)
             rows.append([name, radius, _fmt(v)])
-    return rows, values
+    report = criteria.order_conditions(sym.order, query)
+    report.sums = {name: vals[-1] for name, vals in values.items()}
+    report.truncation = {"R": box.radius, "n": spec.dim, "hbar": spec.hbar}
+    growth = {name: (vals[1] / vals[0] if vals[0] > 0 else None)
+              for name, vals in values.items()}
+    diverging = {name: (g is not None and g >= criteria.DIVERGENCE_RATIO)
+                 for name, g in growth.items()}
+    payload = report.to_json_dict()
+    payload["doubling_ratio"] = growth if only is None else growth[only]
+    payload["diverging"] = diverging if only is None else diverging[only]
+    csv_path = os.path.join(outdir, "sums.csv")
+    _write_csv(csv_path, ["criterion", "radius", "value"], rows)
+    json_path = os.path.join(outdir, "report.json")
+    _write_json(json_path, payload)
+    return [csv_path, json_path]
 
 
 def task_check_bounds(cfg, spec, outdir, threads):
@@ -207,42 +225,13 @@ def task_check_bounds(cfg, spec, outdir, threads):
             ("sup_entry", criteria.sup_entry)]
     if 1 < p < float("inf"):
         sums.append(("mixed_lp_sum", lambda K: criteria.mixed_lp_sum(K, p)))
-    rows, values = _sum_rows(cfg, spec, threads, sums)
-    sym = build_symbol(cfg, spec)
-    report = criteria.order_conditions(sym.order, query)
-    report.sums = {name: vals[-1] for name, vals in values.items()}
-    report.truncation = {"R": build_box(cfg).radius, "n": spec.dim, "hbar": spec.hbar}
-    growth = {name: (vals[1] / vals[0] if vals[0] > 0 else None)
-              for name, vals in values.items()}
-    payload = report.to_json_dict()
-    payload["doubling_ratio"] = growth
-    payload["diverging"] = {name: (g is not None and g >= criteria.DIVERGENCE_RATIO)
-                            for name, g in growth.items()}
-    csv_path = os.path.join(outdir, "sums.csv")
-    _write_csv(csv_path, ["criterion", "radius", "value"], rows)
-    json_path = os.path.join(outdir, "report.json")
-    _write_json(json_path, payload)
-    return [csv_path, json_path]
+    return _check_sums(cfg, spec, outdir, threads, query, sums)
 
 
 def task_check_nuclear(cfg, spec, outdir, threads):
     query = _query_from(cfg, spec)
     sums = [("nuclear_sum", lambda K: criteria.nuclear_sum(K, query.r, query.p2))]
-    rows, values = _sum_rows(cfg, spec, threads, sums)
-    sym = build_symbol(cfg, spec)
-    report = criteria.order_conditions(sym.order, query)
-    report.sums = {name: vals[-1] for name, vals in values.items()}
-    report.truncation = {"R": build_box(cfg).radius, "n": spec.dim, "hbar": spec.hbar}
-    vals = values["nuclear_sum"]
-    payload = report.to_json_dict()
-    payload["doubling_ratio"] = vals[1] / vals[0] if vals[0] > 0 else None
-    payload["diverging"] = bool(payload["doubling_ratio"] is not None
-                                and payload["doubling_ratio"] >= criteria.DIVERGENCE_RATIO)
-    csv_path = os.path.join(outdir, "sums.csv")
-    _write_csv(csv_path, ["criterion", "radius", "value"], rows)
-    json_path = os.path.join(outdir, "report.json")
-    _write_json(json_path, payload)
-    return [csv_path, json_path]
+    return _check_sums(cfg, spec, outdir, threads, query, sums, only="nuclear_sum")
 
 
 def task_order_report(cfg, spec, outdir, threads):

@@ -21,7 +21,7 @@ DIVERGENCE_RATIO = 1.5
 
 
 def _entries(K) -> np.ndarray:
-    return np.asarray(getattr(K, "entries", K), dtype=complex)
+    return np.asarray(getattr(K, "entries", K))
 
 
 def schur_l1_lp(K, p: float) -> float:

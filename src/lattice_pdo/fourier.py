@@ -8,7 +8,8 @@ with m/hbar an integer vector.  Quadrature is the tensor trapezoid rule on
 ``n_samples`` uniform points per axis (an FFT of the sampled grid), which
 is exact for trigonometric polynomials of per-axis degree below
 ``n_samples / 2``.  The default of 64 samples covers every built-in family
-(degree <= 1) with headroom for matrix-induced symbols of bandwidth up to 31.
+(degree <= 1) with headroom for matrix-induced symbols of bandwidth up to 31;
+a frequency span wider than ``n_samples`` is refused, never folded.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import BoxTruncation, LatticeSpec, as_point, enumerate_box, enumerate_box_integers
+from .lattice import BoxTruncation, as_point, enumerate_box_integers, integer_coords
 from .symbols import Symbol
 from ._util import parallel_map
 
@@ -34,14 +35,15 @@ def _theta_grid(dim: int, n_samples: int) -> np.ndarray:
     return _GRID_CACHE[key]
 
 
-def _freq_vector(spec: LatticeSpec, m) -> np.ndarray:
-    """Integer frequency m/hbar, validating lattice membership."""
-    p = as_point(spec, m)
-    z = p / spec.hbar
-    zi = np.rint(z)
-    if np.any(np.abs(z - zi) > 1e-9):
-        raise ValueError(f"frequency point {p} is not on the lattice with spacing {spec.hbar}")
-    return zi.astype(np.int64)
+def check_no_fold(radius: int, n_samples: int) -> None:
+    """Raise unless the 2 radius + 1 frequencies per axis get distinct FFT bins.
+
+    Frequency z lands in bin z mod n_samples, so a wider span folds two
+    frequencies onto one bin and quadrature returns their sum.
+    """
+    if 2 * radius + 1 > n_samples:
+        raise ValueError(f"frequency radius {radius} needs n_samples >= {2 * radius + 1}, "
+                         f"got n_samples={n_samples}: FFT quadrature would fold frequencies")
 
 
 def spectrum_of_row(sym: Symbol, k, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
@@ -61,11 +63,12 @@ def toroidal_coefficient(sym: Symbol, k, m, n_samples: int = DEFAULT_SAMPLES,
 
     Uses the symbol's closed form when available, otherwise grid quadrature.
     """
-    z = _freq_vector(sym.spec, m)
+    zk, zm = integer_coords(sym.spec, k), integer_coords(sym.spec, m)
     if sym.closed_form_coeffs is not None and not force_quadrature:
-        return complex(sym.closed_form_coeffs(as_point(sym.spec, k), as_point(sym.spec, m)))
-    spec_row = spectrum_of_row(sym, k, n_samples)
-    return complex(spec_row[tuple(z % n_samples)])
+        return complex(sym.closed_form_coeffs(zk[None], zm)[0])
+    check_no_fold(int(np.max(np.abs(zm))), n_samples)
+    spec_row = spectrum_of_row(sym, sym.spec.hbar * zk, n_samples)
+    return complex(spec_row[tuple(zm % n_samples)])
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,24 @@ def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
                       n_samples: int = DEFAULT_SAMPLES, threads: int = 1) -> CoefficientTable:
     """All coefficients with k in the box and |m/hbar|_inf <= freq_radius."""
     spec = sym.spec
-    k_points = enumerate_box(spec, k_box)
     m_box = BoxTruncation(int(freq_radius))
-    m_points = enumerate_box(spec, m_box)
+    k_ints = enumerate_box_integers(spec, k_box)
     m_ints = enumerate_box_integers(spec, m_box)
+    k_points = spec.hbar * k_ints
+    values = np.empty((len(k_ints), len(m_ints)), dtype=complex)
 
     if sym.closed_form_coeffs is not None:
-        def row(k):
-            return np.array([sym.closed_form_coeffs(k, m) for m in m_points], dtype=complex)
+        for j, z in enumerate(m_ints):
+            values[:, j] = sym.closed_form_coeffs(k_ints, z)
     else:
+        check_no_fold(m_box.radius, n_samples)
         idx = tuple((m_ints % n_samples).T)
 
         def row(k):
             return spectrum_of_row(sym, k, n_samples)[idx]
 
-    values = np.array(parallel_map(row, list(k_points), threads), dtype=complex)
-    return CoefficientTable(k_points, m_points, values)
+        values[:] = parallel_map(row, list(k_points), threads)
+    return CoefficientTable(k_points, spec.hbar * m_ints, values)
 
 
 @dataclass(frozen=True)

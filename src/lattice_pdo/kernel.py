@@ -10,8 +10,9 @@ Storage is dense; desk-scale boxes keep full Hermitian eigensolves cheap
 and banded structure is treated as an optimization, not a contract.  The
 entries decide the dtype: real entries are stored as float64 (so real
 symmetric operators get the real eigensolvers), anything else as
-complex128.  `assemble` always returns complex128.  Truncation is plain
-restriction to the box (no boundary corrections).
+complex128.  `assemble` fills closed-form symbols band by band, in float64
+when every band is real, and quadrature symbols in complex128.
+Truncation is plain restriction to the box (no boundary corrections).
 """
 
 import struct
@@ -22,7 +23,7 @@ import numpy as np
 from .lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                       enumerate_box_integers)
 from .symbols import Symbol
-from .fourier import DEFAULT_SAMPLES, spectrum_of_row
+from .fourier import DEFAULT_SAMPLES, check_no_fold, spectrum_of_row
 from ._util import parallel_map
 
 
@@ -73,46 +74,46 @@ class DiagonalSplit:
 
 def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
              n_samples: int = DEFAULT_SAMPLES, threads: int = 1) -> KernelMatrix:
-    """Truncated matrix A(k, m) = coefficient of sigma(k, .) at frequency m - k."""
+    """Truncated matrix A(k, m) = coefficient of sigma(k, .) at frequency m - k.
+
+    A symbol with closed-form coefficients is filled band by band: one
+    call per offset z = (m - k)/hbar with |z|_inf within its support radius
+    (every offset that fits in the box when the radius is unknown), into a
+    float64 matrix when every band is real and complex128 otherwise.  Any
+    other symbol goes through FFT quadrature row by row (complex128), which
+    refuses boxes whose 2R + 1 columns per axis would fold onto fewer than
+    ``n_samples`` frequency bins.
+    """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
     zs = enumerate_box_integers(spec, box)
-    pts = spec.hbar * zs.astype(float)
-    size = len(pts)
+    size = len(zs)
+    r = box.radius
 
-    if sym.closed_form_coeffs is not None and sym.coeff_support_radius is not None:
-        # banded fill: coefficients vanish beyond the declared support
-        r = box.radius
-        side = 2 * r + 1
-        strides = np.array([side ** (spec.dim - 1 - j) for j in range(spec.dim)])
-        offs = enumerate_box_integers(spec, BoxTruncation(sym.coeff_support_radius))
-
-        def row(i):
-            out = np.zeros(size, dtype=complex)
-            zk = zs[i]
-            for off in offs:
-                zm = zk + off
-                if np.any(np.abs(zm) > r):
-                    continue
-                col = int(np.dot(zm + r, strides))
-                out[col] = sym.closed_form_coeffs(pts[i], spec.hbar * off.astype(float))
-            return out
-    elif sym.closed_form_coeffs is not None:
-        def row(i):
-            diffs = pts - pts[i]
-            return np.array([sym.closed_form_coeffs(pts[i], d) for d in diffs], dtype=complex)
+    if sym.closed_form_coeffs is not None:
+        reach = 2 * r if sym.coeff_support_radius is None else min(sym.coeff_support_radius, 2 * r)
+        strides = (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
+        bands = []
+        for off in enumerate_box_integers(spec, BoxTruncation(reach)):
+            rows = np.flatnonzero(np.all(np.abs(zs + off) <= r, axis=1))
+            bands.append((rows, rows + off @ strides, sym.closed_form_coeffs(zs[rows], off)))
+        real = not any(np.iscomplexobj(band) for _, _, band in bands)
+        entries = np.zeros((size, size), dtype=float if real else complex)
+        for rows, cols, band in bands:
+            entries[rows, cols] = band
+        method = "closed-form"
     else:
+        check_no_fold(r, n_samples)
+        pts = spec.hbar * zs
+
         def row(i):
             spec_row = spectrum_of_row(sym, pts[i], n_samples)
-            diffs = (zs - zs[i]) % n_samples
-            return spec_row[tuple(diffs.T)]
+            return spec_row[tuple(((zs - zs[i]) % n_samples).T)]
 
-    entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
+        entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
+        method = f"quadrature(n={n_samples})"
     return KernelMatrix(spec, box, entries,
-                        provenance={"symbol": sym.name,
-                                    "method": "closed-form" if sym.closed_form_coeffs else
-                                              f"quadrature(n={n_samples})",
-                                    "radius": box.radius})
+                        provenance={"symbol": sym.name, "method": method, "radius": r})
 
 
 def apply(K: KernelMatrix, a) -> np.ndarray:
@@ -133,9 +134,10 @@ def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
     return DiagonalSplit(d, residue)
 
 
-def hermitian_check(K: KernelMatrix, tol: float = 1e-9):
-    """(is_hermitian, max |A(k,m) - conj(A(m,k))|)."""
-    asym = float(np.max(np.abs(K.entries - K.entries.conj().T))) if K.size else 0.0
+def hermitian_check(K, tol: float = 1e-9):
+    """(is_hermitian, max |A(k,m) - conj(A(m,k))|) of a KernelMatrix or a square array."""
+    a = getattr(K, "entries", K)
+    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     return asym <= tol, asym
 
 

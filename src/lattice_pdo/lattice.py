@@ -66,21 +66,17 @@ def integer_coords(spec: LatticeSpec, point) -> np.ndarray:
     return zi.astype(np.int64)
 
 
-def enumerate_box(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
-    """All box points as an array of shape (size, dim), lexicographic in z."""
-    r = box.radius
-    axes = [np.arange(-r, r + 1)] * spec.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    z = np.stack([m.ravel() for m in mesh], axis=-1)
-    return spec.hbar * z.astype(float)
-
-
 def enumerate_box_integers(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
-    """Integer coordinates of the box points, same ordering as enumerate_box."""
+    """Integer coordinates z of the box points, shape (size, dim), lexicographic in z."""
     r = box.radius
     axes = [np.arange(-r, r + 1)] * spec.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
+
+
+def enumerate_box(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
+    """All box points hbar * z, same ordering as enumerate_box_integers."""
+    return spec.hbar * enumerate_box_integers(spec, box)
 
 
 def index_of(spec: LatticeSpec, box: BoxTruncation, point) -> int:

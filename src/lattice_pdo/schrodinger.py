@@ -17,9 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import BoxTruncation, LatticeSpec, enumerate_box, enumerate_box_integers
-from .kernel import KernelMatrix
+from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
+from .kernel import KernelMatrix, assemble
 from .spectral import SpectralResult
+from .symbols import schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
 
@@ -83,47 +84,33 @@ class PotentialSpec:
         return cls(lambda k: c * float(np.linalg.norm(k)) ** (2 * l), 2.0 * l, dim)
 
 
+def _hamiltonian_symbol(spec: LatticeSpec, V, lam: float):
+    # the order is metadata for the criteria; a plain callable V carries none
+    return schrodinger_symbol(V, lam, spec, potential_order=getattr(V, "mu", math.nan))
+
+
 def build_hamiltonian(spec: LatticeSpec, V, box: BoxTruncation,
                       lam: float = 0.0) -> KernelMatrix:
     """Real symmetric truncation of -hbar^-2 Delta + V + lam on the box.
 
-    Diagonal 2n hbar^-2 + V(k) + lam; -hbar^-2 between nearest neighbors
-    that both lie inside the box; agrees entrywise with assembling the
-    Schrodinger symbol on the same box.  Stored as float64, so eigensolves
-    run in real arithmetic.
+    The assembled Schrodinger symbol: diagonal 2n hbar^-2 + V(k) + lam,
+    -hbar^-2 between nearest neighbors that both lie inside the box.
+    Stored as float64, so eigensolves run in real arithmetic.
     """
-    zs = enumerate_box_integers(spec, box)
-    pts = spec.hbar * zs.astype(float)
-    size = len(pts)
-    h2 = spec.hbar ** -2
-    entries = np.zeros((size, size))
-    diag = np.array([2 * spec.dim * h2 + float(V(p)) + lam for p in pts])
-    entries[np.arange(size), np.arange(size)] = diag
-
-    r = box.radius
-    side = 2 * r + 1
-    for j in range(spec.dim):
-        stride = side ** (spec.dim - 1 - j)
-        rows = np.nonzero(zs[:, j] < r)[0]
-        cols = rows + stride
-        entries[rows, cols] = -h2
-        entries[cols, rows] = -h2
-    name = V.__class__.__name__ if isinstance(V, PotentialSpec) else getattr(V, "__name__", "V")
-    return KernelMatrix(spec, box, entries,
-                        provenance={"symbol": "schrodinger-stencil", "potential": name,
-                                    "shift": lam, "radius": box.radius})
+    return assemble(_hamiltonian_symbol(spec, V, lam), spec, box)
 
 
 def weyl_oracle(spec: LatticeSpec, V, box: BoxTruncation, j_max: int,
                 lam: float = 0.0) -> np.ndarray:
     """The j_max smallest diagonal values V(k) + 2n hbar^-2 + lam over the box.
 
-    This is the spectrum of the diagonal part, computed without any
-    eigensolver; it brackets the true eigenvalues within the hopping norm.
+    This is the spectrum of the diagonal part (the offset-0 band of the
+    Schrodinger symbol), computed without any matrix or eigensolver; it
+    brackets the true eigenvalues within the hopping norm.
     """
-    pts = enumerate_box(spec, box)
-    vals = np.sort(np.array([float(V(p)) + 2 * spec.dim * spec.hbar ** -2 + lam for p in pts]))
-    return vals[:j_max]
+    band = _hamiltonian_symbol(spec, V, lam).closed_form_coeffs
+    diag = band(enumerate_box_integers(spec, box), np.zeros(spec.dim, dtype=np.int64))
+    return np.sort(diag)[:j_max]
 
 
 @dataclass

@@ -31,12 +31,6 @@ def _as_matrix(K):
     return a, None
 
 
-def _check_hermitian(mat):
-    asym = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if asym > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-
-
 @dataclass
 class SpectralResult:
     """Sorted spectrum with truncation metadata.
@@ -59,7 +53,9 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     Real input is solved in real arithmetic, with real eigenvectors.
     """
     mat, trunc = _as_matrix(K)
-    _check_hermitian(mat)
+    ok, asym = hermitian_check(mat, HERMITIAN_TOL)
+    if not ok:
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     if want_vectors:
         vals, vecs = np.linalg.eigh(mat)
         for j in range(vecs.shape[1]):
@@ -85,8 +81,7 @@ def residue_norm(K) -> float:
     np.fill_diagonal(res, 0.0)
     if res.size == 0:
         return 0.0
-    asym = float(np.max(np.abs(res - res.conj().T)))
-    if asym <= HERMITIAN_TOL:
+    if hermitian_check(res, HERMITIAN_TOL)[0]:
         return float(np.max(np.abs(np.linalg.eigvalsh(res))))
     return float(np.linalg.norm(res, 2))
 

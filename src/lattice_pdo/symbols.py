@@ -43,10 +43,12 @@ class Symbol:
     (..., n) and evaluate vectorized over the leading axes.  deriv_fn, when
     present, returns the analytic theta-derivative for a multi-index beta;
     otherwise derivatives up to ``deriv_order_available`` are formed by
-    central differences.  closed_form_coeffs(k, m), when present, returns
-    the torus Fourier coefficient without quadrature;
-    ``coeff_support_radius`` bounds |m/hbar|_inf of its nonzeros (None if
-    unbounded / unknown).
+    central differences.  closed_form_coeffs(z_rows, z_offset), when
+    present, returns the torus Fourier coefficients without quadrature:
+    for integer row coordinates ``z_rows`` of shape (S, n) (the points
+    hbar * z_rows) and one integer frequency ``z_offset`` of shape (n,),
+    an array of S coefficients, real or complex.  ``coeff_support_radius``
+    bounds |z_offset|_inf of its nonzeros (None if unbounded / unknown).
     """
 
     spec: LatticeSpec
@@ -134,24 +136,29 @@ def periodicity_defect(sym: Symbol, k, theta, axis: int) -> float:
 # built-in families
 # ---------------------------------------------------------------------------
 
-def constant_symbol(value, spec: LatticeSpec | None = None) -> Symbol:
-    """sigma = value, independent of k and theta."""
-    spec = spec or LatticeSpec(1.0, 1)
-    c = complex(value)
+def _multiplier(spec: LatticeSpec, order: SymbolOrder, value: Callable, name: str) -> Symbol:
+    """sigma(k, theta) = value(k): the diagonal operator of a function on the lattice."""
 
     def ev(k, theta):
-        return np.full(theta.shape[:-1], c, dtype=complex)
+        return np.full(theta.shape[:-1], value(k), dtype=complex)
 
     def dv(k, theta, beta):
         return 0j
 
-    def cf(k, m):
-        z = np.rint(np.asarray(m) / spec.hbar).astype(int)
-        return c if not z.any() else 0j
+    def cf(z_rows, z_offset):
+        if np.any(z_offset):
+            return np.zeros(len(z_rows))
+        return np.array([value(k) for k in spec.hbar * z_rows])
 
-    return Symbol(spec, SymbolOrder(0.0), ev, deriv_fn=dv,
-                  closed_form_coeffs=cf, coeff_support_radius=0,
-                  name=f"constant({value})")
+    return Symbol(spec, order, ev, deriv_fn=dv, closed_form_coeffs=cf,
+                  coeff_support_radius=0, name=name)
+
+
+def constant_symbol(value, spec: LatticeSpec | None = None) -> Symbol:
+    """sigma = value, independent of k and theta."""
+    c = complex(value)
+    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(0.0), lambda k: c,
+                       f"constant({value})")
 
 
 def difference_symbol(hbar: float = 1.0) -> Symbol:
@@ -167,13 +174,8 @@ def difference_symbol(hbar: float = 1.0) -> Symbol:
     def dv(k, theta, beta):
         return (2j * np.pi) ** beta[0] * np.exp(2j * np.pi * theta[..., 0])
 
-    def cf(k, m):
-        z = int(np.rint(float(np.asarray(m).reshape(1)[0]) / spec.hbar))
-        if z == 1:
-            return 1.0 + 0j
-        if z == 0:
-            return -1.0 + 0j
-        return 0j
+    def cf(z_rows, z_offset):
+        return np.full(len(z_rows), {1: 1.0, 0: -1.0}.get(int(z_offset[0]), 0.0))
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, deriv_fn=dv,
                   closed_form_coeffs=cf, coeff_support_radius=1,
@@ -186,7 +188,6 @@ def multiplication_symbol(epsilon: float, spec: LatticeSpec | None = None) -> Sy
     The unbounded case epsilon > 0 is the sharpness witness for the
     boundedness corollaries.
     """
-    spec = spec or LatticeSpec(1.0, 1)
 
     def value(k):
         r = float(np.linalg.norm(k))
@@ -194,19 +195,8 @@ def multiplication_symbol(epsilon: float, spec: LatticeSpec | None = None) -> Sy
             return r ** epsilon
         return 1.0 if epsilon == 0 else (0.0 if epsilon > 0 else np.inf)
 
-    def ev(k, theta):
-        return np.full(theta.shape[:-1], value(k), dtype=complex)
-
-    def dv(k, theta, beta):
-        return 0j
-
-    def cf(k, m):
-        z = np.rint(np.asarray(m) / spec.hbar).astype(int)
-        return 0j if z.any() else complex(value(k))
-
-    return Symbol(spec, SymbolOrder(float(epsilon), 1.0, 0.0), ev, deriv_fn=dv,
-                  closed_form_coeffs=cf, coeff_support_radius=0,
-                  name=f"multiplication(eps={epsilon})")
+    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(float(epsilon), 1.0, 0.0),
+                       value, f"multiplication(eps={epsilon})")
 
 
 def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
@@ -250,14 +240,12 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
             val = -2 * w * base
         return complex(h2 * val)
 
-    def cf(k, m):
-        z = np.rint(np.asarray(m) / spec.hbar).astype(int)
-        nz = np.nonzero(z)[0]
-        if len(nz) == 0:
-            return complex(2 * spec.dim * h2 + float(V(k)) + lam)
-        if len(nz) == 1 and abs(z[nz[0]]) == 1:
-            return complex(-h2)
-        return 0j
+    def cf(z_rows, z_offset):
+        hops = int(np.sum(np.abs(z_offset)))
+        if hops == 0:
+            v = np.array([float(V(k)) for k in spec.hbar * z_rows])
+            return 2 * spec.dim * h2 + v + lam
+        return np.full(len(z_rows), -h2 if hops == 1 else 0.0)
 
     return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0), ev, deriv_fn=dv,
                   closed_form_coeffs=cf, coeff_support_radius=1,
@@ -296,14 +284,11 @@ def decaying_test_symbol(s: float, a: float, b: float,
             val = b * w * np.cos(2 * np.pi * t)
         return complex(radial(k) * val)
 
-    def cf(k, m):
-        z = np.rint(np.asarray(m) / spec.hbar).astype(int)
-        nz = np.nonzero(z)[0]
-        if len(nz) == 0:
-            return complex(a * radial(k))
-        if len(nz) == 1 and nz[0] == 0 and abs(z[0]) == 1:
-            return complex(0.5 * b * radial(k))
-        return 0j
+    def cf(z_rows, z_offset):
+        if np.any(z_offset[1:]) or abs(z_offset[0]) > 1:
+            return np.zeros(len(z_rows))
+        r = np.array([radial(k) for k in spec.hbar * z_rows])
+        return a * r if z_offset[0] == 0 else 0.5 * b * r
 
     return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), ev, deriv_fn=dv,
                   closed_form_coeffs=cf, coeff_support_radius=1,
@@ -312,26 +297,11 @@ def decaying_test_symbol(s: float, a: float, b: float,
 
 def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
     """Anharmonic multiplier sigma(k, theta) = c |k|^(2l), order 2l."""
-    spec = spec or LatticeSpec(1.0, 1)
     if int(l) != l or l < 1:
         raise ValueError(f"anharmonic power l must be a natural number, got {l}")
-
-    def value(k):
-        return c * float(np.linalg.norm(k)) ** (2 * l)
-
-    def ev(k, theta):
-        return np.full(theta.shape[:-1], value(k), dtype=complex)
-
-    def dv(k, theta, beta):
-        return 0j
-
-    def cf(k, m):
-        z = np.rint(np.asarray(m) / spec.hbar).astype(int)
-        return complex(value(k)) if not z.any() else 0j
-
-    return Symbol(spec, SymbolOrder(2.0 * l, 1.0, 0.0), ev, deriv_fn=dv,
-                  closed_form_coeffs=cf, coeff_support_radius=0,
-                  name=f"anharmonic(c={c},l={l})")
+    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0),
+                       lambda k: c * float(np.linalg.norm(k)) ** (2 * l),
+                       f"anharmonic(c={c},l={l})")
 
 
 def symbol_from_matrix(K) -> Symbol:

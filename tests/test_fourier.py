@@ -210,3 +210,18 @@ def test_decay_q_tilde_capability():
         coeff_support_radius=sym.coeff_support_radius, name=sym.name)
     with pytest.raises(ValueError):
         estimate_decay_constant(capped, 2, 2, 2)
+
+
+def test_quadrature_table_refuses_to_fold():
+    # frequency 40 would come back as the coefficient of 40 - 64 = -24
+    sym = decaying_test_symbol(3.0, 2.0, 1.0)
+    quad = type(sym)(sym.spec, sym.order, sym.eval_fn, name="quadrature-only")
+    table = coefficient_table(quad, BoxTruncation(1), 31)
+    assert table.values.shape == (3, 63)
+    with pytest.raises(ValueError, match="radius 32.*n_samples=64"):
+        coefficient_table(quad, BoxTruncation(1), 32)
+    with pytest.raises(ValueError, match="n_samples=64"):
+        toroidal_coefficient(quad, 0, 40)
+    # closed forms never fold
+    closed = coefficient_table(sym, BoxTruncation(1), 40)
+    assert closed.values[1, 41] == 0.5

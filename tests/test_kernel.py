@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lattice_pdo.lattice import BoxTruncation, LatticeSpec, index_of
+from lattice_pdo.fourier import coefficient_table, toroidal_coefficient
+from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
 from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 hermitize, read_binary, split_diagonal,
                                 write_binary, write_csv)
 from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
-                                 difference_symbol, schrodinger_symbol,
+                                 difference_symbol, multiplication_symbol,
+                                 polynomial_potential, schrodinger_symbol,
                                  symbol_from_matrix)
 
 SPEC1 = LatticeSpec(1.0, 1)
@@ -128,8 +133,9 @@ def test_kernel_storage_follows_entries():
     K = KernelMatrix(SPEC1, box, np.eye(3, dtype=complex))
     assert K.entries.dtype == np.complex128
     assert not K.entries.flags.writeable
-    # assemble keeps complex storage, even for a real symmetric operator
-    assert assemble(schrodinger_k2(), SPEC1, box).entries.dtype == np.complex128
+    # assemble stores float64 when every band is real, complex128 otherwise
+    assert assemble(schrodinger_k2(), SPEC1, box).entries.dtype == np.float64
+    assert assemble(constant_symbol(1.5 + 0.5j), SPEC1, box).entries.dtype == np.complex128
 
 
 def test_kernel_rejects_wrong_shape():
@@ -183,3 +189,75 @@ def test_assemble_2d_schrodinger_neighbors():
     assert K.entries[c, up] == pytest.approx(-1.0)
     assert K.entries[c, right] == pytest.approx(-1.0)
     assert K.entries[c, diag] == pytest.approx(0.0)    # no diagonal hopping
+
+
+def builtin_families(spec):
+    syms = [constant_symbol(1.5 + 0.5j, spec), multiplication_symbol(0.5, spec),
+            multiplication_symbol(1.0, spec), polynomial_potential(1.0, 2, spec),
+            decaying_test_symbol(3.0, 2.0, 1.0, spec),
+            schrodinger_symbol(lambda k: float(k @ k), 0.5, spec, potential_order=2.0)]
+    if spec.dim == 1:
+        syms.append(difference_symbol(spec.hbar))
+    return syms
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_assemble_table_and_pointwise_coefficients_agree_exactly(dim, hbar):
+    # one closed form per family: the banded fill, the table and the single
+    # coefficient must give the same bits
+    spec = LatticeSpec(hbar, dim)
+    box = BoxTruncation(2)
+    zs = enumerate_box_integers(spec, box)
+    m_box = BoxTruncation(2 * box.radius)
+    for sym in builtin_families(spec):
+        K = assemble(sym, spec, box)
+        table = coefficient_table(sym, box, m_box.radius)
+        for i, zk in enumerate(zs):
+            for j, zm in enumerate(zs):
+                col = index_of(spec, m_box, hbar * (zm - zk))
+                single = toroidal_coefficient(sym, hbar * zk, hbar * (zm - zk))
+                assert K.entries[i, j] == table.values[i, col] == single, (sym.name, i, j)
+
+
+def test_quadrature_refuses_to_fold_columns():
+    # 2R + 1 columns per row need 2R + 1 distinct FFT bins out of n_samples = 64
+    rng = np.random.default_rng(11)
+    for radius, folds in ((31, False), (32, True)):
+        box = BoxTruncation(radius)
+        M = rng.normal(size=(box.size(1),) * 2)
+        K = KernelMatrix(SPEC1, box, M)
+        if folds:
+            with pytest.raises(ValueError, match="radius 32.*n_samples=64"):
+                assemble(symbol_from_matrix(K), SPEC1, box)
+        else:
+            K2 = assemble(symbol_from_matrix(K), SPEC1, box)
+            assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+
+
+def quadrature_only(sym):
+    return dataclasses.replace(sym, closed_form_coeffs=None, coeff_support_radius=None)
+
+
+@st.composite
+def closed_form_symbols(draw):
+    spec = LatticeSpec(draw(st.sampled_from([1.0, 0.5])), draw(st.integers(1, 2)))
+    unit = st.floats(-2.0, 2.0, allow_nan=False)
+    family = draw(st.sampled_from(["decaying", "multiplication", "schrodinger"]))
+    if family == "decaying":
+        return decaying_test_symbol(draw(st.floats(0.0, 4.0)), draw(unit), draw(unit), spec)
+    if family == "multiplication":
+        return multiplication_symbol(draw(st.floats(0.0, 2.0)), spec)
+    c = draw(st.floats(0.1, 2.0))
+    l = draw(st.integers(1, 2))
+    return schrodinger_symbol(lambda k: c * float(np.linalg.norm(k)) ** (2 * l),
+                              draw(unit), spec, potential_order=2.0 * l)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sym=closed_form_symbols(), radius=st.integers(0, 3))
+def test_banded_matches_quadrature_assembly(sym, radius):
+    box = BoxTruncation(radius)
+    banded = assemble(sym, sym.spec, box).entries
+    quad = assemble(quadrature_only(sym), sym.spec, box).entries
+    assert np.max(np.abs(banded - quad)) <= 1e-12 * max(1.0, np.max(np.abs(banded)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,12 +53,17 @@ def test_build_hamiltonian_scaled_lattice():
     assert H.entries[0, 1] == pytest.approx(-4.0)
 
 
+def quadrature_only(sym):
+    """The same symbol without its closed form, so assemble takes the FFT path."""
+    return dataclasses.replace(sym, closed_form_coeffs=None, coeff_support_radius=None)
+
+
 def test_hamiltonian_matches_symbol_assembly():
     for spec, pot in ((SPEC1, HARMONIC), (LatticeSpec(0.5, 1), HARMONIC),
                       (LatticeSpec(1.0, 2), PotentialSpec.anharmonic(1.0, 1, dim=2))):
         box = BoxTruncation(3)
         H = build_hamiltonian(spec, pot, box, lam=0.5)
-        sym = schrodinger_symbol(pot, 0.5, spec)
+        sym = quadrature_only(schrodinger_symbol(pot, 0.5, spec))
         K = assemble(sym, spec, box)
         assert np.max(np.abs(H.entries - K.entries)) <= 1e-12
 
@@ -80,7 +87,7 @@ def test_spectrum_converged_harmonic():
 
 
 def test_spectrum_real_scan_matches_complex_assembly():
-    # the scan solves the float64 H; the complex assembled symbol is the oracle
+    # the scan solves the float64 H; the complex quadrature assembly is the oracle
     spec = LatticeSpec(1.0, 2)
     pot = PotentialSpec.anharmonic(1.0, 1, dim=2)
     full = spectrum_converged(spec, pot, j_max=6, tol=1e-8, start_radius=3)
@@ -90,7 +97,7 @@ def test_spectrum_real_scan_matches_complex_assembly():
         res = spectrum_converged(spec, pot, j_max=6, tol=1e-8, start_radius=3,
                                  max_dim=box.size(2))
         assert res.radius_used == R
-        K = assemble(schrodinger_symbol(pot, 0.0, spec), spec, box)
+        K = assemble(quadrature_only(schrodinger_symbol(pot, 0.0, spec)), spec, box)
         ref = np.linalg.eigvalsh(K.entries)[:6]
         np.testing.assert_allclose(res.eigenvalues, ref, rtol=1e-10, atol=0)
 
