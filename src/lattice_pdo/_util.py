@@ -1,7 +1,11 @@
 """Small shared helpers."""
 
 import hashlib
+import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 
 def parallel_map(fn, items, threads=1):
@@ -18,3 +22,19 @@ def sha256_of(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def check_dense_fits(shape) -> None:
+    """Raise ValueError if a complex128 array of ``shape`` exceeds physical memory.
+
+    Called before anything of that size is built, so an impossible request
+    fails at once, naming its shape and bytes, rather than being killed
+    mid-run.  complex128 is the widest storage, so the check is the same
+    for real and complex matrices.
+    """
+    need = math.prod(shape) * np.dtype(complex).itemsize
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        dims = "x".join(str(d) for d in shape)
+        raise ValueError(f"a dense {dims} matrix needs {need} bytes, "
+                         f"more than the {have} bytes of physical memory")

@@ -8,6 +8,7 @@ reported operationally, by growth between a radius and its double (ratio
 threshold 1.5), never claimed as a proof.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -193,30 +194,57 @@ class TailBound:
     radius: int
 
 
-def _shell_count(s: int, n: int) -> int:
-    if s == 0:
-        return 1
-    return (2 * s + 1) ** n - (2 * s - 1) ** n
+SHELL_CHUNK = 4096   # shells summed per numpy step
+SHELL_CAP = 200000   # shells summed exactly before the remainder takes over
+
+
+def _shell_terms(shells: np.ndarray, n: int, exponent: float, scale: float) -> np.ndarray:
+    """count(s) * (1 + scale s)^exponent for integer shells s >= 0, as float64.
+
+    count(s) = (2s+1)^n - (2s-1)^n points have |z|_inf = s (one for s = 0);
+    it is evaluated as 2 sum_{j odd} C(n, j) (2s)^(n-j) by Horner's rule
+    with non-negative integer coefficients, so nothing cancels, no shell is
+    under-counted, and counts below 2^53 are exact.  The power is the C
+    library's pow, as for a Python float: numpy's vectorised power can
+    differ from it in the last bit.
+    """
+    s = np.asarray(shells, dtype=float)
+    coeffs = [2 * math.comb(n, d) if (n - d) % 2 else 0 for d in range(n - 1, -1, -1)]
+    counts = np.where(s == 0, 1.0, np.polyval(coeffs, 2.0 * s))
+    powers = np.fromiter(map(math.pow, (1.0 + scale * s).tolist(), itertools.repeat(exponent)),
+                         dtype=float, count=len(s))
+    return counts * powers
 
 
 def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> float:
     """Upper bound on sum over |z|_inf > from_shell of (1 + scale |z|)^exponent.
 
     Exact shell terms with the sup-norm radius as a lower bound on |z|, plus
-    an integral-comparison remainder once terms are negligible.  Requires
-    exponent + n < 0.
+    an integral-comparison remainder once terms are negligible (a term at
+    most 1e-16 of the running sum, after at least 10 shells) or after
+    SHELL_CAP shells.  The terms are computed SHELL_CHUNK shells at a time
+    and summed by np.cumsum with the running sum carried in front of each
+    chunk, which adds in the same order as a shell-by-shell loop.
+    Requires exponent + n < 0.
     """
     if exponent + n >= 0:
         raise ValueError("shell sum diverges: need exponent < -n")
     acc = 0.0
-    s = from_shell + 1
-    cap = from_shell + 200000
-    while s <= cap:
-        term = _shell_count(s, n) * (1.0 + scale * s) ** exponent
-        acc += term
-        if term <= 1e-16 * max(acc, 1e-300) and s > from_shell + 10:
+    first = from_shell + 1
+    cap = from_shell + SHELL_CAP
+    s = cap + 1  # the shell after the last one summed, when no term is negligible
+    while first <= cap:
+        shells = np.arange(first, min(first + SHELL_CHUNK, cap + 1))
+        terms = _shell_terms(shells, n, exponent, scale)
+        sums = np.cumsum(np.concatenate(([acc], terms)))[1:]
+        stop = np.flatnonzero((terms <= 1e-16 * np.maximum(sums, 1e-300))
+                              & (shells > from_shell + 10))
+        if stop.size:
+            acc = float(sums[stop[0]])
+            s = int(shells[stop[0]])
             break
-        s += 1
+        acc = float(sums[-1])
+        first += SHELL_CHUNK
     # remainder: count(s) <= 2n(3s)^(n-1), (1 + scale s)^a <= (scale s)^a
     remainder = (2 * n * 3 ** (n - 1) * scale ** exponent
                  * s ** (n + exponent) / (-(n + exponent)))
@@ -225,11 +253,10 @@ def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> 
 
 def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> float:
     """Upper bound on sum over |z|_inf <= up_to_shell of (1 + scale |z|)^exponent."""
-    acc = 0.0
-    for s in range(0, up_to_shell + 1):
-        # |z| >= |z|_inf = s and exponent < 0, so this bounds each shell
-        acc += _shell_count(s, n) * (1.0 + scale * s) ** min(exponent, 0.0)
-    return acc
+    shells = np.arange(up_to_shell + 1)
+    # |z| >= |z|_inf = s and exponent < 0, so each term bounds its shell
+    terms = _shell_terms(shells, n, min(exponent, 0.0), scale)
+    return float(np.cumsum(terms)[-1])
 
 
 def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int,

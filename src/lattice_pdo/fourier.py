@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import BoxTruncation, as_point, enumerate_box_integers, integer_coords
 from .symbols import Symbol
-from ._util import parallel_map
+from ._util import check_dense_fits, parallel_map
 
 DEFAULT_SAMPLES = 64
 
@@ -85,9 +85,14 @@ class CoefficientTable:
 
 def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
                       n_samples: int = DEFAULT_SAMPLES, threads: int = 1) -> CoefficientTable:
-    """All coefficients with k in the box and |m/hbar|_inf <= freq_radius."""
+    """All coefficients with k in the box and |m/hbar|_inf <= freq_radius.
+
+    A table that would not fit in physical memory is refused before anything
+    is built.
+    """
     spec = sym.spec
     m_box = BoxTruncation(int(freq_radius))
+    check_dense_fits((k_box.size(spec.dim), m_box.size(spec.dim)))
     k_ints = enumerate_box_integers(spec, k_box)
     m_ints = enumerate_box_integers(spec, m_box)
     k_points = spec.hbar * k_ints

@@ -24,7 +24,7 @@ from .lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                       enumerate_box_integers)
 from .symbols import Symbol
 from .fourier import DEFAULT_SAMPLES, check_no_fold, spectrum_of_row
-from ._util import parallel_map
+from ._util import check_dense_fits, parallel_map
 
 
 def stored_entries(a) -> np.ndarray:
@@ -82,12 +82,14 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     float64 matrix when every band is real and complex128 otherwise.  Any
     other symbol goes through FFT quadrature row by row (complex128), which
     refuses boxes whose 2R + 1 columns per axis would fold onto fewer than
-    ``n_samples`` frequency bins.
+    ``n_samples`` frequency bins.  A box whose complex128 matrix would not
+    fit in physical memory is refused before anything is built.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
+    size = box.size(spec.dim)
+    check_dense_fits((size, size))
     zs = enumerate_box_integers(spec, box)
-    size = len(zs)
     r = box.radius
 
     if sym.closed_form_coeffs is not None:

@@ -98,9 +98,12 @@ class DiagApproxReport:
     exact zeros.  Points within the outermost 15 percent of the box radius
     are excluded from the fit: their residuals measure the Dirichlet
     truncation edge, not the operator, and flatten the slope by an order of
-    magnitude at desk scale.  low_overlap flags eigenvectors whose overlap
-    with the matched basis vector drops below 1/2, where first-order
-    reasoning degrades.
+    magnitude at desk scale.  low_overlap flags matched basis vectors whose
+    projection onto the eigenspace of their eigenvalue's cluster has norm
+    below 1/2, where first-order reasoning degrades.  A cluster is a run of
+    sorted eigenvalues whose gaps are within eigh's backward error,
+    size * eps * max |lambda|; taking the whole eigenspace makes the flag
+    independent of the basis the solver picks inside a degenerate one.
     """
 
     points: np.ndarray
@@ -136,7 +139,13 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     lam = dec.eigenvalues
     residuals = lam - diag[perm]
 
+    # clusters: runs of eigenvalues whose gaps are within gap_tol
+    gap_tol = K.size * np.finfo(float).eps * np.max(np.abs(lam))
+    cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
     overlaps = np.abs(dec.eigenvectors[perm, np.arange(K.size)])
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, K.size]):
+        if b - a > 1:
+            overlaps[a:b] = np.linalg.norm(dec.eigenvectors[perm[a:b], a:b], axis=1)
     low_overlap = overlaps < 0.5
 
     rnorm = residue_norm(K)

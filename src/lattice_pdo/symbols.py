@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import LatticeSpec, as_point, index_of
+from .lattice import LatticeSpec, as_point, index_of, integer_coords
 
 FD_STEP = 1e-5  # central-difference step for theta derivatives
 
@@ -313,38 +313,46 @@ def symbol_from_matrix(K) -> Symbol:
     symbol reproduces K (finite Fourier inversion).  Coefficients are
     computed by quadrature, which is exact while the box bandwidth stays
     below half the sampling rate.
+
+    The sum is evaluated one axis at a time: the row is viewed as a
+    (2R+1,)*n tensor over integer column coordinates a, and each axis j
+    contributes a (points, 2R+1) phase table exp(2 pi i theta_j (a - z_j))
+    (z the row's integer coordinates) that is contracted in turn.  A theta
+    point thus costs at most n(2R+1) exponentials rather than (2R+1)^n, and
+    a coordinate value repeated across points (as on a quadrature grid) is
+    exponentiated once.  The theta-derivative multiplies each table by
+    (2 pi i (a - z_j))^beta_j.
     """
     spec = K.spec
     box = K.box
-    entries = np.asarray(K.entries)
-    from .lattice import enumerate_box  # local import keeps module load order flat
+    side = 2 * box.radius + 1
+    rows = np.asarray(K.entries).reshape((-1,) + (side,) * spec.dim)
+    offsets = np.arange(-box.radius, box.radius + 1)
 
-    pts = enumerate_box(spec, box)
-
-    def row_of(k):
+    def phase_sum(k, theta, beta):
         try:
-            return index_of(spec, box, k)
+            row = rows[index_of(spec, box, k)]
         except ValueError:
-            return None
+            return np.zeros(theta.shape[:-1], dtype=complex)
+        z = integer_coords(spec, k)
+        t = theta.reshape(-1, spec.dim)
+        tables = []
+        for j, bj in enumerate(beta):
+            freqs = offsets - z[j]
+            # one exponential per distinct coordinate: a tensor grid repeats them
+            values, where = np.unique(t[:, j], return_inverse=True)
+            table = np.exp(2j * np.pi * np.multiply.outer(values, freqs))
+            if bj:
+                table *= (2j * np.pi * freqs) ** bj
+            tables.append(table[where.ravel()])
+        # contract the last axis first; acc is (remaining column axes, points)
+        acc = row.reshape(-1, side) @ tables[-1].T
+        for table in reversed(tables[:-1]):
+            acc = np.einsum("qsp,ps->qp", acc.reshape(-1, side, len(t)), table)
+        return acc.reshape(theta.shape[:-1])
 
     def ev(k, theta):
-        row = row_of(k)
-        if row is None:
-            return np.zeros(theta.shape[:-1], dtype=complex)
-        freqs = (pts - k) / spec.hbar  # integer vectors
-        phases = np.exp(2j * np.pi * np.tensordot(theta, freqs.T, axes=1))
-        return phases @ entries[row]
+        return phase_sum(k, theta, (0,) * spec.dim)
 
-    def dv(k, theta, beta):
-        row = row_of(k)
-        if row is None:
-            return 0j
-        freqs = (pts - k) / spec.hbar
-        factor = np.ones(len(pts), dtype=complex)
-        for j, bj in enumerate(beta):
-            factor *= (2j * np.pi * freqs[:, j]) ** bj
-        phases = np.exp(2j * np.pi * np.tensordot(theta, freqs.T, axes=1))
-        return complex(phases @ (factor * entries[row]))
-
-    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, deriv_fn=dv,
+    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, deriv_fn=phase_sum,
                   name="matrix-symbol")

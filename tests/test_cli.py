@@ -186,6 +186,26 @@ def test_config_error_scan_radius_zero(tmp_path, capsys, time_limit, task):
     assert json.loads(err[0])["error"] == "config"
 
 
+@pytest.mark.parametrize("task", ["assemble", "check-bounds", "check-nuclear", "diag-approx"])
+def test_dense_size_preflight(tmp_path, capsys, time_limit, task):
+    # 61^3 = 226 981 points: a dense complex128 matrix of ~824 GB
+    cfg = base_config(
+        task,
+        lattice={"hbar": 1.0, "dim": 3},
+        symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}},
+        truncation={"radius": 30},
+    )
+    with time_limit(10):
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "numeric"
+    assert "226981x226981" in payload["message"]
+    assert "824325989776 bytes" in payload["message"]
+
+
 def test_budget_failure_exit_code(tmp_path, capsys):
     cfg = base_config(
         "spectrum",

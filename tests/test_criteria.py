@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
-from lattice_pdo.criteria import (CriterionQuery, mixed_lp_sum, nuclear_row_terms,
+from lattice_pdo.criteria import (CriterionQuery, _power_ball_sum, _power_shell_sum,
+                                  mixed_lp_sum, nuclear_row_terms,
                                   nuclear_sum, order_conditions, schur_l1_lp,
                                   sup_entry, truncation_tail_bound)
 from lattice_pdo.fourier import estimate_decay_constant
@@ -219,3 +220,49 @@ def test_tail_bound_difference_m_tail_zero():
     # row tail is uncontrollable (mu = 0) but the frequency tail vanishes
     assert not b.applicable
     assert b.m_tail == 0.0
+
+
+def shell_count_reference(s, n):
+    return 1 if s == 0 else (2 * s + 1) ** n - (2 * s - 1) ** n
+
+
+def shell_sum_reference(exponent, scale, n, from_shell):
+    """The shell-by-shell loop behind _power_shell_sum, kept as its reference."""
+    acc = 0.0
+    s = from_shell + 1
+    cap = from_shell + 200000
+    while s <= cap:
+        term = shell_count_reference(s, n) * (1.0 + scale * s) ** exponent
+        acc += term
+        if term <= 1e-16 * max(acc, 1e-300) and s > from_shell + 10:
+            break
+        s += 1
+    remainder = (2 * n * 3 ** (n - 1) * scale ** exponent
+                 * s ** (n + exponent) / (-(n + exponent)))
+    return acc + remainder
+
+
+def ball_sum_reference(exponent, scale, n, up_to_shell):
+    acc = 0.0
+    for s in range(0, up_to_shell + 1):
+        acc += shell_count_reference(s, n) * (1.0 + scale * s) ** min(exponent, 0.0)
+    return acc
+
+
+# excess over -n: 0.05 runs to the 200 000-shell cap, 39 stops after a few shells
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("excess", [0.05, 1.0, 2.0, 39.0])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_shell_sums_match_loop(n, excess, scale):
+    exponent = -n - excess
+    for from_shell in (0, 20, 100):
+        got = _power_shell_sum(exponent, scale, n, from_shell)
+        want = shell_sum_reference(exponent, scale, n, from_shell)
+        if n <= 2:
+            assert got == want
+        else:
+            assert want <= got <= want * (1 + 1e-15)
+    for up_to_shell in (0, 3, 50):
+        got = _power_ball_sum(exponent, scale, n, up_to_shell)
+        want = ball_sum_reference(exponent, scale, n, up_to_shell)
+        assert want <= got <= want * (1 + 1e-15)

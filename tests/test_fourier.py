@@ -225,3 +225,10 @@ def test_quadrature_table_refuses_to_fold():
     # closed forms never fold
     closed = coefficient_table(sym, BoxTruncation(1), 40)
     assert closed.values[1, 41] == 0.5
+
+
+def test_coefficient_table_size_preflight(time_limit):
+    sym = decaying_test_symbol(3.0, 1.0, 1.0, LatticeSpec(1.0, 3))
+    with time_limit(10):
+        with pytest.raises(ValueError, match="226981x226981 matrix needs 824325989776 bytes"):
+            coefficient_table(sym, BoxTruncation(30), 30)

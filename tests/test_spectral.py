@@ -174,6 +174,19 @@ def test_diag_approx_schrodinger_quartic():
     assert np.max(rep.diag_values) >= 40.0 ** 4
 
 
+def test_low_overlap_independent_of_storage():
+    # 2-d harmonic oscillator: degenerate eigenvalues, whose eigenvectors the
+    # real and the complex solver pick differently
+    spec = LatticeSpec(1.0, 2)
+    sym = schrodinger_symbol(lambda k: float(k @ k), 0.0, spec, potential_order=2.0)
+    K = assemble(sym, spec, BoxTruncation(5))
+    Kc = KernelMatrix(spec, K.box, K.entries.astype(complex))
+    assert K.entries.dtype == np.float64 and Kc.entries.dtype == np.complex128
+    real = diagonal_approximation(K, sym.order).low_overlap
+    cplx = diagonal_approximation(Kc, sym.order).low_overlap
+    np.testing.assert_array_equal(real, cplx)
+
+
 def test_diag_approx_requires_hermitian():
     K = assemble(decaying_test_symbol(3.0, 2.0, 1.0), SPEC1, BoxTruncation(10))
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box, index_of
 from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol,
                                  decaying_test_symbol, difference_symbol,
                                  eval_symbol, multiplication_symbol,
@@ -131,6 +132,56 @@ def test_symbol_from_matrix_derivative():
     sym = symbol_from_matrix(K)
     d = theta_derivative(sym, 0, 0.0, 1)
     assert d == pytest.approx(2j * np.pi)
+
+
+def direct_phase_sum(K, k, theta, beta):
+    """sum_m K(k, m) prod_j (2 pi i z_j)^beta_j exp(2 pi i z . theta), z = (m - k)/hbar.
+
+    The all-columns-at-once evaluation, kept as the reference for the
+    axis-by-axis one; returns the sum and the l1 norm of the terms' weights.
+    """
+    row = index_of(K.spec, K.box, k)
+    z = (enumerate_box(K.spec, K.box) - k) / K.spec.hbar
+    weights = np.array(K.entries[row], dtype=complex)
+    for j, bj in enumerate(beta):
+        weights *= (2j * np.pi * z[:, j]) ** bj
+    phases = np.exp(2j * np.pi * np.tensordot(theta, z.T, axes=1))
+    return phases @ weights, np.sum(np.abs(weights))
+
+
+@st.composite
+def matrix_symbol_cases(draw):
+    dim = draw(st.integers(1, 3))
+    spec = LatticeSpec(draw(st.sampled_from([1.0, 0.5])), dim)
+    box = BoxTruncation(draw(st.integers(0, {1: 4, 2: 2, 3: 1}[dim])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = box.size(dim)
+    K = KernelMatrix(spec, box, rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    # rows up to two points beyond the box, where the symbol must vanish
+    z = draw(st.lists(st.integers(-box.radius - 2, box.radius + 2), min_size=dim, max_size=dim))
+    shape = draw(st.sampled_from([(dim,), (5, dim), (4, 3, dim)]))
+    if draw(st.booleans()):
+        theta = rng.integers(0, 64, size=shape) / 64  # quadrature grid points, repeated
+    else:
+        theta = rng.uniform(-1.0, 2.0, size=shape)   # off the grid and outside [0, 1)
+    beta = tuple(draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)))
+    return K, spec.hbar * np.array(z, dtype=float), theta, beta
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=matrix_symbol_cases())
+def test_matrix_symbol_matches_direct_phase_sum(case):
+    K, k, theta, beta = case
+    sym = symbol_from_matrix(K)
+    values = sym.eval_fn(k, theta)
+    derivs = sym.deriv_fn(k, theta, beta)
+    assert values.shape == derivs.shape == theta.shape[:-1]
+    if np.any(np.abs(k / K.spec.hbar) > K.box.radius):
+        assert np.all(values == 0) and np.all(derivs == 0)
+        return
+    for got, b in ((values, (0,) * K.spec.dim), (derivs, beta)):
+        want, l1 = direct_phase_sum(K, k, theta, b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * l1
 
 
 def test_potential_symbol_order():
