@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from .kernel import KernelMatrix, assemble
 from .spectral import SpectralResult
-from .symbols import schrodinger_symbol
+from .symbols import anharmonic_value, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
 
@@ -79,9 +79,7 @@ class PotentialSpec:
         """V(k) = c |k|^(2l), the anharmonic oscillator family."""
         if not (c > 0):
             raise ValueError(f"anharmonic coefficient must be positive, got {c}")
-        if int(l) != l or l < 1:
-            raise ValueError(f"anharmonic power l must be a natural number, got {l}")
-        return cls(lambda k: c * float(np.linalg.norm(k)) ** (2 * l), 2.0 * l, dim)
+        return cls(anharmonic_value(c, l), 2.0 * l, dim)
 
 
 def _hamiltonian_symbol(spec: LatticeSpec, V, lam: float):

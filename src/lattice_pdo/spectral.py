@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelMatrix, hermitian_check, split_diagonal, stored_entries
+from .kernel import KernelMatrix, hermitian_check, stored_entries
 from .symbols import SymbolOrder
 
 HERMITIAN_TOL = 1e-9
@@ -121,17 +121,13 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     """Compare eigenvalues of K with its diagonal, matched in sorted order.
 
     The order hypothesis mu < -(n+2) delta gates the verdict only; residuals
-    are computed either way (applicable=False withholds the claim).
+    are computed either way (applicable=False withholds the claim).  A
+    non-Hermitian K is refused by the eigendecomposition.
     """
-    ok, asym = hermitian_check(K, HERMITIAN_TOL)
-    if not ok:
-        raise ValueError(f"diagonal approximation requires a Hermitian kernel "
-                         f"(max asymmetry {asym:.3e})")
     n = K.spec.dim
     applicable = order.mu < -(n + 2) * order.delta
 
-    split = split_diagonal(K)
-    diag = np.real(split.diagonal)
+    diag = np.real(np.diag(K.entries))
     pts = K.points()
     perm = np.argsort(diag, kind="stable")
 
@@ -187,14 +183,11 @@ class SandwichReport:
 
 
 def sandwich_check(K: KernelMatrix) -> SandwichReport:
-    """Evaluate the diagonal-distance sandwich for every eigenpair of K."""
-    ok, asym = hermitian_check(K, HERMITIAN_TOL)
-    if not ok:
-        raise ValueError(f"sandwich check requires a Hermitian kernel "
-                         f"(max asymmetry {asym:.3e})")
+    """Evaluate the diagonal-distance sandwich for every eigenpair of K.
+
+    A non-Hermitian K is refused by the eigendecomposition.
+    """
     dec = eigendecompose_hermitian(K, want_vectors=True)
-    if dec.eigenvectors is None:
-        raise ValueError("eigenvectors are required for the sandwich check")
     diag = np.real(np.diag(K.entries))
     rnorm = residue_norm(K)
 

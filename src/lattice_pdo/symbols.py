@@ -15,9 +15,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import LatticeSpec, as_point, index_of, integer_coords
+from .lattice import (BoxTruncation, LatticeSpec, as_point, enumerate_box_integers,
+                      index_of, integer_coords)
 
 FD_STEP = 1e-5  # central-difference step for theta derivatives
+# Nested central differences lose accuracy like eps / FD_STEP**order: on the
+# decaying family order 3 was off by 6.5e-4 and order 4 gave 693.9 for an
+# exact 60.2, so orders above 2 are refused rather than answered wrongly.
+FD_MAX_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,14 @@ class Symbol:
     """Evaluatable symbol with order metadata.
 
     eval_fn(k, theta) must accept ``k`` of shape (n,) and ``theta`` of shape
-    (..., n) and evaluate vectorized over the leading axes.  deriv_fn, when
-    present, returns the analytic theta-derivative for a multi-index beta;
-    otherwise derivatives up to ``deriv_order_available`` are formed by
-    central differences.  closed_form_coeffs(z_rows, z_offset), when
+    (..., n) and evaluate vectorized over the leading axes, to an array of
+    shape theta.shape[:-1].  `theta_derivative` forms D_theta^beta sigma by
+    the first path that applies: deriv_fn(k, theta, beta), under the same
+    shape contract, when present; the closed-form coefficients when their
+    support radius is finite, as the exact sum over z of
+    (2 pi i z)^beta c(k, z) exp(2 pi i z . theta); central differences of
+    eval_fn up to total order FD_MAX_ORDER.  ``deriv_order_available``
+    caps the order on every path.  closed_form_coeffs(z_rows, z_offset), when
     present, returns the torus Fourier coefficients without quadrature:
     for integer row coordinates ``z_rows`` of shape (S, n) (the points
     hbar * z_rows) and one integer frequency ``z_offset`` of shape (n,),
@@ -55,7 +64,7 @@ class Symbol:
     order: SymbolOrder
     eval_fn: Callable
     deriv_fn: Optional[Callable] = None
-    deriv_order_available: Optional[int] = None  # None: any order
+    deriv_order_available: Optional[int] = None  # None: no cap beyond FD_MAX_ORDER
     closed_form_coeffs: Optional[Callable] = None
     coeff_support_radius: Optional[int] = None
     name: str = "symbol"
@@ -70,14 +79,18 @@ def _as_theta(spec: LatticeSpec, theta):
     return t
 
 
-def eval_symbol(sym: Symbol, k, theta) -> complex:
-    """Evaluate sigma(k, theta); scalar for a single theta point."""
-    kk = as_point(sym.spec, k)
-    tt = _as_theta(sym.spec, theta)
-    out = np.asarray(sym.eval_fn(kk, tt), dtype=complex)
-    if tt.shape == (sym.spec.dim,):
+def _value(spec: LatticeSpec, theta, out):
+    # a scalar for a single theta point, else shape theta.shape[:-1]
+    out = np.asarray(out, dtype=complex)
+    if theta.shape == (spec.dim,):
         return complex(out)
     return out
+
+
+def eval_symbol(sym: Symbol, k, theta):
+    """Evaluate sigma(k, theta); scalar for a single theta point."""
+    tt = _as_theta(sym.spec, theta)
+    return _value(sym.spec, tt, sym.eval_fn(as_point(sym.spec, k), tt))
 
 
 def _normalize_beta(spec: LatticeSpec, beta):
@@ -91,22 +104,70 @@ def _normalize_beta(spec: LatticeSpec, beta):
     return b
 
 
-def theta_derivative(sym: Symbol, k, theta, beta) -> complex:
-    """D_theta^beta sigma(k, theta): analytic when available, else central differences."""
+def theta_derivative(sym: Symbol, k, theta, beta):
+    """D_theta^beta sigma(k, theta), shaped like `eval_symbol`.
+
+    Paths in order: the symbol's deriv_fn; the exact sum over its
+    closed-form coefficients when their support radius is finite; central
+    differences up to total order FD_MAX_ORDER.
+    """
     b = _normalize_beta(sym.spec, beta)
     total = sum(b)
     if total == 0:
         return eval_symbol(sym, k, theta)
     if sym.deriv_order_available is not None and total > sym.deriv_order_available:
-        raise ValueError(
-            f"symbol '{sym.name}' supports theta derivatives up to order "
-            f"{sym.deriv_order_available}, requested {total}"
-        )
+        raise ValueError(f"symbol '{sym.name}' supports theta derivatives up to order "
+                         f"{sym.deriv_order_available}, requested {total}")
     kk = as_point(sym.spec, k)
     tt = _as_theta(sym.spec, theta)
     if sym.deriv_fn is not None:
-        return complex(np.asarray(sym.deriv_fn(kk, tt, b), dtype=complex))
-    return _finite_difference(sym, kk, tt, b)
+        out = sym.deriv_fn(kk, tt, b)
+    elif sym.closed_form_coeffs is not None and sym.coeff_support_radius is not None:
+        out = _closed_form_derivative(sym, kk, tt, b)
+    elif total > FD_MAX_ORDER:
+        raise ValueError(f"symbol '{sym.name}' has no exact theta derivative and central "
+                         f"differences stop at order {FD_MAX_ORDER}, requested {total}")
+    else:
+        out = _finite_difference(sym, kk, tt, b)
+    return _value(sym.spec, tt, out)
+
+
+def _phase_sum(coeffs, freqs, theta, beta):
+    """sum_z coeffs[z] prod_j (2 pi i z_j)^beta_j exp(2 pi i z_j theta_j), axis by axis.
+
+    ``coeffs`` has one axis per torus axis, ``freqs[j]`` the integer
+    frequencies along axis j, and the result the shape theta.shape[:-1].
+    Axis j contributes a (points, len(freqs[j])) phase table that is
+    contracted in turn, so a theta point costs sum_j len(freqs[j])
+    exponentials rather than their product, and a coordinate value repeated
+    across points (as on a quadrature grid) is exponentiated once.  A zero
+    frequency factor (2 pi i 0)^beta_j contributes exactly 0, even against an
+    infinite coefficient.
+    """
+    n = theta.shape[-1]
+    t = theta.reshape(-1, n)
+    tables = []
+    for j, (f, bj) in enumerate(zip(freqs, beta)):
+        if bj:
+            w = ((2j * np.pi * f) ** bj).reshape((-1,) + (1,) * (n - 1 - j))
+            coeffs = np.where(w == 0, 0, coeffs) * w
+        values, where = np.unique(t[:, j], return_inverse=True)
+        tables.append(np.exp(2j * np.pi * np.multiply.outer(values, f))[where.ravel()])
+    # contract the last axis first; acc is (remaining axes, points)
+    acc = coeffs.reshape(-1, len(freqs[-1])) @ tables[-1].T
+    for f, table in zip(reversed(freqs[:-1]), reversed(tables[:-1])):
+        acc = np.einsum("qsp,ps->qp", acc.reshape(-1, len(f), len(t)), table)
+    return acc.reshape(theta.shape[:-1])
+
+
+def _closed_form_derivative(sym, k, theta, beta):
+    # the (2r + 1)^n coefficients of row k, one closed_form_coeffs call per offset
+    r, n = sym.coeff_support_radius, sym.spec.dim
+    z = integer_coords(sym.spec, k)[None]
+    coeffs = [sym.closed_form_coeffs(z, off)[0]
+              for off in enumerate_box_integers(sym.spec, BoxTruncation(r))]
+    return _phase_sum(np.reshape(coeffs, (2 * r + 1,) * n), [np.arange(-r, r + 1)] * n,
+                      theta, beta)
 
 
 def _finite_difference(sym, k, theta, beta):
@@ -118,7 +179,7 @@ def _finite_difference(sym, k, theta, beta):
 
     def value(t):
         if sum(lower) == 0:
-            return complex(np.asarray(sym.eval_fn(k, t), dtype=complex))
+            return np.asarray(sym.eval_fn(k, t), dtype=complex)
         return _finite_difference(sym, k, t, lower)
 
     return (value(theta + step) - value(theta - step)) / (2 * FD_STEP)
@@ -142,16 +203,12 @@ def _multiplier(spec: LatticeSpec, order: SymbolOrder, value: Callable, name: st
     def ev(k, theta):
         return np.full(theta.shape[:-1], value(k), dtype=complex)
 
-    def dv(k, theta, beta):
-        return 0j
-
     def cf(z_rows, z_offset):
         if np.any(z_offset):
             return np.zeros(len(z_rows))
         return np.array([value(k) for k in spec.hbar * z_rows])
 
-    return Symbol(spec, order, ev, deriv_fn=dv, closed_form_coeffs=cf,
-                  coeff_support_radius=0, name=name)
+    return Symbol(spec, order, ev, closed_form_coeffs=cf, coeff_support_radius=0, name=name)
 
 
 def constant_symbol(value, spec: LatticeSpec | None = None) -> Symbol:
@@ -171,15 +228,11 @@ def difference_symbol(hbar: float = 1.0) -> Symbol:
     def ev(k, theta):
         return np.exp(2j * np.pi * theta[..., 0]) - 1.0
 
-    def dv(k, theta, beta):
-        return (2j * np.pi) ** beta[0] * np.exp(2j * np.pi * theta[..., 0])
-
     def cf(z_rows, z_offset):
         return np.full(len(z_rows), {1: 1.0, 0: -1.0}.get(int(z_offset[0]), 0.0))
 
-    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, deriv_fn=dv,
-                  closed_form_coeffs=cf, coeff_support_radius=1,
-                  name="difference")
+    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, closed_form_coeffs=cf,
+                  coeff_support_radius=1, name="difference")
 
 
 def multiplication_symbol(epsilon: float, spec: LatticeSpec | None = None) -> Symbol:
@@ -220,26 +273,6 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
         kin = h2 * np.sum(2.0 - 2.0 * np.cos(2 * np.pi * theta), axis=-1)
         return kin + float(V(k)) + lam + 0j
 
-    def dv(k, theta, beta):
-        active = [j for j, bj in enumerate(beta) if bj > 0]
-        if len(active) != 1:
-            return 0j  # kinetic part is a sum of single-axis terms
-        j = active[0]
-        q = beta[j]
-        # d^q/dtheta^q of -2 cos(2 pi theta): cycle cos -> sin -> cos ...
-        w = (2 * np.pi) ** q
-        phase = q % 4
-        base = np.cos(2 * np.pi * theta[..., j])
-        if phase == 1:
-            val = 2 * w * np.sin(2 * np.pi * theta[..., j])
-        elif phase == 2:
-            val = 2 * w * base
-        elif phase == 3:
-            val = -2 * w * np.sin(2 * np.pi * theta[..., j])
-        else:
-            val = -2 * w * base
-        return complex(h2 * val)
-
     def cf(z_rows, z_offset):
         hops = int(np.sum(np.abs(z_offset)))
         if hops == 0:
@@ -247,9 +280,8 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
             return 2 * spec.dim * h2 + v + lam
         return np.full(len(z_rows), -h2 if hops == 1 else 0.0)
 
-    return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0), ev, deriv_fn=dv,
-                  closed_form_coeffs=cf, coeff_support_radius=1,
-                  name="schrodinger")
+    return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0), ev,
+                  closed_form_coeffs=cf, coeff_support_radius=1, name="schrodinger")
 
 
 def decaying_test_symbol(s: float, a: float, b: float,
@@ -267,41 +299,28 @@ def decaying_test_symbol(s: float, a: float, b: float,
     def ev(k, theta):
         return radial(k) * (a + b * np.cos(2 * np.pi * theta[..., 0])) + 0j
 
-    def dv(k, theta, beta):
-        if any(bj > 0 for bj in beta[1:]):
-            return 0j
-        q = beta[0]
-        w = (2 * np.pi) ** q
-        t = theta[..., 0]
-        phase = q % 4
-        if phase == 1:
-            val = -b * w * np.sin(2 * np.pi * t)
-        elif phase == 2:
-            val = -b * w * np.cos(2 * np.pi * t)
-        elif phase == 3:
-            val = b * w * np.sin(2 * np.pi * t)
-        else:
-            val = b * w * np.cos(2 * np.pi * t)
-        return complex(radial(k) * val)
-
     def cf(z_rows, z_offset):
         if np.any(z_offset[1:]) or abs(z_offset[0]) > 1:
             return np.zeros(len(z_rows))
         r = np.array([radial(k) for k in spec.hbar * z_rows])
         return a * r if z_offset[0] == 0 else 0.5 * b * r
 
-    return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), ev, deriv_fn=dv,
+    return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), ev,
                   closed_form_coeffs=cf, coeff_support_radius=1,
                   name=f"decaying(s={s},a={a},b={b})")
 
 
-def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
-    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l), order 2l."""
+def anharmonic_value(c: float, l: int) -> Callable:
+    """k -> c |k|^(2l), after checking that l is a natural number."""
     if int(l) != l or l < 1:
         raise ValueError(f"anharmonic power l must be a natural number, got {l}")
+    return lambda k: c * float(np.linalg.norm(k)) ** (2 * l)
+
+
+def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
+    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l), order 2l."""
     return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0),
-                       lambda k: c * float(np.linalg.norm(k)) ** (2 * l),
-                       f"anharmonic(c={c},l={l})")
+                       anharmonic_value(c, l), f"anharmonic(c={c},l={l})")
 
 
 def symbol_from_matrix(K) -> Symbol:
@@ -314,14 +333,10 @@ def symbol_from_matrix(K) -> Symbol:
     computed by quadrature, which is exact while the box bandwidth stays
     below half the sampling rate.
 
-    The sum is evaluated one axis at a time: the row is viewed as a
-    (2R+1,)*n tensor over integer column coordinates a, and each axis j
-    contributes a (points, 2R+1) phase table exp(2 pi i theta_j (a - z_j))
-    (z the row's integer coordinates) that is contracted in turn.  A theta
-    point thus costs at most n(2R+1) exponentials rather than (2R+1)^n, and
-    a coordinate value repeated across points (as on a quadrature grid) is
-    exponentiated once.  The theta-derivative multiplies each table by
-    (2 pi i (a - z_j))^beta_j.
+    Values and theta-derivatives both go through `_phase_sum`: the row is
+    viewed as a (2R+1,)*n tensor over integer column coordinates a, with
+    frequencies a - z_j along axis j (z the row's integer coordinates), so a
+    theta point costs at most n(2R+1) exponentials rather than (2R+1)^n.
     """
     spec = K.spec
     box = K.box
@@ -334,22 +349,7 @@ def symbol_from_matrix(K) -> Symbol:
             row = rows[index_of(spec, box, k)]
         except ValueError:
             return np.zeros(theta.shape[:-1], dtype=complex)
-        z = integer_coords(spec, k)
-        t = theta.reshape(-1, spec.dim)
-        tables = []
-        for j, bj in enumerate(beta):
-            freqs = offsets - z[j]
-            # one exponential per distinct coordinate: a tensor grid repeats them
-            values, where = np.unique(t[:, j], return_inverse=True)
-            table = np.exp(2j * np.pi * np.multiply.outer(values, freqs))
-            if bj:
-                table *= (2j * np.pi * freqs) ** bj
-            tables.append(table[where.ravel()])
-        # contract the last axis first; acc is (remaining column axes, points)
-        acc = row.reshape(-1, side) @ tables[-1].T
-        for table in reversed(tables[:-1]):
-            acc = np.einsum("qsp,ps->qp", acc.reshape(-1, side, len(t)), table)
-        return acc.reshape(theta.shape[:-1])
+        return _phase_sum(row, list(offsets - integer_coords(spec, k)[:, None]), theta, beta)
 
     def ev(k, theta):
         return phase_sum(k, theta, (0,) * spec.dim)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box, index_of
-from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol,
-                                 decaying_test_symbol, difference_symbol,
+from lattice_pdo.fourier import spectrum_of_row
+from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
+                                 enumerate_box_integers, index_of)
+from lattice_pdo.symbols import (Symbol, SymbolOrder, _closed_form_derivative,
+                                 constant_symbol, decaying_test_symbol, difference_symbol,
                                  eval_symbol, multiplication_symbol,
                                  periodicity_defect, polynomial_potential,
                                  schrodinger_symbol, symbol_from_matrix,
@@ -75,10 +77,23 @@ def test_derivative_finite_difference_fallback():
     base = decaying_test_symbol(3.0, 2.0, 1.0)
     fd = Symbol(base.spec, base.order, base.eval_fn, deriv_fn=None,
                 deriv_order_available=2, name="fd")
-    for beta in (1, 2):
-        exact = theta_derivative(base, 1, 0.2, beta)
-        approx = theta_derivative(fd, 1, 0.2, beta)
-        assert abs(approx - exact) <= 1e-4 * max(1.0, abs(exact))
+    for theta in (0.2, np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)):
+        for beta in (1, 2):
+            exact = theta_derivative(base, 1, theta, beta)
+            approx = theta_derivative(fd, 1, theta, beta)
+            assert np.shape(approx) == np.shape(exact) == np.shape(theta)[:-1]
+            assert np.max(np.abs(approx - exact)) <= 1e-4 * max(1.0, np.max(np.abs(exact)))
+
+
+def test_finite_differences_stop_at_order_two():
+    # nested central differences at FD_STEP return 693.9 for this exact 60.2
+    base = decaying_test_symbol(3.0, 2.0, 1.0)
+    fd = Symbol(base.spec, base.order, base.eval_fn, name="fd")
+    exact = 0.125 * (2 * np.pi) ** 4 * np.cos(2 * np.pi * 0.2)
+    assert theta_derivative(base, 1, 0.2, 4) == pytest.approx(exact, rel=1e-12)
+    for beta in (3, 4):
+        with pytest.raises(ValueError, match=f"stop at order 2, requested {beta}"):
+            theta_derivative(fd, 1, 0.2, beta)
 
 
 def test_derivative_capability_error():
@@ -190,3 +205,90 @@ def test_potential_symbol_order():
     assert eval_symbol(sym, 2, 0.1) == pytest.approx(2.0 * 2 ** 6)
     with pytest.raises(ValueError):
         polynomial_potential(1.0, 0)
+
+
+def row_coefficients(sym, K, z):
+    """Coefficient tensor of row z and its frequencies per axis, gathered one offset at a time."""
+    n = sym.spec.dim
+    if K is not None:
+        side = 2 * K.box.radius + 1
+        row = K.entries[index_of(K.spec, K.box, K.spec.hbar * z)].reshape((side,) * n)
+        return row, [np.arange(-K.box.radius, K.box.radius + 1) - zj for zj in z]
+    r = sym.coeff_support_radius
+    offsets = enumerate_box_integers(sym.spec, BoxTruncation(r))
+    coeffs = [sym.closed_form_coeffs(z[None], off)[0] for off in offsets]
+    return np.reshape(coeffs, (2 * r + 1,) * n), [np.arange(-r, r + 1)] * n
+
+
+FAMILIES = ["constant", "difference", "multiplication", "schrodinger", "decaying",
+            "anharmonic", "matrix"]
+
+
+@st.composite
+def derivative_cases(draw, family):
+    dim = 1 if family == "difference" else draw(st.integers(1, 3))
+    spec = LatticeSpec(draw(st.sampled_from([1.0, 0.5])), dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K = None
+    if family == "constant":
+        sym = constant_symbol(complex(rng.normal(), rng.normal()), spec)
+    elif family == "difference":
+        sym = difference_symbol(spec.hbar)
+    elif family == "multiplication":
+        sym = multiplication_symbol(draw(st.sampled_from([-1.0, -0.5, 0.0, 1.5])), spec)
+    elif family == "schrodinger":
+        sym = schrodinger_symbol(lambda k: float(k @ k), rng.normal(), spec, potential_order=2.0)
+    elif family == "decaying":
+        sym = decaying_test_symbol(rng.uniform(0.5, 3.0), rng.normal(), rng.normal(), spec)
+    elif family == "anharmonic":
+        sym = polynomial_potential(rng.uniform(0.5, 2.0), draw(st.integers(1, 2)), spec)
+    else:
+        box = BoxTruncation(draw(st.integers(0, {1: 3, 2: 2, 3: 1}[dim])))
+        size = box.size(dim)
+        K = KernelMatrix(spec, box, rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        sym = symbol_from_matrix(K)
+    reach = K.box.radius if K is not None else 2
+    z = np.array(draw(st.lists(st.integers(-reach, reach), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        z[:] = 0   # the origin, where |k|^eps with eps < 0 is infinite
+    shape = draw(st.sampled_from([(dim,), (5, dim), (4, 3, dim)]))
+    theta = rng.uniform(-1.0, 2.0, size=shape)   # off the quadrature grid
+    beta = tuple(draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)))
+    return sym, K, z, theta, beta
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_theta_derivative_from_coefficients(family, data):
+    sym, K, z, theta, beta = data.draw(derivative_cases(family))
+    n = sym.spec.dim
+    k = sym.spec.hbar * z
+    d = theta_derivative(sym, k, theta, beta)
+    value = eval_symbol(sym, k, theta)
+    assert np.shape(d) == np.shape(value) == theta.shape[:-1]
+    assert isinstance(d, complex) == (theta.ndim == 1)
+    coeffs, freqs = row_coefficients(sym, K, z)
+    if not np.all(np.isfinite(coeffs)):
+        # |k|^eps with eps < 0 at k = 0: every theta-derivative is exactly 0
+        if any(beta):
+            assert np.all(d == 0)
+        return
+
+    # beta = 0 resums the coefficients to the independently written eval_fn
+    zero = (0,) * n
+    resum = (sym.deriv_fn(k, theta, zero) if K is not None
+             else _closed_form_derivative(sym, k, theta, zero))
+    scale = max(np.sum(np.abs(coeffs)), 1e-300)
+    assert np.max(np.abs(resum - sym.eval_fn(k, theta))) <= 1e-12 * scale
+
+    # the derivative sampled on the 64-point grid has FFT (2 pi i z)^beta c(k, z)
+    weights = np.array(coeffs, dtype=complex)
+    for j, bj in enumerate(beta):
+        weights *= ((2j * np.pi * freqs[j]) ** bj).reshape((-1,) + (1,) * (n - 1 - j))
+    want = np.zeros((64,) * n, dtype=complex)
+    want[np.ix_(*[f % 64 for f in freqs])] = weights
+    derivative = Symbol(sym.spec, sym.order, lambda kk, t: theta_derivative(sym, kk, t, beta))
+    got = spectrum_of_row(derivative, k)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.sum(np.abs(weights)), 1e-300)
+
