@@ -1,4 +1,4 @@
-"""Small shared helpers."""
+"""Small shared helpers, and the byte format of every CSV table the package writes."""
 
 import hashlib
 import math
@@ -6,6 +6,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+CSV_CHUNK = 4096  # rows formatted and written per step, so memory stays flat
 
 
 def parallel_map(fn, items, threads=1):
@@ -38,3 +40,19 @@ def check_dense_fits(shape) -> None:
         dims = "x".join(str(d) for d in shape)
         raise ValueError(f"a dense {dims} matrix needs {need} bytes, "
                          f"more than the {have} bytes of physical memory")
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header row, then one CSV row per element of the columns.
+
+    Columns (arrays or scalars) are broadcast together and read in C order.
+    csv.writer gets Python numbers, so a float is written as its shortest
+    round-trip repr and anything else as str.
+    """
+    import csv
+    columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for start in range(0, columns[0].size, CSV_CHUNK):
+            w.writerows(zip(*(c.flat[start:start + CSV_CHUNK].tolist() for c in columns)))

@@ -10,7 +10,6 @@ bodies regardless of the thread cap.  Exit codes: 0 ok, 2 config error,
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,6 +21,7 @@ from . import __version__
 from .lattice import BoxTruncation, LatticeSpec
 from . import symbols as sym_mod
 from . import fourier, kernel, criteria, spectral, schrodinger
+from ._util import sha256_of, write_csv
 
 
 class ConfigError(ValueError):
@@ -122,17 +122,6 @@ def build_box(cfg) -> BoxTruncation:
         raise ConfigError("truncation.radius", str(e))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x):
-    return repr(float(x))
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -193,14 +182,12 @@ def _check_sums(cfg, spec, outdir, threads, query, sums, only=None):
     """
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
-    rows = []
-    values = {}
-    for radius in (box.radius, 2 * box.radius):
+    radii = (box.radius, 2 * box.radius)
+    values = {name: [] for name, _ in sums}
+    for radius in radii:
         K = kernel.assemble(sym, spec, BoxTruncation(radius), threads=threads)
         for name, fn in sums:
-            v = fn(K)
-            values.setdefault(name, []).append(v)
-            rows.append([name, radius, _fmt(v)])
+            values[name].append(fn(K))
     report = criteria.order_conditions(sym.order, query)
     report.sums = {name: vals[-1] for name, vals in values.items()}
     report.truncation = {"R": box.radius, "n": spec.dim, "hbar": spec.hbar}
@@ -212,7 +199,8 @@ def _check_sums(cfg, spec, outdir, threads, query, sums, only=None):
     payload["doubling_ratio"] = growth if only is None else growth[only]
     payload["diverging"] = diverging if only is None else diverging[only]
     csv_path = os.path.join(outdir, "sums.csv")
-    _write_csv(csv_path, ["criterion", "radius", "value"], rows)
+    write_csv(csv_path, ["criterion", "radius", "value"],
+              [list(values), np.array(radii)[:, None], np.array(list(values.values())).T])
     json_path = os.path.join(outdir, "report.json")
     _write_json(json_path, payload)
     return [csv_path, json_path]
@@ -270,14 +258,10 @@ def task_diag_approx(cfg, spec, outdir, threads):
         hermitized = True
     report = spectral.diagonal_approximation(K, sym.order)
     csv_path = os.path.join(outdir, "diag_approx.csv")
-    n = spec.dim
-    rows = []
-    for j in range(len(report.eigenvalues)):
-        rows.append([j] + [_fmt(c) for c in report.points[j]]
-                    + [_fmt(report.eigenvalues[j]), _fmt(report.diag_values[j]),
-                       _fmt(report.residuals[j])])
-    _write_csv(csv_path, ["index"] + [f"k_{i + 1}" for i in range(n)]
-               + ["eigenvalue", "diag", "residual"], rows)
+    write_csv(csv_path, ["index"] + [f"k_{i + 1}" for i in range(spec.dim)]
+              + ["eigenvalue", "diag", "residual"],
+              [np.arange(len(report.eigenvalues)), *report.points.T,
+               report.eigenvalues, report.diag_values, report.residuals])
     json_path = os.path.join(outdir, "diag_approx.json")
     _write_json(json_path, {
         "fit_exponent": report.fit_exponent,
@@ -306,9 +290,9 @@ def _converged_spectrum(cfg, spec):
 
 def _write_spectrum_csv(outdir, result):
     path = os.path.join(outdir, "spectrum.csv")
-    rows = [[j + 1, _fmt(result.eigenvalues[j]), int(result.converged[j]), result.radius_used]
-            for j in range(len(result.eigenvalues))]
-    _write_csv(path, ["j", "lambda_j", "converged", "R_used"], rows)
+    write_csv(path, ["j", "lambda_j", "converged", "R_used"],
+              [np.arange(1, len(result.eigenvalues) + 1), result.eigenvalues,
+               result.converged.astype(int), result.radius_used])
     return path
 
 
@@ -377,7 +361,6 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
         threads = os.cpu_count() or 1
     outputs = RUNNERS[task](config, spec, outdir, threads)
 
-    from ._util import sha256_of
     manifest = {
         "config": config,
         "version": __version__,

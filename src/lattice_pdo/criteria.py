@@ -17,25 +17,26 @@ import numpy as np
 
 from .symbols import SymbolOrder
 from .fourier import DecayReport
+from .kernel import entries_of
 
 DIVERGENCE_RATIO = 1.5
 
 
-def _entries(K) -> np.ndarray:
-    return np.asarray(getattr(K, "entries", K))
+def _power_sums(K, p: float, axis: int) -> np.ndarray:
+    """sum of |A(k, m)|^p over rows k (axis 0, per column) or columns m (axis 1, per row)."""
+    return np.sum(np.abs(entries_of(K)) ** p, axis=axis)
 
 
 def schur_l1_lp(K, p: float) -> float:
     """max over columns m of sum_k |A(k, m)|^p (the l1 -> lp column test)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    a = np.abs(_entries(K))
-    return float(np.max(np.sum(a ** p, axis=0)))
+    return float(np.max(_power_sums(K, p, 0)))
 
 
 def sup_entry(K) -> float:
     """max |A(k, m)| (the l1 -> linf test)."""
-    a = np.abs(_entries(K))
+    a = np.abs(entries_of(K))
     return float(np.max(a)) if a.size else 0.0
 
 
@@ -44,24 +45,21 @@ def mixed_lp_sum(K, p: float) -> float:
     if not (1 < p < math.inf):
         raise ValueError(f"mixed sum requires 1 < p < inf, got {p}")
     q = p / (p - 1)
-    a = np.abs(_entries(K))
-    return float(np.sum(np.sum(a ** q, axis=1) ** (p / q)))
+    return float(np.sum(_power_sums(K, q, 1) ** (p / q)))
 
 
-def nuclear_sum(K, r: float, p2: float) -> float:
-    """sum_k (sum_m |K(k, m)|^p2)^(r/p2), the nuclearity partial sum."""
+def nuclear_row_terms(K, r: float, p2: float) -> np.ndarray:
+    """Row contributions (sum_m |K(k, m)|^p2)^(r/p2) to nuclear_sum, in box order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if p2 < 1:
         raise ValueError(f"p2 must be >= 1, got {p2}")
-    a = np.abs(_entries(K))
-    return float(np.sum(np.sum(a ** p2, axis=1) ** (r / p2)))
+    return _power_sums(K, p2, 1) ** (r / p2)
 
 
-def nuclear_row_terms(K, r: float, p2: float) -> np.ndarray:
-    """Individual row contributions to nuclear_sum, in box order."""
-    a = np.abs(_entries(K))
-    return np.sum(a ** p2, axis=1) ** (r / p2)
+def nuclear_sum(K, r: float, p2: float) -> float:
+    """sum_k (sum_m |K(k, m)|^p2)^(r/p2), the nuclearity partial sum."""
+    return float(np.sum(nuclear_row_terms(K, r, p2)))
 
 
 @dataclass(frozen=True)

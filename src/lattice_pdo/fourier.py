@@ -19,6 +19,7 @@ import numpy as np
 
 from .lattice import BoxTruncation, as_point, enumerate_box_integers, integer_coords
 from .symbols import Symbol
+from . import _util
 from ._util import check_dense_fits, parallel_map
 
 DEFAULT_SAMPLES = 64
@@ -167,17 +168,11 @@ def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int, m_radius: 
 
 
 def table_to_csv(table: CoefficientTable, path) -> None:
-    """Write a coefficient table as CSV: k_1..k_n, m_1..m_n, re, im."""
-    import csv
+    """Write a coefficient table as CSV: k_1..k_n, m_1..m_n, re, im, k-major.
 
+    The points are broadcast against the (k, m) grid, never repeated in memory.
+    """
     n = table.k_points.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"k_{j + 1}" for j in range(n)]
-                   + [f"m_{j + 1}" for j in range(n)] + ["re", "im"])
-        for i, k in enumerate(table.k_points):
-            for j, m in enumerate(table.m_points):
-                v = table.values[i, j]
-                w.writerow([repr(float(c)) for c in k]
-                           + [repr(float(c)) for c in m]
-                           + [repr(float(v.real)), repr(float(v.imag))])
+    _util.write_csv(path, [f"{c}_{j + 1}" for c in "km" for j in range(n)] + ["re", "im"],
+                    [*table.k_points.T[:, :, None], *table.m_points.T[:, None, :],
+                     table.values.real, table.values.imag])

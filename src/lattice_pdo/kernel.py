@@ -17,6 +17,7 @@ Truncation is plain restriction to the box (no boundary corrections).
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                       enumerate_box_integers)
 from .symbols import Symbol
 from .fourier import DEFAULT_SAMPLES, check_no_fold, spectrum_of_row
+from . import _util
 from ._util import check_dense_fits, parallel_map
 
 
@@ -33,12 +35,13 @@ def stored_entries(a) -> np.ndarray:
     return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelMatrix:
     """Dense truncated matrix of an operator over a box of lattice points.
 
-    Entries are stored read-only by the rule of `stored_entries`: float64
-    when they are real, complex128 otherwise.
+    Entries are stored read-only by the rule of `stored_entries` (float64
+    when they are real, complex128 otherwise) and never replaced, so
+    `asymmetry` is computed once.
     """
 
     spec: LatticeSpec
@@ -54,11 +57,16 @@ class KernelMatrix:
         if not np.all(np.isfinite(e.view(float))):
             raise ValueError("kernel entries must be finite")
         e.setflags(write=False)
-        self.entries = e
+        object.__setattr__(self, "entries", e)
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """max |A(k,m) - conj(A(m,k))|."""
+        return _asymmetry(self.entries)
 
     def points(self) -> np.ndarray:
         return enumerate_box(self.spec, self.box)
@@ -136,10 +144,23 @@ def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
     return DiagonalSplit(d, residue)
 
 
+def entries_of(K) -> np.ndarray:
+    """The entries of a KernelMatrix, or a plain square array under `stored_entries`."""
+    if isinstance(K, KernelMatrix):
+        return K.entries
+    a = stored_entries(K)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _asymmetry(a) -> float:
+    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+
+
 def hermitian_check(K, tol: float = 1e-9):
     """(is_hermitian, max |A(k,m) - conj(A(m,k))|) of a KernelMatrix or a square array."""
-    a = getattr(K, "entries", K)
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    asym = K.asymmetry if isinstance(K, KernelMatrix) else _asymmetry(entries_of(K))
     return asym <= tol, asym
 
 
@@ -155,16 +176,10 @@ def hermitize(K: KernelMatrix) -> KernelMatrix:
 # ---------------------------------------------------------------------------
 
 def write_csv(K: KernelMatrix, path) -> None:
-    """Nonzero entries as CSV rows (row, col, re, im)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["row", "col", "re", "im"])
-        rows, cols = np.nonzero(K.entries)
-        for i, j in zip(rows, cols):
-            v = K.entries[i, j]
-            w.writerow([int(i), int(j), repr(float(v.real)), repr(float(v.imag))])
+    """Nonzero entries as CSV rows (row, col, re, im), row-major."""
+    rows, cols = np.nonzero(K.entries)
+    values = K.entries[rows, cols]
+    _util.write_csv(path, ["row", "col", "re", "im"], [rows, cols, values.real, values.imag])
 
 
 _BIN_HEADER = struct.Struct("<qdq")  # dim, hbar, radius

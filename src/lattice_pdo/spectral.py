@@ -16,24 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelMatrix, hermitian_check, stored_entries
+from .kernel import KernelMatrix, entries_of, hermitian_check
 from .symbols import SymbolOrder
 
 HERMITIAN_TOL = 1e-9
 
 
-def _as_matrix(K):
-    if isinstance(K, KernelMatrix):
-        return K.entries, {"radius": K.box.radius, "dim": K.spec.dim, "hbar": K.spec.hbar}
-    a = stored_entries(K)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a, None
-
-
 @dataclass
 class SpectralResult:
-    """Sorted spectrum with truncation metadata.
+    """Sorted spectrum, with eigenvectors on request.
 
     Eigenvalues ascend; eigenvector column j pairs with eigenvalue j, with
     the phase fixed so each column's largest-magnitude component is real
@@ -43,7 +34,6 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-    truncation: Optional[dict]
     residual_norm: Optional[float]
 
 
@@ -52,8 +42,8 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 
     Real input is solved in real arithmetic, with real eigenvectors.
     """
-    mat, trunc = _as_matrix(K)
-    ok, asym = hermitian_check(mat, HERMITIAN_TOL)
+    mat = entries_of(K)
+    ok, asym = hermitian_check(K, HERMITIAN_TOL)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     if want_vectors:
@@ -64,9 +54,9 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
             phase = col[i] / abs(col[i])
             vecs[:, j] = col / phase
         resid = float(np.max(np.abs(mat @ vecs - vecs * vals))) if mat.size else 0.0
-        return SpectralResult(vals, vecs, trunc, resid)
+        return SpectralResult(vals, vecs, resid)
     vals = np.linalg.eigvalsh(mat)
-    return SpectralResult(vals, None, trunc, None)
+    return SpectralResult(vals, None, None)
 
 
 def residue_norm(K) -> float:
@@ -74,14 +64,15 @@ def residue_norm(K) -> float:
 
     Hermitian residues go through their own eigenvalues; otherwise the
     largest singular value comes from an SVD.  Both are exact up to
-    rounding, so callers may use the result as an upper bound.
+    rounding, so callers may use the result as an upper bound.  Dropping the
+    diagonal adds no asymmetry, so a Hermitian KernelMatrix's residue is not checked.
     """
-    mat, _ = _as_matrix(K)
-    res = np.array(mat)
+    res = np.array(entries_of(K))
     np.fill_diagonal(res, 0.0)
     if res.size == 0:
         return 0.0
-    if hermitian_check(res, HERMITIAN_TOL)[0]:
+    if ((isinstance(K, KernelMatrix) and hermitian_check(K, HERMITIAN_TOL)[0])
+            or hermitian_check(res, HERMITIAN_TOL)[0]):
         return float(np.max(np.abs(np.linalg.eigvalsh(res))))
     return float(np.linalg.norm(res, 2))
 

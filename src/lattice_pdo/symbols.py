@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lattice import (BoxTruncation, LatticeSpec, as_point, enumerate_box_integers,
-                      index_of, integer_coords)
+                      integer_coords)
 
 FD_STEP = 1e-5  # central-difference step for theta derivatives
 # Nested central differences lose accuracy like eps / FD_STEP**order: on the
@@ -88,9 +88,8 @@ def _value(spec: LatticeSpec, theta, out):
 
 
 def eval_symbol(sym: Symbol, k, theta):
-    """Evaluate sigma(k, theta); scalar for a single theta point."""
-    tt = _as_theta(sym.spec, theta)
-    return _value(sym.spec, tt, sym.eval_fn(as_point(sym.spec, k), tt))
+    """sigma(k, theta): `theta_derivative` of order 0."""
+    return theta_derivative(sym, k, theta, (0,) * sym.spec.dim)
 
 
 def _normalize_beta(spec: LatticeSpec, beta):
@@ -105,21 +104,23 @@ def _normalize_beta(spec: LatticeSpec, beta):
 
 
 def theta_derivative(sym: Symbol, k, theta, beta):
-    """D_theta^beta sigma(k, theta), shaped like `eval_symbol`.
+    """D_theta^beta sigma(k, theta): a scalar for one theta point, else theta.shape[:-1].
 
     Paths in order: the symbol's deriv_fn; the exact sum over its
     closed-form coefficients when their support radius is finite; central
-    differences up to total order FD_MAX_ORDER.
+    differences up to total order FD_MAX_ORDER.  A k off the lattice
+    hbar Z^n raises ValueError.
     """
+    integer_coords(sym.spec, k)
+    kk = as_point(sym.spec, k)
     b = _normalize_beta(sym.spec, beta)
     total = sum(b)
+    tt = _as_theta(sym.spec, theta)
     if total == 0:
-        return eval_symbol(sym, k, theta)
+        return _value(sym.spec, tt, sym.eval_fn(kk, tt))
     if sym.deriv_order_available is not None and total > sym.deriv_order_available:
         raise ValueError(f"symbol '{sym.name}' supports theta derivatives up to order "
                          f"{sym.deriv_order_available}, requested {total}")
-    kk = as_point(sym.spec, k)
-    tt = _as_theta(sym.spec, theta)
     if sym.deriv_fn is not None:
         out = sym.deriv_fn(kk, tt, b)
     elif sym.closed_form_coeffs is not None and sym.coeff_support_radius is not None:
@@ -327,8 +328,8 @@ def symbol_from_matrix(K) -> Symbol:
     """Symbol of the operator induced by a truncated kernel matrix.
 
     For a row point k of K's box, sigma(k, theta) is the trigonometric
-    polynomial sum_m K(k, m) exp(+2 pi i (m - k) . theta / hbar); rows
-    outside the box evaluate to zero.  Reassembling a kernel from this
+    polynomial sum_m K(k, m) exp(+2 pi i (m - k) . theta / hbar); lattice
+    rows outside the box evaluate to zero.  Reassembling a kernel from this
     symbol reproduces K (finite Fourier inversion).  Coefficients are
     computed by quadrature, which is exact while the box bandwidth stays
     below half the sampling rate.
@@ -339,17 +340,15 @@ def symbol_from_matrix(K) -> Symbol:
     theta point costs at most n(2R+1) exponentials rather than (2R+1)^n.
     """
     spec = K.spec
-    box = K.box
-    side = 2 * box.radius + 1
-    rows = np.asarray(K.entries).reshape((-1,) + (side,) * spec.dim)
-    offsets = np.arange(-box.radius, box.radius + 1)
+    r = K.box.radius
+    rows = np.asarray(K.entries).reshape((2 * r + 1,) * (2 * spec.dim))
+    offsets = np.arange(-r, r + 1)
 
     def phase_sum(k, theta, beta):
-        try:
-            row = rows[index_of(spec, box, k)]
-        except ValueError:
+        z = integer_coords(spec, k)
+        if np.any(np.abs(z) > r):
             return np.zeros(theta.shape[:-1], dtype=complex)
-        return _phase_sum(row, list(offsets - integer_coords(spec, k)[:, None]), theta, beta)
+        return _phase_sum(rows[tuple(z + r)], list(offsets - z[:, None]), theta, beta)
 
     def ev(k, theta):
         return phase_sum(k, theta, (0,) * spec.dim)

@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from lattice_pdo import kernel
 from lattice_pdo.cli import main
+from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo.symbols import constant_symbol
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -236,3 +240,88 @@ def test_determinism_across_thread_counts(tmp_path):
     ra = json.loads((tmp_path / "a" / "report.json").read_text())
     rb = json.loads((tmp_path / "b" / "report.json").read_text())
     assert ra == rb
+
+
+SCHRODINGER = {"family": "schrodinger",
+               "params": {"potential": {"c": 1.0, "l": 1}, "lambda": 0.0}}
+
+
+def _run_config(cfg, expect_rc):
+    def run(out):
+        path = write_config(out.parent, cfg, name=out.name + ".json")
+        assert main(["run", path, "--out", str(out)]) == expect_rc
+
+    return run
+
+
+def _complex_constant_kernel(out):
+    # the config schema takes real constants only, so this one goes through the library
+    spec = LatticeSpec(1.0, 1)
+    out.mkdir()
+    K = kernel.assemble(constant_symbol(complex(-1 / 3, 1e-5), spec), spec, BoxTruncation(2))
+    kernel.write_csv(K, out / "kernel.csv")
+
+
+# sha256 of each CSV body as written before the package had one CSV writer
+PINNED_CSV = {
+    "assemble-complex-constant": (
+        _complex_constant_kernel,
+        "kernel.csv", "52b934885712a5cde753c4b7f2ab5cbe63bffbe35f37c357362855395b272a58"),
+    "assemble-decaying-hbar-0.5": (_run_config(base_config(
+        "assemble", lattice={"hbar": 0.5, "dim": 2}, truncation={"radius": 3},
+        symbol={"family": "decaying", "params": {"s": 1.5, "a": 1.0, "b": -0.5}}), 0),
+        "kernel.csv", "8b3d98796dea0e937e8e801f6dd6822474b054a43d9b7eb9dcd970b7c1932eef"),
+    "coeffs": (_run_config(base_config(
+        "coeffs", lattice={"hbar": 0.5, "dim": 2}, truncation={"radius": 2},
+        symbol={"family": "decaying", "params": {"s": 2.0, "a": 1.0, "b": 1.0}},
+        params={"freq_radius": 2}), 0),
+        "coeffs.csv", "fe1098af4b31e44abe61668bb93b421381a1531e595dbbcc10003f17849e6834"),
+    "check-bounds": (_run_config(base_config(
+        "check-bounds", lattice={"hbar": 0.5, "dim": 1}, truncation={"radius": 10},
+        symbol={"family": "multiplication", "params": {"epsilon": 1.0}},
+        params={"p": 3.0}), 0),
+        "sums.csv", "fe1ce99c679d343fbedcd89c01d869a02bb2a8b7a24778521179dbd58220a183"),
+    "check-nuclear": (_run_config(base_config(
+        "check-nuclear", lattice={"hbar": 1.0, "dim": 2}, truncation={"radius": 4},
+        symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}},
+        params={"r": 0.5, "p2": 2.0}), 0),
+        "sums.csv", "b71e0012c68bb797411198200386cdd61fb9e56a42f03f097042a7a32d01e0fc"),
+    "diag-approx": (_run_config(base_config(
+        "diag-approx", lattice={"hbar": 0.5, "dim": 2}, truncation={"radius": 4},
+        symbol={"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}}), 0),
+        "diag_approx.csv", "36a63b1776ab1c768846e1729ca90942acff1094ece592428a487b8b9e2486bf"),
+    "spectrum-budget-exhausted": (_run_config(base_config(
+        "spectrum", symbol=SCHRODINGER, truncation={"radius": 25},
+        params={"j_max": 300, "max_dim": 101}), 3),
+        "spectrum.csv", "dfc3150722f1296047e8462f721b43f09e2257dc111efbce44bd04dccfca94a1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CSV))
+def test_csv_bodies_pinned(tmp_path, case):
+    run, name, digest = PINNED_CSV[case]
+    out = tmp_path / "out"
+    run(out)
+    body = (out / name).read_bytes()
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
+@pytest.mark.parametrize("symbol, matrices", [
+    (SCHRODINGER, 1),
+    ({"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}}, 2),
+])
+def test_diag_approx_checks_each_matrix_once(tmp_path, monkeypatch, symbol, matrices):
+    # the Schrodinger kernel is Hermitian; the decaying one is hermitized into a second matrix
+    passes = []
+    asymmetry = kernel._asymmetry
+
+    def counted(a):
+        passes.append(a.shape)
+        return asymmetry(a)
+
+    monkeypatch.setattr(kernel, "_asymmetry", counted)
+    cfg = base_config("diag-approx", symbol=symbol, truncation={"radius": 10})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "diag_approx.json").read_text())
+    assert summary["hermitized"] is (matrices == 2)
+    assert len(passes) == matrices

@@ -69,6 +69,14 @@ def test_mixed_sum_domain_errors():
         mixed_lp_sum(K, math.inf)
 
 
+@pytest.mark.parametrize("fn", [nuclear_sum, nuclear_row_terms])
+def test_nuclear_domain_errors(fn):
+    K = difference_kernel(1)
+    for r, p2 in ((0.0, 2.0), (1.5, 2.0), (1.0, 0.5)):
+        with pytest.raises(ValueError):
+            fn(K, r, p2)
+
+
 def test_mixed_sum_frobenius_identity():
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -9,6 +9,8 @@ from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_intege
 from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 hermitize, read_binary, split_diagonal,
                                 write_binary, write_csv)
+from lattice_pdo.criteria import mixed_lp_sum, nuclear_sum, schur_l1_lp, sup_entry
+from lattice_pdo.spectral import eigendecompose_hermitian, residue_norm
 from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
                                  difference_symbol, multiplication_symbol,
                                  polynomial_potential, schrodinger_symbol,
@@ -103,6 +105,20 @@ def test_hermitian_check():
     assert not ok
     ok, asym = hermitian_check(hermitize(Kd))
     assert ok and asym == 0.0
+
+
+@pytest.mark.parametrize("read", [
+    hermitian_check, eigendecompose_hermitian, residue_norm, sup_entry,
+    lambda a: schur_l1_lp(a, 2.0), lambda a: mixed_lp_sum(a, 2.0),
+    lambda a: nuclear_sum(a, 1.0, 2.0),
+], ids=["hermitian_check", "eigendecompose_hermitian", "residue_norm", "sup_entry",
+        "schur_l1_lp", "mixed_lp_sum", "nuclear_sum"])
+def test_plain_entries_must_be_square(read):
+    # one reader serves the checks, the eigensolver and the criterion sums
+    read(np.eye(3))
+    read([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="square"):
+        read(np.ones((2, 3)))
 
 
 def test_roundtrip_random_kernels():

@@ -121,6 +121,25 @@ def test_symbol_from_identity_matrix():
     assert eval_symbol(sym, 3, 0.3) == 0
 
 
+def off_lattice_symbols():
+    # hbar = 1 unless stated; the matrix symbol's box holds the rows -2..2
+    K = assemble(decaying_test_symbol(3.0, 1.0, 1.0), SPEC1, BoxTruncation(2))
+    return builtin_symbols() + [symbol_from_matrix(K),
+                                decaying_test_symbol(3.0, 1.0, 1.0, LatticeSpec(0.5, 1))]
+
+
+@pytest.mark.parametrize("index", range(len(off_lattice_symbols())))
+def test_off_lattice_k_is_refused(index):
+    sym = off_lattice_symbols()[index]
+    k = 0.5 * sym.spec.hbar
+    with pytest.raises(ValueError, match="not on the lattice"):
+        eval_symbol(sym, k, 0.1)
+    with pytest.raises(ValueError, match="not on the lattice"):
+        theta_derivative(sym, k, 0.1, 1)
+    with pytest.raises(ValueError, match="not on the lattice"):
+        theta_derivative(sym, k, 0.1, 0)
+
+
 def test_symbol_from_difference_matrix():
     box = BoxTruncation(3)
     K = assemble(difference_symbol(), SPEC1, box)
