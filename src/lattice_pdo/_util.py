@@ -1,6 +1,7 @@
 """Small shared helpers, and the byte format of every CSV table the package writes."""
 
 import hashlib
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,20 +27,37 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
-def check_dense_fits(shape) -> None:
-    """Raise ValueError if a complex128 array of ``shape`` exceeds physical memory.
+def float_pow(x, exponent) -> np.ndarray:
+    """x ** exponent elementwise with the bits of a Python float's power.
+
+    That power is the C library's pow; numpy's vectorised power can differ
+    from it in the last bit.
+    """
+    return np.fromiter(map(math.pow, np.asarray(x).tolist(), itertools.repeat(exponent)),
+                       dtype=float, count=len(x))
+
+
+def check_fits(need: int, what: str) -> None:
+    """Raise ValueError if ``need`` bytes for ``what`` exceed physical memory.
 
     Called before anything of that size is built, so an impossible request
-    fails at once, naming its shape and bytes, rather than being killed
-    mid-run.  complex128 is the widest storage, so the check is the same
-    for real and complex matrices.
+    fails at once, naming what it is and its bytes, rather than being killed
+    mid-run.
     """
-    need = math.prod(shape) * np.dtype(complex).itemsize
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        dims = "x".join(str(d) for d in shape)
-        raise ValueError(f"a dense {dims} matrix needs {need} bytes, "
+        raise ValueError(f"{what} needs {need} bytes, "
                          f"more than the {have} bytes of physical memory")
+
+
+def check_dense_fits(shape) -> None:
+    """`check_fits` for a dense array of ``shape``.
+
+    complex128 is the widest storage, so the check is the same for real and
+    complex matrices.
+    """
+    check_fits(math.prod(shape) * np.dtype(complex).itemsize,
+               "a dense " + "x".join(str(d) for d in shape) + " matrix")
 
 
 def write_csv(path, header, columns) -> None:
@@ -49,10 +67,20 @@ def write_csv(path, header, columns) -> None:
     csv.writer gets Python numbers, so a float is written as its shortest
     round-trip repr and anything else as str.
     """
+    write_csv_blocks(path, header, [columns])
+
+
+def write_csv_blocks(path, header, blocks) -> None:
+    """`write_csv` with the rows given as successive blocks of columns.
+
+    Each block is written as `write_csv` writes its columns, so a producer
+    can hand over its rows a block at a time rather than all at once.
+    """
     import csv
-    columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for start in range(0, columns[0].size, CSV_CHUNK):
-            w.writerows(zip(*(c.flat[start:start + CSV_CHUNK].tolist() for c in columns)))
+        for columns in blocks:
+            columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+            for start in range(0, columns[0].size, CSV_CHUNK):
+                w.writerows(zip(*(c.flat[start:start + CSV_CHUNK].tolist() for c in columns)))

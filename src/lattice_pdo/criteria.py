@@ -8,7 +8,6 @@ reported operationally, by growth between a radius and its double (ratio
 threshold 1.5), never claimed as a proof.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,27 +16,22 @@ import numpy as np
 
 from .symbols import SymbolOrder
 from .fourier import DecayReport
-from .kernel import entries_of
+from .kernel import power_sums
+from ._util import float_pow
 
 DIVERGENCE_RATIO = 1.5
-
-
-def _power_sums(K, p: float, axis: int) -> np.ndarray:
-    """sum of |A(k, m)|^p over rows k (axis 0, per column) or columns m (axis 1, per row)."""
-    return np.sum(np.abs(entries_of(K)) ** p, axis=axis)
 
 
 def schur_l1_lp(K, p: float) -> float:
     """max over columns m of sum_k |A(k, m)|^p (the l1 -> lp column test)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float(np.max(_power_sums(K, p, 0)))
+    return float(np.max(power_sums(K, p, 0)))
 
 
 def sup_entry(K) -> float:
     """max |A(k, m)| (the l1 -> linf test)."""
-    a = np.abs(entries_of(K))
-    return float(np.max(a)) if a.size else 0.0
+    return float(np.max(power_sums(K, math.inf, 1), initial=0.0))
 
 
 def mixed_lp_sum(K, p: float) -> float:
@@ -45,7 +39,7 @@ def mixed_lp_sum(K, p: float) -> float:
     if not (1 < p < math.inf):
         raise ValueError(f"mixed sum requires 1 < p < inf, got {p}")
     q = p / (p - 1)
-    return float(np.sum(_power_sums(K, q, 1) ** (p / q)))
+    return float(np.sum(power_sums(K, q, 1) ** (p / q)))
 
 
 def nuclear_row_terms(K, r: float, p2: float) -> np.ndarray:
@@ -54,7 +48,7 @@ def nuclear_row_terms(K, r: float, p2: float) -> np.ndarray:
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if p2 < 1:
         raise ValueError(f"p2 must be >= 1, got {p2}")
-    return _power_sums(K, p2, 1) ** (r / p2)
+    return power_sums(K, p2, 1) ** (r / p2)
 
 
 def nuclear_sum(K, r: float, p2: float) -> float:
@@ -202,16 +196,13 @@ def _shell_terms(shells: np.ndarray, n: int, exponent: float, scale: float) -> n
     count(s) = (2s+1)^n - (2s-1)^n points have |z|_inf = s (one for s = 0);
     it is evaluated as 2 sum_{j odd} C(n, j) (2s)^(n-j) by Horner's rule
     with non-negative integer coefficients, so nothing cancels, no shell is
-    under-counted, and counts below 2^53 are exact.  The power is the C
-    library's pow, as for a Python float: numpy's vectorised power can
-    differ from it in the last bit.
+    under-counted, and counts below 2^53 are exact.  The power is
+    `float_pow`, as for a Python float.
     """
     s = np.asarray(shells, dtype=float)
     coeffs = [2 * math.comb(n, d) if (n - d) % 2 else 0 for d in range(n - 1, -1, -1)]
     counts = np.where(s == 0, 1.0, np.polyval(coeffs, 2.0 * s))
-    powers = np.fromiter(map(math.pow, (1.0 + scale * s).tolist(), itertools.repeat(exponent)),
-                         dtype=float, count=len(s))
-    return counts * powers
+    return counts * float_pow(1.0 + scale * s, exponent)
 
 
 def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> float:

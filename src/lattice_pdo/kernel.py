@@ -6,27 +6,37 @@ vector e_i puts coefficient values down column i.  For the forward
 difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
-Storage is dense; desk-scale boxes keep full Hermitian eigensolves cheap
-and banded structure is treated as an optimization, not a contract.  The
-entries decide the dtype: real entries are stored as float64 (so real
-symmetric operators get the real eigensolvers), anything else as
-complex128.  `assemble` fills closed-form symbols band by band, in float64
-when every band is real, and quadrature symbols in complex128.
-Truncation is plain restriction to the box (no boundary corrections).
+How a matrix is stored is decided in this module and nowhere else.
+`assemble` keeps a closed-form symbol's bands as their nonzero
+(row, col, value) triplets, sorted row-major: every built-in family has
+torus-frequency support radius at most 1, so a row holds at most 3^n of
+them.  Every other matrix (FFT quadrature, a user array, `hermitize` and
+`read_binary` output) is stored dense.  The criterion sums read either
+storage through `power_sums`, with the bits of the dense reduction.
+Eigensolves, `hermitize`, `split_diagonal`, `apply`, `write_binary` and
+`symbol_from_matrix` read `entries`, the dense matrix, which triplet
+storage builds on first access (after checking that it fits in memory)
+and keeps.  The values decide the dtype: real values are stored as
+float64 (so real symmetric operators get the real eigensolvers), anything
+else as complex128.  Truncation is plain restriction to the box (no
+boundary corrections).
 """
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .lattice import (BoxTruncation, LatticeSpec, enumerate_box,
-                      enumerate_box_integers)
+from .lattice import BoxTruncation, LatticeSpec, enumerate_box, enumerate_box_integers
 from .symbols import Symbol
 from .fourier import DEFAULT_SAMPLES, check_no_fold, spectrum_of_row
 from . import _util
-from ._util import check_dense_fits, parallel_map
+from ._util import check_dense_fits, check_fits, parallel_map
+
+TRIPLET_BYTES = 32       # two int64 indices and a complex128 value
+PAIRWISE_BLOCK = 128     # numpy sums a row in blocks of at most this many elements
 
 
 def stored_entries(a) -> np.ndarray:
@@ -35,33 +45,47 @@ def stored_entries(a) -> np.ndarray:
     return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
 
 
-@dataclass(frozen=True)
 class KernelMatrix:
-    """Dense truncated matrix of an operator over a box of lattice points.
+    """Truncated matrix of an operator over a box of lattice points.
 
-    Entries are stored read-only by the rule of `stored_entries` (float64
-    when they are real, complex128 otherwise) and never replaced, so
-    `asymmetry` is computed once.
+    ``KernelMatrix(spec, box, entries)`` stores a square array dense, by the
+    rule of `stored_entries`; `assemble` stores closed-form bands as
+    triplets.  Either way the stored values are read-only, checked finite
+    once and never replaced, so `asymmetry` is computed once.
     """
 
-    spec: LatticeSpec
-    box: BoxTruncation
-    entries: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        e = stored_entries(self.entries)
-        size = self.box.size(self.spec.dim)
+    def __init__(self, spec: LatticeSpec, box: BoxTruncation, entries, provenance=None):
+        e = stored_entries(entries)
+        size = box.size(spec.dim)
         if e.shape != (size, size):
             raise ValueError(f"entries must be {size}x{size} for this box, got {e.shape}")
-        if not np.all(np.isfinite(e.view(float))):
+        self._store(spec, box, provenance, e, None)
+        self.__dict__["entries"] = e  # fills the cached property: a dense kernel's storage
+
+    @classmethod
+    def _from_triplets(cls, spec, box, rows, cols, values, provenance):
+        # nonzero values at (rows, cols), sorted row-major
+        K = cls.__new__(cls)
+        K._store(spec, box, provenance, values, (rows, cols, values))
+        return K
+
+    def _store(self, spec, box, provenance, values, triplets):
+        if not np.all(np.isfinite(values.view(float))):
             raise ValueError("kernel entries must be finite")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        values.setflags(write=False)
+        self.spec = spec
+        self.box = box
+        self.provenance = dict(provenance or {})
+        self._triplets = triplets
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.box.size(self.spec.dim)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense matrix; triplet storage builds it on first access and keeps it."""
+        return _dense(self.size, *self._triplets)
 
     @cached_property
     def asymmetry(self) -> float:
@@ -70,6 +94,15 @@ class KernelMatrix:
 
     def points(self) -> np.ndarray:
         return enumerate_box(self.spec, self.box)
+
+
+def _dense(size, rows, cols, values) -> np.ndarray:
+    # the only place a triplet kernel becomes a dense matrix
+    check_dense_fits((size, size))
+    a = np.zeros((size, size), dtype=values.dtype)
+    a[rows, cols] = values
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
@@ -84,46 +117,140 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
              n_samples: int = DEFAULT_SAMPLES, threads: int = 1) -> KernelMatrix:
     """Truncated matrix A(k, m) = coefficient of sigma(k, .) at frequency m - k.
 
-    A symbol with closed-form coefficients is filled band by band: one
+    A symbol with closed-form coefficients is built band by band: one
     call per offset z = (m - k)/hbar with |z|_inf within its support radius
-    (every offset that fits in the box when the radius is unknown), into a
-    float64 matrix when every band is real and complex128 otherwise.  Any
-    other symbol goes through FFT quadrature row by row (complex128), which
-    refuses boxes whose 2R + 1 columns per axis would fold onto fewer than
-    ``n_samples`` frequency bins.  A box whose complex128 matrix would not
-    fit in physical memory is refused before anything is built.
+    (every offset that fits in the box when the radius is unknown), kept
+    as sorted nonzero triplets, float64 when every band is real and
+    complex128 otherwise.  Bands whose triplets could not fit in physical
+    memory are refused before any is built.  Any other symbol goes through
+    FFT quadrature row by row into a dense complex128 matrix, which refuses
+    boxes whose 2R + 1 columns per axis would fold onto fewer than
+    ``n_samples`` frequency bins, and boxes whose matrix would not fit in
+    physical memory.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
     size = box.size(spec.dim)
-    check_dense_fits((size, size))
-    zs = enumerate_box_integers(spec, box)
     r = box.radius
 
     if sym.closed_form_coeffs is not None:
+        zs = enumerate_box_integers(spec, box)
         reach = 2 * r if sym.coeff_support_radius is None else min(sym.coeff_support_radius, 2 * r)
+        offsets = enumerate_box_integers(spec, BoxTruncation(reach))
+        check_fits(len(offsets) * size * TRIPLET_BYTES,
+                   f"{len(offsets)} bands of a {size}-point box")
         strides = (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
-        bands = []
-        for off in enumerate_box_integers(spec, BoxTruncation(reach)):
+        flat, values = [], []
+        for off in offsets:
             rows = np.flatnonzero(np.all(np.abs(zs + off) <= r, axis=1))
-            bands.append((rows, rows + off @ strides, sym.closed_form_coeffs(zs[rows], off)))
-        real = not any(np.iscomplexobj(band) for _, _, band in bands)
-        entries = np.zeros((size, size), dtype=float if real else complex)
-        for rows, cols, band in bands:
-            entries[rows, cols] = band
-        method = "closed-form"
-    else:
-        check_no_fold(r, n_samples)
-        pts = spec.hbar * zs
+            band = np.asarray(sym.closed_form_coeffs(zs[rows], off))
+            nonzero = np.flatnonzero(band)
+            rows = rows[nonzero]
+            flat.append(rows * size + rows + off @ strides)  # row * size + col
+            values.append(band[nonzero])
+        flat = np.concatenate(flat)
+        order = np.argsort(flat)
+        rows, cols = np.divmod(flat[order], size)
+        return KernelMatrix._from_triplets(
+            spec, box, rows, cols, stored_entries(np.concatenate(values))[order],
+            provenance={"symbol": sym.name, "method": "closed-form", "radius": r})
 
-        def row(i):
-            spec_row = spectrum_of_row(sym, pts[i], n_samples)
-            return spec_row[tuple(((zs - zs[i]) % n_samples).T)]
+    check_dense_fits((size, size))
+    check_no_fold(r, n_samples)
+    zs = enumerate_box_integers(spec, box)
+    pts = spec.hbar * zs
 
-        entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
-        method = f"quadrature(n={n_samples})"
-    return KernelMatrix(spec, box, entries,
-                        provenance={"symbol": sym.name, "method": method, "radius": r})
+    def row(i):
+        spec_row = spectrum_of_row(sym, pts[i], n_samples)
+        return spec_row[tuple(((zs - zs[i]) % n_samples).T)]
+
+    entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
+    return KernelMatrix(spec, box, entries, provenance={
+        "symbol": sym.name, "method": f"quadrature(n={n_samples})", "radius": r})
+
+
+def power_sums(K, p: float, axis: int) -> np.ndarray:
+    """sum of |A(k, m)|^p over rows k (axis 0, per column) or columns m (axis 1, per row).
+
+    p = inf gives the per-column or per-row maximum instead.  This is the
+    one reader of the criterion sums, for a KernelMatrix or a plain square
+    array.  Triplets give the bits of the dense reduction: a column adds
+    its rows in order, as the dense axis-0 sum does, and a row adds its
+    nonzeros in numpy's pairwise order (`_pairwise_row_sums`).
+    """
+    triplets = K._triplets if isinstance(K, KernelMatrix) else None
+    if triplets is None:
+        a = np.abs(entries_of(K))
+        return np.max(a, axis=axis, initial=0.0) if p == math.inf else np.sum(a ** p, axis=axis)
+    rows, cols, values = triplets
+    a = np.abs(values)
+    if p == math.inf:
+        out = np.zeros(K.size)
+        np.maximum.at(out, cols if axis == 0 else rows, a)
+        return out
+    if axis == 0:
+        return _line_sums(cols, a ** p, K.size)
+    return _pairwise_row_sums(rows, cols, a ** p, K.size)
+
+
+def _line_sums(line, w, size) -> np.ndarray:
+    # w added into out[line] in order, from 0.0; float64 even with no entries
+    return np.bincount(line, weights=w, minlength=size).astype(float)
+
+
+def _pairwise_row_sums(rows, cols, w, size) -> np.ndarray:
+    """Row sums of non-negative triplet values w, with the bits of np.sum(axis=1).
+
+    numpy sums a contiguous row of ``size`` elements pairwise: it halves
+    the row (cutting at a multiple of 8) until blocks hold at most
+    PAIRWISE_BLOCK elements; a block adds every 8th element into one of 8
+    accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then adds its last size % 8 elements one by one (a block of fewer than
+    8, all of them one by one).  Zeros drop out of that tree exactly, so
+    the tree over the nonzeros gives the dense bits.  It is evaluated by
+    merging neighbouring partial sums in order of priority: accumulator
+    chains first, then accumulator pairs, then a block's tail, then the
+    halves, deepest cut first.  A row of at most two nonzeros adds them in
+    either order to the same bits.
+    """
+    if np.max(np.bincount(rows), initial=0) <= 2:
+        return _line_sums(rows, w, size)
+    start = np.zeros(len(w), dtype=np.int64)  # the block of each entry
+    length = np.full(len(w), size, dtype=np.int64)
+    cut_depth = np.full(len(w) - 1, -1)  # depth of the cut between neighbours
+    depth = 0
+    while np.any(length > PAIRWISE_BLOCK):
+        halved = length > PAIRWISE_BLOCK
+        half = length // 2 - length // 2 % 8
+        right = halved & (cols >= start + half)
+        start = np.where(right, start + half, start)
+        length = np.where(halved, np.where(right, length - half, half), length)
+        cut_depth[(start[1:] != start[:-1]) & (cut_depth < 0)] = depth
+        depth += 1
+    # inside a block, in sorted order: accumulator j chains elements j, j+8, ...;
+    # the tail follows.  rows and start stay sorted: entries move within a block.
+    off = cols - start
+    main = length - length % 8
+    key = np.where(off < main, off % 8 * 16 + off // 8, 128 + off - main)
+    order = np.lexsort((key, start, rows))
+    key, w = key[order], w[order]
+    left, right = key[:-1], key[1:]
+    acc_xor = (left ^ right) >> 4  # accumulators j, j' pair at the top bit of j ^ j'
+    in_block = np.where(right >= 128, 100 - (right - 128),
+                        np.where(acc_xor == 0, 300 - right % 16,
+                                 200 - np.array([0, 1, 2, 2, 3, 3, 3, 3])[acc_xor & 7]))
+    priority = np.where(rows[1:] != rows[:-1], -1,
+                        np.where(start[1:] == start[:-1], in_block, cut_depth))
+    head = np.ones(len(w), dtype=bool)
+    index = np.arange(len(w))
+    for level in np.unique(priority[priority >= 0])[::-1]:
+        b = np.flatnonzero(priority == level)
+        first = np.maximum.accumulate(np.where(head, index, 0))[b]
+        w[first] = w[first] + w[b + 1]
+        head[b + 1] = False
+    out = np.zeros(size)
+    out[rows[head]] = w[head]
+    return out
 
 
 def apply(K: KernelMatrix, a) -> np.ndarray:
@@ -176,10 +303,27 @@ def hermitize(K: KernelMatrix) -> KernelMatrix:
 # ---------------------------------------------------------------------------
 
 def write_csv(K: KernelMatrix, path) -> None:
-    """Nonzero entries as CSV rows (row, col, re, im), row-major."""
-    rows, cols = np.nonzero(K.entries)
-    values = K.entries[rows, cols]
-    _util.write_csv(path, ["row", "col", "re", "im"], [rows, cols, values.real, values.imag])
+    """Nonzero entries as CSV rows (row, col, re, im), row-major.
+
+    Triplets are written as stored.  A dense matrix is gathered a few rows
+    at a time, about CSV_CHUNK entries per block, so the export never holds
+    every nonzero at once.
+    """
+    header = ["row", "col", "re", "im"]
+    if K._triplets is not None:
+        rows, cols, values = K._triplets
+        _util.write_csv(path, header, [rows, cols, values.real, values.imag])
+        return
+    a = K.entries
+    step = max(1, _util.CSV_CHUNK // K.size)
+
+    def blocks():
+        for first in range(0, K.size, step):
+            rows, cols = np.nonzero(a[first:first + step])
+            values = a[first + rows, cols]
+            yield [first + rows, cols, values.real, values.imag]
+
+    _util.write_csv_blocks(path, header, blocks())
 
 
 _BIN_HEADER = struct.Struct("<qdq")  # dim, hbar, radius

@@ -17,6 +17,7 @@ import numpy as np
 
 from .lattice import (BoxTruncation, LatticeSpec, as_point, enumerate_box_integers,
                       integer_coords)
+from ._util import float_pow
 
 FD_STEP = 1e-5  # central-difference step for theta derivatives
 # Nested central differences lose accuracy like eps / FD_STEP**order: on the
@@ -198,16 +199,28 @@ def periodicity_defect(sym: Symbol, k, theta, axis: int) -> float:
 # built-in families
 # ---------------------------------------------------------------------------
 
-def _multiplier(spec: LatticeSpec, order: SymbolOrder, value: Callable, name: str) -> Symbol:
-    """sigma(k, theta) = value(k): the diagonal operator of a function on the lattice."""
+def _norms(pts) -> np.ndarray:
+    """|k| of each row k of ``pts`` (S, n), bit for bit as np.linalg.norm(k).
+
+    A batched matmul forms each k . k in the order of a single dot product;
+    np.einsum and np.sum(pts * pts, axis=1) can differ from it in the last bit.
+    """
+    return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+
+def _multiplier(spec: LatticeSpec, order: SymbolOrder, values: Callable, name: str) -> Symbol:
+    """sigma(k, theta) = v(k): the diagonal operator of a function on the lattice.
+
+    ``values`` maps points of shape (S, n) to their S values.
+    """
 
     def ev(k, theta):
-        return np.full(theta.shape[:-1], value(k), dtype=complex)
+        return np.full(theta.shape[:-1], values(k[None])[0], dtype=complex)
 
     def cf(z_rows, z_offset):
         if np.any(z_offset):
             return np.zeros(len(z_rows))
-        return np.array([value(k) for k in spec.hbar * z_rows])
+        return values(spec.hbar * z_rows)
 
     return Symbol(spec, order, ev, closed_form_coeffs=cf, coeff_support_radius=0, name=name)
 
@@ -215,8 +228,8 @@ def _multiplier(spec: LatticeSpec, order: SymbolOrder, value: Callable, name: st
 def constant_symbol(value, spec: LatticeSpec | None = None) -> Symbol:
     """sigma = value, independent of k and theta."""
     c = complex(value)
-    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(0.0), lambda k: c,
-                       f"constant({value})")
+    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(0.0),
+                       lambda pts: np.full(len(pts), c), f"constant({value})")
 
 
 def difference_symbol(hbar: float = 1.0) -> Symbol:
@@ -243,14 +256,16 @@ def multiplication_symbol(epsilon: float, spec: LatticeSpec | None = None) -> Sy
     boundedness corollaries.
     """
 
-    def value(k):
-        r = float(np.linalg.norm(k))
-        if r > 0:
-            return r ** epsilon
-        return 1.0 if epsilon == 0 else (0.0 if epsilon > 0 else np.inf)
+    at_origin = 1.0 if epsilon == 0 else (0.0 if epsilon > 0 else np.inf)
+
+    def values(pts):
+        r = _norms(pts)
+        out = np.full(len(r), at_origin)
+        out[r > 0] = float_pow(r[r > 0], epsilon)
+        return out
 
     return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(float(epsilon), 1.0, 0.0),
-                       value, f"multiplication(eps={epsilon})")
+                       values, f"multiplication(eps={epsilon})")
 
 
 def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
@@ -294,16 +309,16 @@ def decaying_test_symbol(s: float, a: float, b: float,
     """
     spec = spec or LatticeSpec(1.0, 1)
 
-    def radial(k):
-        return (1.0 + float(np.linalg.norm(k))) ** (-s)
+    def radial(pts):
+        return float_pow(1.0 + _norms(pts), -s)
 
     def ev(k, theta):
-        return radial(k) * (a + b * np.cos(2 * np.pi * theta[..., 0])) + 0j
+        return radial(k[None])[0] * (a + b * np.cos(2 * np.pi * theta[..., 0])) + 0j
 
     def cf(z_rows, z_offset):
         if np.any(z_offset[1:]) or abs(z_offset[0]) > 1:
             return np.zeros(len(z_rows))
-        r = np.array([radial(k) for k in spec.hbar * z_rows])
+        r = radial(spec.hbar * z_rows)
         return a * r if z_offset[0] == 0 else 0.5 * b * r
 
     return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), ev,
@@ -311,17 +326,26 @@ def decaying_test_symbol(s: float, a: float, b: float,
                   name=f"decaying(s={s},a={a},b={b})")
 
 
-def anharmonic_value(c: float, l: int) -> Callable:
-    """k -> c |k|^(2l), after checking that l is a natural number."""
+def _check_anharmonic_power(l):
     if int(l) != l or l < 1:
         raise ValueError(f"anharmonic power l must be a natural number, got {l}")
+
+
+def anharmonic_value(c: float, l: int) -> Callable:
+    """k -> c |k|^(2l), after checking that l is a natural number."""
+    _check_anharmonic_power(l)
     return lambda k: c * float(np.linalg.norm(k)) ** (2 * l)
 
 
 def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
-    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l), order 2l."""
+    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l), order 2l.
+
+    Its values are those of `anharmonic_value`, computed for all points at once.
+    """
+    _check_anharmonic_power(l)
     return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0),
-                       anharmonic_value(c, l), f"anharmonic(c={c},l={l})")
+                       lambda pts: c * float_pow(_norms(pts), 2 * l),
+                       f"anharmonic(c={c},l={l})")
 
 
 def symbol_from_matrix(K) -> Symbol:

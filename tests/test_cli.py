@@ -190,14 +190,16 @@ def test_config_error_scan_radius_zero(tmp_path, capsys, time_limit, task):
     assert json.loads(err[0])["error"] == "config"
 
 
-@pytest.mark.parametrize("task", ["assemble", "check-bounds", "check-nuclear", "diag-approx"])
+@pytest.mark.parametrize("task", ["assemble", "diag-approx"])
 def test_dense_size_preflight(tmp_path, capsys, time_limit, task):
-    # 61^3 = 226 981 points: a dense complex128 matrix of ~824 GB
+    # 61^3 = 226 981 points: a dense complex128 matrix of ~824 GB, which the
+    # binary export and the eigensolve need
     cfg = base_config(
         task,
         lattice={"hbar": 1.0, "dim": 3},
         symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}},
         truncation={"radius": 30},
+        output={"directory": ".", "formats": ["bin"]},
     )
     with time_limit(10):
         rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
@@ -208,6 +210,34 @@ def test_dense_size_preflight(tmp_path, capsys, time_limit, task):
     assert payload["error"] == "numeric"
     assert "226981x226981" in payload["message"]
     assert "824325989776 bytes" in payload["message"]
+
+
+def test_criterion_sums_beyond_dense_memory(tmp_path, capsys, time_limit):
+    # 2 000 001 points at R and 4 000 001 at 2R: dense matrices of 64 and 256 TB.
+    # The sums read the diagonal's triplets; the eigensolve still needs the dense matrix.
+    cfg = base_config(
+        "check-bounds",
+        symbol={"family": "multiplication", "params": {"epsilon": 1.0}},
+        truncation={"radius": 10 ** 6},
+        params={"p": 2.0},
+    )
+    with time_limit(60):
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["sums"]["sup_entry"] == 2e6
+    assert report["diverging"]["sup_entry"]
+
+    cfg["task"] = "diag-approx"
+    with time_limit(60):
+        rc = main(["run", write_config(tmp_path, cfg, name="diag.json"),
+                   "--out", str(tmp_path / "diag")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "numeric"
+    assert "2000001x2000001" in payload["message"]
 
 
 def test_budget_failure_exit_code(tmp_path, capsys):
@@ -325,3 +355,27 @@ def test_diag_approx_checks_each_matrix_once(tmp_path, monkeypatch, symbol, matr
     summary = json.loads((tmp_path / "out" / "diag_approx.json").read_text())
     assert summary["hermitized"] is (matrices == 2)
     assert len(passes) == matrices
+
+
+@pytest.mark.parametrize("task, params", [("check-nuclear", {"r": 0.5, "p2": 2.0}),
+                                          ("check-bounds", {"p": 3.0})])
+def test_criterion_sums_build_no_dense_matrix(tmp_path, monkeypatch, task, params):
+    built = []
+    dense = kernel._dense
+
+    def counted(size, *triplets):
+        built.append(size)
+        return dense(size, *triplets)
+
+    monkeypatch.setattr(kernel, "_dense", counted)
+    decaying = {"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}}
+    lattice = {"hbar": 0.5, "dim": 2}
+    cfg = base_config(task, lattice=lattice, symbol=decaying, truncation={"radius": 4},
+                      params=params)
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    assert built == []
+    # the eigensolve of diag-approx does build it, through the same builder
+    cfg = base_config("diag-approx", lattice=lattice, symbol=decaying, truncation={"radius": 4})
+    assert main(["run", write_config(tmp_path, cfg, name="diag.json"),
+                 "--out", str(tmp_path / "diag")]) == 0
+    assert built == [81]

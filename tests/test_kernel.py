@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_pdo.fourier import coefficient_table, toroidal_coefficient
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
+from lattice_pdo import kernel
 from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 hermitize, read_binary, split_diagonal,
                                 write_binary, write_csv)
@@ -207,14 +209,21 @@ def test_assemble_2d_schrodinger_neighbors():
     assert K.entries[c, diag] == pytest.approx(0.0)    # no diagonal hopping
 
 
+FAMILIES = {
+    "constant": lambda spec: constant_symbol(1.5 + 0.5j, spec),
+    "multiplication-0.5": lambda spec: multiplication_symbol(0.5, spec),
+    "multiplication-1": lambda spec: multiplication_symbol(1.0, spec),
+    "anharmonic": lambda spec: polynomial_potential(1.0, 2, spec),
+    "decaying": lambda spec: decaying_test_symbol(3.0, 2.0, 1.0, spec),
+    "schrodinger": lambda spec: schrodinger_symbol(lambda k: float(k @ k), 0.5, spec,
+                                                   potential_order=2.0),
+    "difference": lambda spec: difference_symbol(spec.hbar),
+}
+
+
 def builtin_families(spec):
-    syms = [constant_symbol(1.5 + 0.5j, spec), multiplication_symbol(0.5, spec),
-            multiplication_symbol(1.0, spec), polynomial_potential(1.0, 2, spec),
-            decaying_test_symbol(3.0, 2.0, 1.0, spec),
-            schrodinger_symbol(lambda k: float(k @ k), 0.5, spec, potential_order=2.0)]
-    if spec.dim == 1:
-        syms.append(difference_symbol(spec.hbar))
-    return syms
+    return [make(spec) for name, make in FAMILIES.items()
+            if name != "difference" or spec.dim == 1]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -277,3 +286,91 @@ def test_banded_matches_quadrature_assembly(sym, radius):
     banded = assemble(sym, sym.spec, box).entries
     quad = assemble(quadrature_only(sym), sym.spec, box).entries
     assert np.max(np.abs(banded - quad)) <= 1e-12 * max(1.0, np.max(np.abs(banded)))
+
+
+def dense_twin(K):
+    """The same matrix, stored dense."""
+    return KernelMatrix(K.spec, K.box, np.array(K.entries))
+
+
+CRITERION_SUMS = {
+    "sup_entry": sup_entry,
+    **{f"schur_l1_lp-{p}": (lambda K, p=p: schur_l1_lp(K, p)) for p in (1.0, 2.0, 3.0)},
+    **{f"mixed_lp_sum-{p}": (lambda K, p=p: mixed_lp_sum(K, p)) for p in (1.5, 2.0, 3.0)},
+    **{f"nuclear_sum-{r}-{p2}": (lambda K, r=r, p2=p2: nuclear_sum(K, r, p2))
+       for r in (0.5, 1.0) for p2 in (1.0, 2.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("family, dim", [(family, dim) for family in [*FAMILIES, "zero"]
+                                         for dim in (1, 2, 3)
+                                         if family != "difference" or dim == 1])
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_band_sums_equal_dense_sums(family, dim, hbar):
+    # A dense row is summed pairwise.  2-d radii 2 and 6 give strides 5 and 13,
+    # where that order adds the decaying band's two outer nonzeros first;
+    # 1-d radius 70 and 3-d radius 3 give rows longer than one 128-element block.
+    spec = LatticeSpec(hbar, dim)
+    sym = constant_symbol(0.0, spec) if family == "zero" else FAMILIES[family](spec)
+    for radius in {1: (70,), 2: (2, 6), 3: (3,)}[dim]:
+        K = assemble(sym, spec, BoxTruncation(radius))
+        D = dense_twin(K)
+        for name, read in CRITERION_SUMS.items():
+            assert read(K) == read(D), (name, radius)
+        for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+            for axis in (0, 1):
+                np.testing.assert_array_equal(kernel.power_sums(K, p, axis),
+                                              kernel.power_sums(D, p, axis))
+
+
+def test_pairwise_row_sums_match_numpy():
+    rng = np.random.default_rng(1)
+    for size in (1, 7, 8, 9, 127, 128, 129, 136, 300, 1031, 4001):
+        a = np.zeros((min(size, 12), size))
+        for row in a:
+            k = int(rng.integers(0, min(size, 30) + 1))
+            row[rng.choice(size, k, replace=False)] = (rng.random(k)
+                                                       * 10.0 ** rng.integers(-8, 8, size=k))
+        rows, cols = np.nonzero(a)
+        sums = kernel._pairwise_row_sums(rows, cols, a[rows, cols], size)
+        np.testing.assert_array_equal(sums[:len(a)], np.sum(a, axis=1), err_msg=str(size))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_triplets_in_nonzero_order(dim):
+    spec = LatticeSpec(0.5, dim)
+    for sym in builtin_families(spec) + [decaying_test_symbol(3.0, 2.0, 0.0, spec)]:
+        K = assemble(sym, spec, BoxTruncation(2))
+        rows, cols, values = K._triplets
+        r, c = np.nonzero(K.entries)
+        np.testing.assert_array_equal(rows, r)
+        np.testing.assert_array_equal(cols, c)
+        np.testing.assert_array_equal(values, K.entries[r, c])
+        assert values.dtype == K.entries.dtype
+
+
+def test_csv_export_same_bytes_from_either_storage(tmp_path):
+    # 81 rows: the dense export gathers them in two blocks
+    spec = LatticeSpec(0.5, 2)
+    for sym in builtin_families(spec):
+        K = assemble(sym, spec, BoxTruncation(4))
+        write_csv(K, tmp_path / "triplets.csv")
+        write_csv(dense_twin(K), tmp_path / "dense.csv")
+        assert (tmp_path / "triplets.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def test_dense_csv_export_memory_stays_flat(tmp_path):
+    # a quarter of the entries nonzero: gathering every nonzero at once
+    # (32 bytes each) would take twice the bound
+    rng = np.random.default_rng(7)
+    box = BoxTruncation(300)
+    size = box.size(1)
+    M = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    K = KernelMatrix(SPEC1, box, M * (rng.random(size=(size, size)) < 0.25))
+    tracemalloc.start()
+    try:
+        write_csv(K, tmp_path / "k.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K.entries.nbytes / 4

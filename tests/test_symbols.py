@@ -311,3 +311,44 @@ def test_theta_derivative_from_coefficients(family, data):
     got = spectrum_of_row(derivative, k)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.sum(np.abs(weights)), 1e-300)
 
+
+
+def per_point_norm(k):
+    return float(np.linalg.norm(k))
+
+
+def per_point_power(k, eps):
+    # multiplication_symbol's value as it was written per point, k = 0 included
+    r = per_point_norm(k)
+    if r > 0:
+        return r ** eps
+    return 1.0 if eps == 0 else (0.0 if eps > 0 else np.inf)
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 300), (2, 20), (3, 6), (4, 3)])
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 0.1, 0.3, 0.7, 1 / 3, 2.5, 0.01])
+def test_closed_form_coeffs_match_per_point_values(dim, radius, hbar):
+    # the array evaluation of each diagonal and band gives the bits of the
+    # per-point expressions it replaced
+    spec = LatticeSpec(hbar, dim)
+    zs = enumerate_box_integers(spec, BoxTruncation(radius))
+    zero = np.zeros(dim, dtype=np.int64)
+    step = zero.copy()
+    step[0] = -1
+    s, a, b = 2.5, 1.5, -0.7
+    cases = [(decaying_test_symbol(s, a, b, spec), zero,
+              lambda k: a * (1.0 + per_point_norm(k)) ** (-s)),
+             (decaying_test_symbol(s, a, b, spec), step,
+              lambda k: 0.5 * b * (1.0 + per_point_norm(k)) ** (-s)),
+             (constant_symbol(0.25 - 2j, spec), zero, lambda k: 0.25 - 2j)]
+    for eps in (0.0, 0.5, 1.0, 2.0, -0.5):
+        cases.append((multiplication_symbol(eps, spec), zero,
+                      lambda k, eps=eps: per_point_power(k, eps)))
+    for l in (1, 2, 3):
+        cases.append((polynomial_potential(0.7, l, spec), zero,
+                      lambda k, l=l: 0.7 * per_point_norm(k) ** (2 * l)))
+    for sym, off, old in cases:
+        want = np.array([old(k) for k in spec.hbar * zs])
+        got = sym.closed_form_coeffs(zs, off)
+        assert got.dtype == want.dtype, sym.name
+        np.testing.assert_array_equal(got, want, err_msg=sym.name)
