@@ -410,7 +410,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "numeric", "field": None, "message": str(e)}),
               file=sys.stderr)
         return 3
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as e:
+    except (ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as e:
         print(json.dumps({"error": "numeric", "field": None, "message": str(e)}),
               file=sys.stderr)
         return 3

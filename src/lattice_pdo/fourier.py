@@ -141,10 +141,6 @@ def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int, m_radius: 
     """Empirical constant for the coefficient decay inequality at order q_tilde."""
     if q_tilde < 0:
         raise ValueError("q_tilde must be non-negative")
-    if sym.deriv_order_available is not None and q_tilde > sym.deriv_order_available:
-        raise ValueError(
-            f"q_tilde={q_tilde} exceeds the symbol's available derivative order "
-            f"{sym.deriv_order_available}")
     spec = sym.spec
     mu, delta = sym.order.mu, sym.order.delta
     table = coefficient_table(sym, BoxTruncation(int(k_radius)), int(m_radius),

@@ -201,55 +201,53 @@ def _line_sums(line, w, size) -> np.ndarray:
 def _pairwise_row_sums(rows, cols, w, size) -> np.ndarray:
     """Row sums of non-negative triplet values w, with the bits of np.sum(axis=1).
 
-    numpy sums a contiguous row of ``size`` elements pairwise: it halves
-    the row (cutting at a multiple of 8) until blocks hold at most
-    PAIRWISE_BLOCK elements; a block adds every 8th element into one of 8
-    accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then adds its last size % 8 elements one by one (a block of fewer than
-    8, all of them one by one).  Zeros drop out of that tree exactly, so
-    the tree over the nonzeros gives the dense bits.  It is evaluated by
-    merging neighbouring partial sums in order of priority: accumulator
-    chains first, then accumulator pairs, then a block's tail, then the
-    halves, deepest cut first.  A row of at most two nonzeros adds them in
-    either order to the same bits.
+    Transcribes numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src).
+    A row of ``size`` elements is halved, cutting at a multiple of 8, into a
+    binary tree of spans of at most PAIRWISE_BLOCK elements, numbered as a
+    heap (root 1, children 2i and 2i+1).  A span adds its offsets j, j + 8,
+    ... below its last multiple of 8 into accumulator r_j, combines
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the other offsets one by
+    one (a span of fewer than 8, all of them).  Sibling sums add up the tree.
+    Zeros drop out of every sum exactly, so the tree over the nonzeros gives
+    the dense bits.  A row of at most two nonzeros adds them in either order
+    to the same bits.
     """
     if np.max(np.bincount(rows), initial=0) <= 2:
         return _line_sums(rows, w, size)
-    start = np.zeros(len(w), dtype=np.int64)  # the block of each entry
-    length = np.full(len(w), size, dtype=np.int64)
-    cut_depth = np.full(len(w) - 1, -1)  # depth of the cut between neighbours
-    depth = 0
-    while np.any(length > PAIRWISE_BLOCK):
-        halved = length > PAIRWISE_BLOCK
-        half = length // 2 - length // 2 % 8
-        right = halved & (cols >= start + half)
-        start = np.where(right, start + half, start)
-        length = np.where(halved, np.where(right, length - half, half), length)
-        cut_depth[(start[1:] != start[:-1]) & (cut_depth < 0)] = depth
-        depth += 1
-    # inside a block, in sorted order: accumulator j chains elements j, j+8, ...;
-    # the tail follows.  rows and start stay sorted: entries move within a block.
-    off = cols - start
-    main = length - length % 8
-    key = np.where(off < main, off % 8 * 16 + off // 8, 128 + off - main)
-    order = np.lexsort((key, start, rows))
-    key, w = key[order], w[order]
-    left, right = key[:-1], key[1:]
-    acc_xor = (left ^ right) >> 4  # accumulators j, j' pair at the top bit of j ^ j'
-    in_block = np.where(right >= 128, 100 - (right - 128),
-                        np.where(acc_xor == 0, 300 - right % 16,
-                                 200 - np.array([0, 1, 2, 2, 3, 3, 3, 3])[acc_xor & 7]))
-    priority = np.where(rows[1:] != rows[:-1], -1,
-                        np.where(start[1:] == start[:-1], in_block, cut_depth))
-    head = np.ones(len(w), dtype=bool)
-    index = np.arange(len(w))
-    for level in np.unique(priority[priority >= 0])[::-1]:
-        b = np.flatnonzero(priority == level)
-        first = np.maximum.accumulate(np.where(head, index, 0))[b]
-        w[first] = w[first] + w[b + 1]
-        head[b + 1] = False
+    spans, todo = [], [(0, size, 1)]  # (start, length, heap id), left to right
+    while todo:
+        start, n, node = todo.pop()
+        if n <= PAIRWISE_BLOCK:
+            spans.append((start, n, node))
+        else:
+            half = n // 2 - n // 2 % 8
+            todo += [(start + half, n - half, 2 * node + 1), (start, half, 2 * node)]
+    start, length, heap_id = np.array(spans).T
+    span = np.searchsorted(start, cols, side="right") - 1
+    off = cols - start[span]
+    rest = off - (length - length % 8)[span]  # >= 0: added after the accumulators
+    lane = np.where(rest < 0, off % 8, 8)
+    # one partial sum per (row, span) holding nonzeros, in tree order: triplets are row-major
+    first = np.r_[True, (rows[1:] != rows[:-1]) | (span[1:] != span[:-1])]
+    group = np.cumsum(first) - 1
+    row, node = rows[first], heap_id[span[first]]
+
+    def r(j):
+        return _line_sums(group[lane == j], w[lane == j], len(row))
+
+    value = ((r(0) + r(1)) + (r(2) + r(3))) + ((r(4) + r(5)) + (r(6) + r(7)))
+    for k in range(7):
+        value[group[rest == k]] += w[rest == k]
+    for depth in range(int(node.max()).bit_length() - 1, 0, -1):
+        # the deepest sums move to their parent, where siblings add
+        node[node >= 1 << depth] >>= 1
+        pair = np.flatnonzero((row[1:] == row[:-1]) & (node[1:] == node[:-1]))
+        value[pair] += value[pair + 1]
+        keep = np.ones(len(value), dtype=bool)
+        keep[pair + 1] = False
+        row, node, value = row[keep], node[keep], value[keep]
     out = np.zeros(size)
-    out[rows[head]] = w[head]
+    out[row] = value
     return out
 
 

@@ -52,20 +52,19 @@ class Symbol:
     shape contract, when present; the closed-form coefficients when their
     support radius is finite, as the exact sum over z of
     (2 pi i z)^beta c(k, z) exp(2 pi i z . theta); central differences of
-    eval_fn up to total order FD_MAX_ORDER.  ``deriv_order_available``
-    caps the order on every path.  closed_form_coeffs(z_rows, z_offset), when
-    present, returns the torus Fourier coefficients without quadrature:
-    for integer row coordinates ``z_rows`` of shape (S, n) (the points
-    hbar * z_rows) and one integer frequency ``z_offset`` of shape (n,),
-    an array of S coefficients, real or complex.  ``coeff_support_radius``
-    bounds |z_offset|_inf of its nonzeros (None if unbounded / unknown).
+    eval_fn up to total order FD_MAX_ORDER.  closed_form_coeffs(z_rows,
+    z_offset), when present, returns the torus Fourier coefficients without
+    quadrature: for integer row coordinates ``z_rows`` of shape (S, n) (the
+    points hbar * z_rows) and one integer frequency ``z_offset`` of shape
+    (n,), an array of S coefficients, real or complex.
+    ``coeff_support_radius`` bounds |z_offset|_inf of its nonzeros (None if
+    unbounded / unknown).
     """
 
     spec: LatticeSpec
     order: SymbolOrder
     eval_fn: Callable
     deriv_fn: Optional[Callable] = None
-    deriv_order_available: Optional[int] = None  # None: no cap beyond FD_MAX_ORDER
     closed_form_coeffs: Optional[Callable] = None
     coeff_support_radius: Optional[int] = None
     name: str = "symbol"
@@ -119,9 +118,6 @@ def theta_derivative(sym: Symbol, k, theta, beta):
     tt = _as_theta(sym.spec, theta)
     if total == 0:
         return _value(sym.spec, tt, sym.eval_fn(kk, tt))
-    if sym.deriv_order_available is not None and total > sym.deriv_order_available:
-        raise ValueError(f"symbol '{sym.name}' supports theta derivatives up to order "
-                         f"{sym.deriv_order_available}, requested {total}")
     if sym.deriv_fn is not None:
         out = sym.deriv_fn(kk, tt, b)
     elif sym.closed_form_coeffs is not None and sym.coeff_support_radius is not None:

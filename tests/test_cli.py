@@ -240,6 +240,21 @@ def test_criterion_sums_beyond_dense_memory(tmp_path, capsys, time_limit):
     assert "2000001x2000001" in payload["message"]
 
 
+def test_overflow_exits_numeric(tmp_path, capsys):
+    # |k|^400 overflows a float at k = 10
+    cfg = base_config(
+        "check-bounds",
+        symbol={"family": "multiplication", "params": {"epsilon": 400}},
+        truncation={"radius": 10},
+        params={"p": 2.0},
+    )
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "numeric"
+
+
 def test_budget_failure_exit_code(tmp_path, capsys):
     cfg = base_config(
         "spectrum",

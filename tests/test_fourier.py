@@ -201,17 +201,6 @@ def test_coefficient_table_thread_invariance():
     np.testing.assert_array_equal(t1.values, t4.values)
 
 
-def test_decay_q_tilde_capability():
-    sym = decaying_test_symbol(2.0, 1.0, 1.0)
-    capped = type(sym)(
-        spec=sym.spec, order=sym.order, eval_fn=sym.eval_fn,
-        deriv_fn=sym.deriv_fn, deriv_order_available=1,
-        closed_form_coeffs=sym.closed_form_coeffs,
-        coeff_support_radius=sym.coeff_support_radius, name=sym.name)
-    with pytest.raises(ValueError):
-        estimate_decay_constant(capped, 2, 2, 2)
-
-
 def test_quadrature_table_refuses_to_fold():
     # frequency 40 would come back as the coefficient of 40 - 64 = -24
     sym = decaying_test_symbol(3.0, 2.0, 1.0)

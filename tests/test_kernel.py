@@ -309,10 +309,11 @@ CRITERION_SUMS = {
 def test_band_sums_equal_dense_sums(family, dim, hbar):
     # A dense row is summed pairwise.  2-d radii 2 and 6 give strides 5 and 13,
     # where that order adds the decaying band's two outer nonzeros first;
-    # 1-d radius 70 and 3-d radius 3 give rows longer than one 128-element block.
+    # 1-d radius 70 and 3-d radii 3 and 4 give rows longer than one 128-element
+    # block; radius 4 (729 points) is cut three levels deep.
     spec = LatticeSpec(hbar, dim)
     sym = constant_symbol(0.0, spec) if family == "zero" else FAMILIES[family](spec)
-    for radius in {1: (70,), 2: (2, 6), 3: (3,)}[dim]:
+    for radius in {1: (70,), 2: (2, 6), 3: (3, 4)}[dim]:
         K = assemble(sym, spec, BoxTruncation(radius))
         D = dense_twin(K)
         for name, read in CRITERION_SUMS.items():
@@ -324,16 +325,21 @@ def test_band_sums_equal_dense_sums(family, dim, hbar):
 
 
 def test_pairwise_row_sums_match_numpy():
+    # 10007 and 65537 are cut 7 and up to 10 levels deep.  Besides sparse rows: a
+    # dense row, and a row whose nonzeros flank every multiple of 8, where spans are cut.
     rng = np.random.default_rng(1)
-    for size in (1, 7, 8, 9, 127, 128, 129, 136, 300, 1031, 4001):
+    for size in (1, 7, 8, 9, 127, 128, 129, 136, 300, 1031, 4001, 10007, 65537):
         a = np.zeros((min(size, 12), size))
         for row in a:
             k = int(rng.integers(0, min(size, 30) + 1))
             row[rng.choice(size, k, replace=False)] = (rng.random(k)
                                                        * 10.0 ** rng.integers(-8, 8, size=k))
-        rows, cols = np.nonzero(a)
-        sums = kernel._pairwise_row_sums(rows, cols, a[rows, cols], size)
-        np.testing.assert_array_equal(sums[:len(a)], np.sum(a, axis=1), err_msg=str(size))
+        b = rng.random((2, size)) * 10.0 ** rng.integers(-8, 8, size=(2, size))
+        b[1, (np.arange(size) + 1) % 8 > 1] = 0.0
+        for m in (a, b[:size]):
+            rows, cols = np.nonzero(m)
+            sums = kernel._pairwise_row_sums(rows, cols, m[rows, cols], size)
+            np.testing.assert_array_equal(sums[:len(m)], np.sum(m, axis=1), err_msg=str(size))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -75,8 +75,7 @@ def test_derivative_decaying_second_order():
 
 def test_derivative_finite_difference_fallback():
     base = decaying_test_symbol(3.0, 2.0, 1.0)
-    fd = Symbol(base.spec, base.order, base.eval_fn, deriv_fn=None,
-                deriv_order_available=2, name="fd")
+    fd = Symbol(base.spec, base.order, base.eval_fn, name="fd")
     for theta in (0.2, np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)):
         for beta in (1, 2):
             exact = theta_derivative(base, 1, theta, beta)
@@ -94,13 +93,6 @@ def test_finite_differences_stop_at_order_two():
     for beta in (3, 4):
         with pytest.raises(ValueError, match=f"stop at order 2, requested {beta}"):
             theta_derivative(fd, 1, 0.2, beta)
-
-
-def test_derivative_capability_error():
-    sym = Symbol(SPEC1, SymbolOrder(0.0), lambda k, t: np.cos(2 * np.pi * t[..., 0]),
-                 deriv_order_available=1)
-    with pytest.raises(ValueError):
-        theta_derivative(sym, 0, 0.1, 2)
 
 
 def test_order_validation():
