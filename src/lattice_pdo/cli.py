@@ -34,8 +34,10 @@ class NumericError(RuntimeError):
     pass
 
 
-TASKS = ("coeffs", "assemble", "check-bounds", "check-nuclear",
-         "order-report", "diag-approx", "spectrum", "fit-growth")
+def _is_a(value, kind) -> bool:
+    """isinstance, except that a JSON boolean is a number only where kind is bool."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
 def _get(cfg, path, default=None, required=False, kind=None):
@@ -46,7 +48,7 @@ def _get(cfg, path, default=None, required=False, kind=None):
                 raise ConfigError(path, "required field is missing")
             return default
         node = node[part]
-    if kind is not None and not isinstance(node, kind):
+    if kind is not None and not _is_a(node, kind):
         raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}, "
                                 f"got {type(node).__name__}")
     return node
@@ -296,10 +298,22 @@ def _write_spectrum_csv(outdir, result):
     return path
 
 
+def _j_range(cfg, required):
+    """params.j_range as [j_lo, j_hi], two integers; None when absent and not required."""
+    j_range = _get(cfg, "params.j_range", required=required, kind=list)
+    if j_range is None:
+        return None
+    if len(j_range) != 2:
+        raise ConfigError("params.j_range", "expected [j_lo, j_hi]")
+    if not all(_is_a(j, int) for j in j_range):
+        raise ConfigError("params.j_range", f"j_lo and j_hi must be integers, got {j_range}")
+    return j_range
+
+
 def task_spectrum(cfg, spec, outdir, threads):
+    j_range = _j_range(cfg, required=False)
     result = _converged_spectrum(cfg, spec)
     paths = [_write_spectrum_csv(outdir, result)]
-    j_range = _get(cfg, "params.j_range", kind=list)
     if j_range is not None:
         paths.append(_fit_and_write(cfg, spec, outdir, result, j_range))
     if not result.all_converged:
@@ -310,7 +324,7 @@ def task_spectrum(cfg, spec, outdir, threads):
 
 
 def task_fit_growth(cfg, spec, outdir, threads):
-    j_range = _get(cfg, "params.j_range", required=True, kind=list)
+    j_range = _j_range(cfg, required=True)
     result = _converged_spectrum(cfg, spec)
     paths = [_write_spectrum_csv(outdir, result)]
     paths.append(_fit_and_write(cfg, spec, outdir, result, j_range))
@@ -318,8 +332,6 @@ def task_fit_growth(cfg, spec, outdir, threads):
 
 
 def _fit_and_write(cfg, spec, outdir, result, j_range):
-    if len(j_range) != 2:
-        raise ConfigError("params.j_range", "expected [j_lo, j_hi]")
     pot = build_potential(cfg, spec)
     try:
         fit = schrodinger.fit_growth_exponent(result, j_range, pot.mu)
@@ -352,8 +364,8 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     """Execute one experiment config; returns the list of written files."""
     t0 = time.monotonic()
     task = _get(config, "task", required=True, kind=str)
-    if task not in TASKS:
-        raise ConfigError("task", f"unknown task '{task}'; expected one of {', '.join(TASKS)}")
+    if task not in RUNNERS:
+        raise ConfigError("task", f"unknown task '{task}'; expected one of {', '.join(RUNNERS)}")
     spec = build_lattice(config)
     outdir = out_dir or _get(config, "output.directory", default=".", kind=str)
     os.makedirs(outdir, exist_ok=True)
@@ -375,6 +387,12 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     return outputs + [mpath]
 
 
+def _diagnose(code, error, field, message) -> int:
+    """Write the one-line JSON diagnostic to stderr; returns the exit code."""
+    print(json.dumps({"error": error, "field": field, "message": message}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="lattice-pdo",
                                      description="lattice pseudo-differential operator toolkit")
@@ -392,28 +410,17 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = json.load(fh)
     except OSError as e:
-        print(json.dumps({"error": "config", "field": "config", "message": str(e)}),
-              file=sys.stderr)
-        return 2
+        return _diagnose(2, "config", "config", str(e))
     except json.JSONDecodeError as e:
-        print(json.dumps({"error": "config", "field": "config", "message": f"invalid JSON: {e}"}),
-              file=sys.stderr)
-        return 2
+        return _diagnose(2, "config", "config", f"invalid JSON: {e}")
 
     try:
         run(config, out_dir=args.out, threads=args.threads, seed=args.seed)
     except ConfigError as e:
-        print(json.dumps({"error": "config", "field": e.field, "message": str(e)}),
-              file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(json.dumps({"error": "numeric", "field": None, "message": str(e)}),
-              file=sys.stderr)
-        return 3
-    except (ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as e:
-        print(json.dumps({"error": "numeric", "field": None, "message": str(e)}),
-              file=sys.stderr)
-        return 3
+        return _diagnose(2, "config", e.field, str(e))
+    except (NumericError, ValueError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as e:
+        return _diagnose(3, "numeric", None, str(e))
     return 0
 
 

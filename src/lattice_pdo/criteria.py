@@ -60,13 +60,12 @@ def nuclear_sum(K, r: float, p2: float) -> float:
 class CriterionQuery:
     """Exponent bundle for the decision engine.
 
-    p and q must be conjugate (1/p + 1/q = 1, q = inf allowed for p = 1);
-    r in (0, 1] is the nuclearity order; p1, p2 are the domain/codomain
-    exponents, defaulting to p.
+    p >= 1 is the boundedness exponent (the mixed sum derives its conjugate
+    itself); r in (0, 1] is the nuclearity order; p1, p2 are the
+    domain/codomain exponents, defaulting to p.
     """
 
     p: float = 2.0
-    q: Optional[float] = None
     r: float = 1.0
     p1: Optional[float] = None
     p2: Optional[float] = None
@@ -75,13 +74,6 @@ class CriterionQuery:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        q = self.q
-        if q is None:
-            q = math.inf if self.p == 1 else self.p / (self.p - 1)
-            object.__setattr__(self, "q", q)
-        inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        if abs(1.0 / self.p + inv_q - 1.0) > 1e-12:
-            raise ValueError(f"p={self.p} and q={q} are not conjugate exponents")
         if not (0 < self.r <= 1):
             raise ValueError(f"r must lie in (0, 1], got {self.r}")
         if self.p1 is None:
@@ -248,18 +240,15 @@ def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> 
     return float(np.cumsum(terms)[-1])
 
 
-def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int,
-                          q_tilde: Optional[int] = None) -> TailBound:
+def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> TailBound:
     """Bound the coefficient mass left out by truncating to box radius R.
 
     Combines the empirical decay constant with integral-comparison tails of
     (1+|k|)^(mu + 2 q_tilde delta) over rows outside the box and
-    (1+|m|/hbar)^(-2 q_tilde) over frequencies beyond the box reach.
+    (1+|m|/hbar)^(-2 q_tilde) over frequencies beyond the box reach, with
+    q_tilde the exponent the decay report was estimated at.
     """
-    if q_tilde is None:
-        q_tilde = decay.q_tilde
-    if q_tilde != decay.q_tilde:
-        raise ValueError(f"q_tilde={q_tilde} does not match the decay report ({decay.q_tilde})")
+    q_tilde = decay.q_tilde
     n = decay.dim
     a = order.mu + 2 * q_tilde * order.delta
     b = -2.0 * q_tilde

@@ -80,8 +80,8 @@ class CoefficientTable:
     m_points: np.ndarray     # (M, n)
     values: np.ndarray       # (S, M) complex
 
-    def nonzeros_per_row(self, tol: float = 0.0) -> np.ndarray:
-        return np.sum(np.abs(self.values) > tol, axis=1)
+    def nonzeros_per_row(self) -> np.ndarray:
+        return np.sum(np.abs(self.values) > 0, axis=1)
 
 
 def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,

@@ -37,6 +37,7 @@ from ._util import check_dense_fits, check_fits, parallel_map
 
 TRIPLET_BYTES = 32       # two int64 indices and a complex128 value
 PAIRWISE_BLOCK = 128     # numpy sums a row in blocks of at most this many elements
+HERMITIAN_TOL = 1e-9     # largest asymmetry `hermitian_check` accepts
 
 
 def stored_entries(a) -> np.ndarray:
@@ -283,10 +284,13 @@ def _asymmetry(a) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def hermitian_check(K, tol: float = 1e-9):
-    """(is_hermitian, max |A(k,m) - conj(A(m,k))|) of a KernelMatrix or a square array."""
+def hermitian_check(K):
+    """(is_hermitian, max |A(k,m) - conj(A(m,k))|) of a KernelMatrix or a square array.
+
+    Hermitian means an asymmetry of at most HERMITIAN_TOL.
+    """
     asym = K.asymmetry if isinstance(K, KernelMatrix) else _asymmetry(entries_of(K))
-    return asym <= tol, asym
+    return asym <= HERMITIAN_TOL, asym
 
 
 def hermitize(K: KernelMatrix) -> KernelMatrix:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from .kernel import KernelMatrix, assemble
-from .spectral import SpectralResult
 from .symbols import anharmonic_value, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
@@ -198,11 +197,13 @@ class GrowthFit:
 
 
 def fit_growth_exponent(eigs, j_range, mu: float) -> GrowthFit:
-    """Fit the eigenvalue growth exponent over a 1-based index window."""
+    """Fit the eigenvalue growth exponent over a 1-based index window.
+
+    eigs is a ConvergedSpectrum, whose window must be converged, or an
+    array of ascending eigenvalues.
+    """
     if isinstance(eigs, ConvergedSpectrum):
         vals, flags = eigs.eigenvalues, eigs.converged
-    elif isinstance(eigs, SpectralResult):
-        vals, flags = eigs.eigenvalues, None
     else:
         vals, flags = np.asarray(eigs, dtype=float), None
     j_lo, j_hi = int(j_range[0]), int(j_range[1])

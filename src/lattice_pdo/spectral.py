@@ -19,7 +19,7 @@ import numpy as np
 from .kernel import KernelMatrix, entries_of, hermitian_check
 from .symbols import SymbolOrder
 
-HERMITIAN_TOL = 1e-9
+SANDWICH_SLACK = 1e-8   # rounding allowed at each link of the sandwich chain
 
 
 @dataclass
@@ -27,14 +27,13 @@ class SpectralResult:
     """Sorted spectrum, with eigenvectors on request.
 
     Eigenvalues ascend; eigenvector column j pairs with eigenvalue j, with
-    the phase fixed so each column's largest-magnitude component is real
-    positive.  residual_norm is max_j |K v_j - lambda_j v_j|_inf (None when
-    vectors were not requested).
+    the phase fixed so each column's largest-magnitude component (the first
+    one, on a tie) is real positive.  eigenvectors is None when vectors
+    were not requested.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-    residual_norm: Optional[float]
 
 
 def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
@@ -43,20 +42,18 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     Real input is solved in real arithmetic, with real eigenvectors.
     """
     mat = entries_of(K)
-    ok, asym = hermitian_check(K, HERMITIAN_TOL)
+    ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     if want_vectors:
         vals, vecs = np.linalg.eigh(mat)
-        for j in range(vecs.shape[1]):
-            col = vecs[:, j]
-            i = int(np.argmax(np.abs(col)))
-            phase = col[i] / abs(col[i])
-            vecs[:, j] = col / phase
-        resid = float(np.max(np.abs(mat @ vecs - vecs * vals))) if mat.size else 0.0
-        return SpectralResult(vals, vecs, resid)
-    vals = np.linalg.eigvalsh(mat)
-    return SpectralResult(vals, None, None)
+        if vecs.size:
+            top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+            # libm's hypot, as abs() of a complex scalar: np.abs of a complex
+            # array can round its last bit differently
+            vecs /= top / np.hypot(top.real, top.imag)
+        return SpectralResult(vals, vecs)
+    return SpectralResult(np.linalg.eigvalsh(mat), None)
 
 
 def residue_norm(K) -> float:
@@ -71,8 +68,7 @@ def residue_norm(K) -> float:
     np.fill_diagonal(res, 0.0)
     if res.size == 0:
         return 0.0
-    if ((isinstance(K, KernelMatrix) and hermitian_check(K, HERMITIAN_TOL)[0])
-            or hermitian_check(res, HERMITIAN_TOL)[0]):
+    if (isinstance(K, KernelMatrix) and hermitian_check(K)[0]) or hermitian_check(res)[0]:
         return float(np.max(np.abs(np.linalg.eigvalsh(res))))
     return float(np.linalg.norm(res, 2))
 
@@ -168,9 +164,9 @@ class SandwichReport:
     middle: np.ndarray
     upper: np.ndarray
 
-    def chain_holds(self, slack: float = 1e-8) -> bool:
-        return bool(np.all(self.lower <= self.middle + slack)
-                    and np.all(self.middle <= self.upper + slack))
+    def chain_holds(self) -> bool:
+        return bool(np.all(self.lower <= self.middle + SANDWICH_SLACK)
+                    and np.all(self.middle <= self.upper + SANDWICH_SLACK))
 
 
 def sandwich_check(K: KernelMatrix) -> SandwichReport:

@@ -394,3 +394,49 @@ def test_criterion_sums_build_no_dense_matrix(tmp_path, monkeypatch, task, param
     assert main(["run", write_config(tmp_path, cfg, name="diag.json"),
                  "--out", str(tmp_path / "diag")]) == 0
     assert built == [81]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("lattice", "hbar", True),
+    ("lattice", "dim", True),
+    ("truncation", "radius", True),
+    ("params", "j_max", True),
+    ("params", "j_range", ["a", 20]),
+    ("params", "j_range", [5.7, 20.2]),
+], ids=["hbar-true", "dim-true", "radius-true", "j_max-true", "j_range-str", "j_range-float"])
+def test_config_rejects_booleans_and_non_integer_window(tmp_path, capsys, section, key, value):
+    cfg = base_config("spectrum", symbol=SCHRODINGER, truncation={"radius": 25},
+                      params={"j_max": 30, "tol": 1e-8, "j_range": [5, 20]})
+    cfg[section][key] = value
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["field"] == f"{section}.{key}"
+
+
+@pytest.mark.parametrize("symbol, diagonal", [
+    ({"family": "constant", "params": {"value": 2.5}}, [2.5] * 5),
+    ({"family": "anharmonic", "params": {"c": 0.5, "l": 2}}, [8.0, 0.5, 0.5, 8.0]),
+])
+def test_multiplier_families_assemble(tmp_path, symbol, diagonal):
+    cfg = base_config("assemble", symbol=symbol, truncation={"radius": 2})
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "kernel.csv").read_text().splitlines()[1:]]
+    assert all(r[0] == r[1] and float(r[3]) == 0.0 for r in rows)
+    assert [float(r[2]) for r in rows] == diagonal
+
+
+def test_order_report_reads_the_symbol_order(tmp_path):
+    cfg = base_config("order-report",
+                      symbol={"family": "decaying", "params": {"s": 0.75, "a": 1.0, "b": 1.0}},
+                      params={"p": 2.0, "r": 1.0})
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["order"] == {"mu": -0.75, "rho": 1.0, "delta": 0.0}
+    assert report["verdicts"]["compact"] == "holds"
+    assert report["verdicts"]["r_nuclear"] == "fails"
+    assert report["t"] is None

@@ -10,7 +10,7 @@ from lattice_pdo.criteria import (CriterionQuery, _power_ball_sum, _power_shell_
                                   sup_entry, truncation_tail_bound)
 from lattice_pdo.fourier import estimate_decay_constant
 from lattice_pdo.kernel import assemble
-from lattice_pdo.symbols import (SymbolOrder, constant_symbol,
+from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol,
                                  decaying_test_symbol, difference_symbol,
                                  multiplication_symbol, schrodinger_symbol)
 
@@ -124,11 +124,6 @@ def test_sum_monotonicity_in_radius():
 
 
 def test_query_validation():
-    q = CriterionQuery(p=2.0, n=1)
-    assert q.q == pytest.approx(2.0)
-    assert CriterionQuery(p=1.0, n=1).q == math.inf
-    with pytest.raises(ValueError):
-        CriterionQuery(p=2.0, q=3.0, n=1)
     with pytest.raises(ValueError):
         CriterionQuery(p=2.0, r=1.5, n=1)
     with pytest.raises(ValueError):
@@ -199,6 +194,34 @@ def test_tail_bound_decaying():
     b = truncation_tail_bound(sym.order, decay_small, 10)
     explicit = 2 * sum(2.0 * (1 + k) ** -3 + 2 * 0.5 * (1 + k) ** -3
                        for k in range(11, 3000))
+    assert b.value >= explicit
+
+
+def test_tail_bound_infinite_frequency_support():
+    # (1+|k|)^-3 exp(cos 2 pi theta) has coefficients (1+|k|)^-3 I_|m|(1) at every
+    # frequency m, so no support radius is found and the frequency tail is a shell sum
+    def ev(k, theta):
+        return (1.0 + np.linalg.norm(k)) ** -3 * np.exp(np.cos(2 * np.pi * theta[..., 0]))
+
+    sym = Symbol(SPEC1, SymbolOrder(-3.0, 1.0, 0.0), ev, name="bessel")
+    decay = estimate_decay_constant(sym, 1, 10, 5)
+    assert decay.support_radius is None
+    R = 10
+    b = truncation_tail_bound(sym.order, decay, R)
+    assert b.applicable and math.isfinite(b.value) and b.m_tail > 0
+
+    def bessel_i(m):  # I_m(1) by its power series
+        return sum(0.5 ** (2 * j + m) / (math.factorial(j) * math.factorial(j + m))
+                   for j in range(30))
+
+    def two_sided(terms, lo, hi):  # sum of terms[|j|] over lo <= |j| < hi
+        return (terms[0] if lo == 0 else 0.0) + 2 * sum(terms[max(lo, 1):hi])
+
+    rows = [(1 + k) ** -3.0 for k in range(3000)]
+    freqs = [bessel_i(m) for m in range(40)]
+    # mass with the row outside the box, or the row inside and the frequency outside
+    explicit = (two_sided(rows, R + 1, 3000) * two_sided(freqs, 0, 40)
+                + two_sided(rows, 0, R + 1) * two_sided(freqs, R + 1, 40))
     assert b.value >= explicit
 
 

@@ -63,13 +63,31 @@ def test_eigenvector_contract():
     V = dec.eigenvectors
     # orthonormality and per-pair residual
     assert np.max(np.abs(V.conj().T @ V - np.eye(12))) <= 1e-8
-    assert dec.residual_norm <= 1e-8 * np.max(np.abs(M))
+    assert np.max(np.abs(M @ V - V * dec.eigenvalues)) <= 1e-8 * np.max(np.abs(M))
     # phase fixing: the largest-magnitude component of each column is real positive
     for j in range(12):
         i = np.argmax(np.abs(V[:, j]))
         assert abs(V[i, j].imag) <= 1e-12 and V[i, j].real > 0
     # trace conservation
     assert np.sum(dec.eigenvalues) == pytest.approx(np.trace(M).real, rel=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigenvector_phase_matches_column_loop(dtype):
+    rng = np.random.default_rng(8)
+    for n in (1, 5, 64, 301):
+        M = rng.normal(size=(n, n)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.normal(size=(n, n))
+        M = 0.5 * (M + M.conj().T)
+        vals, vecs = np.linalg.eigh(M)
+        for j in range(n):  # reference: fix each column's phase in turn
+            col = vecs[:, j]
+            i = int(np.argmax(np.abs(col)))
+            vecs[:, j] = col / (col[i] / abs(col[i]))
+        dec = eigendecompose_hermitian(M, want_vectors=True)
+        assert np.array_equal(dec.eigenvalues, vals)
+        assert np.array_equal(dec.eigenvectors, vecs)
 
 
 def test_eigendecompose_deterministic():
