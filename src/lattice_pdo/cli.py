@@ -6,7 +6,8 @@ Every run writes a manifest.json listing each output file with a content
 hash, the echoed config, the library version and the wall time.  Numeric
 output is deterministic: the same config produces byte-identical CSV
 bodies regardless of the thread cap.  Exit codes: 0 ok, 2 config error,
-3 numeric/budget failure.
+3 numeric/budget failure.  Each task runner reads and checks every field
+it uses, by its full path from the config root, before any numeric work.
 """
 
 import argparse
@@ -22,6 +23,8 @@ from .lattice import BoxTruncation, LatticeSpec
 from . import symbols as sym_mod
 from . import fourier, kernel, criteria, spectral, schrodinger
 from ._util import sha256_of, write_csv
+
+NUMBER = (int, float)
 
 
 class ConfigError(ValueError):
@@ -40,24 +43,42 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
+def _expected(kind, value) -> str:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return f"expected {' or '.join(k.__name__ for k in kinds)}, got {type(value).__name__}"
+
+
 def _get(cfg, path, default=None, required=False, kind=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    """The field at the dotted ``path`` from the config root, or ``default`` if absent.
+
+    Every object on the way must be a dict; the diagnostic names the path
+    of the object or field that is missing or of the wrong kind.
+    """
+    node, parts = cfg, path.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(parts[:i]) or "config", _expected(dict, node))
+        if part not in node:
             if required:
                 raise ConfigError(path, "required field is missing")
             return default
         node = node[part]
     if kind is not None and not _is_a(node, kind):
-        raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}, "
-                                f"got {type(node).__name__}")
+        raise ConfigError(path, _expected(kind, node))
     return node
 
 
 def _positive(cfg, path, default=None, required=False):
-    v = _get(cfg, path, default=default, required=required, kind=(int, float))
+    v = _get(cfg, path, default=default, required=required, kind=NUMBER)
     if v is not None and v <= 0:
         raise ConfigError(path, f"must be positive, got {v}")
+    return v
+
+
+def _int_at_least(cfg, path, low, default=None, required=False):
+    v = _get(cfg, path, default=default, required=required, kind=int)
+    if v is not None and v < low:
+        raise ConfigError(path, f"must be at least {low}, got {v}")
     return v
 
 
@@ -72,31 +93,28 @@ def build_lattice(cfg) -> LatticeSpec:
 
 def build_symbol(cfg, spec: LatticeSpec):
     family = _get(cfg, "symbol.family", required=True, kind=str)
-    params = _get(cfg, "symbol.params", default={}, kind=dict)
     try:
         if family == "difference":
             if spec.dim != 1:
                 raise ConfigError("lattice.dim", "the difference symbol is one-dimensional")
             return sym_mod.difference_symbol(spec.hbar)
         if family == "multiplication":
-            eps = _get(params, "epsilon", required=True, kind=(int, float))
+            eps = _get(cfg, "symbol.params.epsilon", required=True, kind=NUMBER)
             return sym_mod.multiplication_symbol(float(eps), spec)
         if family == "decaying":
-            s = _get(params, "s", required=True, kind=(int, float))
-            a = _get(params, "a", required=True, kind=(int, float))
-            b = _get(params, "b", required=True, kind=(int, float))
+            s = _get(cfg, "symbol.params.s", required=True, kind=NUMBER)
+            a = _get(cfg, "symbol.params.a", required=True, kind=NUMBER)
+            b = _get(cfg, "symbol.params.b", required=True, kind=NUMBER)
             return sym_mod.decaying_test_symbol(float(s), float(a), float(b), spec)
         if family == "constant":
-            value = _get(params, "value", required=True, kind=(int, float))
+            value = _get(cfg, "symbol.params.value", required=True, kind=NUMBER)
             return sym_mod.constant_symbol(value, spec)
         if family == "anharmonic":
-            c = _get(params, "c", required=True, kind=(int, float))
-            l = _get(params, "l", required=True, kind=int)
+            c = _get(cfg, "symbol.params.c", required=True, kind=NUMBER)
+            l = _get(cfg, "symbol.params.l", required=True, kind=int)
             return sym_mod.polynomial_potential(float(c), l, spec)
         if family == "schrodinger":
-            pot = build_potential(cfg, spec)
-            lam = _get(params, "lambda", default=0.0, kind=(int, float))
-            return sym_mod.schrodinger_symbol(pot, float(lam), spec)
+            return sym_mod.schrodinger_symbol(*build_potential(cfg, spec), spec)
     except ConfigError:
         raise
     except ValueError as e:
@@ -104,20 +122,19 @@ def build_symbol(cfg, spec: LatticeSpec):
     raise ConfigError("symbol.family", f"unknown symbol family '{family}'")
 
 
-def build_potential(cfg, spec: LatticeSpec) -> schrodinger.PotentialSpec:
-    pot = _get(cfg, "symbol.params.potential", required=True, kind=dict)
-    c = _get(pot, "c", required=True, kind=(int, float))
-    l = _get(pot, "l", required=True, kind=int)
+def build_potential(cfg, spec: LatticeSpec):
+    """The Schrodinger potential c|k|^(2l), validated, and the shift lambda."""
+    c = _get(cfg, "symbol.params.potential.c", required=True, kind=NUMBER)
+    l = _get(cfg, "symbol.params.potential.l", required=True, kind=int)
+    lam = _get(cfg, "symbol.params.lambda", default=0.0, kind=NUMBER)
     try:
-        return schrodinger.PotentialSpec.anharmonic(float(c), l, spec.dim)
+        return schrodinger.PotentialSpec.anharmonic(float(c), l, spec.dim), float(lam)
     except ValueError as e:
         raise ConfigError("symbol.params.potential", str(e))
 
 
 def build_box(cfg) -> BoxTruncation:
-    radius = _get(cfg, "truncation.radius", kind=int)
-    if radius is None:
-        raise ConfigError("truncation.radius", "required field is missing")
+    radius = _get(cfg, "truncation.radius", required=True, kind=int)
     try:
         return BoxTruncation(radius)
     except ValueError as e:
@@ -131,13 +148,14 @@ def _write_json(path, payload):
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns a list of output file paths
+# task runners: each reads and checks its fields, then computes, and returns
+# a list of output file paths
 # ---------------------------------------------------------------------------
 
 def task_coeffs(cfg, spec, outdir, threads):
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
-    freq_radius = _get(cfg, "params.freq_radius", default=3, kind=int)
+    freq_radius = _int_at_least(cfg, "params.freq_radius", 0, default=3)
     table = fourier.coefficient_table(sym, box, freq_radius, threads=threads)
     path = os.path.join(outdir, "coeffs.csv")
     fourier.table_to_csv(table, path)
@@ -147,9 +165,11 @@ def task_coeffs(cfg, spec, outdir, threads):
 def task_assemble(cfg, spec, outdir, threads):
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
+    formats = _get(cfg, "output.formats", default=["csv"], kind=list)
+    if "csv" not in formats and "bin" not in formats:
+        raise ConfigError("output.formats", "assemble task needs 'csv' and/or 'bin'")
     K = kernel.assemble(sym, spec, box, threads=threads)
     paths = []
-    formats = _get(cfg, "output.formats", default=["csv"], kind=list)
     if "csv" in formats:
         p = os.path.join(outdir, "kernel.csv")
         kernel.write_csv(K, p)
@@ -158,20 +178,15 @@ def task_assemble(cfg, spec, outdir, threads):
         p = os.path.join(outdir, "kernel.bin")
         kernel.write_binary(K, p)
         paths.append(p)
-    if not paths:
-        raise ConfigError("output.formats", "assemble task needs 'csv' and/or 'bin'")
     return paths
 
 
 def _query_from(cfg, spec):
+    p = float(_get(cfg, "params.p", default=2.0, kind=NUMBER))
+    r = float(_get(cfg, "params.r", default=1.0, kind=NUMBER))
+    p2 = float(_get(cfg, "params.p2", default=p, kind=NUMBER))
     try:
-        return criteria.CriterionQuery(
-            p=float(_get(cfg, "params.p", default=2.0, kind=(int, float))),
-            r=float(_get(cfg, "params.r", default=1.0, kind=(int, float))),
-            p2=float(_get(cfg, "params.p2", default=_get(cfg, "params.p", default=2.0,
-                                                         kind=(int, float)),
-                          kind=(int, float))),
-            n=spec.dim)
+        return criteria.CriterionQuery(p=p, r=r, p2=p2, n=spec.dim)
     except ValueError as e:
         raise ConfigError("params", str(e))
 
@@ -225,11 +240,10 @@ def task_check_nuclear(cfg, spec, outdir, threads):
 
 
 def task_order_report(cfg, spec, outdir, threads):
-    params = _get(cfg, "params", default={}, kind=dict)
-    if "mu" in params:
-        mu = _get(params, "mu", kind=(int, float))
-        delta = _get(params, "delta", default=0.0, kind=(int, float))
-        rho = _get(params, "rho", default=1.0, kind=(int, float))
+    mu = _get(cfg, "params.mu", kind=NUMBER)
+    if mu is not None:
+        delta = _get(cfg, "params.delta", default=0.0, kind=NUMBER)
+        rho = _get(cfg, "params.rho", default=1.0, kind=NUMBER)
         try:
             order = sym_mod.SymbolOrder(float(mu), float(rho), float(delta))
         except ValueError as e:
@@ -249,15 +263,14 @@ def task_order_report(cfg, spec, outdir, threads):
 def task_diag_approx(cfg, spec, outdir, threads):
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
+    hermitize = _get(cfg, "params.hermitize", default=True, kind=bool)
     K = kernel.assemble(sym, spec, box, threads=threads)
-    hermitized = False
     ok, asym = kernel.hermitian_check(K)
     if not ok:
-        if not _get(cfg, "params.hermitize", default=True, kind=bool):
+        if not hermitize:
             raise NumericError(f"kernel is not Hermitian (asymmetry {asym:.3e}) "
                                "and hermitize=false")
         K = kernel.hermitize(K)
-        hermitized = True
     report = spectral.diagonal_approximation(K, sym.order)
     csv_path = os.path.join(outdir, "diag_approx.csv")
     write_csv(csv_path, ["index"] + [f"k_{i + 1}" for i in range(spec.dim)]
@@ -270,82 +283,60 @@ def task_diag_approx(cfg, spec, outdir, threads):
         "residue_norm": report.residue_spectral_norm,
         "max_abs_residual": report.max_abs_residual,
         "applicable": report.applicable,
-        "hermitized": hermitized,
+        "hermitized": not ok,
         "low_overlap_pairs": int(np.sum(report.low_overlap)),
     })
     return [csv_path, json_path]
 
 
-def _converged_spectrum(cfg, spec):
-    pot = build_potential(cfg, spec)
-    lam = _get(cfg, "symbol.params.lambda", default=0.0, kind=(int, float))
-    j_max = _get(cfg, "params.j_max", required=True, kind=int)
+def task_spectrum(cfg, spec, outdir, threads, fit_growth=False):
+    """The box-doubling scan of spectrum and fit-growth.
+
+    fit-growth requires params.j_range and fails only on unconverged
+    values inside it; spectrum fails on any unconverged value.
+    """
+    pot, lam = build_potential(cfg, spec)
+    j_max = _int_at_least(cfg, "params.j_max", 1, required=True)
     tol = _positive(cfg, "params.tol", default=1e-8)
     max_dim = _get(cfg, "params.max_dim", default=schrodinger.DEFAULT_MAX_DIM, kind=int)
     start = _get(cfg, "truncation.radius", kind=int)
-    try:
-        return schrodinger.spectrum_converged(spec, pot, j_max, tol, lam=float(lam),
-                                              start_radius=start, max_dim=max_dim)
-    except ValueError as e:
-        raise ConfigError("params", str(e))
+    if start is not None and start < 1:
+        # the diagnostic stays byte-identical to the one earlier releases wrote
+        raise ConfigError("params", f"start_radius must be at least 1, got {start}")
+    j_range = _get(cfg, "params.j_range", required=fit_growth, kind=list)
+    if j_range is not None and (len(j_range) != 2 or not all(_is_a(j, int) for j in j_range)
+                                or not 1 <= j_range[0] < j_range[1] <= j_max):
+        raise ConfigError("params.j_range", "expected integers [j_lo, j_hi] with "
+                          f"1 <= j_lo < j_hi <= j_max = {j_max}, got {j_range}")
 
-
-def _write_spectrum_csv(outdir, result):
-    path = os.path.join(outdir, "spectrum.csv")
-    write_csv(path, ["j", "lambda_j", "converged", "R_used"],
-              [np.arange(1, len(result.eigenvalues) + 1), result.eigenvalues,
+    result = schrodinger.spectrum_converged(spec, pot, j_max, tol, lam=lam,
+                                            start_radius=start, max_dim=max_dim)
+    paths = [os.path.join(outdir, "spectrum.csv")]
+    write_csv(paths[0], ["j", "lambda_j", "converged", "R_used"],
+              [np.arange(1, j_max + 1), result.eigenvalues,
                result.converged.astype(int), result.radius_used])
-    return path
-
-
-def _j_range(cfg, required):
-    """params.j_range as [j_lo, j_hi], two integers; None when absent and not required."""
-    j_range = _get(cfg, "params.j_range", required=required, kind=list)
-    if j_range is None:
-        return None
-    if len(j_range) != 2:
-        raise ConfigError("params.j_range", "expected [j_lo, j_hi]")
-    if not all(_is_a(j, int) for j in j_range):
-        raise ConfigError("params.j_range", f"j_lo and j_hi must be integers, got {j_range}")
-    return j_range
-
-
-def task_spectrum(cfg, spec, outdir, threads):
-    j_range = _j_range(cfg, required=False)
-    result = _converged_spectrum(cfg, spec)
-    paths = [_write_spectrum_csv(outdir, result)]
     if j_range is not None:
-        paths.append(_fit_and_write(cfg, spec, outdir, result, j_range))
-    if not result.all_converged:
+        try:
+            fit = schrodinger.fit_growth_exponent(result, j_range, pot.mu)
+        except ValueError as e:
+            raise NumericError(str(e))
+        paths.append(os.path.join(outdir, "growth.json"))
+        _write_json(paths[-1], {
+            "j_range": list(fit.j_range),
+            "slope": fit.slope,
+            "intercept": fit.intercept,
+            "mu": fit.mu,
+            "r_bound_satisfied": {repr(r): ok for r, ok in fit.r_bound_satisfied.items()},
+        })
+    if not fit_growth and not result.all_converged:
         raise NumericError(
             f"budget exhausted: {int(np.sum(~result.converged))} of "
-            f"{len(result.converged)} eigenvalues unconverged at radius {result.radius_used}")
+            f"{j_max} eigenvalues unconverged at radius {result.radius_used}")
     return paths
 
 
 def task_fit_growth(cfg, spec, outdir, threads):
-    j_range = _j_range(cfg, required=True)
-    result = _converged_spectrum(cfg, spec)
-    paths = [_write_spectrum_csv(outdir, result)]
-    paths.append(_fit_and_write(cfg, spec, outdir, result, j_range))
-    return paths
-
-
-def _fit_and_write(cfg, spec, outdir, result, j_range):
-    pot = build_potential(cfg, spec)
-    try:
-        fit = schrodinger.fit_growth_exponent(result, j_range, pot.mu)
-    except ValueError as e:
-        raise NumericError(str(e))
-    path = os.path.join(outdir, "growth.json")
-    _write_json(path, {
-        "j_range": list(fit.j_range),
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "mu": fit.mu,
-        "r_bound_satisfied": {repr(r): ok for r, ok in fit.r_bound_satisfied.items()},
-    })
-    return path
+    return task_spectrum(cfg, spec, outdir, threads, fit_growth=True)
 
 
 RUNNERS = {
@@ -418,9 +409,9 @@ def main(argv=None) -> int:
         run(config, out_dir=args.out, threads=args.threads, seed=args.seed)
     except ConfigError as e:
         return _diagnose(2, "config", e.field, str(e))
-    except (NumericError, ValueError, FloatingPointError, OverflowError,
+    except (NumericError, ValueError, FloatingPointError, OverflowError, MemoryError,
             np.linalg.LinAlgError) as e:
-        return _diagnose(3, "numeric", None, str(e))
+        return _diagnose(3, "numeric", None, str(e) or type(e).__name__)
     return 0
 
 

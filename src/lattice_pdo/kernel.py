@@ -123,11 +123,11 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     (every offset that fits in the box when the radius is unknown), kept
     as sorted nonzero triplets, float64 when every band is real and
     complex128 otherwise.  Bands whose triplets could not fit in physical
-    memory are refused before any is built.  Any other symbol goes through
-    FFT quadrature row by row into a dense complex128 matrix, which refuses
-    boxes whose 2R + 1 columns per axis would fold onto fewer than
-    ``n_samples`` frequency bins, and boxes whose matrix would not fit in
-    physical memory.
+    memory are refused before the box coordinates or any band is built.
+    Any other symbol goes through FFT quadrature row by row into a dense
+    complex128 matrix, which refuses boxes whose 2R + 1 columns per axis
+    would fold onto fewer than ``n_samples`` frequency bins, and boxes
+    whose matrix would not fit in physical memory.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -135,11 +135,12 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     r = box.radius
 
     if sym.closed_form_coeffs is not None:
+        reach = BoxTruncation(2 * r if sym.coeff_support_radius is None
+                              else min(sym.coeff_support_radius, 2 * r))
+        bands = reach.size(spec.dim)
+        check_fits(bands * size * TRIPLET_BYTES, f"{bands} bands of a {size}-point box")
         zs = enumerate_box_integers(spec, box)
-        reach = 2 * r if sym.coeff_support_radius is None else min(sym.coeff_support_radius, 2 * r)
-        offsets = enumerate_box_integers(spec, BoxTruncation(reach))
-        check_fits(len(offsets) * size * TRIPLET_BYTES,
-                   f"{len(offsets)} bands of a {size}-point box")
+        offsets = enumerate_box_integers(spec, reach)
         strides = (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
         flat, values = [], []
         for off in offsets:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -403,7 +404,10 @@ def test_criterion_sums_build_no_dense_matrix(tmp_path, monkeypatch, task, param
     ("params", "j_max", True),
     ("params", "j_range", ["a", 20]),
     ("params", "j_range", [5.7, 20.2]),
-], ids=["hbar-true", "dim-true", "radius-true", "j_max-true", "j_range-str", "j_range-float"])
+    ("params", "j_range", [20, 5]),
+    ("params", "j_range", [5, 40]),
+], ids=["hbar-true", "dim-true", "radius-true", "j_max-true", "j_range-str", "j_range-float",
+        "j_range-reversed", "j_range-beyond-j_max"])
 def test_config_rejects_booleans_and_non_integer_window(tmp_path, capsys, section, key, value):
     cfg = base_config("spectrum", symbol=SCHRODINGER, truncation={"radius": 25},
                       params={"j_max": 30, "tol": 1e-8, "j_range": [5, 20]})
@@ -413,6 +417,80 @@ def test_config_rejects_booleans_and_non_integer_window(tmp_path, capsys, sectio
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["field"] == f"{section}.{key}"
+    # refused before the scan
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
+# (config, exit code, diagnostic field, text in the message); every field is
+# checked before any numeric work, and a diagnostic names the full field path
+CHECKED_FIRST = {
+    "epsilon-str": (base_config(
+        "assemble", symbol={"family": "multiplication", "params": {"epsilon": "1"}}),
+        2, "symbol.params.epsilon", "expected int or float, got str"),
+    "potential-c-str": (base_config(
+        "spectrum", params={"j_max": 3},
+        symbol={"family": "schrodinger", "params": {"potential": {"c": "1", "l": 1}}}),
+        2, "symbol.params.potential.c", "expected int or float, got str"),
+    "mu-str": (base_config("order-report", params={"mu": "-3"}),
+               2, "params.mu", "expected int or float, got str"),
+    "hbar-str": (base_config("assemble", lattice={"hbar": "1", "dim": 1}),
+                 2, "lattice.hbar", "expected int or float, got str"),
+    "params-int": (base_config("coeffs", params=3), 2, "params", "expected dict, got int"),
+    "freq_radius-negative": (base_config("coeffs", params={"freq_radius": -1}),
+                             2, "params.freq_radius", "at least 0"),
+    "formats-txt": (base_config("assemble", output={"directory": ".", "formats": ["txt"]}),
+                    2, "output.formats", "'csv' and/or 'bin'"),
+    "hermitize-str-hermitian-kernel": (base_config(
+        "diag-approx", symbol=SCHRODINGER, truncation={"radius": 10},
+        params={"hermitize": "no"}),
+        2, "params.hermitize", "expected bool, got str"),
+    "fit-growth-j_lo-0": (base_config(
+        "fit-growth", symbol=SCHRODINGER, truncation={"radius": 25},
+        params={"j_max": 30, "j_range": [0, 20]}),
+        2, "params.j_range", "1 <= j_lo < j_hi <= j_max = 30"),
+    "j_max-beyond-memory": (base_config(
+        "spectrum", symbol=SCHRODINGER, truncation={"radius": 25},
+        params={"j_max": 10 ** 12}),
+        3, None, ""),
+    # 200001^3 points: the coordinates alone would take 192 PB
+    "bands-beyond-memory": (base_config(
+        "check-bounds", lattice={"hbar": 1.0, "dim": 3}, truncation={"radius": 100000},
+        symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}}),
+        3, None, f"27 bands of a {200001 ** 3}-point box needs {27 * 200001 ** 3 * 32} bytes"),
+    # run with one page of physical memory: the scan's first Hamiltonian is refused
+    "scan-beyond-memory": (base_config(
+        "spectrum", symbol=SCHRODINGER, truncation={"radius": 25}, params={"j_max": 5}),
+        3, None, "bytes of physical memory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_FIRST))
+def test_fields_checked_before_computing(tmp_path, capsys, monkeypatch, time_limit, case):
+    cfg, code, field, text = CHECKED_FIRST[case]
+    assembled = []
+    assemble = kernel.assemble
+
+    def counted(*args, **kwargs):
+        assembled.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "assemble", counted)
+    if case == "scan-beyond-memory":
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
+    with time_limit(20):
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == ("config" if code == 2 else "numeric")
+    assert payload["field"] == field
+    assert text in payload["message"]
+    if code == 2:
+        assert assembled == []
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("symbol, diagonal", [
