@@ -298,11 +298,10 @@ def task_spectrum(cfg, spec, outdir, threads, fit_growth=False):
     pot, lam = build_potential(cfg, spec)
     j_max = _int_at_least(cfg, "params.j_max", 1, required=True)
     tol = _positive(cfg, "params.tol", default=1e-8)
-    max_dim = _get(cfg, "params.max_dim", default=schrodinger.DEFAULT_MAX_DIM, kind=int)
-    start = _get(cfg, "truncation.radius", kind=int)
-    if start is not None and start < 1:
-        # the diagnostic stays byte-identical to the one earlier releases wrote
-        raise ConfigError("params", f"start_radius must be at least 1, got {start}")
+    start = _int_at_least(cfg, "truncation.radius", 1,
+                          default=schrodinger.default_start_radius(spec))
+    max_dim = _int_at_least(cfg, "params.max_dim", BoxTruncation(start).size(spec.dim),
+                            default=schrodinger.DEFAULT_MAX_DIM)
     j_range = _get(cfg, "params.j_range", required=fit_growth, kind=list)
     if j_range is not None and (len(j_range) != 2 or not all(_is_a(j, int) for j in j_range)
                                 or not 1 <= j_range[0] < j_range[1] <= j_max):

@@ -2,9 +2,13 @@
 
 H = -hbar^-2 Delta + V on the scaled lattice, with Delta the plain hopping
 stencil (neighbor sum minus 2n f).  The kinetic part is positive
-semidefinite, so V >= 0 keeps the spectrum nonnegative; low eigenvalues of
-the box truncation stabilize under box doubling because confining
-potentials localize the eigenvectors.
+semidefinite, so V >= 0 keeps the spectrum nonnegative.  Confining
+potentials localize the low eigenvectors, so one box brackets them: the
+Dirichlet box H_R (the plain truncation) and the Neumann box N_R (H_R
+without the hops that leave the box) sandwich each low eigenvalue of H.
+The scan certifies a value as soon as one radius closes its bracket to
+the tolerance, dense solver error included, and writes the Dirichlet
+value of that radius.
 
 The sorted values of the diagonal part (V(k) + 2n hbar^-2 + shift) are an
 independent oracle: Hermitian perturbation bounds every eigenvalue of H
@@ -18,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
-from .kernel import KernelMatrix, assemble
+from .kernel import KernelMatrix, assemble, power_sums
 from .symbols import anharmonic_value, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
@@ -30,12 +34,15 @@ class PotentialSpec:
 
     Construction probes sample points: values must be nonnegative, grow
     along every axis, and the large-radius doubling ratio must match the
-    declared order (log2 ratio within 0.5 of mu).
+    declared order (log2 ratio within 0.5 of mu).  outside_min, when
+    given, maps rho >= 0 to a lower bound of V(k) over |k|_inf >= rho;
+    `spectrum_converged` needs it to certify eigenvalues.
     """
 
     fn: Callable
     mu: float
     dim: int = 1
+    outside_min: Optional[Callable] = None
 
     def __post_init__(self):
         if not (self.mu > 0):
@@ -75,10 +82,15 @@ class PotentialSpec:
 
     @classmethod
     def anharmonic(cls, c: float, l: int, dim: int = 1) -> "PotentialSpec":
-        """V(k) = c |k|^(2l), the anharmonic oscillator family."""
+        """V(k) = c |k|^(2l), the anharmonic oscillator family.
+
+        |k|_2 >= |k|_inf, so V >= c rho^(2l) where |k|_inf >= rho, with
+        equality on an axis: the outside bound is exact.
+        """
         if not (c > 0):
             raise ValueError(f"anharmonic coefficient must be positive, got {c}")
-        return cls(anharmonic_value(c, l), 2.0 * l, dim)
+        return cls(anharmonic_value(c, l), 2.0 * l, dim,
+                   outside_min=lambda rho: c * float(rho) ** (2 * l))
 
 
 def _hamiltonian_symbol(spec: LatticeSpec, V, lam: float):
@@ -112,7 +124,14 @@ def weyl_oracle(spec: LatticeSpec, V, box: BoxTruncation, j_max: int,
 
 @dataclass
 class ConvergedSpectrum:
-    """Low eigenvalues from a box-doubling scan, with per-value flags."""
+    """Low eigenvalues of H from a box-doubling scan, with per-value certificates.
+
+    converged[j] says that a Dirichlet-Neumann bracket at one radius pinned
+    the true eigenvalue of the operator on the whole lattice within tol;
+    eigenvalues[j] is then the Dirichlet value at that certifying radius,
+    and otherwise the Dirichlet value at radius_used, the last radius
+    solved (nan when that box has too few points).
+    """
 
     eigenvalues: np.ndarray
     converged: np.ndarray
@@ -124,7 +143,8 @@ class ConvergedSpectrum:
         return bool(np.all(self.converged))
 
 
-def _start_radius(spec: LatticeSpec) -> int:
+def default_start_radius(spec: LatticeSpec) -> int:
+    """The scan's first radius when none is given."""
     if spec.dim == 1:
         return max(1, round(25 / spec.hbar))
     # keep the starting box near the 1-d budget of 51 points
@@ -132,49 +152,83 @@ def _start_radius(spec: LatticeSpec) -> int:
     return max(1, (side - 1) // 2)
 
 
+def neumann_truncation(H: KernelMatrix) -> np.ndarray:
+    """N_R: the box Hamiltonian H_R with every hop that leaves the box dropped.
+
+    Each diagonal entry loses hbar^-2 per neighbour outside the box, so the
+    kinetic form of N_R is hbar^-2 times the sum of (x_a - x_b)^2 over the
+    edges inside the box.  The inside neighbours of a point are the
+    off-diagonal triplets of its row.
+    """
+    rows, cols, _ = H._triplets
+    inside = np.bincount(rows[rows != cols], minlength=H.size)
+    N = np.array(H.entries)
+    N[np.diag_indices(H.size)] -= (2 * H.spec.dim - inside) / H.spec.hbar ** 2
+    return N
+
+
+def _lowest(a, j_max) -> np.ndarray:
+    # the j_max smallest eigenvalues, nan-padded when the box has fewer
+    out = np.full(j_max, np.nan)
+    vals = np.linalg.eigvalsh(a)[:j_max]
+    out[:len(vals)] = vals
+    return out
+
+
 def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: float,
                        lam: float = 0.0, start_radius: Optional[int] = None,
                        max_dim: int = DEFAULT_MAX_DIM) -> ConvergedSpectrum:
-    """First j_max eigenvalues, each flagged once box doubling stops moving it.
+    """First j_max eigenvalues of H = -hbar^-2 Delta + V + lam, each certified at one radius.
 
-    Eigenvalue j counts as converged when successive radii give values
-    within tol * (1 + |lambda_j|).  The scan stops early when everything
-    requested has converged, or at the matrix-dimension budget (partial
-    result, flags False).  start_radius must be at least 1: box doubling
-    never leaves radius 0.
+    At radius R the Dirichlet box H_R and the Neumann box N_R give
+    lambda_j(N_R) <= lambda_j(H) <= lambda_j(H_R) whenever lambda_j(N_R)
+    lies below V_out(R) + lam, where V_out(R) <= V on every lattice point
+    outside the box (Dirichlet-Neumann bracketing, Reed & Simon IV,
+    XIII.15).  With err = size * eps * ||A||_inf over both box matrices as
+    the bound on a dense eigenvalue's error, lambda_j is certified when
+
+        lambda_j(H_R) - lambda_j(N_R) + 2 err <= tol * (1 + |lambda_j(H_R)|)
+        lambda_j(N_R) + err < V_out(R) + lam.
+
+    A certified value keeps the Dirichlet value of its certifying radius;
+    the others take the last radius's value.  The radius doubles until
+    all j_max values are certified or the next box exceeds max_dim points
+    (partial result, flags False); radius_used is the last radius solved.
+    start_radius must be at least 1, its box must fit in max_dim, and V
+    must carry an outside bound.
     """
     if not isinstance(V, PotentialSpec):
         raise TypeError("spectrum_converged requires a validated PotentialSpec")
+    if V.outside_min is None:
+        raise ValueError("the scan needs a lower bound of V outside the box (outside_min)")
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    R = start_radius if start_radius is not None else _start_radius(spec)
+    R = start_radius if start_radius is not None else default_start_radius(spec)
     if R < 1:
         raise ValueError(f"start_radius must be at least 1, got {R}")
+    start_size = BoxTruncation(R).size(spec.dim)
+    if start_size > max_dim:
+        raise ValueError(f"max_dim {max_dim} is below the {start_size}-point box "
+                         f"of the start radius {R}")
     radii = []
-    prev = None
-    best_vals = np.full(j_max, np.nan)
+    values = np.full(j_max, np.nan)
     flags = np.zeros(j_max, dtype=bool)
-    radius_used = R
     while BoxTruncation(R).size(spec.dim) <= max_dim:
         H = build_hamiltonian(spec, V, BoxTruncation(R), lam)
-        vals = np.linalg.eigvalsh(H.entries)
+        N = neumann_truncation(H)
+        norm = max(np.max(power_sums(H, 1.0, 1)), np.max(power_sums(N, 1.0, 1)))
+        err = H.size * np.finfo(float).eps * norm
+        dirichlet, neumann = _lowest(H.entries, j_max), _lowest(N, j_max)
+        values = np.where(flags, values, dirichlet)
+        flags |= ((dirichlet - neumann + 2 * err <= tol * (1.0 + np.abs(dirichlet)))
+                  & (neumann + err < V.outside_min(spec.hbar * (R + 1)) + lam))
         radii.append(R)
-        m = min(j_max, len(vals))
-        best_vals[:m] = vals[:m]
-        best_vals[m:] = np.nan
-        radius_used = R
-        if prev is not None:
-            mm = min(m, len(prev))
-            diff = np.abs(vals[:mm] - prev[:mm])
-            flags[:mm] = diff < tol * (1.0 + np.abs(vals[:mm]))
-            flags[mm:] = False
-        if m == j_max and flags.all():
+        if flags.all():
             break
-        prev = vals
         R *= 2
-    return ConvergedSpectrum(best_vals, flags, radius_used, radii)
+    return ConvergedSpectrum(values, flags, radii[-1], radii)
 
 
 @dataclass

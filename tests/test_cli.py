@@ -336,10 +336,13 @@ PINNED_CSV = {
         "diag-approx", lattice={"hbar": 0.5, "dim": 2}, truncation={"radius": 4},
         symbol={"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}}), 0),
         "diag_approx.csv", "36a63b1776ab1c768846e1729ca90942acff1094ece592428a487b8b9e2486bf"),
+    # re-pinned when each scan value became certified by a Dirichlet-Neumann
+    # bracket at one radius: 97 rows certified instead of 49, and 46 values
+    # taken from the certifying radius 25 moved by at most 6.3e-13 relative
     "spectrum-budget-exhausted": (_run_config(base_config(
         "spectrum", symbol=SCHRODINGER, truncation={"radius": 25},
         params={"j_max": 300, "max_dim": 101}), 3),
-        "spectrum.csv", "dfc3150722f1296047e8462f721b43f09e2257dc111efbce44bd04dccfca94a1"),
+        "spectrum.csv", "3c2674249be127d4bda5c2d33afd369c3ab8a07c061cadbf673ab20a47b3aa83"),
 }
 
 
@@ -491,6 +494,29 @@ def test_fields_checked_before_computing(tmp_path, capsys, monkeypatch, time_lim
     if code == 2:
         assert assembled == []
         assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["spectrum", "fit-growth"])
+@pytest.mark.parametrize("truncation, max_dim, field, text", [
+    ({"radius": 0}, 101, "truncation.radius", "must be at least 1, got 0"),
+    ({"radius": 25}, 10, "params.max_dim", "must be at least 51, got 10"),
+    ({}, 10, "params.max_dim", "must be at least 51, got 10"),   # the default start radius
+], ids=["radius-0", "max_dim-below-start-box", "max_dim-below-default-box"])
+def test_scan_start_box_checked_first(tmp_path, capsys, monkeypatch, task, truncation,
+                                      max_dim, field, text):
+    solved = []
+    monkeypatch.setattr(kernel, "assemble", lambda *args, **kwargs: solved.append(args))
+    cfg = base_config(task, symbol=SCHRODINGER, truncation=truncation,
+                      params={"j_max": 5, "max_dim": max_dim, "j_range": [1, 5]})
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert (payload["error"], payload["field"]) == ("config", field)
+    assert text in payload["message"]
+    assert solved == []
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("symbol, diagonal", [

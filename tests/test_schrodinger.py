@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from lattice_pdo.kernel import assemble
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian,
-                                     fit_growth_exponent, spectrum_converged,
-                                     weyl_oracle)
+                                     fit_growth_exponent, neumann_truncation,
+                                     spectrum_converged, weyl_oracle)
 from lattice_pdo.symbols import schrodinger_symbol
 
 SPEC1 = LatticeSpec(1.0, 1)
@@ -123,6 +123,90 @@ def test_spectrum_budget_exhaustion_partial():
                              max_dim=7)
     assert not res.all_converged
     assert res.radii_scanned == [2]  # the doubled box of 9 points exceeds the budget
+
+
+def test_spectrum_refuses_max_dim_below_start_box():
+    with pytest.raises(ValueError, match="max_dim"):
+        spectrum_converged(SPEC1, HARMONIC, j_max=3, tol=1e-8, start_radius=25, max_dim=50)
+
+
+def test_spectrum_requires_outside_bound():
+    bare = PotentialSpec(HARMONIC.fn, HARMONIC.mu)
+    with pytest.raises(ValueError, match="outside"):
+        spectrum_converged(SPEC1, bare, j_max=3, tol=1e-8)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_neumann_box_form_and_bracket(hbar, dim):
+    spec, lam = LatticeSpec(hbar, dim), 0.25
+    pot = PotentialSpec.anharmonic(1.0, 1, dim)
+    box = BoxTruncation(2)
+    H = build_hamiltonian(spec, pot, box, lam)
+    N = neumann_truncation(H)
+    # x^T N x = hbar^-2 sum over edges inside the box of (x_a - x_b)^2 + sum (V + lam) x^2
+    zs = enumerate_box_integers(spec, box)
+    a, b = np.nonzero(np.abs(zs[:, None, :] - zs[None, :, :]).sum(axis=2) == 1)
+    inner = a < b
+    a, b = a[inner], b[inner]
+    potential = np.array([pot(hbar * z) for z in zs]) + lam
+    x = np.random.default_rng(dim).normal(size=(5, len(zs)))
+    form = ((x[:, a] - x[:, b]) ** 2).sum(axis=1) / hbar ** 2 + (potential * x ** 2).sum(axis=1)
+    np.testing.assert_allclose(np.einsum("ki,ij,kj->k", x, N, x), form, rtol=1e-12)
+    # dropping the hops that leave the box lowers every eigenvalue
+    assert np.all(np.linalg.eigvalsh(N) <= np.linalg.eigvalsh(H.entries) + 1e-12)
+
+
+def test_certificate_needs_the_outside_bound():
+    # V has wells at k = +-10; the box of radius 3 closes a loose bracket
+    # around a box value near 83 that is no eigenvalue near the bottom of H
+    well = PotentialSpec(lambda k: (float(k @ k) - 100.0) ** 2 / 100.0, 4.0,
+                         outside_min=lambda rho: max(rho * rho - 100.0, 0.0) ** 2 / 100.0)
+    box3 = spectrum_converged(SPEC1, well, j_max=1, tol=0.5, start_radius=3, max_dim=7)
+    assert not box3.converged[0]
+    res = spectrum_converged(SPEC1, well, j_max=1, tol=0.5, start_radius=3, max_dim=100)
+    assert res.converged[0]
+    assert res.eigenvalues[0] < box3.eigenvalues[0] / 10
+
+
+def test_certificate_needs_the_solver_error_below_tol():
+    # at R = 25 the quartic bracket is closed, but size * eps * ||H||_inf is 4.4e-9
+    res = spectrum_converged(SPEC1, QUARTIC, j_max=3, tol=1e-13, max_dim=101)
+    assert res.radii_scanned == [25, 50]
+    assert not res.converged.any()
+
+
+def test_quartic_ground_state_certified():
+    # reference: a 40-digit mpmath Sturm-sequence bisection of the tridiagonal
+    # box matrix gives lambda_1 = 0.98014325014208 at R = 25, 200 and 400
+    res = spectrum_converged(SPEC1, QUARTIC, j_max=300, tol=1e-8, max_dim=1001)
+    assert res.converged[0]
+    assert res.eigenvalues[0] == pytest.approx(0.98014325014208, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("dim, l, j_max, max_dim, start, radius", [
+    (1, 1, 300, 1001, 25, 200),
+    (1, 2, 300, 1001, 25, 200),
+    (2, 1, 200, 2401, 3, 12),
+])
+def test_scan_stops_where_every_value_is_certified(dim, l, j_max, max_dim, start, radius):
+    # the box-doubling configs of the benchmark's scan workload
+    res = spectrum_converged(LatticeSpec(1.0, dim), PotentialSpec.anharmonic(1.0, l, dim),
+                             j_max=j_max, tol=1e-8, start_radius=start, max_dim=max_dim)
+    assert res.all_converged
+    assert res.radius_used == radius == res.radii_scanned[-1]
+
+
+def test_2d_harmonic_is_a_kronecker_sum_of_1d():
+    # H_2d = H_1d (x) I + I (x) H_1d, so its spectrum is the sorted pairwise sums
+    tol = 1e-8
+    one = spectrum_converged(SPEC1, HARMONIC, j_max=40, tol=tol)
+    two = spectrum_converged(LatticeSpec(1.0, 2), PotentialSpec.anharmonic(1.0, 1, 2),
+                             j_max=200, tol=tol, start_radius=3, max_dim=2401)
+    assert one.all_converged and two.all_converged
+    sums = np.sort((one.eigenvalues[:, None] + one.eigenvalues[None, :]).ravel())[:200]
+    assert sums[-1] < one.eigenvalues[0] + one.eigenvalues[-1]  # no pair left out
+    np.testing.assert_array_less(np.abs(two.eigenvalues - sums), tol * (1 + np.abs(sums)))
 
 
 def test_monotonicity_in_potential():
