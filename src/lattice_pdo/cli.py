@@ -3,11 +3,12 @@
 Usage: lattice-pdo run <config.json> [--out DIR] [--threads N] [--seed S]
 
 Every run writes a manifest.json listing each output file with a content
-hash, the echoed config, the library version and the wall time.  Numeric
-output is deterministic: the same config produces byte-identical CSV
-bodies regardless of the thread cap.  Exit codes: 0 ok, 2 config error,
-3 numeric/budget failure.  Each task runner reads and checks every field
-it uses, by its full path from the config root, before any numeric work.
+hash, the echoed config, the library version, the thread cap and the wall
+time.  No task runs a parallel map, so CSV bodies are byte-identical at
+any thread cap; `_write_report` lays out report.json.  Exit codes: 0 ok,
+2 config error, 3 numeric/budget failure.  Each task runner reads and
+checks every field it uses, by its full path from the config root,
+before any numeric work.
 """
 
 import argparse
@@ -70,75 +71,70 @@ def _get(cfg, path, default=None, required=False, kind=None):
 
 def _positive(cfg, path, default=None, required=False):
     v = _get(cfg, path, default=default, required=required, kind=NUMBER)
-    if v is not None and v <= 0:
+    if v is not None and not v > 0:
         raise ConfigError(path, f"must be positive, got {v}")
     return v
 
 
-def _int_at_least(cfg, path, low, default=None, required=False):
-    v = _get(cfg, path, default=default, required=required, kind=int)
-    if v is not None and v < low:
+def _at_least(cfg, path, low, default=None, required=False, kind=int):
+    v = _get(cfg, path, default=default, required=required, kind=kind)
+    if v is not None and not v >= low:
         raise ConfigError(path, f"must be at least {low}, got {v}")
     return v
 
 
+def _fraction(cfg, path, default, open_low=False):
+    """A number in [0, 1], or in (0, 1] when ``open_low``."""
+    v = _get(cfg, path, default=default, kind=NUMBER)
+    if not ((0 < v if open_low else 0 <= v) and v <= 1):
+        raise ConfigError(path, f"must lie in {'(' if open_low else '['}0, 1], got {v}")
+    return v
+
+
 def build_lattice(cfg) -> LatticeSpec:
-    hbar = _positive(cfg, "lattice.hbar", required=True)
-    dim = _get(cfg, "lattice.dim", required=True, kind=int)
-    try:
-        return LatticeSpec(hbar, dim)
-    except ValueError as e:
-        raise ConfigError("lattice", str(e))
+    return LatticeSpec(_positive(cfg, "lattice.hbar", required=True),
+                       _at_least(cfg, "lattice.dim", 1, required=True))
 
 
 def build_symbol(cfg, spec: LatticeSpec):
     family = _get(cfg, "symbol.family", required=True, kind=str)
-    try:
-        if family == "difference":
-            if spec.dim != 1:
-                raise ConfigError("lattice.dim", "the difference symbol is one-dimensional")
-            return sym_mod.difference_symbol(spec.hbar)
-        if family == "multiplication":
-            eps = _get(cfg, "symbol.params.epsilon", required=True, kind=NUMBER)
-            return sym_mod.multiplication_symbol(float(eps), spec)
-        if family == "decaying":
-            s = _get(cfg, "symbol.params.s", required=True, kind=NUMBER)
-            a = _get(cfg, "symbol.params.a", required=True, kind=NUMBER)
-            b = _get(cfg, "symbol.params.b", required=True, kind=NUMBER)
-            return sym_mod.decaying_test_symbol(float(s), float(a), float(b), spec)
-        if family == "constant":
-            value = _get(cfg, "symbol.params.value", required=True, kind=NUMBER)
-            return sym_mod.constant_symbol(value, spec)
-        if family == "anharmonic":
-            c = _get(cfg, "symbol.params.c", required=True, kind=NUMBER)
-            l = _get(cfg, "symbol.params.l", required=True, kind=int)
-            return sym_mod.polynomial_potential(float(c), l, spec)
-        if family == "schrodinger":
-            return sym_mod.schrodinger_symbol(*build_potential(cfg, spec), spec)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError("symbol.params", str(e))
+    if family == "difference":
+        if spec.dim != 1:
+            raise ConfigError("lattice.dim", "the difference symbol is one-dimensional")
+        return sym_mod.difference_symbol(spec.hbar)
+    if family == "multiplication":
+        eps = _get(cfg, "symbol.params.epsilon", required=True, kind=NUMBER)
+        return sym_mod.multiplication_symbol(float(eps), spec)
+    if family == "decaying":
+        s = _get(cfg, "symbol.params.s", required=True, kind=NUMBER)
+        a = _get(cfg, "symbol.params.a", required=True, kind=NUMBER)
+        b = _get(cfg, "symbol.params.b", required=True, kind=NUMBER)
+        return sym_mod.decaying_test_symbol(float(s), float(a), float(b), spec)
+    if family == "constant":
+        value = _get(cfg, "symbol.params.value", required=True, kind=NUMBER)
+        return sym_mod.constant_symbol(value, spec)
+    if family == "anharmonic":
+        c = _get(cfg, "symbol.params.c", required=True, kind=NUMBER)
+        l = _at_least(cfg, "symbol.params.l", 1, required=True)
+        return sym_mod.polynomial_potential(float(c), l, spec)
+    if family == "schrodinger":
+        return sym_mod.schrodinger_symbol(*build_potential(cfg, spec), spec)
     raise ConfigError("symbol.family", f"unknown symbol family '{family}'")
 
 
 def build_potential(cfg, spec: LatticeSpec):
     """The Schrodinger potential c|k|^(2l), validated, and the shift lambda."""
-    c = _get(cfg, "symbol.params.potential.c", required=True, kind=NUMBER)
-    l = _get(cfg, "symbol.params.potential.l", required=True, kind=int)
+    c = _positive(cfg, "symbol.params.potential.c", required=True)
+    l = _at_least(cfg, "symbol.params.potential.l", 1, required=True)
     lam = _get(cfg, "symbol.params.lambda", default=0.0, kind=NUMBER)
     try:
         return schrodinger.PotentialSpec.anharmonic(float(c), l, spec.dim), float(lam)
-    except ValueError as e:
+    except ValueError as e:  # c and l are each valid, but V fails its growth probes
         raise ConfigError("symbol.params.potential", str(e))
 
 
 def build_box(cfg) -> BoxTruncation:
-    radius = _get(cfg, "truncation.radius", required=True, kind=int)
-    try:
-        return BoxTruncation(radius)
-    except ValueError as e:
-        raise ConfigError("truncation.radius", str(e))
+    return BoxTruncation(_at_least(cfg, "truncation.radius", 0, required=True))
 
 
 def _write_json(path, payload):
@@ -147,28 +143,36 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_report(outdir, report, sums, truncation, **extra):
+    """report.json: the criterion verdicts with the sums and truncation they go with."""
+    path = os.path.join(outdir, "report.json")
+    _write_json(path, {"sums": sums, "verdicts": report.verdicts, "t": report.decay_exponent_t,
+                       "details": report.details, "truncation": truncation, **extra})
+    return path
+
+
 # ---------------------------------------------------------------------------
 # task runners: each reads and checks its fields, then computes, and returns
 # a list of output file paths
 # ---------------------------------------------------------------------------
 
-def task_coeffs(cfg, spec, outdir, threads):
+def task_coeffs(cfg, spec, outdir):
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
-    freq_radius = _int_at_least(cfg, "params.freq_radius", 0, default=3)
-    table = fourier.coefficient_table(sym, box, freq_radius, threads=threads)
+    freq_radius = _at_least(cfg, "params.freq_radius", 0, default=3)
+    table = fourier.coefficient_table(sym, box, freq_radius)
     path = os.path.join(outdir, "coeffs.csv")
     fourier.table_to_csv(table, path)
     return [path]
 
 
-def task_assemble(cfg, spec, outdir, threads):
+def task_assemble(cfg, spec, outdir):
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
     formats = _get(cfg, "output.formats", default=["csv"], kind=list)
     if "csv" not in formats and "bin" not in formats:
         raise ConfigError("output.formats", "assemble task needs 'csv' and/or 'bin'")
-    K = kernel.assemble(sym, spec, box, threads=threads)
+    K = kernel.assemble(sym, spec, box)
     paths = []
     if "csv" in formats:
         p = os.path.join(outdir, "kernel.csv")
@@ -182,16 +186,13 @@ def task_assemble(cfg, spec, outdir, threads):
 
 
 def _query_from(cfg, spec):
-    p = float(_get(cfg, "params.p", default=2.0, kind=NUMBER))
-    r = float(_get(cfg, "params.r", default=1.0, kind=NUMBER))
-    p2 = float(_get(cfg, "params.p2", default=p, kind=NUMBER))
-    try:
-        return criteria.CriterionQuery(p=p, r=r, p2=p2, n=spec.dim)
-    except ValueError as e:
-        raise ConfigError("params", str(e))
+    p = float(_at_least(cfg, "params.p", 1, default=2.0, kind=NUMBER))
+    r = float(_fraction(cfg, "params.r", 1.0, open_low=True))
+    p2 = float(_at_least(cfg, "params.p2", 1, default=p, kind=NUMBER))
+    return criteria.CriterionQuery(p=p, r=r, p2=p2, n=spec.dim)
 
 
-def _check_sums(cfg, spec, outdir, threads, query, sums, only=None):
+def _check_sums(cfg, spec, outdir, query, sums, only=None):
     """Evaluate each named sum at the configured radius and its double.
 
     Writes sums.csv and report.json; the report's doubling_ratio and
@@ -202,69 +203,58 @@ def _check_sums(cfg, spec, outdir, threads, query, sums, only=None):
     radii = (box.radius, 2 * box.radius)
     values = {name: [] for name, _ in sums}
     for radius in radii:
-        K = kernel.assemble(sym, spec, BoxTruncation(radius), threads=threads)
+        K = kernel.assemble(sym, spec, BoxTruncation(radius))
         for name, fn in sums:
             values[name].append(fn(K))
-    report = criteria.order_conditions(sym.order, query)
-    report.sums = {name: vals[-1] for name, vals in values.items()}
-    report.truncation = {"R": box.radius, "n": spec.dim, "hbar": spec.hbar}
     growth = {name: (vals[1] / vals[0] if vals[0] > 0 else None)
               for name, vals in values.items()}
     diverging = {name: (g is not None and g >= criteria.DIVERGENCE_RATIO)
                  for name, g in growth.items()}
-    payload = report.to_json_dict()
-    payload["doubling_ratio"] = growth if only is None else growth[only]
-    payload["diverging"] = diverging if only is None else diverging[only]
     csv_path = os.path.join(outdir, "sums.csv")
     write_csv(csv_path, ["criterion", "radius", "value"],
               [list(values), np.array(radii)[:, None], np.array(list(values.values())).T])
-    json_path = os.path.join(outdir, "report.json")
-    _write_json(json_path, payload)
-    return [csv_path, json_path]
+    return [csv_path, _write_report(
+        outdir, criteria.order_conditions(sym.order, query),
+        {name: vals[-1] for name, vals in values.items()},
+        {"R": box.radius, "n": spec.dim, "hbar": spec.hbar},
+        doubling_ratio=growth if only is None else growth[only],
+        diverging=diverging if only is None else diverging[only])]
 
 
-def task_check_bounds(cfg, spec, outdir, threads):
+def task_check_bounds(cfg, spec, outdir):
     query = _query_from(cfg, spec)
     p = query.p
     sums = [("schur_l1_lp", lambda K: criteria.schur_l1_lp(K, p)),
             ("sup_entry", criteria.sup_entry)]
     if 1 < p < float("inf"):
         sums.append(("mixed_lp_sum", lambda K: criteria.mixed_lp_sum(K, p)))
-    return _check_sums(cfg, spec, outdir, threads, query, sums)
+    return _check_sums(cfg, spec, outdir, query, sums)
 
 
-def task_check_nuclear(cfg, spec, outdir, threads):
+def task_check_nuclear(cfg, spec, outdir):
     query = _query_from(cfg, spec)
     sums = [("nuclear_sum", lambda K: criteria.nuclear_sum(K, query.r, query.p2))]
-    return _check_sums(cfg, spec, outdir, threads, query, sums, only="nuclear_sum")
+    return _check_sums(cfg, spec, outdir, query, sums, only="nuclear_sum")
 
 
-def task_order_report(cfg, spec, outdir, threads):
+def task_order_report(cfg, spec, outdir):
     mu = _get(cfg, "params.mu", kind=NUMBER)
     if mu is not None:
-        delta = _get(cfg, "params.delta", default=0.0, kind=NUMBER)
-        rho = _get(cfg, "params.rho", default=1.0, kind=NUMBER)
-        try:
-            order = sym_mod.SymbolOrder(float(mu), float(rho), float(delta))
-        except ValueError as e:
-            raise ConfigError("params", str(e))
+        rho = _fraction(cfg, "params.rho", 1.0)
+        delta = _fraction(cfg, "params.delta", 0.0)
+        order = sym_mod.SymbolOrder(float(mu), float(rho), float(delta))
     else:
         order = build_symbol(cfg, spec).order
-    query = _query_from(cfg, spec)
-    report = criteria.order_conditions(order, query)
-    report.truncation = {"R": None, "n": spec.dim, "hbar": spec.hbar}
-    path = os.path.join(outdir, "report.json")
-    payload = report.to_json_dict()
-    payload["order"] = {"mu": order.mu, "rho": order.rho, "delta": order.delta}
-    _write_json(path, payload)
-    return [path]
+    report = criteria.order_conditions(order, _query_from(cfg, spec))
+    return [_write_report(outdir, report, {}, {"R": None, "n": spec.dim, "hbar": spec.hbar},
+                          order={"mu": order.mu, "rho": order.rho, "delta": order.delta})]
 
 
-def task_diag_approx(cfg, spec, outdir, threads):
+def task_diag_approx(cfg, spec, outdir):
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
     hermitize = _get(cfg, "params.hermitize", default=True, kind=bool)
-    K = kernel.assemble(sym, spec, box, threads=threads)
+    K = kernel.assemble(sym, spec, box)
     ok, asym = kernel.hermitian_check(K)
     if not ok:
         if not hermitize:
@@ -289,19 +279,18 @@ def task_diag_approx(cfg, spec, outdir, threads):
     return [csv_path, json_path]
 
 
-def task_spectrum(cfg, spec, outdir, threads, fit_growth=False):
+def task_spectrum(cfg, spec, outdir, fit_growth=False):
     """The box-doubling scan of spectrum and fit-growth.
 
     fit-growth requires params.j_range and fails only on unconverged
     values inside it; spectrum fails on any unconverged value.
     """
     pot, lam = build_potential(cfg, spec)
-    j_max = _int_at_least(cfg, "params.j_max", 1, required=True)
+    j_max = _at_least(cfg, "params.j_max", 1, required=True)
     tol = _positive(cfg, "params.tol", default=1e-8)
-    start = _int_at_least(cfg, "truncation.radius", 1,
-                          default=schrodinger.default_start_radius(spec))
-    max_dim = _int_at_least(cfg, "params.max_dim", BoxTruncation(start).size(spec.dim),
-                            default=schrodinger.DEFAULT_MAX_DIM)
+    start = _at_least(cfg, "truncation.radius", 1, default=schrodinger.default_start_radius(spec))
+    max_dim = _at_least(cfg, "params.max_dim", BoxTruncation(start).size(spec.dim),
+                        default=schrodinger.DEFAULT_MAX_DIM)
     j_range = _get(cfg, "params.j_range", required=fit_growth, kind=list)
     if j_range is not None and (len(j_range) != 2 or not all(_is_a(j, int) for j in j_range)
                                 or not 1 <= j_range[0] < j_range[1] <= j_max):
@@ -328,14 +317,16 @@ def task_spectrum(cfg, spec, outdir, threads, fit_growth=False):
             "r_bound_satisfied": {repr(r): ok for r, ok in fit.r_bound_satisfied.items()},
         })
     if not fit_growth and not result.all_converged:
-        raise NumericError(
-            f"budget exhausted: {int(np.sum(~result.converged))} of "
-            f"{j_max} eigenvalues unconverged at radius {result.radius_used}")
+        R = result.radius_used
+        why = ("budget exhausted" if BoxTruncation(2 * R).size(spec.dim) > max_dim
+               else "solver error bound above tol")
+        raise NumericError(f"{why}: {int(np.sum(~result.converged))} of "
+                           f"{j_max} eigenvalues unconverged at radius {R}")
     return paths
 
 
-def task_fit_growth(cfg, spec, outdir, threads):
-    return task_spectrum(cfg, spec, outdir, threads, fit_growth=True)
+def task_fit_growth(cfg, spec, outdir):
+    return task_spectrum(cfg, spec, outdir, fit_growth=True)
 
 
 RUNNERS = {
@@ -359,15 +350,13 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     spec = build_lattice(config)
     outdir = out_dir or _get(config, "output.directory", default=".", kind=str)
     os.makedirs(outdir, exist_ok=True)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    outputs = RUNNERS[task](config, spec, outdir, threads)
+    outputs = RUNNERS[task](config, spec, outdir)
 
     manifest = {
         "config": config,
         "version": __version__,
         "task": task,
-        "threads": threads,
+        "threads": (os.cpu_count() or 1) if threads is None else threads,
         "seed": seed,
         "wall_time_s": time.monotonic() - t0,
         "outputs": [{"path": os.path.basename(p), "sha256": sha256_of(p)} for p in outputs],
@@ -391,7 +380,7 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="path to a JSON experiment config")
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker cap for data-parallel maps (default: machine parallelism)")
+                      help="recorded in the manifest only; no task runs in parallel")
     runp.add_argument("--seed", type=int, default=None,
                       help="reserved for randomized property tests; core tasks are deterministic")
     args = parser.parse_args(argv)

@@ -94,23 +94,13 @@ class CriterionReport:
     details record the inequality instance behind each verdict (lhs, rhs,
     strict or not, and sharpness scope).  decay_exponent_t is the eigenvalue
     decay exponent t from 1/r = 1/t + |1/p - 1/2| when nuclearity holds with
-    p1 = p2.
+    p1 = p2.  The report depends on the order and the exponents alone; the
+    CLI composes report.json from it together with the truncation sums.
     """
 
-    sums: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     decay_exponent_t: Optional[float] = None
     details: dict = field(default_factory=dict)
-    truncation: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sums": self.sums,
-            "verdicts": self.verdicts,
-            "t": self.decay_exponent_t,
-            "details": self.details,
-            "truncation": self.truncation,
-        }
 
 
 def order_conditions(order: SymbolOrder, query: CriterionQuery) -> CriterionReport:
@@ -246,8 +236,13 @@ def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> Tai
     Combines the empirical decay constant with integral-comparison tails of
     (1+|k|)^(mu + 2 q_tilde delta) over rows outside the box and
     (1+|m|/hbar)^(-2 q_tilde) over frequencies beyond the box reach, with
-    q_tilde the exponent the decay report was estimated at.
+    q_tilde the exponent the decay report was estimated at.  ``order`` must
+    carry the (mu, delta) the report was estimated with, since its constant
+    is weighted by them; any other order raises ValueError.
     """
+    if (order.mu, order.delta) != (decay.mu, decay.delta):
+        raise ValueError(f"order (mu, delta) = ({order.mu}, {order.delta}) differs from the "
+                         f"({decay.mu}, {decay.delta}) the decay constant was estimated at")
     q_tilde = decay.q_tilde
     n = decay.dim
     a = order.mu + 2 * q_tilde * order.delta

@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import BoxTruncation, as_point, enumerate_box_integers, integer_coords
 from .symbols import Symbol
 from . import _util
-from ._util import check_dense_fits, parallel_map
+from ._util import check_dense_fits
 
 DEFAULT_SAMPLES = 64
 
@@ -85,7 +85,7 @@ class CoefficientTable:
 
 
 def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
-                      n_samples: int = DEFAULT_SAMPLES, threads: int = 1) -> CoefficientTable:
+                      n_samples: int = DEFAULT_SAMPLES) -> CoefficientTable:
     """All coefficients with k in the box and |m/hbar|_inf <= freq_radius.
 
     A table that would not fit in physical memory is refused before anything
@@ -105,11 +105,7 @@ def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
     else:
         check_no_fold(m_box.radius, n_samples)
         idx = tuple((m_ints % n_samples).T)
-
-        def row(k):
-            return spectrum_of_row(sym, k, n_samples)[idx]
-
-        values[:] = parallel_map(row, list(k_points), threads)
+        values[:] = [spectrum_of_row(sym, k, n_samples)[idx] for k in k_points]
     return CoefficientTable(k_points, spec.hbar * m_ints, values)
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import BoxTruncation, LatticeSpec, enumerate_box, enumerate_box_integers
+from .lattice import BoxTruncation, LatticeSpec, box_shape, enumerate_box, enumerate_box_integers
 from .symbols import Symbol
 from .fourier import DEFAULT_SAMPLES, check_no_fold, spectrum_of_row
 from . import _util
@@ -139,16 +139,16 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
                               else min(sym.coeff_support_radius, 2 * r))
         bands = reach.size(spec.dim)
         check_fits(bands * size * TRIPLET_BYTES, f"{bands} bands of a {size}-point box")
-        zs = enumerate_box_integers(spec, box)
-        offsets = enumerate_box_integers(spec, reach)
-        strides = (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
+        zs, shape = enumerate_box_integers(spec, box), box_shape(spec, box)
         flat, values = [], []
-        for off in offsets:
+        for off in enumerate_box_integers(spec, reach):
             rows = np.flatnonzero(np.all(np.abs(zs + off) <= r, axis=1))
+            # in box order the band is one index shift: column = row + shift
+            shift = np.ravel_multi_index(tuple(zs[rows[0]] + off + r), shape) - rows[0]
             band = np.asarray(sym.closed_form_coeffs(zs[rows], off))
             nonzero = np.flatnonzero(band)
             rows = rows[nonzero]
-            flat.append(rows * size + rows + off @ strides)  # row * size + col
+            flat.append(rows * size + rows + shift)  # row * size + col
             values.append(band[nonzero])
         flat = np.concatenate(flat)
         order = np.argsort(flat)

@@ -2,8 +2,9 @@
 
 All operators in this package live on the lattice of points ``hbar * z``
 with ``z`` an integer vector.  Finite computations restrict to the cube
-``|z_j| <= R`` and enumerate its points lexicographically; that ordering is
-part of the output contract (matrices are reproducible entry for entry).
+``|z_j| <= R`` and enumerate its points lexicographically (`box_shape`);
+that ordering is part of the output contract (matrices are reproducible
+entry for entry).
 """
 
 from dataclasses import dataclass
@@ -66,12 +67,19 @@ def integer_coords(spec: LatticeSpec, point) -> np.ndarray:
     return zi.astype(np.int64)
 
 
+def box_shape(spec: LatticeSpec, box: BoxTruncation) -> tuple:
+    """The box order: box point i is element i, in C order, of an array of this shape.
+
+    The array is indexed by z + R, so the order is lexicographic in z.
+    """
+    return (2 * box.radius + 1,) * spec.dim
+
+
 def enumerate_box_integers(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
-    """Integer coordinates z of the box points, shape (size, dim), lexicographic in z."""
-    r = box.radius
-    axes = [np.arange(-r, r + 1)] * spec.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1).astype(np.int64)
+    """Integer coordinates z of the box points, shape (size, dim), in box order."""
+    z = np.indices(box_shape(spec, box), dtype=np.int64).reshape(spec.dim, -1).T
+    # contiguous: on a transposed view, row norms (symbols._norms) change bits in 4-d
+    return np.ascontiguousarray(z - box.radius)
 
 
 def enumerate_box(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
@@ -85,23 +93,10 @@ def index_of(spec: LatticeSpec, box: BoxTruncation, point) -> int:
     r = box.radius
     if np.any(np.abs(z) > r):
         raise ValueError(f"point {point} lies outside the box of radius {r}")
-    side = 2 * r + 1
-    idx = 0
-    for c in z:
-        idx = idx * side + (int(c) + r)
-    return idx
+    return int(np.ravel_multi_index(tuple(z + r), box_shape(spec, box)))
 
 
 def point_of(spec: LatticeSpec, box: BoxTruncation, index: int) -> np.ndarray:
-    """Inverse of index_of on [0, (2R+1)^n)."""
-    size = box.size(spec.dim)
-    if not (0 <= index < size):
-        raise ValueError(f"index {index} outside [0, {size})")
-    r = box.radius
-    side = 2 * r + 1
-    coords = np.empty(spec.dim, dtype=np.int64)
-    rem = int(index)
-    for j in range(spec.dim - 1, -1, -1):
-        coords[j] = rem % side - r
-        rem //= side
-    return spec.hbar * coords.astype(float)
+    """Inverse of index_of on [0, (2R+1)^n); ValueError outside it."""
+    z = np.array(np.unravel_index(int(index), box_shape(spec, box))) - box.radius
+    return spec.hbar * z.astype(float)

@@ -155,15 +155,16 @@ def default_start_radius(spec: LatticeSpec) -> int:
 def neumann_truncation(H: KernelMatrix) -> np.ndarray:
     """N_R: the box Hamiltonian H_R with every hop that leaves the box dropped.
 
-    Each diagonal entry loses hbar^-2 per neighbour outside the box, so the
-    kinetic form of N_R is hbar^-2 times the sum of (x_a - x_b)^2 over the
-    edges inside the box.  The inside neighbours of a point are the
-    off-diagonal triplets of its row.
+    Each diagonal entry loses hbar^-2 per nearest neighbour outside the box,
+    so the kinetic form of N_R is hbar^-2 times the sum of (x_a - x_b)^2 over
+    the edges inside the box.  The missing neighbours come from the box
+    coordinates, whatever the storage of H: one per coordinate equal to +R
+    and one per coordinate equal to -R, so R = 0 counts both sides.
     """
-    rows, cols, _ = H._triplets
-    inside = np.bincount(rows[rows != cols], minlength=H.size)
+    z, r = enumerate_box_integers(H.spec, H.box), H.box.radius
+    missing = np.sum(z == r, axis=1) + np.sum(z == -r, axis=1)
     N = np.array(H.entries)
-    N[np.diag_indices(H.size)] -= (2 * H.spec.dim - inside) / H.spec.hbar ** 2
+    N[np.diag_indices(H.size)] -= missing / H.spec.hbar ** 2
     return N
 
 
@@ -187,13 +188,24 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     XIII.15).  With err = size * eps * ||A||_inf over both box matrices as
     the bound on a dense eigenvalue's error, lambda_j is certified when
 
-        lambda_j(H_R) - lambda_j(N_R) + 2 err <= tol * (1 + |lambda_j(H_R)|)
-        lambda_j(N_R) + err < V_out(R) + lam.
+        max(lambda_j(H_R) - lambda_j(N_R), 0) + 2 err <= tol * (1 + |lambda_j(H_R)|)
+        lambda_j(N_R) + err < V_out(R) + lam,
 
+    so a computed bracket never counts as narrower than the solver bound.
     A certified value keeps the Dirichlet value of its certifying radius;
     the others take the last radius's value.  The radius doubles until
-    all j_max values are certified or the next box exceeds max_dim points
-    (partial result, flags False); radius_used is the last radius solved.
+    all j_max values are certified, the next box exceeds max_dim points,
+    or no uncertified value can be certified any more (partial result,
+    flags False); radius_used is the last radius solved.
+
+    The last stop applies once every uncertified value with a finite
+    Dirichlet value has 2 err > tol * (1 + max(|lambda_j(H_R)|, |lam + V_0|)),
+    V_0 = V.outside_min(0) <= inf V.  No box R' > R can certify it: err never
+    shrinks, as max(||H_R||_inf, ||N_R||_inf) <= ||H_R'||_inf and the box
+    grows; and lambda_j(H_R') lies in [lam + inf V, lambda_j(H_R)] (Cauchy
+    interlacing, nonnegative kinetic part), which bounds its tolerance.  A
+    value the box is too small to hold (nan) keeps the scan going.
+
     start_radius must be at least 1, its box must fit in max_dim, and V
     must carry an outside bound.
     """
@@ -212,6 +224,7 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     if start_size > max_dim:
         raise ValueError(f"max_dim {max_dim} is below the {start_size}-point box "
                          f"of the start radius {R}")
+    floor = abs(lam + V.outside_min(0.0))  # |lam + V_0|, see the stop rule above
     radii = []
     values = np.full(j_max, np.nan)
     flags = np.zeros(j_max, dtype=bool)
@@ -222,10 +235,11 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
         err = H.size * np.finfo(float).eps * norm
         dirichlet, neumann = _lowest(H.entries, j_max), _lowest(N, j_max)
         values = np.where(flags, values, dirichlet)
-        flags |= ((dirichlet - neumann + 2 * err <= tol * (1.0 + np.abs(dirichlet)))
+        flags |= ((np.maximum(dirichlet - neumann, 0.0) + 2 * err
+                   <= tol * (1.0 + np.abs(dirichlet)))
                   & (neumann + err < V.outside_min(spec.hbar * (R + 1)) + lam))
         radii.append(R)
-        if flags.all():
+        if np.all(flags | (2 * err > tol * (1.0 + np.maximum(np.abs(dirichlet), floor)))):
             break
         R *= 2
     return ConvergedSpectrum(values, flags, radii[-1], radii)

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import (BoxTruncation, LatticeSpec, as_point, enumerate_box_integers,
-                      integer_coords)
+from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape,
+                      enumerate_box_integers, integer_coords)
 from ._util import float_pow
 
 FD_STEP = 1e-5  # central-difference step for theta derivatives
@@ -162,9 +162,9 @@ def _closed_form_derivative(sym, k, theta, beta):
     # the (2r + 1)^n coefficients of row k, one closed_form_coeffs call per offset
     r, n = sym.coeff_support_radius, sym.spec.dim
     z = integer_coords(sym.spec, k)[None]
-    coeffs = [sym.closed_form_coeffs(z, off)[0]
-              for off in enumerate_box_integers(sym.spec, BoxTruncation(r))]
-    return _phase_sum(np.reshape(coeffs, (2 * r + 1,) * n), [np.arange(-r, r + 1)] * n,
+    box = BoxTruncation(r)
+    coeffs = [sym.closed_form_coeffs(z, off)[0] for off in enumerate_box_integers(sym.spec, box)]
+    return _phase_sum(np.reshape(coeffs, box_shape(sym.spec, box)), [np.arange(-r, r + 1)] * n,
                       theta, beta)
 
 
@@ -361,7 +361,7 @@ def symbol_from_matrix(K) -> Symbol:
     """
     spec = K.spec
     r = K.box.radius
-    rows = np.asarray(K.entries).reshape((2 * r + 1,) * (2 * spec.dim))
+    rows = np.asarray(K.entries).reshape(2 * box_shape(spec, K.box))
     offsets = np.arange(-r, r + 1)
 
     def phase_sum(k, theta, beta):

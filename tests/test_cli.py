@@ -460,6 +460,31 @@ CHECKED_FIRST = {
         "check-bounds", lattice={"hbar": 1.0, "dim": 3}, truncation={"radius": 100000},
         symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}}),
         3, None, f"27 bands of a {200001 ** 3}-point box needs {27 * 200001 ** 3 * 32} bytes"),
+    # a value outside a library object's range names its field, not the enclosing object
+    "dim-0": (base_config("assemble", lattice={"hbar": 1.0, "dim": 0}),
+              2, "lattice.dim", "at least 1, got 0"),
+    "hbar-nan": (base_config("assemble", lattice={"hbar": float("nan"), "dim": 1}),
+                 2, "lattice.hbar", "must be positive, got nan"),
+    "anharmonic-l-0": (base_config(
+        "assemble", symbol={"family": "anharmonic", "params": {"c": 1.0, "l": 0}}),
+        2, "symbol.params.l", "at least 1, got 0"),
+    "potential-c-0": (base_config(
+        "spectrum", params={"j_max": 3},
+        symbol={"family": "schrodinger", "params": {"potential": {"c": 0, "l": 1}}}),
+        2, "symbol.params.potential.c", "must be positive, got 0"),
+    "potential-l-0": (base_config(
+        "spectrum", params={"j_max": 3},
+        symbol={"family": "schrodinger", "params": {"potential": {"c": 1.0, "l": 0}}}),
+        2, "symbol.params.potential.l", "at least 1, got 0"),
+    "p-0.5": (base_config("check-bounds", params={"p": 0.5}), 2, "params.p", "at least 1"),
+    "p2-0.5": (base_config("check-nuclear", params={"p2": 0.5}), 2, "params.p2", "at least 1"),
+    "r-0": (base_config("check-nuclear", params={"r": 0}), 2, "params.r", "(0, 1], got 0"),
+    "r-1.5": (base_config("order-report", params={"mu": -3.0, "r": 1.5}),
+              2, "params.r", "(0, 1], got 1.5"),
+    "rho-2": (base_config("order-report", params={"mu": -3.0, "rho": 2}),
+              2, "params.rho", "[0, 1], got 2"),
+    "delta-2": (base_config("order-report", params={"mu": -3.0, "delta": 2}),
+                2, "params.delta", "[0, 1], got 2"),
     # run with one page of physical memory: the scan's first Hamiltonian is refused
     "scan-beyond-memory": (base_config(
         "spectrum", symbol=SCHRODINGER, truncation={"radius": 25}, params={"j_max": 5}),
@@ -544,3 +569,55 @@ def test_order_report_reads_the_symbol_order(tmp_path):
     assert report["verdicts"]["compact"] == "holds"
     assert report["verdicts"]["r_nuclear"] == "fails"
     assert report["t"] is None
+
+
+# branches of the runners that no other test reaches: (config, exit code, field, message text)
+EXITS = {
+    "diag-approx-not-hermitian": (base_config(
+        "diag-approx", truncation={"radius": 10},
+        symbol={"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}},
+        params={"hermitize": False}), 3, None, "hermitize=false"),
+    "fit-growth-window-unconverged": (base_config(
+        "fit-growth", symbol=SCHRODINGER, truncation={"radius": 2},
+        params={"j_max": 5, "j_range": [1, 5], "max_dim": 7}), 3, None, "unconverged"),
+    "fit-growth-window-nonpositive": (base_config(
+        "fit-growth", truncation={"radius": 25}, params={"j_max": 5, "j_range": [1, 5]},
+        symbol={"family": "schrodinger",
+                "params": {"potential": {"c": 1.0, "l": 1}, "lambda": -10.0}}),
+        3, None, "non-positive"),
+    "spectrum-error-limited": (base_config(
+        "spectrum", lattice={"hbar": 0.25, "dim": 1}, truncation={"radius": 100},
+        symbol={"family": "schrodinger", "params": {"potential": {"c": 1.0, "l": 2}}},
+        params={"j_max": 10, "tol": 1e-8}),
+        3, None, "solver error bound above tol: 1 of 10 eigenvalues unconverged at radius 100"),
+    "unknown-task": (base_config("nope"), 2, "task", "unknown task 'nope'"),
+    "missing-config-file": (None, 2, "config", "No such file"),
+    "difference-2d": (base_config("assemble", lattice={"hbar": 1.0, "dim": 2}),
+                      2, "lattice.dim", "one-dimensional"),
+    "radius-negative": (base_config("assemble", truncation={"radius": -1}),
+                        2, "truncation.radius", "at least 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_exit_code_and_field(tmp_path, capsys, case):
+    cfg, code, field, text = EXITS[case]
+    path = str(tmp_path / "absent.json") if cfg is None else write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == ("config" if code == 2 else "numeric")
+    assert payload["field"] == field
+    assert text in payload["message"]
+
+
+def test_scan_default_start_radius_in_2d(tmp_path):
+    # no truncation.radius: a 2-d scan starts on the 7 x 7 box, R = 3; a budget
+    # of 100 points stops it there
+    cfg = base_config("spectrum", lattice={"hbar": 1.0, "dim": 2}, symbol=SCHRODINGER,
+                      params={"j_max": 3, "max_dim": 100})
+    del cfg["truncation"]
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["3"] * 3

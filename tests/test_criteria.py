@@ -197,6 +197,17 @@ def test_tail_bound_decaying():
     assert b.value >= explicit
 
 
+def test_tail_bound_refuses_an_order_the_decay_was_not_estimated_at():
+    # the decay constant is weighted by (1+|k|)^-(mu + 2 q delta) with the symbol's mu;
+    # another order used to give a bound of 3.3e-10 where its own order gives 8.7e-4
+    sym = decaying_test_symbol(3.0, 1.0, 1.0)
+    decay = estimate_decay_constant(sym, 2, 100, 3)
+    assert truncation_tail_bound(sym.order, decay, 100).value == pytest.approx(8.7e-4, rel=0.01)
+    for other in (SymbolOrder(-6.0), SymbolOrder(-3.0, 1.0, 0.5)):
+        with pytest.raises(ValueError, match="differs"):
+            truncation_tail_bound(other, decay, 100)
+
+
 def test_tail_bound_infinite_frequency_support():
     # (1+|k|)^-3 exp(cos 2 pi theta) has coefficients (1+|k|)^-3 I_|m|(1) at every
     # frequency m, so no support radius is found and the frequency tail is a shell sum

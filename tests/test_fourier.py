@@ -194,13 +194,6 @@ def test_quadrature_2d_schrodinger_matches_closed_form():
                 assert abs(closed - quad) <= 1e-12
 
 
-def test_coefficient_table_thread_invariance():
-    sym = decaying_test_symbol(2.0, 1.0, 1.0)
-    t1 = coefficient_table(sym, BoxTruncation(3), 2, threads=1)
-    t4 = coefficient_table(sym, BoxTruncation(3), 2, threads=4)
-    np.testing.assert_array_equal(t1.values, t4.values)
-
-
 def test_quadrature_table_refuses_to_fold():
     # frequency 40 would come back as the coefficient of 40 - 64 = -24
     sym = decaying_test_symbol(3.0, 2.0, 1.0)

@@ -288,6 +288,14 @@ def test_banded_matches_quadrature_assembly(sym, radius):
     assert np.max(np.abs(banded - quad)) <= 1e-12 * max(1.0, np.max(np.abs(banded)))
 
 
+def test_quadrature_assembly_thread_invariance():
+    # the thread-pool path of the quadrature assembly, which perfbench's quadrature workload runs
+    sym = quadrature_only(decaying_test_symbol(2.0, 1.0, 1.0, LatticeSpec(0.5, 2)))
+    box = BoxTruncation(3)
+    one = assemble(sym, sym.spec, box, threads=1).entries
+    assert np.array_equal(one, assemble(sym, sym.spec, box, threads=4).entries)
+
+
 def dense_twin(K):
     """The same matrix, stored dense."""
     return KernelMatrix(K.spec, K.box, np.array(K.entries))

@@ -54,6 +54,12 @@ def test_roundtrip_bijection(hbar, dim, radius):
         assert index_of(spec, box, p) == i
 
 
+def test_point_of_out_of_range():
+    for index in (-1, 9):
+        with pytest.raises(ValueError, match="out of bounds"):
+            point_of(LatticeSpec(1.0, 2), BoxTruncation(1), index)
+
+
 def test_rounding_tolerance():
     spec = LatticeSpec(1.0, 1)
     box = BoxTruncation(2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
-from lattice_pdo.kernel import assemble
+from lattice_pdo.kernel import KernelMatrix, assemble, read_binary, write_binary
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian,
                                      fit_growth_exponent, neumann_truncation,
                                      spectrum_converged, weyl_oracle)
@@ -170,10 +170,33 @@ def test_certificate_needs_the_outside_bound():
 
 
 def test_certificate_needs_the_solver_error_below_tol():
-    # at R = 25 the quartic bracket is closed, but size * eps * ||H||_inf is 4.4e-9
+    # at R = 25 the quartic bracket is closed, but size * eps * ||H||_inf is 4.4e-9,
+    # and no larger box has a smaller error bound, so the scan stops there
     res = spectrum_converged(SPEC1, QUARTIC, j_max=3, tol=1e-13, max_dim=101)
-    assert res.radii_scanned == [25, 50]
+    assert res.radii_scanned == [25]
     assert not res.converged.any()
+
+
+def test_scan_stops_once_no_value_can_be_certified(time_limit):
+    # hbar = 0.25: at the start radius 100, 2 err = 3.5e-8 for lambda_1 against a
+    # tolerance of 2.05e-8; doubling to R = 1600 only grew err and took ~6 s
+    with time_limit(10):
+        res = spectrum_converged(LatticeSpec(0.25, 1), QUARTIC, j_max=10, tol=1e-8)
+    assert res.radii_scanned == [100]
+    assert not res.converged[0] and res.converged[1:].all()
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 0), (1, 3), (2, 0), (2, 2), (3, 1)])
+def test_neumann_truncation_of_a_dense_twin(tmp_path, dim, radius):
+    # the missing hops come from the box geometry, whatever the storage of H
+    spec = LatticeSpec(0.5, dim)
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, dim), BoxTruncation(radius), 0.25)
+    N = neumann_truncation(H)
+    np.testing.assert_array_equal(neumann_truncation(KernelMatrix(spec, H.box, H.entries)), N)
+    write_binary(H, tmp_path / "H.bin")
+    np.testing.assert_array_equal(neumann_truncation(read_binary(tmp_path / "H.bin")), N)
+    if radius == 0:  # the one point misses all 2n neighbours: only V(0) + lambda is left
+        assert N[0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_quartic_ground_state_certified():
