@@ -13,6 +13,7 @@ before any numeric work.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -69,6 +70,14 @@ def _get(cfg, path, default=None, required=False, kind=None):
     return node
 
 
+def _finite(cfg, path, default=None, required=False):
+    # json reads NaN and Infinity; a field without a range refuses them here
+    v = _get(cfg, path, default=default, required=required, kind=NUMBER)
+    if v is not None and not math.isfinite(v):
+        raise ConfigError(path, f"must be finite, got {v}")
+    return v
+
+
 def _positive(cfg, path, default=None, required=False):
     v = _get(cfg, path, default=default, required=required, kind=NUMBER)
     if v is not None and not v > 0:
@@ -103,18 +112,16 @@ def build_symbol(cfg, spec: LatticeSpec):
             raise ConfigError("lattice.dim", "the difference symbol is one-dimensional")
         return sym_mod.difference_symbol(spec.hbar)
     if family == "multiplication":
-        eps = _get(cfg, "symbol.params.epsilon", required=True, kind=NUMBER)
+        eps = _finite(cfg, "symbol.params.epsilon", required=True)
         return sym_mod.multiplication_symbol(float(eps), spec)
     if family == "decaying":
-        s = _get(cfg, "symbol.params.s", required=True, kind=NUMBER)
-        a = _get(cfg, "symbol.params.a", required=True, kind=NUMBER)
-        b = _get(cfg, "symbol.params.b", required=True, kind=NUMBER)
-        return sym_mod.decaying_test_symbol(float(s), float(a), float(b), spec)
+        s, a, b = (float(_finite(cfg, f"symbol.params.{x}", required=True)) for x in "sab")
+        return sym_mod.decaying_test_symbol(s, a, b, spec)
     if family == "constant":
-        value = _get(cfg, "symbol.params.value", required=True, kind=NUMBER)
+        value = _finite(cfg, "symbol.params.value", required=True)
         return sym_mod.constant_symbol(value, spec)
     if family == "anharmonic":
-        c = _get(cfg, "symbol.params.c", required=True, kind=NUMBER)
+        c = _finite(cfg, "symbol.params.c", required=True)
         l = _at_least(cfg, "symbol.params.l", 1, required=True)
         return sym_mod.polynomial_potential(float(c), l, spec)
     if family == "schrodinger":
@@ -126,7 +133,7 @@ def build_potential(cfg, spec: LatticeSpec):
     """The Schrodinger potential c|k|^(2l), validated, and the shift lambda."""
     c = _positive(cfg, "symbol.params.potential.c", required=True)
     l = _at_least(cfg, "symbol.params.potential.l", 1, required=True)
-    lam = _get(cfg, "symbol.params.lambda", default=0.0, kind=NUMBER)
+    lam = _finite(cfg, "symbol.params.lambda", default=0.0)
     try:
         return schrodinger.PotentialSpec.anharmonic(float(c), l, spec.dim), float(lam)
     except ValueError as e:  # c and l are each valid, but V fails its growth probes
@@ -238,7 +245,7 @@ def task_check_nuclear(cfg, spec, outdir):
 
 
 def task_order_report(cfg, spec, outdir):
-    mu = _get(cfg, "params.mu", kind=NUMBER)
+    mu = _finite(cfg, "params.mu")
     if mu is not None:
         rho = _fraction(cfg, "params.rho", 1.0)
         delta = _fraction(cfg, "params.delta", 0.0)
@@ -317,11 +324,8 @@ def task_spectrum(cfg, spec, outdir, fit_growth=False):
             "r_bound_satisfied": {repr(r): ok for r, ok in fit.r_bound_satisfied.items()},
         })
     if not fit_growth and not result.all_converged:
-        R = result.radius_used
-        why = ("budget exhausted" if BoxTruncation(2 * R).size(spec.dim) > max_dim
-               else "solver error bound above tol")
-        raise NumericError(f"{why}: {int(np.sum(~result.converged))} of "
-                           f"{j_max} eigenvalues unconverged at radius {R}")
+        raise NumericError(f"{result.stop}: {int(np.sum(~result.converged))} of "
+                           f"{j_max} eigenvalues unconverged at radius {result.radius_used}")
     return paths
 
 

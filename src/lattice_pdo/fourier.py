@@ -4,15 +4,18 @@ The coefficient of sigma(k, .) at a lattice frequency m is
 
     int_{T^n} sigma(k, theta) exp(-2 pi i m . theta / hbar) dtheta,
 
-with m/hbar an integer vector.  Quadrature is the tensor trapezoid rule on
-``n_samples`` uniform points per axis (an FFT of the sampled grid), which
-is exact for trigonometric polynomials of per-axis degree below
-``n_samples / 2``.  The default of 64 samples covers every built-in family
-(degree <= 1) with headroom for matrix-induced symbols of bandwidth up to 31;
-a frequency span wider than ``n_samples`` is refused, never folded.
+with m/hbar an integer vector.  `coefficients` is the one reader: a
+symbol's closed form when it has one, else the tensor trapezoid rule on
+``n_samples`` uniform points per axis (an FFT, `spectrum_of_row`), read at
+bin z mod n_samples.  A frequency with 2 |z|_inf + 1 > n_samples is refused,
+never folded, so quadrature is exact for trigonometric polynomials of
+per-axis degree below ``n_samples / 2``.  The default of 64 samples covers
+every built-in family (degree <= 1) and the symbol of a matrix on a box of
+radius up to 15, whose rows reach frequency 2R.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -24,52 +27,51 @@ from ._util import check_dense_fits
 
 DEFAULT_SAMPLES = 64
 
-_GRID_CACHE: dict = {}
 
-
+@cache
 def _theta_grid(dim: int, n_samples: int) -> np.ndarray:
-    key = (dim, n_samples)
-    if key not in _GRID_CACHE:
-        axes = [np.arange(n_samples) / n_samples] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        _GRID_CACHE[key] = np.stack(mesh, axis=-1)
-    return _GRID_CACHE[key]
-
-
-def check_no_fold(radius: int, n_samples: int) -> None:
-    """Raise unless the 2 radius + 1 frequencies per axis get distinct FFT bins.
-
-    Frequency z lands in bin z mod n_samples, so a wider span folds two
-    frequencies onto one bin and quadrature returns their sum.
-    """
-    if 2 * radius + 1 > n_samples:
-        raise ValueError(f"frequency radius {radius} needs n_samples >= {2 * radius + 1}, "
-                         f"got n_samples={n_samples}: FFT quadrature would fold frequencies")
+    grid = np.stack(np.indices((n_samples,) * dim), axis=-1) / n_samples
+    grid.setflags(write=False)  # shared by every row
+    return grid
 
 
 def spectrum_of_row(sym: Symbol, k, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """FFT of sigma(k, .) sampled on the uniform grid, normalized to coefficients.
-
-    Entry [z mod N, ...] is the quadrature coefficient at integer frequency z.
-    """
+    """FFT of sigma(k, .) sampled on the uniform grid, normalized to coefficients."""
     kk = as_point(sym.spec, k)
     grid = _theta_grid(sym.spec.dim, n_samples)
     samples = np.asarray(sym.eval_fn(kk, grid), dtype=complex)
     return np.fft.fftn(samples) / n_samples ** sym.spec.dim
 
 
+def coefficients(sym: Symbol, z_rows, z_offsets, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """Coefficient of sigma(hbar z_rows[i], .) at frequency z_offsets[j], shape (S, M).
+
+    Rows (S, n) and offsets (M, n) are integer coordinates.  A closed form is
+    called once per offset; quadrature refuses the offsets if any would fold,
+    then reads one `spectrum_of_row` call per row at bins z mod n_samples.
+    """
+    values = np.empty((len(z_rows), len(z_offsets)), dtype=complex)
+    if sym.closed_form_coeffs is not None:
+        for j, z in enumerate(z_offsets):
+            values[:, j] = sym.closed_form_coeffs(z_rows, z)
+        return values
+    radius = int(np.max(np.abs(z_offsets), initial=0))
+    if 2 * radius + 1 > n_samples:
+        raise ValueError(f"frequency radius {radius} needs n_samples >= {2 * radius + 1}, "
+                         f"got n_samples={n_samples}: FFT quadrature would fold frequencies")
+    bins = tuple((z_offsets % n_samples).T)
+    for i, z in enumerate(z_rows):
+        values[i] = spectrum_of_row(sym, sym.spec.hbar * z, n_samples)[bins]
+    return values
+
+
 def toroidal_coefficient(sym: Symbol, k, m, n_samples: int = DEFAULT_SAMPLES,
                          force_quadrature: bool = False) -> complex:
-    """Fourier coefficient of sigma(k, .) at lattice frequency m.
-
-    Uses the symbol's closed form when available, otherwise grid quadrature.
-    """
+    """Coefficient of sigma(k, .) at lattice frequency m; by quadrature if ``force_quadrature``."""
     zk, zm = integer_coords(sym.spec, k), integer_coords(sym.spec, m)
-    if sym.closed_form_coeffs is not None and not force_quadrature:
-        return complex(sym.closed_form_coeffs(zk[None], zm)[0])
-    check_no_fold(int(np.max(np.abs(zm))), n_samples)
-    spec_row = spectrum_of_row(sym, sym.spec.hbar * zk, n_samples)
-    return complex(spec_row[tuple(zm % n_samples)])
+    if force_quadrature:
+        sym = replace(sym, closed_form_coeffs=None)
+    return complex(coefficients(sym, zk[None], zm[None], n_samples)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -96,17 +98,8 @@ def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
     check_dense_fits((k_box.size(spec.dim), m_box.size(spec.dim)))
     k_ints = enumerate_box_integers(spec, k_box)
     m_ints = enumerate_box_integers(spec, m_box)
-    k_points = spec.hbar * k_ints
-    values = np.empty((len(k_ints), len(m_ints)), dtype=complex)
-
-    if sym.closed_form_coeffs is not None:
-        for j, z in enumerate(m_ints):
-            values[:, j] = sym.closed_form_coeffs(k_ints, z)
-    else:
-        check_no_fold(m_box.radius, n_samples)
-        idx = tuple((m_ints % n_samples).T)
-        values[:] = [spectrum_of_row(sym, k, n_samples)[idx] for k in k_points]
-    return CoefficientTable(k_points, spec.hbar * m_ints, values)
+    return CoefficientTable(spec.hbar * k_ints, spec.hbar * m_ints,
+                            coefficients(sym, k_ints, m_ints, n_samples))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, box_shape, enumerate_box, enumerate_box_integers
 from .symbols import Symbol
-from .fourier import DEFAULT_SAMPLES, check_no_fold, spectrum_of_row
+from .fourier import DEFAULT_SAMPLES, coefficients
 from . import _util
 from ._util import check_dense_fits, check_fits, parallel_map
 
@@ -124,10 +124,10 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     as sorted nonzero triplets, float64 when every band is real and
     complex128 otherwise.  Bands whose triplets could not fit in physical
     memory are refused before the box coordinates or any band is built.
-    Any other symbol goes through FFT quadrature row by row into a dense
-    complex128 matrix, which refuses boxes whose 2R + 1 columns per axis
-    would fold onto fewer than ``n_samples`` frequency bins, and boxes
-    whose matrix would not fit in physical memory.
+    Any other symbol is read row by row by `fourier.coefficients` into a
+    dense complex128 matrix; its corner rows reach offset 2R, so a box with
+    4R + 1 > ``n_samples`` is refused at the first row, before any FFT, as
+    is one whose matrix would not fit in physical memory.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -158,13 +158,10 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
             provenance={"symbol": sym.name, "method": "closed-form", "radius": r})
 
     check_dense_fits((size, size))
-    check_no_fold(r, n_samples)
     zs = enumerate_box_integers(spec, box)
-    pts = spec.hbar * zs
 
     def row(i):
-        spec_row = spectrum_of_row(sym, pts[i], n_samples)
-        return spec_row[tuple(((zs - zs[i]) % n_samples).T)]
+        return coefficients(sym, zs[i:i + 1], zs - zs[i], n_samples)[0]
 
     entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
     return KernelMatrix(spec, box, entries, provenance={

@@ -130,13 +130,16 @@ class ConvergedSpectrum:
     the true eigenvalue of the operator on the whole lattice within tol;
     eigenvalues[j] is then the Dirichlet value at that certifying radius,
     and otherwise the Dirichlet value at radius_used, the last radius
-    solved (nan when that box has too few points).
+    solved (nan when that box has too few points).  stop is "all certified",
+    "budget exhausted" (the next box is over max_dim) or "solver error bound
+    above tol" (no larger box can certify the rest; this wins over the budget).
     """
 
     eigenvalues: np.ndarray
     converged: np.ndarray
     radius_used: int
     radii_scanned: list
+    stop: str
 
     @property
     def all_converged(self) -> bool:
@@ -228,6 +231,7 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     radii = []
     values = np.full(j_max, np.nan)
     flags = np.zeros(j_max, dtype=bool)
+    stop = "budget exhausted"
     while BoxTruncation(R).size(spec.dim) <= max_dim:
         H = build_hamiltonian(spec, V, BoxTruncation(R), lam)
         N = neumann_truncation(H)
@@ -240,9 +244,10 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
                   & (neumann + err < V.outside_min(spec.hbar * (R + 1)) + lam))
         radii.append(R)
         if np.all(flags | (2 * err > tol * (1.0 + np.maximum(np.abs(dirichlet), floor)))):
+            stop = "all certified" if np.all(flags) else "solver error bound above tol"
             break
         R *= 2
-    return ConvergedSpectrum(values, flags, radii[-1], radii)
+    return ConvergedSpectrum(values, flags, radii[-1], radii, stop)
 
 
 @dataclass

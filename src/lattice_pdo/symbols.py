@@ -350,9 +350,9 @@ def symbol_from_matrix(K) -> Symbol:
     For a row point k of K's box, sigma(k, theta) is the trigonometric
     polynomial sum_m K(k, m) exp(+2 pi i (m - k) . theta / hbar); lattice
     rows outside the box evaluate to zero.  Reassembling a kernel from this
-    symbol reproduces K (finite Fourier inversion).  Coefficients are
-    computed by quadrature, which is exact while the box bandwidth stays
-    below half the sampling rate.
+    symbol reproduces K (finite Fourier inversion).  It has no closed form:
+    quadrature reassembles it exactly while 4R + 1 <= n_samples (rows reach
+    offset 2R), and refuses a wider box.
 
     Values and theta-derivatives both go through `_phase_sum`: the row is
     viewed as a (2R+1,)*n tensor over integer column coordinates a, with

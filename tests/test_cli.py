@@ -621,3 +621,66 @@ def test_scan_default_start_radius_in_2d(tmp_path):
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
     rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["3"] * 3
+
+
+NAN, INF = float("nan"), float("inf")
+DECAYING = {"family": "decaying", "params": {"s": 2.0, "a": 1.0, "b": 1.0}}
+
+
+def _with(symbol, **params):
+    return {"family": symbol["family"], "params": {**symbol["params"], **params}}
+
+
+# json reads NaN and Infinity; a field without a range must refuse them by name
+NON_FINITE = {
+    "mu-nan": (base_config("order-report", params={"mu": NAN, "p": 2.0, "r": 1.0}),
+               "params.mu"),
+    "epsilon-inf": (base_config("assemble", symbol={"family": "multiplication",
+                                                    "params": {"epsilon": INF}}),
+                    "symbol.params.epsilon"),
+    "s-nan": (base_config("assemble", symbol=_with(DECAYING, s=NAN)), "symbol.params.s"),
+    "a-inf": (base_config("assemble", symbol=_with(DECAYING, a=INF)), "symbol.params.a"),
+    "b-minus-inf": (base_config("assemble", symbol=_with(DECAYING, b=-INF)),
+                    "symbol.params.b"),
+    "value-nan": (base_config("assemble", symbol={"family": "constant",
+                                                  "params": {"value": NAN}}),
+                  "symbol.params.value"),
+    "c-inf": (base_config("assemble", symbol={"family": "anharmonic",
+                                              "params": {"c": INF, "l": 1}}),
+              "symbol.params.c"),
+    "lambda-nan": (base_config("spectrum", symbol=_with(SCHRODINGER, **{"lambda": NAN}),
+                               truncation={"radius": 25}, params={"j_max": 3}),
+                   "symbol.params.lambda"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_config_refuses_non_finite_numbers(tmp_path, capsys, case):
+    cfg, field = NON_FINITE[case]
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["field"] == field
+    assert "must be finite" in payload["message"]
+    assert not any(out.iterdir())
+
+
+def test_config_accepts_infinite_p(tmp_path):
+    # p = inf is meaningful, so params.p and params.p2 take Infinity
+    cfg = base_config("order-report", params={"mu": -3.0, "p": INF, "p2": INF})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_scan_error_stop_is_not_called_a_budget_stop(tmp_path, capsys):
+    # the quartic at hbar 0.25 stops at R = 100 by the error rule; that the next
+    # box, of 401 points, is also over a budget of 300 changes nothing
+    quartic = {"family": "schrodinger", "params": {"potential": {"c": 1.0, "l": 2}}}
+    cfg = base_config("spectrum", lattice={"hbar": 0.25, "dim": 1}, symbol=quartic,
+                      truncation={"radius": 100},
+                      params={"j_max": 10, "tol": 1e-8, "max_dim": 300})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["message"] == ("solver error bound above tol: "
+                                  "1 of 10 eigenvalues unconverged at radius 100")

@@ -13,7 +13,7 @@ from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 write_binary, write_csv)
 from lattice_pdo.criteria import mixed_lp_sum, nuclear_sum, schur_l1_lp, sup_entry
 from lattice_pdo.spectral import eigendecompose_hermitian, residue_norm
-from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
+from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol, decaying_test_symbol,
                                  difference_symbol, multiplication_symbol,
                                  polynomial_potential, schrodinger_symbol,
                                  symbol_from_matrix)
@@ -229,13 +229,14 @@ def builtin_families(spec):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_assemble_table_and_pointwise_coefficients_agree_exactly(dim, hbar):
-    # one closed form per family: the banded fill, the table and the single
-    # coefficient must give the same bits
+    # one closed form per family, and each family's quadrature: the assembly,
+    # the table and the single coefficient must give the same bits
     spec = LatticeSpec(hbar, dim)
     box = BoxTruncation(2)
     zs = enumerate_box_integers(spec, box)
     m_box = BoxTruncation(2 * box.radius)
-    for sym in builtin_families(spec):
+    families = builtin_families(spec)
+    for sym in families + [quadrature_only(sym) for sym in families]:
         K = assemble(sym, spec, box)
         table = coefficient_table(sym, box, m_box.radius)
         for i, zk in enumerate(zs):
@@ -246,9 +247,9 @@ def test_assemble_table_and_pointwise_coefficients_agree_exactly(dim, hbar):
 
 
 def test_quadrature_refuses_to_fold_columns():
-    # 2R + 1 columns per row need 2R + 1 distinct FFT bins out of n_samples = 64
+    # row offsets m - k reach 2R per axis, so 4R + 1 must not exceed n_samples = 64
     rng = np.random.default_rng(11)
-    for radius, folds in ((31, False), (32, True)):
+    for radius, folds in ((15, False), (16, True)):
         box = BoxTruncation(radius)
         M = rng.normal(size=(box.size(1),) * 2)
         K = KernelMatrix(SPEC1, box, M)
@@ -258,6 +259,27 @@ def test_quadrature_refuses_to_fold_columns():
         else:
             K2 = assemble(symbol_from_matrix(K), SPEC1, box)
             assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+    # twice the samples reach twice the radius
+    box = BoxTruncation(31)
+    K = KernelMatrix(SPEC1, box, rng.normal(size=(box.size(1),) * 2))
+    K2 = assemble(symbol_from_matrix(K), SPEC1, box, n_samples=128)
+    assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+
+
+def test_quadrature_assembly_never_aliases_a_trigonometric_polynomial():
+    # cos(4 pi theta) has degree 2: the operator is 1/2 on the offsets m - k = +-2
+    # and 0 elsewhere.  Row -R reads offsets up to 2R, so at R = 31 the offset 62
+    # shares bin -2 of 64 samples and would read 1/2 where the operator has 0.
+    sym = Symbol(SPEC1, SymbolOrder(0.0), lambda k, theta: np.cos(4 * np.pi * theta[..., 0]),
+                 name="cos(4 pi theta)")
+    with pytest.raises(ValueError, match="radius 62 needs n_samples >= 125, got n_samples=64"):
+        assemble(sym, SPEC1, BoxTruncation(31))
+    for radius, n_samples in ((15, 64), (31, 128)):
+        box = BoxTruncation(radius)
+        zs = enumerate_box_integers(SPEC1, box)[:, 0]
+        exact = 0.5 * (np.abs(zs[None, :] - zs[:, None]) == 2)
+        K = assemble(sym, SPEC1, box, n_samples=n_samples)
+        assert np.max(np.abs(K.entries - exact)) <= 1e-15
 
 
 def quadrature_only(sym):

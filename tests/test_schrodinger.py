@@ -276,3 +276,17 @@ def test_fit_growth_domain_errors():
                              max_dim=7)
     with pytest.raises(ValueError):
         fit_growth_exponent(res, (1, 5), mu=2.0)  # unconverged values in window
+
+
+@pytest.mark.parametrize("V, hbar, start, max_dim, stop", [
+    (HARMONIC, 1.0, 25, 4000, "all certified"),
+    (HARMONIC, 1.0, 2, 7, "budget exhausted"),
+    (QUARTIC, 0.25, 100, 4000, "solver error bound above tol"),
+    # the next box, of 401 points, is over budget too: the error rule wins
+    (QUARTIC, 0.25, 100, 300, "solver error bound above tol"),
+], ids=["certified", "budget", "error", "error-and-budget"])
+def test_scan_records_why_it_stopped(V, hbar, start, max_dim, stop):
+    res = spectrum_converged(LatticeSpec(hbar, 1), V, j_max=5, tol=1e-8, start_radius=start,
+                             max_dim=max_dim)
+    assert res.stop == stop
+    assert res.all_converged is (stop == "all certified")
