@@ -1,6 +1,7 @@
 """Small shared helpers, and the byte format of every CSV table the package writes."""
 
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -64,23 +65,32 @@ def write_csv(path, header, columns) -> None:
     """Write a header row, then one CSV row per element of the columns.
 
     Columns (arrays or scalars) are broadcast together and read in C order.
-    csv.writer gets Python numbers, so a float is written as its shortest
-    round-trip repr and anything else as str.
+    Per chunk, each distinct value of a column (by its bits, for a float) is
+    formatted once as str of its Python value, so the bytes are csv.writer's.
     """
     write_csv_blocks(path, header, [columns])
 
 
-def write_csv_blocks(path, header, blocks) -> None:
-    """`write_csv` with the rows given as successive blocks of columns.
-
-    Each block is written as `write_csv` writes its columns, so a producer
-    can hand over its rows a block at a time rather than all at once.
-    """
+def _csv_row(row) -> str:  # csv.writer's line; csv is imported on first write
     import csv
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+def _csv_texts(values) -> list:
+    keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    fmt = (lambda label: _csv_row([label, ""])[:-2]) if values.dtype.kind in "OSU" else str
+    texts = list(map(fmt, distinct.view(values.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def write_csv_blocks(path, header, blocks) -> None:
+    """`write_csv` with the rows handed over a block of columns at a time."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+        fh.write(_csv_row(header))
         for columns in blocks:
             columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
             for start in range(0, columns[0].size, CSV_CHUNK):
-                w.writerows(zip(*(c.flat[start:start + CSV_CHUNK].tolist() for c in columns)))
+                fields = [_csv_texts(c.flat[start:start + CSV_CHUNK]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

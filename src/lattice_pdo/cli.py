@@ -150,6 +150,21 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float written as the string of its JSON literal.
+
+    Python's json reads ``Infinity`` and ``NaN``, and ``params.p`` takes
+    Infinity, but strict JSON readers refuse those bare tokens.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _write_report(outdir, report, sums, truncation, **extra):
     """report.json: the criterion verdicts with the sums and truncation they go with."""
     path = os.path.join(outdir, "report.json")
@@ -357,7 +372,7 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     outputs = RUNNERS[task](config, spec, outdir)
 
     manifest = {
-        "config": config,
+        "config": _strict_json(config),
         "version": __version__,
         "task": task,
         "threads": (os.cpu_count() or 1) if threads is None else threads,

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lattice_pdo import kernel
+from lattice_pdo import cli, kernel
 from lattice_pdo.cli import main
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo.symbols import constant_symbol
@@ -671,6 +671,27 @@ def test_config_accepts_infinite_p(tmp_path):
     # p = inf is meaningful, so params.p and params.p2 take Infinity
     cfg = base_config("order-report", params={"mu": -3.0, "p": INF, "p2": INF})
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_infinite_p_run_writes_strict_json(tmp_path):
+    # the manifest echoes the config; a bare Infinity token there is refused
+    # by strict JSON readers, so it is echoed as the string "Infinity"
+    def refuse(token):
+        raise ValueError(f"non-finite number {token}")
+
+    cfg = base_config("check-bounds", lattice={"hbar": 0.5, "dim": 1}, truncation={"radius": 10},
+                      symbol={"family": "multiplication", "params": {"epsilon": 1.0}},
+                      params={"p": INF})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    written = sorted(out.glob("*.json"))
+    assert [p.name for p in written] == ["manifest.json", "report.json"]
+    for path in written:
+        with open(path) as fh:
+            json.load(fh, parse_constant=refuse)
+    assert json.loads((out / "manifest.json").read_text())["config"]["params"]["p"] == "Infinity"
+    assert cli._strict_json({"a": [INF, -INF, NAN, 1.5], "b": {"c": "Infinity", "d": 2}}) == \
+        {"a": ["Infinity", "-Infinity", "NaN", 1.5], "b": {"c": "Infinity", "d": 2}}
 
 
 def test_scan_error_stop_is_not_called_a_budget_stop(tmp_path, capsys):
