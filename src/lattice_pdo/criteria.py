@@ -157,7 +157,8 @@ class TailBound:
     row tail (needs mu + 2 q_tilde delta < -n) and the frequency tail
     (needs 2 q_tilde > n, or finitely supported coefficients) are
     controllable; components that cannot be bounded are None and
-    applicable is False.
+    applicable is False.  Each tail is a `_power_shell_sum`, at least its
+    exact real sum at every hbar > 0.
     """
 
     applicable: bool
@@ -168,8 +169,7 @@ class TailBound:
     radius: int
 
 
-SHELL_CHUNK = 4096   # shells summed per numpy step
-SHELL_CAP = 200000   # shells summed exactly before the remainder takes over
+SHELL_CHUNK = 4096  # shells summed term by term; a closed form bounds the rest
 
 
 def _shell_terms(shells: np.ndarray, n: int, exponent: float, scale: float) -> np.ndarray:
@@ -188,38 +188,34 @@ def _shell_terms(shells: np.ndarray, n: int, exponent: float, scale: float) -> n
 
 
 def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> float:
-    """Upper bound on sum over |z|_inf > from_shell of (1 + scale |z|)^exponent.
+    """Upper bound on sum over |z|_inf > from_shell of (1 + scale |z|)^a, a = exponent.
 
-    Exact shell terms with the sup-norm radius as a lower bound on |z|, plus
-    an integral-comparison remainder once terms are negligible (a term at
-    most 1e-16 of the running sum, after at least 10 shells) or after
-    SHELL_CAP shells.  The terms are computed SHELL_CHUNK shells at a time
-    and summed by np.cumsum with the running sum carried in front of each
-    chunk, which adds in the same order as a shell-by-shell loop.
+    It bounds sum_{s > from_shell} count(s) (1 + scale s)^a, as |z| >=
+    s = |z|_inf.  Shells up to S = from_shell + SHELL_CHUNK are added term by
+    term (math.fsum, correctly rounded).  Beyond S, count(s) <=
+    2n (2s+1)^(n-1) <= 2n c^(n-1) (1 + scale s)^(n-1) with
+    c = max(2/scale, (2S+1)/(1 + scale S)), as (2s+1)/(1 + scale s) is
+    monotone, and the decreasing (1 + scale t)^(n+a-1) is bounded by its
+    integral from S: the rest is at most 2n c^(n-1) (1 + scale S)^(n+a) /
+    (scale (-(n+a))), exact in 1-d and sharp to O(1/S) otherwise, for every
+    scale > 0.  Error model: a rounding loses at most a factor 1 - eps/2,
+    pow 1 ulp, and a twice-rounded base up to |a| eps in its power; in all
+    the result can fall (|a| + 3n + 32) eps short, and it is multiplied by
+    twice that.  Below the normal range errors are absolute, at most 2^-1074
+    per power and product: 2^-1070 times the chunk's point count plus the
+    remainder's factor is added for them.
     Requires exponent + n < 0.
     """
     if exponent + n >= 0:
         raise ValueError("shell sum diverges: need exponent < -n")
-    acc = 0.0
-    first = from_shell + 1
-    cap = from_shell + SHELL_CAP
-    s = cap + 1  # the shell after the last one summed, when no term is negligible
-    while first <= cap:
-        shells = np.arange(first, min(first + SHELL_CHUNK, cap + 1))
-        terms = _shell_terms(shells, n, exponent, scale)
-        sums = np.cumsum(np.concatenate(([acc], terms)))[1:]
-        stop = np.flatnonzero((terms <= 1e-16 * np.maximum(sums, 1e-300))
-                              & (shells > from_shell + 10))
-        if stop.size:
-            acc = float(sums[stop[0]])
-            s = int(shells[stop[0]])
-            break
-        acc = float(sums[-1])
-        first += SHELL_CHUNK
-    # remainder: count(s) <= 2n(3s)^(n-1), (1 + scale s)^a <= (scale s)^a
-    remainder = (2 * n * 3 ** (n - 1) * scale ** exponent
-                 * s ** (n + exponent) / (-(n + exponent)))
-    return acc + remainder
+    last = from_shell + SHELL_CHUNK
+    head = math.fsum(_shell_terms(np.arange(from_shell + 1, last + 1), n, exponent, scale))
+    y = 1.0 + scale * last
+    c = max(2.0 / scale, (2 * last + 1) / y)
+    factor = 2 * n * (c * y) ** (n - 1) * y / (scale * -(n + exponent))
+    slack = 1.0 + (2 * abs(exponent) + 6 * n + 64) * math.ulp(1.0)
+    return ((head + factor * y ** exponent) * slack
+            + ((2.0 * last + 1) ** n + factor) * 2.0 ** -1070)
 
 
 def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> float:
@@ -233,12 +229,15 @@ def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> 
 def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> TailBound:
     """Bound the coefficient mass left out by truncating to box radius R.
 
-    Combines the empirical decay constant with integral-comparison tails of
+    Combines the empirical decay constant with tails of
     (1+|k|)^(mu + 2 q_tilde delta) over rows outside the box and
     (1+|m|/hbar)^(-2 q_tilde) over frequencies beyond the box reach, with
-    q_tilde the exponent the decay report was estimated at.  ``order`` must
-    carry the (mu, delta) the report was estimated with, since its constant
-    is weighted by them; any other order raises ValueError.
+    q_tilde the exponent the decay report was estimated at.  Each tail is
+    SHELL_CHUNK exact shells plus 2n c^(n-1) (1 + scale S)^(n+a) /
+    (scale (-(n+a))), rounded up by the error model of `_power_shell_sum`,
+    so it holds at every hbar.  ``order`` must carry the (mu, delta) the
+    report was estimated with, since its constant is weighted by them; any
+    other order raises ValueError.
     """
     if (order.mu, order.delta) != (decay.mu, decay.delta):
         raise ValueError(f"order (mu, delta) = ({order.mu}, {order.delta}) differs from the "

@@ -40,28 +40,37 @@ PAIRWISE_BLOCK = 128     # numpy sums a row in blocks of at most this many eleme
 HERMITIAN_TOL = 1e-9     # largest asymmetry `hermitian_check` accepts
 
 
-def stored_entries(a) -> np.ndarray:
-    """The storage rule: real entries as float64, anything else as complex128."""
+def stored_entries(a, copy=False) -> np.ndarray:
+    """The storage rule: real entries as float64, anything else as complex128.
+
+    A new row-major array when ``copy``; otherwise ``a`` itself if it
+    already follows the rule.
+    """
     a = np.asarray(a)
-    return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
+    dtype = float if a.dtype.kind in "biuf" else complex
+    return np.array(a, dtype=dtype, order="C") if copy else np.asarray(a, dtype=dtype)
 
 
 class KernelMatrix:
     """Truncated matrix of an operator over a box of lattice points.
 
-    ``KernelMatrix(spec, box, entries)`` stores a square array dense, by the
-    rule of `stored_entries`; `assemble` stores closed-form bands as
+    ``KernelMatrix(spec, box, entries)`` stores a copy of a square array
+    dense, by the rule of `stored_entries`, so the caller's array is left
+    as it was; the package's own dense builders hand over arrays they made
+    for the kernel, without a copy.  `assemble` stores closed-form bands as
     triplets.  Either way the stored values are read-only, checked finite
     once and never replaced, so `asymmetry` is computed once.
     """
 
     def __init__(self, spec: LatticeSpec, box: BoxTruncation, entries, provenance=None):
-        e = stored_entries(entries)
-        size = box.size(spec.dim)
-        if e.shape != (size, size):
-            raise ValueError(f"entries must be {size}x{size} for this box, got {e.shape}")
-        self._store(spec, box, provenance, e, None)
-        self.__dict__["entries"] = e  # fills the cached property: a dense kernel's storage
+        self._store(spec, box, provenance, stored_entries(entries, copy=True), None)
+
+    @classmethod
+    def _owning(cls, spec, box, entries, provenance):
+        # a dense array made for this kernel alone: stored as it is
+        K = cls.__new__(cls)
+        K._store(spec, box, provenance, stored_entries(entries), None)
+        return K
 
     @classmethod
     def _from_triplets(cls, spec, box, rows, cols, values, provenance):
@@ -71,7 +80,12 @@ class KernelMatrix:
         return K
 
     def _store(self, spec, box, provenance, values, triplets):
-        if not np.all(np.isfinite(values.view(float))):
+        if triplets is None:  # dense storage: the values are the matrix
+            size = box.size(spec.dim)
+            if values.shape != (size, size):
+                raise ValueError(f"entries must be {size}x{size} for this box, got {values.shape}")
+            self.__dict__["entries"] = values  # fills the cached property
+        if not np.all(np.isfinite(values)):
             raise ValueError("kernel entries must be finite")
         values.setflags(write=False)
         self.spec = spec
@@ -164,7 +178,7 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
         return coefficients(sym, zs[i:i + 1], zs - zs[i], n_samples)[0]
 
     entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
-    return KernelMatrix(spec, box, entries, provenance={
+    return KernelMatrix._owning(spec, box, entries, provenance={
         "symbol": sym.name, "method": f"quadrature(n={n_samples})", "radius": r})
 
 
@@ -263,8 +277,8 @@ def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
     d = np.diag(K.entries).copy()
     res = np.array(K.entries)
     np.fill_diagonal(res, 0.0)
-    residue = KernelMatrix(K.spec, K.box, res,
-                           provenance=dict(K.provenance, part="off-diagonal"))
+    residue = KernelMatrix._owning(K.spec, K.box, res,
+                                   provenance=dict(K.provenance, part="off-diagonal"))
     return DiagonalSplit(d, residue)
 
 
@@ -294,8 +308,8 @@ def hermitian_check(K):
 def hermitize(K: KernelMatrix) -> KernelMatrix:
     """(K + K^H) / 2, the Hermitian part."""
     sym = 0.5 * (K.entries + K.entries.conj().T)
-    return KernelMatrix(K.spec, K.box, sym,
-                        provenance=dict(K.provenance, hermitized=True))
+    return KernelMatrix._owning(K.spec, K.box, sym,
+                                provenance=dict(K.provenance, hermitized=True))
 
 
 # ---------------------------------------------------------------------------
@@ -344,4 +358,5 @@ def read_binary(path) -> KernelMatrix:
         box = BoxTruncation(int(radius))
         size = box.size(spec.dim)
         data = np.frombuffer(fh.read(), dtype="<c16").reshape(size, size)
-    return KernelMatrix(spec, box, data.astype(complex), provenance={"source": str(path)})
+    return KernelMatrix._owning(spec, box, data.astype(complex),
+                                provenance={"source": str(path)})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo import criteria
 from lattice_pdo.criteria import (CriterionQuery, _power_ball_sum, _power_shell_sum,
                                   mixed_lp_sum, nuclear_row_terms,
                                   nuclear_sum, order_conditions, schur_l1_lp,
@@ -268,22 +269,6 @@ def shell_count_reference(s, n):
     return 1 if s == 0 else (2 * s + 1) ** n - (2 * s - 1) ** n
 
 
-def shell_sum_reference(exponent, scale, n, from_shell):
-    """The shell-by-shell loop behind _power_shell_sum, kept as its reference."""
-    acc = 0.0
-    s = from_shell + 1
-    cap = from_shell + 200000
-    while s <= cap:
-        term = shell_count_reference(s, n) * (1.0 + scale * s) ** exponent
-        acc += term
-        if term <= 1e-16 * max(acc, 1e-300) and s > from_shell + 10:
-            break
-        s += 1
-    remainder = (2 * n * 3 ** (n - 1) * scale ** exponent
-                 * s ** (n + exponent) / (-(n + exponent)))
-    return acc + remainder
-
-
 def ball_sum_reference(exponent, scale, n, up_to_shell):
     acc = 0.0
     for s in range(0, up_to_shell + 1):
@@ -291,20 +276,81 @@ def ball_sum_reference(exponent, scale, n, up_to_shell):
     return acc
 
 
-# excess over -n: 0.05 runs to the 200 000-shell cap, 39 stops after a few shells
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("excess", [0.05, 1.0, 2.0, 39.0])
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 def test_shell_sums_match_loop(n, excess, scale):
+    # _power_ball_sum against the shell-by-shell loop
     exponent = -n - excess
-    for from_shell in (0, 20, 100):
-        got = _power_shell_sum(exponent, scale, n, from_shell)
-        want = shell_sum_reference(exponent, scale, n, from_shell)
-        if n <= 2:
-            assert got == want
-        else:
-            assert want <= got <= want * (1 + 1e-15)
     for up_to_shell in (0, 3, 50):
         got = _power_ball_sum(exponent, scale, n, up_to_shell)
         want = ball_sum_reference(exponent, scale, n, up_to_shell)
         assert want <= got <= want * (1 + 1e-15)
+
+
+# sum_{s > from_shell} count(s) (1 + scale s)^(-n - excess) for from_shell = 0, 20, 100,
+# keyed by (n, excess, scale): computed with mpmath 1.3.0 at 60 digits and rounded to
+# the nearest double.  count(s) = (2s+1)^n - (2s-1)^n is expanded in powers
+# y^j of y = 1 + scale s, and each sum_s y^(a+j) is scale^(a+j) times the Hurwitz zeta
+# zeta(-(a+j), from_shell + 1 + 1/scale).
+EXACT_SHELL_SUMS = {
+    (1, 0.05, 0.25): (159.04347320673332, 146.13797858122823, 135.9149033732823),
+    (1, 0.05, 1.0): (39.16168860407397, 34.31120842129077, 31.74947855887516),
+    (1, 0.05, 4.0): (9.43580423126565, 8.017590851554509, 7.408574527874258),
+    (1, 1.0, 0.25): (7.0823345835876905, 1.3059412242312185, 0.30621775897772574),
+    (1, 1.0, 1.0): (1.2898681336964528, 0.09300649847811598, 0.01970427411678576),
+    (1, 1.0, 4.0): (0.14966614431338884, 0.006022931396250726, 0.0012406846036692367),
+    (1, 2.0, 0.25): (3.1225428636873276, 0.10657787637903796, 0.005860537525270558),
+    (1, 2.0, 1.0): (0.4041138063191886, 0.0021621630026817857, 9.706381953749471e-05),
+    (1, 2.0, 4.0): (0.02074593652401438, 3.626869461622799e-05, 1.5392856495611123e-06),
+    (1, 39.0, 0.25): (0.0002660268562052307, 3.70825085481855e-32, 1.1072581080239973e-56),
+    (1, 39.0, 1.0): (1.8189895680527777e-12, 4.852551101222187e-54, 2.851375041293571e-80),
+    (1, 39.0, 4.0): (2.19902325568731e-28, 1.5877748270362309e-77, 3.1494331511817507e-104),
+    (2, 0.05, 0.25): (2437.4409907881286, 2320.0318204383125, 2170.674688139833),
+    (2, 0.05, 1.0): (151.84336078306748, 136.94091591164576, 126.93833326639822),
+    (2, 0.05, 4.0): (9.301904128103232, 8.012991905561528, 7.407699127819158),
+    (2, 1.0, 0.25): (63.3566675184058, 19.18981356563489, 4.805715543239283),
+    (2, 1.0, 1.0): (3.5430173095090574, 0.3633773419017368, 0.07842884118899306),
+    (2, 1.0, 4.0): (0.12892020778937446, 0.005986662701634498, 0.0012391453180196756),
+    (2, 2.0, 0.25): (20.704557726488982, 1.5197181983519776, 0.09137583603006164),
+    (2, 2.0, 1.0): (0.9578693555876487, 0.008380621506013885, 0.0003857052232575357),
+    (2, 2.0, 4.0): (0.01712335317871699, 3.597754858914538e-05, 1.5367393340248913e-06),
+    (2, 39.0, 0.25): (0.0008516732051498697, 4.9936932824355395e-31, 1.705515476269069e-55),
+    (2, 39.0, 1.0): (3.637979245777388e-12, 1.853588564086708e-53, 1.1295975269219295e-79),
+    (2, 39.0, 4.0): (1.7592186045618756e-28, 1.5692570834725345e-77, 3.1418160483483244e-104),
+    (3, 0.05, 0.25): (28546.44212363373, 27640.600753393403, 26001.468451955458),
+    (3, 0.05, 1.0): (446.12341094304253, 409.9345165161761, 380.6372340236204),
+    (3, 0.05, 4.0): (6.909168301836823, 6.0063443653728195, 5.555119742830857),
+    (3, 1.0, 0.25): (513.6538255087836, 212.05273989637698, 56.57222603428405),
+    (3, 1.0, 1.0): (7.920090329186502, 1.0650571688133472, 0.23413004541092966),
+    (3, 1.0, 4.0): (0.08747022430329049, 0.0044633050108110976, 0.0009282089803297742),
+    (3, 2.0, 0.25): (128.9925415514717, 16.28416480289481, 1.068625429420255),
+    (3, 2.0, 1.0): (1.8579720914232478, 0.024368138329669588, 0.001149526742117065),
+    (3, 2.0, 4.0): (0.01131836140146314, 2.6769402333327818e-05, 1.1506530564953015e-06),
+    (3, 39.0, 0.25): (0.00221578805549722, 5.0445654231775995e-30, 1.970278081419906e-54),
+    (3, 39.0, 1.0): (5.911716457175092e-12, 5.311275657597874e-53, 3.3562771408472205e-79),
+    (3, 39.0, 4.0): (1.1434920929688942e-28, 1.1634326237595458e-77, 2.3506814683128162e-104),
+}
+
+
+@pytest.mark.parametrize("n, excess, scale", sorted(EXACT_SHELL_SUMS))
+def test_shell_tail_sums_bound_exact_sums(n, excess, scale):
+    # an upper bound at every scale, hbar = 4 included, and within 1e-3 of the exact sum
+    for from_shell, exact in zip((0, 20, 100), EXACT_SHELL_SUMS[n, excess, scale]):
+        got = _power_shell_sum(-n - excess, scale, n, from_shell)
+        assert exact <= got <= exact * (1 + 1e-3), (from_shell, got / exact - 1)
+
+
+def test_shell_tail_sum_reads_one_chunk(monkeypatch):
+    shells = []
+    terms = criteria._shell_terms
+
+    def counted(s, *args):
+        shells.append(len(s))
+        return terms(s, *args)
+
+    monkeypatch.setattr(criteria, "_shell_terms", counted)
+    for n in (1, 2, 3):
+        shells.clear()
+        _power_shell_sum(-n - 0.05, 0.25, n, 100)
+        assert 0 < sum(shells) <= criteria.SHELL_CHUNK

@@ -156,6 +156,24 @@ def test_kernel_storage_follows_entries():
     assert assemble(constant_symbol(1.5 + 0.5j), SPEC1, box).entries.dtype == np.complex128
 
 
+def test_kernel_from_transposed_complex_matrix():
+    rng = np.random.default_rng(12)
+    spec2, box = LatticeSpec(1.0, 2), BoxTruncation(3)
+    M = rng.normal(size=(49, 49)) + 1j * rng.normal(size=(49, 49))
+    K = KernelMatrix(spec2, box, M.T)
+    np.testing.assert_array_equal(K.entries, M.T)
+    assert K.entries.dtype == np.complex128
+
+
+def test_kernel_leaves_the_callers_array_alone():
+    for a in (np.eye(3), np.eye(3, dtype=complex)):
+        K = KernelMatrix(SPEC1, BoxTruncation(1), a)
+        assert a.flags.writeable
+        a[0, 1] = 5.0
+        assert K.entries[0, 1] == 0.0
+        assert K.asymmetry == 0.0
+
+
 def test_kernel_rejects_wrong_shape():
     with pytest.raises(ValueError):
         KernelMatrix(SPEC1, BoxTruncation(1), np.eye(4, dtype=complex))
