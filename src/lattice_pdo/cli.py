@@ -327,7 +327,7 @@ def task_spectrum(cfg, spec, outdir, fit_growth=False):
                result.converged.astype(int), result.radius_used])
     if j_range is not None:
         try:
-            fit = schrodinger.fit_growth_exponent(result, j_range, pot.mu)
+            fit = schrodinger.fit_growth_exponent(result, j_range, pot.mu, spec.dim)
         except ValueError as e:
             raise NumericError(str(e))
         paths.append(os.path.join(outdir, "growth.json"))

@@ -153,7 +153,7 @@ def order_conditions(order: SymbolOrder, query: CriterionQuery) -> CriterionRepo
 class TailBound:
     """Bound on the coefficient mass outside a box of radius R.
 
-    value = constant * (k_tail * m_full + k_full * m_tail) when both the
+    value >= constant * (k_tail * m_full + k_full * m_tail), exactly, when both the
     row tail (needs mu + 2 q_tilde delta < -n) and the frequency tail
     (needs 2 q_tilde > n, or finitely supported coefficients) are
     controllable; components that cannot be bounded are None and
@@ -200,11 +200,10 @@ def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> 
     (scale (-(n+a))), exact in 1-d and sharp to O(1/S) otherwise, for every
     scale > 0.  Error model: a rounding loses at most a factor 1 - eps/2,
     pow 1 ulp, and a twice-rounded base up to |a| eps in its power; in all
-    the result can fall (|a| + 3n + 32) eps short, and it is multiplied by
-    twice that.  Below the normal range errors are absolute, at most 2^-1074
-    per power and product: 2^-1070 times the chunk's point count plus the
-    remainder's factor is added for them.
-    Requires exponent + n < 0.
+    the result can fall (|a| + 3n + 32) eps short (`_rounded_up`).  Below the
+    normal range errors are absolute, at most 2^-1074 per power and product,
+    counted once per point of the chunk and once per unit of the remainder's
+    factor.  Requires exponent + n < 0.
     """
     if exponent + n >= 0:
         raise ValueError("shell sum diverges: need exponent < -n")
@@ -213,17 +212,27 @@ def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> 
     y = 1.0 + scale * last
     c = max(2.0 / scale, (2 * last + 1) / y)
     factor = 2 * n * (c * y) ** (n - 1) * y / (scale * -(n + exponent))
-    slack = 1.0 + (2 * abs(exponent) + 6 * n + 64) * math.ulp(1.0)
-    return ((head + factor * y ** exponent) * slack
-            + ((2.0 * last + 1) ** n + factor) * 2.0 ** -1070)
+    return _rounded_up(head + factor * y ** exponent, abs(exponent) + 3 * n + 32,
+                       (2.0 * last + 1) ** n + factor)
 
 
 def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> float:
-    """Upper bound on sum over |z|_inf <= up_to_shell of (1 + scale |z|)^exponent."""
-    shells = np.arange(up_to_shell + 1)
-    # |z| >= |z|_inf = s and exponent < 0, so each term bounds its shell
-    terms = _shell_terms(shells, n, min(exponent, 0.0), scale)
-    return float(np.cumsum(terms)[-1])
+    """Upper bound on sum over |z|_inf <= up_to_shell of (1 + scale |z|)^min(exponent, 0).
+
+    As |z| >= |z|_inf, each shell term bounds its shell.  The terms are added
+    by math.fsum and rounded up by the error model of `_power_shell_sum`.
+    """
+    a = min(exponent, 0.0)
+    head = math.fsum(_shell_terms(np.arange(up_to_shell + 1), n, a, scale))
+    return _rounded_up(head, abs(a) + 3 * n + 32, (2.0 * up_to_shell + 1) ** n)
+
+
+def _rounded_up(value: float, short_eps: float, tiny_ops: float) -> float:
+    """Upper bound on the real number that ``value`` computes, if it falls at most
+    short_eps eps short in the normal range and 2^-1074 per each of ``tiny_ops``
+    operations below it; the factor 1 + 2 short_eps eps covers its own rounding.
+    """
+    return value * (1.0 + 2 * short_eps * math.ulp(1.0)) + tiny_ops * 2.0 ** -1070
 
 
 def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> TailBound:
@@ -266,5 +275,8 @@ def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> Tai
     value = None
     if applicable:
         k_full = _power_ball_sum(a, decay.hbar, n, int(R)) + k_tail
-        value = decay.constant * (k_tail * m_full + k_full * m_tail)
+        # m_full, k_full, two products and their sum are five roundings of
+        # non-negative numbers, each at most eps/2 short
+        inner = _rounded_up(k_tail * m_full + k_full * m_tail, 2.5, 2.0)
+        value = _rounded_up(decay.constant * inner, 0.5, 1.0)
     return TailBound(applicable, value, k_tail, m_tail, decay.constant, int(R))

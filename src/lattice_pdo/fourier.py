@@ -14,14 +14,14 @@ every built-in family (degree <= 1) and the symbol of a matrix on a box of
 radius up to 15, whose rows reach frequency 2R.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .lattice import BoxTruncation, as_point, enumerate_box_integers, integer_coords
-from .symbols import Symbol
+from .lattice import BoxTruncation, enumerate_box_integers, integer_coords
+from .symbols import Symbol, eval_symbol, values_only
 from . import _util
 from ._util import check_dense_fits
 
@@ -37,9 +37,8 @@ def _theta_grid(dim: int, n_samples: int) -> np.ndarray:
 
 def spectrum_of_row(sym: Symbol, k, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     """FFT of sigma(k, .) sampled on the uniform grid, normalized to coefficients."""
-    kk = as_point(sym.spec, k)
     grid = _theta_grid(sym.spec.dim, n_samples)
-    samples = np.asarray(sym.eval_fn(kk, grid), dtype=complex)
+    samples = eval_symbol(sym, k, grid)
     return np.fft.fftn(samples) / n_samples ** sym.spec.dim
 
 
@@ -70,7 +69,7 @@ def toroidal_coefficient(sym: Symbol, k, m, n_samples: int = DEFAULT_SAMPLES,
     """Coefficient of sigma(k, .) at lattice frequency m; by quadrature if ``force_quadrature``."""
     zk, zm = integer_coords(sym.spec, k), integer_coords(sym.spec, m)
     if force_quadrature:
-        sym = replace(sym, closed_form_coeffs=None)
+        sym = values_only(sym)
     return complex(coefficients(sym, zk[None], zm[None], n_samples)[0, 0])
 
 

@@ -89,8 +89,8 @@ class PotentialSpec:
         """
         if not (c > 0):
             raise ValueError(f"anharmonic coefficient must be positive, got {c}")
-        return cls(anharmonic_value(c, l), 2.0 * l, dim,
-                   outside_min=lambda rho: c * float(rho) ** (2 * l))
+        value = anharmonic_value(c, l)
+        return cls(lambda k: value(float(np.linalg.norm(k))), 2.0 * l, dim, outside_min=value)
 
 
 def _hamiltonian_symbol(spec: LatticeSpec, V, lam: float):
@@ -269,11 +269,12 @@ class GrowthFit:
     mu: float
 
 
-def fit_growth_exponent(eigs, j_range, mu: float) -> GrowthFit:
+def fit_growth_exponent(eigs, j_range, mu: float, n: int = 1) -> GrowthFit:
     """Fit the eigenvalue growth exponent over a 1-based index window.
 
     eigs is a ConvergedSpectrum, whose window must be converged, or an
-    array of ascending eigenvalues.
+    array of ascending eigenvalues.  Orders r are sampled where H^-1, of order
+    -mu on the n-d lattice, is r-nuclear: n/mu < r <= 1, none if n/mu >= 1.
     """
     if isinstance(eigs, ConvergedSpectrum):
         vals, flags = eigs.eigenvalues, eigs.converged
@@ -290,10 +291,10 @@ def fit_growth_exponent(eigs, j_range, mu: float) -> GrowthFit:
     js = np.arange(j_lo, j_hi + 1, dtype=float)
     slope, intercept = np.polyfit(np.log(js), np.log(window), 1)
 
-    samples = [1.0, (1.0 + 1.0 / mu) / 2.0, 1.0 / mu + 0.05]
+    samples = [1.0, (1.0 + n / mu) / 2.0, n / mu + 0.05]
     r_flags = {}
     for r in samples:
-        if not (1.0 / mu < r <= 1.0):
+        if not (n / mu < r <= 1.0):
             continue
         c = window[0] / (js[0] + 1.0) ** (1.0 / r)
         r_flags[r] = bool(np.all(window >= c * js ** (1.0 / r) * (1 - 1e-12)))

@@ -10,7 +10,9 @@ nuclearity decision engine in `criteria`.  rho is carried for completeness
 only; no implemented criterion consumes it.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,29 +47,31 @@ class SymbolOrder:
 class Symbol:
     """Evaluatable symbol with order metadata.
 
-    eval_fn(k, theta) must accept ``k`` of shape (n,) and ``theta`` of shape
-    (..., n) and evaluate vectorized over the leading axes, to an array of
-    shape theta.shape[:-1].  `theta_derivative` forms D_theta^beta sigma by
-    the first path that applies: deriv_fn(k, theta, beta), under the same
-    shape contract, when present; the closed-form coefficients when their
-    support radius is finite, as the exact sum over z of
-    (2 pi i z)^beta c(k, z) exp(2 pi i z . theta); central differences of
-    eval_fn up to total order FD_MAX_ORDER.  closed_form_coeffs(z_rows,
-    z_offset), when present, returns the torus Fourier coefficients without
-    quadrature: for integer row coordinates ``z_rows`` of shape (S, n) (the
-    points hbar * z_rows) and one integer frequency ``z_offset`` of shape
-    (n,), an array of S coefficients, real or complex.
-    ``coeff_support_radius`` bounds |z_offset|_inf of its nonzeros (None if
-    unbounded / unknown).
+    A symbol with a finite series over integer frequencies takes its values
+    and its theta-derivatives of every order from it (`theta_derivative`).
+    The series of row z, the point hbar z, is row_series(z) when present: a
+    coefficient tensor with one axis per torus axis, and each axis's integer
+    frequencies.  Otherwise it is gathered from closed_form_coeffs when
+    ``coeff_support_radius`` is finite.  closed_form_coeffs(z_rows, z_offset)
+    gives the torus Fourier coefficients at the integer frequency
+    ``z_offset`` (n,) of the integer rows ``z_rows`` (S, n): S values, real
+    or complex, zero once |z_offset|_inf exceeds ``coeff_support_radius``
+    (None if unknown).  Any other symbol is eval_fn(k, theta), for ``k`` of
+    shape (n,) and ``theta`` of shape (..., n), vectorized to theta.shape[:-1].
     """
 
     spec: LatticeSpec
     order: SymbolOrder
-    eval_fn: Callable
-    deriv_fn: Optional[Callable] = None
+    eval_fn: Optional[Callable] = None
+    row_series: Optional[Callable] = None
     closed_form_coeffs: Optional[Callable] = None
     coeff_support_radius: Optional[int] = None
     name: str = "symbol"
+
+    def __post_init__(self):
+        if self.eval_fn is None and self.row_series is None and (
+                self.closed_form_coeffs is None or self.coeff_support_radius is None):
+            raise ValueError(f"symbol '{self.name}' has neither eval_fn nor a finite series")
 
 
 def _as_theta(spec: LatticeSpec, theta):
@@ -106,28 +110,40 @@ def _normalize_beta(spec: LatticeSpec, beta):
 def theta_derivative(sym: Symbol, k, theta, beta):
     """D_theta^beta sigma(k, theta): a scalar for one theta point, else theta.shape[:-1].
 
-    Paths in order: the symbol's deriv_fn; the exact sum over its
-    closed-form coefficients when their support radius is finite; central
-    differences up to total order FD_MAX_ORDER.  A k off the lattice
-    hbar Z^n raises ValueError.
+    A symbol with a finite series sums prod_j (2 pi i z_j)^beta_j c(k, z)
+    exp(2 pi i z . theta) over its frequencies z, for its values (beta = 0)
+    and its derivatives of every order alike.  Any other symbol gives eval_fn
+    and central differences of it up to total order FD_MAX_ORDER.  A k off
+    the lattice hbar Z^n raises ValueError.
     """
-    integer_coords(sym.spec, k)
     kk = as_point(sym.spec, k)
+    z = integer_coords(sym.spec, kk)
     b = _normalize_beta(sym.spec, beta)
-    total = sum(b)
     tt = _as_theta(sym.spec, theta)
-    if total == 0:
-        return _value(sym.spec, tt, sym.eval_fn(kk, tt))
-    if sym.deriv_fn is not None:
-        out = sym.deriv_fn(kk, tt, b)
-    elif sym.closed_form_coeffs is not None and sym.coeff_support_radius is not None:
-        out = _closed_form_derivative(sym, kk, tt, b)
-    elif total > FD_MAX_ORDER:
+    series = _series(sym, z)
+    if series is not None:
+        out = _phase_sum(*series, tt, b)
+    elif sum(b) == 0:
+        out = sym.eval_fn(kk, tt)
+    elif sum(b) > FD_MAX_ORDER:
         raise ValueError(f"symbol '{sym.name}' has no exact theta derivative and central "
-                         f"differences stop at order {FD_MAX_ORDER}, requested {total}")
+                         f"differences stop at order {FD_MAX_ORDER}, requested {sum(b)}")
     else:
         out = _finite_difference(sym, kk, tt, b)
     return _value(sym.spec, tt, out)
+
+
+def _series(sym: Symbol, z):
+    # row z's coefficient tensor and per-axis frequencies; None without a finite series
+    if sym.row_series is not None:
+        return sym.row_series(z)
+    r = sym.coeff_support_radius
+    if sym.closed_form_coeffs is None or r is None:
+        return None
+    box = BoxTruncation(r)
+    offsets = enumerate_box_integers(sym.spec, box)
+    coeffs = [sym.closed_form_coeffs(z[None], off)[0] for off in offsets]
+    return np.reshape(coeffs, box_shape(sym.spec, box)), [np.arange(-r, r + 1)] * sym.spec.dim
 
 
 def _phase_sum(coeffs, freqs, theta, beta):
@@ -139,9 +155,13 @@ def _phase_sum(coeffs, freqs, theta, beta):
     contracted in turn, so a theta point costs sum_j len(freqs[j])
     exponentials rather than their product, and a coordinate value repeated
     across points (as on a quadrature grid) is exponentiated once.  A zero
-    frequency factor (2 pi i 0)^beta_j contributes exactly 0, even against an
-    infinite coefficient.
+    frequency factor (2 pi i 0)^beta_j contributes exactly 0, and a series of
+    frequency 0 alone is its coefficient, inf + 0j included (never a product
+    with the phase 1 + 0j, which would turn inf into nan).
     """
+    if not any(np.any(f) for f in freqs):
+        return np.full(theta.shape[:-1], 0j if any(beta) else np.asarray(coeffs).item(),
+                       dtype=complex)
     n = theta.shape[-1]
     t = theta.reshape(-1, n)
     tables = []
@@ -156,16 +176,6 @@ def _phase_sum(coeffs, freqs, theta, beta):
     for f, table in zip(reversed(freqs[:-1]), reversed(tables[:-1])):
         acc = np.einsum("qsp,ps->qp", acc.reshape(-1, len(f), len(t)), table)
     return acc.reshape(theta.shape[:-1])
-
-
-def _closed_form_derivative(sym, k, theta, beta):
-    # the (2r + 1)^n coefficients of row k, one closed_form_coeffs call per offset
-    r, n = sym.coeff_support_radius, sym.spec.dim
-    z = integer_coords(sym.spec, k)[None]
-    box = BoxTruncation(r)
-    coeffs = [sym.closed_form_coeffs(z, off)[0] for off in enumerate_box_integers(sym.spec, box)]
-    return _phase_sum(np.reshape(coeffs, box_shape(sym.spec, box)), [np.arange(-r, r + 1)] * n,
-                      theta, beta)
 
 
 def _finite_difference(sym, k, theta, beta):
@@ -205,20 +215,14 @@ def _norms(pts) -> np.ndarray:
 
 
 def _multiplier(spec: LatticeSpec, order: SymbolOrder, values: Callable, name: str) -> Symbol:
-    """sigma(k, theta) = v(k): the diagonal operator of a function on the lattice.
-
-    ``values`` maps points of shape (S, n) to their S values.
-    """
-
-    def ev(k, theta):
-        return np.full(theta.shape[:-1], values(k[None])[0], dtype=complex)
+    """sigma(k, theta) = v(k), for ``values`` mapping points (S, n) to their S values v."""
 
     def cf(z_rows, z_offset):
         if np.any(z_offset):
             return np.zeros(len(z_rows))
         return values(spec.hbar * z_rows)
 
-    return Symbol(spec, order, ev, closed_form_coeffs=cf, coeff_support_radius=0, name=name)
+    return Symbol(spec, order, closed_form_coeffs=cf, coeff_support_radius=0, name=name)
 
 
 def constant_symbol(value, spec: LatticeSpec | None = None) -> Symbol:
@@ -235,13 +239,10 @@ def difference_symbol(hbar: float = 1.0) -> Symbol:
     """
     spec = LatticeSpec(hbar, 1)
 
-    def ev(k, theta):
-        return np.exp(2j * np.pi * theta[..., 0]) - 1.0
-
     def cf(z_rows, z_offset):
         return np.full(len(z_rows), {1: 1.0, 0: -1.0}.get(int(z_offset[0]), 0.0))
 
-    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, closed_form_coeffs=cf,
+    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), closed_form_coeffs=cf,
                   coeff_support_radius=1, name="difference")
 
 
@@ -281,10 +282,6 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
         raise ValueError("potential_order is required when V does not carry an order attribute")
     h2 = spec.hbar ** -2
 
-    def ev(k, theta):
-        kin = h2 * np.sum(2.0 - 2.0 * np.cos(2 * np.pi * theta), axis=-1)
-        return kin + float(V(k)) + lam + 0j
-
     def cf(z_rows, z_offset):
         hops = int(np.sum(np.abs(z_offset)))
         if hops == 0:
@@ -292,7 +289,7 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
             return 2 * spec.dim * h2 + v + lam
         return np.full(len(z_rows), -h2 if hops == 1 else 0.0)
 
-    return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0), ev,
+    return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0),
                   closed_form_coeffs=cf, coeff_support_radius=1, name="schrodinger")
 
 
@@ -305,42 +302,28 @@ def decaying_test_symbol(s: float, a: float, b: float,
     """
     spec = spec or LatticeSpec(1.0, 1)
 
-    def radial(pts):
-        return float_pow(1.0 + _norms(pts), -s)
-
-    def ev(k, theta):
-        return radial(k[None])[0] * (a + b * np.cos(2 * np.pi * theta[..., 0])) + 0j
-
     def cf(z_rows, z_offset):
         if np.any(z_offset[1:]) or abs(z_offset[0]) > 1:
             return np.zeros(len(z_rows))
-        r = radial(spec.hbar * z_rows)
+        r = float_pow(1.0 + _norms(spec.hbar * z_rows), -s)
         return a * r if z_offset[0] == 0 else 0.5 * b * r
 
-    return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), ev,
-                  closed_form_coeffs=cf, coeff_support_radius=1,
-                  name=f"decaying(s={s},a={a},b={b})")
-
-
-def _check_anharmonic_power(l):
-    if int(l) != l or l < 1:
-        raise ValueError(f"anharmonic power l must be a natural number, got {l}")
+    return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), closed_form_coeffs=cf,
+                  coeff_support_radius=1, name=f"decaying(s={s},a={a},b={b})")
 
 
 def anharmonic_value(c: float, l: int) -> Callable:
-    """k -> c |k|^(2l), after checking that l is a natural number."""
-    _check_anharmonic_power(l)
-    return lambda k: c * float(np.linalg.norm(k)) ** (2 * l)
+    """|k| -> c |k|^(2l) by the C pow, the one anharmonic formula; l must be a natural number."""
+    if int(l) != l or l < 1:
+        raise ValueError(f"anharmonic power l must be a natural number, got {l}")
+    return lambda r: c * math.pow(r, 2 * l)
 
 
 def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
-    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l), order 2l.
-
-    Its values are those of `anharmonic_value`, computed for all points at once.
-    """
-    _check_anharmonic_power(l)
+    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l) (`anharmonic_value`), order 2l."""
+    value = anharmonic_value(c, l)
     return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0),
-                       lambda pts: c * float_pow(_norms(pts), 2 * l),
+                       lambda pts: np.array([value(r) for r in _norms(pts).tolist()]),
                        f"anharmonic(c={c},l={l})")
 
 
@@ -354,24 +337,26 @@ def symbol_from_matrix(K) -> Symbol:
     quadrature reassembles it exactly while 4R + 1 <= n_samples (rows reach
     offset 2R), and refuses a wider box.
 
-    Values and theta-derivatives both go through `_phase_sum`: the row is
-    viewed as a (2R+1,)*n tensor over integer column coordinates a, with
-    frequencies a - z_j along axis j (z the row's integer coordinates), so a
-    theta point costs at most n(2R+1) exponentials rather than (2R+1)^n.
+    Its series is the row viewed as a (2R+1,)*n tensor over integer column
+    coordinates a, with frequencies a - z_j along axis j (z the row's integer
+    coordinates), so a theta point costs at most n(2R+1) exponentials rather
+    than (2R+1)^n.
     """
     spec = K.spec
     r = K.box.radius
     rows = np.asarray(K.entries).reshape(2 * box_shape(spec, K.box))
     offsets = np.arange(-r, r + 1)
+    outside = np.zeros((1,) * spec.dim), [np.zeros(1, dtype=np.int64)] * spec.dim
 
-    def phase_sum(k, theta, beta):
-        z = integer_coords(spec, k)
+    def row_series(z):
         if np.any(np.abs(z) > r):
-            return np.zeros(theta.shape[:-1], dtype=complex)
-        return _phase_sum(rows[tuple(z + r)], list(offsets - z[:, None]), theta, beta)
+            return outside
+        return rows[tuple(z + r)], list(offsets - z[:, None])
 
-    def ev(k, theta):
-        return phase_sum(k, theta, (0,) * spec.dim)
+    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 
-    return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), ev, deriv_fn=phase_sum,
-                  name="matrix-symbol")
+
+def values_only(sym: Symbol) -> Symbol:
+    """``sym`` given by its values alone, so that its coefficients come from quadrature."""
+    return replace(sym, eval_fn=partial(eval_symbol, sym), row_series=None,
+                   closed_form_coeffs=None, coeff_support_radius=None)

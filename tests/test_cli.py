@@ -148,6 +148,21 @@ def test_fit_growth_task(tmp_path):
     assert 1.8 <= growth["slope"] <= 2.2
 
 
+
+def test_fit_growth_2d_claims_no_order_r(tmp_path):
+    # n/mu = 1 in the 2-d harmonic case: no r <= 1 is admissible, so none is reported
+    cfg = base_config(
+        "fit-growth", lattice={"hbar": 1.0, "dim": 2},
+        symbol={"family": "schrodinger",
+                "params": {"potential": {"c": 1.0, "l": 1}, "lambda": 0.0}},
+        truncation={"radius": 3},
+        params={"j_max": 200, "tol": 1e-8, "j_range": [50, 200], "max_dim": 2401},
+    )
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    growth = json.loads((tmp_path / "out" / "growth.json").read_text())
+    assert growth["r_bound_satisfied"] == {}
+
 def test_config_error_unknown_family(tmp_path, capsys):
     cfg = base_config("assemble", symbol={"family": "nope", "params": {}})
     rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])

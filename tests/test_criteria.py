@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from lattice_pdo.criteria import (CriterionQuery, _power_ball_sum, _power_shell_
                                   mixed_lp_sum, nuclear_row_terms,
                                   nuclear_sum, order_conditions, schur_l1_lp,
                                   sup_entry, truncation_tail_bound)
-from lattice_pdo.fourier import estimate_decay_constant
+from lattice_pdo.fourier import DecayReport, estimate_decay_constant
 from lattice_pdo.kernel import assemble
 from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol,
                                  decaying_test_symbol, difference_symbol,
@@ -280,12 +282,13 @@ def ball_sum_reference(exponent, scale, n, up_to_shell):
 @pytest.mark.parametrize("excess", [0.05, 1.0, 2.0, 39.0])
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 def test_shell_sums_match_loop(n, excess, scale):
-    # _power_ball_sum against the shell-by-shell loop
+    # _power_ball_sum against the shell-by-shell loop, within its rounding
+    # allowance of 2 (|a| + 3n + 32) eps <= 166 eps
     exponent = -n - excess
     for up_to_shell in (0, 3, 50):
         got = _power_ball_sum(exponent, scale, n, up_to_shell)
         want = ball_sum_reference(exponent, scale, n, up_to_shell)
-        assert want <= got <= want * (1 + 1e-15)
+        assert want <= got <= want * (1 + 1e-13)
 
 
 # sum_{s > from_shell} count(s) (1 + scale s)^(-n - excess) for from_shell = 0, 20, 100,
@@ -339,6 +342,54 @@ def test_shell_tail_sums_bound_exact_sums(n, excess, scale):
     for from_shell, exact in zip((0, 20, 100), EXACT_SHELL_SUMS[n, excess, scale]):
         got = _power_shell_sum(-n - excess, scale, n, from_shell)
         assert exact <= got <= exact * (1 + 1e-3), (from_shell, got / exact - 1)
+
+
+
+# sum_{s <= up_to_shell} count(s) (1 + scale s)^(-n - excess), keyed by (n, excess,
+# scale, up_to_shell): computed with mpmath 1.3.0 at 40 digits from the exact values of
+# the doubles, and given to 30 significant digits.  A cumulative float sum falls below
+# each of them, by up to 4.4e-15 relative at (1, 1.0, 4.0, 1000).
+EXACT_BALL_SUMS = {
+    (1, 1.0, 4.0, 1000): "1.14954123800352229790960593779",
+    (1, 1.0, 4.0, 500): "1.14941651883469066841143196158",
+    (1, 0.05, 1.0, 1000): "11.8459794570072985327633099367",
+    (1, 2.0, 1.0, 500): "1.40410983021557130529537692179",
+    (2, 1.0, 4.0, 1000): "1.12879531708109286399528838684",
+    (2, 2.0, 4.0, 500): "1.01712329088659790550841965897",
+    (2, 0.05, 1.0, 1000): "39.5859095846537853379768014204",
+    (2, 2.0, 0.25, 1000): "21.7035455750342212218227121708",
+    (3, 0.05, 1.0, 1000): "107.36720456608706266989092917",
+    (3, 1.0, 4.0, 500): "1.08728309862726053507802266996",
+    (3, 0.05, 0.25, 100): "2545.97367167827183660854340869",
+    (3, 39.0, 0.25, 20): "1.0022157880554972199071644126",
+}
+
+
+@pytest.mark.parametrize("n, excess, scale, up_to_shell", sorted(EXACT_BALL_SUMS))
+def test_ball_sums_bound_exact_sums(n, excess, scale, up_to_shell):
+    exact = Decimal(EXACT_BALL_SUMS[n, excess, scale, up_to_shell])
+    got = Decimal(_power_ball_sum(-n - excess, scale, n, up_to_shell))
+    assert exact <= got <= exact * Decimal("1.0000000000001")
+
+
+def test_tail_bound_value_bounds_the_exact_product_of_its_parts():
+    # value >= constant (k_tail m_full + k_full m_tail) in exact arithmetic, with
+    # k_full = ball + k_tail and m_full the frequency ball or 1 + its tail
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        n = int(rng.integers(1, 4))
+        hbar = float(rng.choice([0.25, 0.5, 1.0, 4.0]))
+        mu = -n - float(rng.uniform(0.1, 3.0))
+        q = int(rng.integers(1, 3))
+        support = None if i % 2 and 2 * q > n else 1
+        c, R = float(rng.uniform(0.1, 10.0)), int(rng.integers(5, 60))
+        b = truncation_tail_bound(SymbolOrder(mu), DecayReport(q, c, R, 3, mu, 0.0, hbar, n,
+                                                                support), R)
+        k_full = Fraction(_power_ball_sum(mu, hbar, n, R)) + Fraction(b.k_tail)
+        m_full = (Fraction(_power_ball_sum(-2.0 * q, 1.0, n, support)) if support is not None
+                  else 1 + Fraction(_power_shell_sum(-2.0 * q, 1.0, n, 0)))
+        exact = Fraction(c) * (Fraction(b.k_tail) * m_full + k_full * Fraction(b.m_tail))
+        assert Fraction(b.value) >= exact, (i, float(Fraction(b.value) / exact - 1))
 
 
 def test_shell_tail_sum_reads_one_chunk(monkeypatch):

@@ -7,7 +7,7 @@ from lattice_pdo.fourier import (coefficient_table, estimate_decay_constant,
 from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
                                  difference_symbol, eval_symbol,
                                  multiplication_symbol, polynomial_potential,
-                                 schrodinger_symbol)
+                                 schrodinger_symbol, values_only)
 
 SPEC1 = LatticeSpec(1.0, 1)
 
@@ -197,7 +197,7 @@ def test_quadrature_2d_schrodinger_matches_closed_form():
 def test_quadrature_table_refuses_to_fold():
     # frequency 40 would come back as the coefficient of 40 - 64 = -24
     sym = decaying_test_symbol(3.0, 2.0, 1.0)
-    quad = type(sym)(sym.spec, sym.order, sym.eval_fn, name="quadrature-only")
+    quad = values_only(sym)
     table = coefficient_table(quad, BoxTruncation(1), 31)
     assert table.values.shape == (3, 63)
     with pytest.raises(ValueError, match="radius 32.*n_samples=64"):

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,7 +15,7 @@ from lattice_pdo.spectral import eigendecompose_hermitian, residue_norm
 from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol, decaying_test_symbol,
                                  difference_symbol, multiplication_symbol,
                                  polynomial_potential, schrodinger_symbol,
-                                 symbol_from_matrix)
+                                 symbol_from_matrix, values_only)
 
 SPEC1 = LatticeSpec(1.0, 1)
 
@@ -254,7 +253,7 @@ def test_assemble_table_and_pointwise_coefficients_agree_exactly(dim, hbar):
     zs = enumerate_box_integers(spec, box)
     m_box = BoxTruncation(2 * box.radius)
     families = builtin_families(spec)
-    for sym in families + [quadrature_only(sym) for sym in families]:
+    for sym in families + [values_only(sym) for sym in families]:
         K = assemble(sym, spec, box)
         table = coefficient_table(sym, box, m_box.radius)
         for i, zk in enumerate(zs):
@@ -300,10 +299,6 @@ def test_quadrature_assembly_never_aliases_a_trigonometric_polynomial():
         assert np.max(np.abs(K.entries - exact)) <= 1e-15
 
 
-def quadrature_only(sym):
-    return dataclasses.replace(sym, closed_form_coeffs=None, coeff_support_radius=None)
-
-
 @st.composite
 def closed_form_symbols(draw):
     spec = LatticeSpec(draw(st.sampled_from([1.0, 0.5])), draw(st.integers(1, 2)))
@@ -324,13 +319,13 @@ def closed_form_symbols(draw):
 def test_banded_matches_quadrature_assembly(sym, radius):
     box = BoxTruncation(radius)
     banded = assemble(sym, sym.spec, box).entries
-    quad = assemble(quadrature_only(sym), sym.spec, box).entries
+    quad = assemble(values_only(sym), sym.spec, box).entries
     assert np.max(np.abs(banded - quad)) <= 1e-12 * max(1.0, np.max(np.abs(banded)))
 
 
 def test_quadrature_assembly_thread_invariance():
     # the thread-pool path of the quadrature assembly, which perfbench's quadrature workload runs
-    sym = quadrature_only(decaying_test_symbol(2.0, 1.0, 1.0, LatticeSpec(0.5, 2)))
+    sym = values_only(decaying_test_symbol(2.0, 1.0, 1.0, LatticeSpec(0.5, 2)))
     box = BoxTruncation(3)
     one = assemble(sym, sym.spec, box, threads=1).entries
     assert np.array_equal(one, assemble(sym, sym.spec, box, threads=4).entries)

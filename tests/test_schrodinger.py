@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from lattice_pdo.kernel import KernelMatrix, assemble, read_binary, write_binary
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian,
                                      fit_growth_exponent, neumann_truncation,
                                      spectrum_converged, weyl_oracle)
-from lattice_pdo.symbols import schrodinger_symbol
+from lattice_pdo.symbols import schrodinger_symbol, values_only
 
 SPEC1 = LatticeSpec(1.0, 1)
 HARMONIC = PotentialSpec.anharmonic(1.0, 1)
@@ -53,17 +51,12 @@ def test_build_hamiltonian_scaled_lattice():
     assert H.entries[0, 1] == pytest.approx(-4.0)
 
 
-def quadrature_only(sym):
-    """The same symbol without its closed form, so assemble takes the FFT path."""
-    return dataclasses.replace(sym, closed_form_coeffs=None, coeff_support_radius=None)
-
-
 def test_hamiltonian_matches_symbol_assembly():
     for spec, pot in ((SPEC1, HARMONIC), (LatticeSpec(0.5, 1), HARMONIC),
                       (LatticeSpec(1.0, 2), PotentialSpec.anharmonic(1.0, 1, dim=2))):
         box = BoxTruncation(3)
         H = build_hamiltonian(spec, pot, box, lam=0.5)
-        sym = quadrature_only(schrodinger_symbol(pot, 0.5, spec))
+        sym = values_only(schrodinger_symbol(pot, 0.5, spec))
         K = assemble(sym, spec, box)
         assert np.max(np.abs(H.entries - K.entries)) <= 1e-12
 
@@ -97,7 +90,7 @@ def test_spectrum_real_scan_matches_complex_assembly():
         res = spectrum_converged(spec, pot, j_max=6, tol=1e-8, start_radius=3,
                                  max_dim=box.size(2))
         assert res.radius_used == R
-        K = assemble(quadrature_only(schrodinger_symbol(pot, 0.0, spec)), spec, box)
+        K = assemble(values_only(schrodinger_symbol(pot, 0.0, spec)), spec, box)
         ref = np.linalg.eigvalsh(K.entries)[:6]
         np.testing.assert_allclose(res.eigenvalues, ref, rtol=1e-10, atol=0)
 
@@ -248,6 +241,15 @@ def test_fit_growth_synthetic_square():
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert all(fit.r_bound_satisfied.values())
 
+
+def test_fit_growth_samples_only_orders_admissible_in_dimension_n():
+    # H^-1 has order -mu, which is r-nuclear on the n-d lattice for n/mu < r <= 1
+    eigs = np.arange(1, 401, dtype=float)
+    assert fit_growth_exponent(eigs, (50, 350), mu=2.0, n=2).r_bound_satisfied == {}
+    assert fit_growth_exponent(eigs, (50, 350), mu=2.0, n=3).r_bound_satisfied == {}
+    quartic = fit_growth_exponent(eigs ** 2, (50, 350), mu=4.0, n=2)
+    assert set(quartic.r_bound_satisfied) == {1.0, 0.75, 0.55}
+    assert set(fit_growth_exponent(eigs, (50, 350), mu=2.0).r_bound_satisfied) == {1.0, 0.75, 0.55}
 
 def test_fit_growth_harmonic_window():
     res = spectrum_converged(SPEC1, HARMONIC, j_max=300, tol=1e-8, max_dim=1001)

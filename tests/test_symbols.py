@@ -5,15 +5,49 @@ from hypothesis import given, settings, strategies as st
 from lattice_pdo.fourier import spectrum_of_row
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
-from lattice_pdo.symbols import (Symbol, SymbolOrder, _closed_form_derivative,
-                                 constant_symbol, decaying_test_symbol, difference_symbol,
-                                 eval_symbol, multiplication_symbol,
-                                 periodicity_defect, polynomial_potential,
-                                 schrodinger_symbol, symbol_from_matrix,
-                                 theta_derivative)
+from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol,
+                                 decaying_test_symbol, difference_symbol, eval_symbol,
+                                 multiplication_symbol, periodicity_defect,
+                                 polynomial_potential, schrodinger_symbol,
+                                 symbol_from_matrix, theta_derivative)
 from lattice_pdo.kernel import KernelMatrix, assemble
 
 SPEC1 = LatticeSpec(1.0, 1)
+
+
+# The value formulas the families once wrote by hand beside their coefficients: the
+# reference that the values resummed from the coefficients are compared against.
+
+def per_point_norm(k):
+    return float(np.linalg.norm(k))
+
+
+def per_point_power(k, eps):
+    # multiplication_symbol's value as it was written per point, k = 0 included
+    r = per_point_norm(k)
+    if r > 0:
+        return r ** eps
+    return 1.0 if eps == 0 else (0.0 if eps > 0 else np.inf)
+
+
+def multiplier_values(value):
+    return lambda k, theta: np.full(theta.shape[:-1], value(k), dtype=complex)
+
+
+def difference_values(k, theta):
+    return np.exp(2j * np.pi * theta[..., 0]) - 1.0
+
+
+def schrodinger_values(V, lam, hbar):
+    def ev(k, theta):
+        kin = hbar ** -2 * np.sum(2.0 - 2.0 * np.cos(2 * np.pi * theta), axis=-1)
+        return kin + float(V(k)) + lam + 0j
+    return ev
+
+
+def decaying_values(s, a, b):
+    return lambda k, theta: ((1.0 + per_point_norm(k)) ** -s
+                             * (a + b * np.cos(2 * np.pi * theta[..., 0])) + 0j)
 
 
 def builtin_symbols():
@@ -75,7 +109,7 @@ def test_derivative_decaying_second_order():
 
 def test_derivative_finite_difference_fallback():
     base = decaying_test_symbol(3.0, 2.0, 1.0)
-    fd = Symbol(base.spec, base.order, base.eval_fn, name="fd")
+    fd = Symbol(base.spec, base.order, decaying_values(3.0, 2.0, 1.0), name="fd")
     for theta in (0.2, np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)):
         for beta in (1, 2):
             exact = theta_derivative(base, 1, theta, beta)
@@ -87,7 +121,7 @@ def test_derivative_finite_difference_fallback():
 def test_finite_differences_stop_at_order_two():
     # nested central differences at FD_STEP return 693.9 for this exact 60.2
     base = decaying_test_symbol(3.0, 2.0, 1.0)
-    fd = Symbol(base.spec, base.order, base.eval_fn, name="fd")
+    fd = Symbol(base.spec, base.order, decaying_values(3.0, 2.0, 1.0), name="fd")
     exact = 0.125 * (2 * np.pi) ** 4 * np.cos(2 * np.pi * 0.2)
     assert theta_derivative(base, 1, 0.2, 4) == pytest.approx(exact, rel=1e-12)
     for beta in (3, 4):
@@ -198,16 +232,39 @@ def matrix_symbol_cases(draw):
 @given(case=matrix_symbol_cases())
 def test_matrix_symbol_matches_direct_phase_sum(case):
     K, k, theta, beta = case
+    n = K.spec.dim
     sym = symbol_from_matrix(K)
-    values = sym.eval_fn(k, theta)
-    derivs = sym.deriv_fn(k, theta, beta)
-    assert values.shape == derivs.shape == theta.shape[:-1]
-    if np.any(np.abs(k / K.spec.hbar) > K.box.radius):
+    z = np.rint(k / K.spec.hbar).astype(np.int64)
+    coeffs, freqs = sym.row_series(z)
+    assert coeffs.shape == tuple(len(f) for f in freqs)
+    values = eval_symbol(sym, k, theta)
+    derivs = theta_derivative(sym, k, theta, beta)
+    assert np.shape(values) == np.shape(derivs) == theta.shape[:-1]
+    if np.any(np.abs(z) > K.box.radius):
+        assert not np.any(coeffs)
         assert np.all(values == 0) and np.all(derivs == 0)
         return
-    for got, b in ((values, (0,) * K.spec.dim), (derivs, beta)):
+    # the series of row k is its row of K, column m at the frequency (m - k)/hbar
+    np.testing.assert_array_equal(coeffs.reshape(-1), K.entries[index_of(K.spec, K.box, k)])
+    grid = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, n)
+    np.testing.assert_array_equal(grid, enumerate_box_integers(K.spec, K.box) - z)
+    for got, b in ((values, (0,) * n), (derivs, beta)):
         want, l1 = direct_phase_sum(K, k, theta, b)
         assert np.max(np.abs(got - want)) <= 1e-12 * l1
+
+
+def test_negative_power_multiplier_is_infinite_at_the_origin():
+    # the series holds the one coefficient inf at frequency 0; a product with the
+    # phase 1 + 0j would turn it into nan
+    for spec in (SPEC1, LatticeSpec(0.5, 2)):
+        sym = multiplication_symbol(-0.5, spec)
+        origin = np.zeros(spec.dim)
+        one = eval_symbol(sym, origin, np.full(spec.dim, 0.3))
+        assert isinstance(one, complex)
+        assert one.real == np.inf and one.imag == 0
+        many = eval_symbol(sym, origin, np.random.default_rng(3).random((4, 3, spec.dim)))
+        assert many.shape == (4, 3)
+        assert np.all(many.real == np.inf) and np.all(many.imag == 0)
 
 
 def test_potential_symbol_order():
@@ -242,22 +299,33 @@ def derivative_cases(draw, family):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     K = None
     if family == "constant":
-        sym = constant_symbol(complex(rng.normal(), rng.normal()), spec)
+        c = complex(rng.normal(), rng.normal())
+        sym, ref = constant_symbol(c, spec), multiplier_values(lambda k: c)
     elif family == "difference":
-        sym = difference_symbol(spec.hbar)
+        sym, ref = difference_symbol(spec.hbar), difference_values
     elif family == "multiplication":
-        sym = multiplication_symbol(draw(st.sampled_from([-1.0, -0.5, 0.0, 1.5])), spec)
+        eps = draw(st.sampled_from([-1.0, -0.5, 0.0, 1.5]))
+        sym = multiplication_symbol(eps, spec)
+        ref = multiplier_values(lambda k: per_point_power(k, eps))
     elif family == "schrodinger":
-        sym = schrodinger_symbol(lambda k: float(k @ k), rng.normal(), spec, potential_order=2.0)
+        lam = rng.normal()
+        sym = schrodinger_symbol(lambda k: float(k @ k), lam, spec, potential_order=2.0)
+        ref = schrodinger_values(lambda k: float(k @ k), lam, spec.hbar)
     elif family == "decaying":
-        sym = decaying_test_symbol(rng.uniform(0.5, 3.0), rng.normal(), rng.normal(), spec)
+        s, a, b = rng.uniform(0.5, 3.0), rng.normal(), rng.normal()
+        sym, ref = decaying_test_symbol(s, a, b, spec), decaying_values(s, a, b)
     elif family == "anharmonic":
-        sym = polynomial_potential(rng.uniform(0.5, 2.0), draw(st.integers(1, 2)), spec)
+        c, l = rng.uniform(0.5, 2.0), draw(st.integers(1, 2))
+        sym = polynomial_potential(c, l, spec)
+        ref = multiplier_values(lambda k: c * per_point_norm(k) ** (2 * l))
     else:
         box = BoxTruncation(draw(st.integers(0, {1: 3, 2: 2, 3: 1}[dim])))
         size = box.size(dim)
         K = KernelMatrix(spec, box, rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         sym = symbol_from_matrix(K)
+
+        def ref(k, theta):
+            return direct_phase_sum(K, k, theta, (0,) * dim)[0]
     reach = K.box.radius if K is not None else 2
     z = np.array(draw(st.lists(st.integers(-reach, reach), min_size=dim, max_size=dim)))
     if draw(st.booleans()):
@@ -265,14 +333,14 @@ def derivative_cases(draw, family):
     shape = draw(st.sampled_from([(dim,), (5, dim), (4, 3, dim)]))
     theta = rng.uniform(-1.0, 2.0, size=shape)   # off the quadrature grid
     beta = tuple(draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)))
-    return sym, K, z, theta, beta
+    return sym, ref, K, z, theta, beta
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_theta_derivative_from_coefficients(family, data):
-    sym, K, z, theta, beta = data.draw(derivative_cases(family))
+    sym, ref, K, z, theta, beta = data.draw(derivative_cases(family))
     n = sym.spec.dim
     k = sym.spec.hbar * z
     d = theta_derivative(sym, k, theta, beta)
@@ -281,17 +349,16 @@ def test_theta_derivative_from_coefficients(family, data):
     assert isinstance(d, complex) == (theta.ndim == 1)
     coeffs, freqs = row_coefficients(sym, K, z)
     if not np.all(np.isfinite(coeffs)):
-        # |k|^eps with eps < 0 at k = 0: every theta-derivative is exactly 0
+        # |k|^eps with eps < 0 at k = 0: the value is inf + 0j, as written by hand,
+        # and every theta-derivative is exactly 0
+        assert np.all(value == ref(k, theta))
         if any(beta):
             assert np.all(d == 0)
         return
 
-    # beta = 0 resums the coefficients to the independently written eval_fn
-    zero = (0,) * n
-    resum = (sym.deriv_fn(k, theta, zero) if K is not None
-             else _closed_form_derivative(sym, k, theta, zero))
+    # beta = 0: the values resummed from the coefficients are the hand-written ones
     scale = max(np.sum(np.abs(coeffs)), 1e-300)
-    assert np.max(np.abs(resum - sym.eval_fn(k, theta))) <= 1e-12 * scale
+    assert np.max(np.abs(value - ref(k, theta))) <= 1e-12 * scale
 
     # the derivative sampled on the 64-point grid has FFT (2 pi i z)^beta c(k, z)
     weights = np.array(coeffs, dtype=complex)
@@ -303,18 +370,6 @@ def test_theta_derivative_from_coefficients(family, data):
     got = spectrum_of_row(derivative, k)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.sum(np.abs(weights)), 1e-300)
 
-
-
-def per_point_norm(k):
-    return float(np.linalg.norm(k))
-
-
-def per_point_power(k, eps):
-    # multiplication_symbol's value as it was written per point, k = 0 included
-    r = per_point_norm(k)
-    if r > 0:
-        return r ** eps
-    return 1.0 if eps == 0 else (0.0 if eps > 0 else np.inf)
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 300), (2, 20), (3, 6), (4, 3)])
