@@ -38,6 +38,14 @@ def float_pow(x, exponent) -> np.ndarray:
                        dtype=float, count=len(x))
 
 
+def rounded_up(value: float, short_eps: float, tiny_ops: float) -> float:
+    """Upper bound on the real number that ``value`` computes, if it falls at most
+    short_eps eps short in the normal range and 2^-1074 per each of ``tiny_ops``
+    operations below it; the factor 1 + 2 short_eps eps covers its own rounding.
+    """
+    return value * (1.0 + 2 * short_eps * math.ulp(1.0)) + tiny_ops * 2.0 ** -1070
+
+
 def check_fits(need: int, what: str) -> None:
     """Raise ValueError if ``need`` bytes for ``what`` exceed physical memory.
 

@@ -136,7 +136,7 @@ def build_potential(cfg, spec: LatticeSpec):
     lam = _finite(cfg, "symbol.params.lambda", default=0.0)
     try:
         return schrodinger.PotentialSpec.anharmonic(float(c), l, spec.dim), float(lam)
-    except ValueError as e:  # c and l are each valid, but V fails its growth probes
+    except ValueError as e:  # c and l are each valid, but V overflows or fails its growth probes
         raise ConfigError("symbol.params.potential", str(e))
 
 

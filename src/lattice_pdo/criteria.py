@@ -17,7 +17,7 @@ import numpy as np
 from .symbols import SymbolOrder
 from .fourier import DecayReport
 from .kernel import power_sums
-from ._util import float_pow
+from ._util import float_pow, rounded_up
 
 DIVERGENCE_RATIO = 1.5
 
@@ -200,7 +200,7 @@ def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> 
     (scale (-(n+a))), exact in 1-d and sharp to O(1/S) otherwise, for every
     scale > 0.  Error model: a rounding loses at most a factor 1 - eps/2,
     pow 1 ulp, and a twice-rounded base up to |a| eps in its power; in all
-    the result can fall (|a| + 3n + 32) eps short (`_rounded_up`).  Below the
+    the result can fall (|a| + 3n + 32) eps short (`rounded_up`).  Below the
     normal range errors are absolute, at most 2^-1074 per power and product,
     counted once per point of the chunk and once per unit of the remainder's
     factor.  Requires exponent + n < 0.
@@ -212,8 +212,8 @@ def _power_shell_sum(exponent: float, scale: float, n: int, from_shell: int) -> 
     y = 1.0 + scale * last
     c = max(2.0 / scale, (2 * last + 1) / y)
     factor = 2 * n * (c * y) ** (n - 1) * y / (scale * -(n + exponent))
-    return _rounded_up(head + factor * y ** exponent, abs(exponent) + 3 * n + 32,
-                       (2.0 * last + 1) ** n + factor)
+    return rounded_up(head + factor * y ** exponent, abs(exponent) + 3 * n + 32,
+                      (2.0 * last + 1) ** n + factor)
 
 
 def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> float:
@@ -224,15 +224,7 @@ def _power_ball_sum(exponent: float, scale: float, n: int, up_to_shell: int) -> 
     """
     a = min(exponent, 0.0)
     head = math.fsum(_shell_terms(np.arange(up_to_shell + 1), n, a, scale))
-    return _rounded_up(head, abs(a) + 3 * n + 32, (2.0 * up_to_shell + 1) ** n)
-
-
-def _rounded_up(value: float, short_eps: float, tiny_ops: float) -> float:
-    """Upper bound on the real number that ``value`` computes, if it falls at most
-    short_eps eps short in the normal range and 2^-1074 per each of ``tiny_ops``
-    operations below it; the factor 1 + 2 short_eps eps covers its own rounding.
-    """
-    return value * (1.0 + 2 * short_eps * math.ulp(1.0)) + tiny_ops * 2.0 ** -1070
+    return rounded_up(head, abs(a) + 3 * n + 32, (2.0 * up_to_shell + 1) ** n)
 
 
 def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> TailBound:
@@ -277,6 +269,6 @@ def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> Tai
         k_full = _power_ball_sum(a, decay.hbar, n, int(R)) + k_tail
         # m_full, k_full, two products and their sum are five roundings of
         # non-negative numbers, each at most eps/2 short
-        inner = _rounded_up(k_tail * m_full + k_full * m_tail, 2.5, 2.0)
-        value = _rounded_up(decay.constant * inner, 0.5, 1.0)
+        inner = rounded_up(k_tail * m_full + k_full * m_tail, 2.5, 2.0)
+        value = rounded_up(decay.constant * inner, 0.5, 1.0)
     return TailBound(applicable, value, k_tail, m_tail, decay.constant, int(R))

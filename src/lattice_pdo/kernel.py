@@ -7,19 +7,19 @@ difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
 How a matrix is stored is decided in this module and nowhere else.
-`assemble` keeps a closed-form symbol's bands as their nonzero
-(row, col, value) triplets, sorted row-major: every built-in family has
-torus-frequency support radius at most 1, so a row holds at most 3^n of
-them.  Every other matrix (FFT quadrature, a user array, `hermitize` and
-`read_binary` output) is stored dense.  The criterion sums read either
-storage through `power_sums`, with the bits of the dense reduction.
-Eigensolves, `hermitize`, `split_diagonal`, `apply`, `write_binary` and
-`symbol_from_matrix` read `entries`, the dense matrix, which triplet
-storage builds on first access (after checking that it fits in memory)
-and keeps.  The values decide the dtype: real values are stored as
+`assemble` keeps a closed-form symbol's bands as their nonzero (row, col,
+value) triplets, sorted row-major: every built-in family has torus-frequency
+support radius at most 1, so a row holds at most 3^n of them.  Every other
+matrix (FFT quadrature, a user array, `hermitize` and `read_binary` output)
+is stored dense.  The criterion sums read either storage through
+`power_sums`, as its nonzeros in row-major order, so both storages give the
+same bits.  Eigensolves, `hermitize`, `split_diagonal`, `apply`,
+`write_binary` and `symbol_from_matrix` read `entries`, the dense matrix,
+which triplet storage builds on first access (after checking that it fits in
+memory) and keeps.  The values decide the dtype: real values are stored as
 float64 (so real symmetric operators get the real eigensolvers), anything
-else as complex128.  Truncation is plain restriction to the box (no
-boundary corrections).
+else as complex128.  Truncation is plain restriction to the box (no boundary
+corrections).
 """
 
 import math
@@ -36,7 +36,6 @@ from . import _util
 from ._util import check_dense_fits, check_fits, parallel_map
 
 TRIPLET_BYTES = 32       # two int64 indices and a complex128 value
-PAIRWISE_BLOCK = 128     # numpy sums a row in blocks of at most this many elements
 HERMITIAN_TOL = 1e-9     # largest asymmetry `hermitian_check` accepts
 
 
@@ -187,81 +186,23 @@ def power_sums(K, p: float, axis: int) -> np.ndarray:
 
     p = inf gives the per-column or per-row maximum instead.  This is the
     one reader of the criterion sums, for a KernelMatrix or a plain square
-    array.  Triplets give the bits of the dense reduction: a column adds
-    its rows in order, as the dense axis-0 sum does, and a row adds its
-    nonzeros in numpy's pairwise order (`_pairwise_row_sums`).
+    array.  Either storage is read as its nonzeros in row-major order (the
+    stored triplets, or `np.nonzero` of the dense matrix), and each column
+    or row adds its terms in that order from 0.0, so both give the same bits.
     """
-    triplets = K._triplets if isinstance(K, KernelMatrix) else None
-    if triplets is None:
-        a = np.abs(entries_of(K))
-        return np.max(a, axis=axis, initial=0.0) if p == math.inf else np.sum(a ** p, axis=axis)
-    rows, cols, values = triplets
-    a = np.abs(values)
+    if isinstance(K, KernelMatrix) and K._triplets is not None:
+        size, (rows, cols, values) = K.size, K._triplets
+    else:
+        a = entries_of(K)
+        size, (rows, cols) = len(a), np.nonzero(a)
+        values = a[rows, cols]
+    line, w = (cols if axis == 0 else rows), np.abs(values)
     if p == math.inf:
-        out = np.zeros(K.size)
-        np.maximum.at(out, cols if axis == 0 else rows, a)
+        out = np.zeros(size)
+        np.maximum.at(out, line, w)
         return out
-    if axis == 0:
-        return _line_sums(cols, a ** p, K.size)
-    return _pairwise_row_sums(rows, cols, a ** p, K.size)
-
-
-def _line_sums(line, w, size) -> np.ndarray:
-    # w added into out[line] in order, from 0.0; float64 even with no entries
-    return np.bincount(line, weights=w, minlength=size).astype(float)
-
-
-def _pairwise_row_sums(rows, cols, w, size) -> np.ndarray:
-    """Row sums of non-negative triplet values w, with the bits of np.sum(axis=1).
-
-    Transcribes numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src).
-    A row of ``size`` elements is halved, cutting at a multiple of 8, into a
-    binary tree of spans of at most PAIRWISE_BLOCK elements, numbered as a
-    heap (root 1, children 2i and 2i+1).  A span adds its offsets j, j + 8,
-    ... below its last multiple of 8 into accumulator r_j, combines
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the other offsets one by
-    one (a span of fewer than 8, all of them).  Sibling sums add up the tree.
-    Zeros drop out of every sum exactly, so the tree over the nonzeros gives
-    the dense bits.  A row of at most two nonzeros adds them in either order
-    to the same bits.
-    """
-    if np.max(np.bincount(rows), initial=0) <= 2:
-        return _line_sums(rows, w, size)
-    spans, todo = [], [(0, size, 1)]  # (start, length, heap id), left to right
-    while todo:
-        start, n, node = todo.pop()
-        if n <= PAIRWISE_BLOCK:
-            spans.append((start, n, node))
-        else:
-            half = n // 2 - n // 2 % 8
-            todo += [(start + half, n - half, 2 * node + 1), (start, half, 2 * node)]
-    start, length, heap_id = np.array(spans).T
-    span = np.searchsorted(start, cols, side="right") - 1
-    off = cols - start[span]
-    rest = off - (length - length % 8)[span]  # >= 0: added after the accumulators
-    lane = np.where(rest < 0, off % 8, 8)
-    # one partial sum per (row, span) holding nonzeros, in tree order: triplets are row-major
-    first = np.r_[True, (rows[1:] != rows[:-1]) | (span[1:] != span[:-1])]
-    group = np.cumsum(first) - 1
-    row, node = rows[first], heap_id[span[first]]
-
-    def r(j):
-        return _line_sums(group[lane == j], w[lane == j], len(row))
-
-    value = ((r(0) + r(1)) + (r(2) + r(3))) + ((r(4) + r(5)) + (r(6) + r(7)))
-    for k in range(7):
-        value[group[rest == k]] += w[rest == k]
-    for depth in range(int(node.max()).bit_length() - 1, 0, -1):
-        # the deepest sums move to their parent, where siblings add
-        node[node >= 1 << depth] >>= 1
-        pair = np.flatnonzero((row[1:] == row[:-1]) & (node[1:] == node[:-1]))
-        value[pair] += value[pair + 1]
-        keep = np.ones(len(value), dtype=bool)
-        keep[pair + 1] = False
-        row, node, value = row[keep], node[keep], value[keep]
-    out = np.zeros(size)
-    out[row] = value
-    return out
+    # float64 even with no nonzeros, where bincount gives int64
+    return np.bincount(line, weights=w ** p, minlength=size).astype(float, copy=False)
 
 
 def apply(K: KernelMatrix, a) -> np.ndarray:

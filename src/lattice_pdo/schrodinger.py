@@ -32,11 +32,12 @@ DEFAULT_MAX_DIM = 4000
 class PotentialSpec:
     """Confining potential: callable plus its polynomial order mu > 0.
 
-    Construction probes sample points: values must be nonnegative, grow
-    along every axis, and the large-radius doubling ratio must match the
-    declared order (log2 ratio within 0.5 of mu).  outside_min, when
-    given, maps rho >= 0 to a lower bound of V(k) over |k|_inf >= rho;
-    `spectrum_converged` needs it to certify eigenvalues.
+    Construction probes sample points: values must be finite and nonnegative
+    (an OverflowError counts as infinite), grow along every axis, and the
+    large-radius doubling ratio must match the declared order (log2 ratio
+    within 0.5 of mu).  outside_min, when given, maps rho >= 0 to a lower
+    bound of V(k) over |k|_inf >= rho; `spectrum_converged` needs it to
+    certify eigenvalues.
     """
 
     fn: Callable
@@ -61,13 +62,13 @@ class PotentialSpec:
                     probes.append(p)
         probes.append(np.full(self.dim, 3.0))
         for p in probes:
-            v = float(self.fn(p))
+            v = self._probe(p)
             if v < 0:
                 raise ValueError(f"potential is negative at {p}: {v}")
         for j in range(self.dim):
             e = np.zeros(self.dim)
             e[j] = 1.0
-            v128, v256 = float(self.fn(128 * e)), float(self.fn(256 * e))
+            v128, v256 = self._probe(128 * e), self._probe(256 * e)
             if not (v256 > v128 > 0):
                 raise ValueError(
                     f"potential does not grow along axis {j}: V(128e)={v128}, V(256e)={v256}")
@@ -76,6 +77,16 @@ class PotentialSpec:
                 raise ValueError(
                     f"potential growth along axis {j} has doubling exponent {ratio:.3f}, "
                     f"inconsistent with declared order {self.mu}")
+
+    def _probe(self, k) -> float:
+        # overflow refused alike, whether fn raises it or returns inf
+        try:
+            v = float(self.fn(k))
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ValueError(f"potential is not finite at {k}: {v}")
+        return v
 
     def __call__(self, k):
         return float(self.fn(np.asarray(k, dtype=float)))
@@ -114,8 +125,11 @@ def weyl_oracle(spec: LatticeSpec, V, box: BoxTruncation, j_max: int,
     """The j_max smallest diagonal values V(k) + 2n hbar^-2 + lam over the box.
 
     This is the spectrum of the diagonal part (the offset-0 band of the
-    Schrodinger symbol), computed without any matrix or eigensolver; it
-    brackets the true eigenvalues within the hopping norm.
+    Schrodinger symbol), computed without any matrix or eigensolver; the
+    exact eigenvalues of the box matrix lie within the hopping norm
+    2n hbar^-2 of it.  The values are returned as computed, so they are a
+    reference, not a rigorous bracket; no caller needs one, as each allows
+    4n hbar^-2, twice the hopping norm.
     """
     band = _hamiltonian_symbol(spec, V, lam).closed_form_coeffs
     diag = band(enumerate_box_integers(spec, box), np.zeros(spec.dim, dtype=np.int64))

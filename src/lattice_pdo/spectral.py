@@ -18,6 +18,7 @@ import numpy as np
 
 from .kernel import KernelMatrix, entries_of, hermitian_check
 from .symbols import SymbolOrder
+from ._util import rounded_up
 
 SANDWICH_SLACK = 1e-8   # rounding allowed at each link of the sandwich chain
 
@@ -57,20 +58,22 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 
 
 def residue_norm(K) -> float:
-    """Spectral norm of the off-diagonal part.
+    """Upper bound on the spectral norm of the off-diagonal part.
 
     Hermitian residues go through their own eigenvalues; otherwise the
-    largest singular value comes from an SVD.  Both are exact up to
-    rounding, so callers may use the result as an upper bound.  Dropping the
-    diagonal adds no asymmetry, so a Hermitian KernelMatrix's residue is not checked.
+    largest singular value comes from an SVD.  Error model, as for the
+    eigenvalue clusters below: the computed values are exact for a matrix
+    within size * eps * ||R|| of R, so the norm falls at most size * eps
+    short, which `rounded_up` adds back.  Dropping the diagonal adds no
+    asymmetry, so a Hermitian KernelMatrix's residue is not checked.
     """
     res = np.array(entries_of(K))
     np.fill_diagonal(res, 0.0)
-    if res.size == 0:
-        return 0.0
     if (isinstance(K, KernelMatrix) and hermitian_check(K)[0]) or hermitian_check(res)[0]:
-        return float(np.max(np.abs(np.linalg.eigvalsh(res))))
-    return float(np.linalg.norm(res, 2))
+        norm = np.max(np.abs(np.linalg.eigvalsh(res)), initial=0.0)
+    else:
+        norm = np.linalg.norm(res, 2)
+    return rounded_up(float(norm), len(res), 0.0)
 
 
 @dataclass

@@ -491,6 +491,12 @@ CHECKED_FIRST = {
         "spectrum", params={"j_max": 3},
         symbol={"family": "schrodinger", "params": {"potential": {"c": 1.0, "l": 0}}}),
         2, "symbol.params.potential.l", "at least 1, got 0"),
+    # c and l are each valid, but c|k|^(2l) overflows at a growth probe: in the
+    # C pow (OverflowError) or in the product with c (inf)
+    **{f"potential-overflow-c{c}-l{l}": (base_config(
+        "spectrum", params={"j_max": 3},
+        symbol={"family": "schrodinger", "params": {"potential": {"c": c, "l": l}}}),
+        2, "symbol.params.potential", "not finite") for c, l in ((1.0, 64), (1e300, 30))},
     "p-0.5": (base_config("check-bounds", params={"p": 0.5}), 2, "params.p", "at least 1"),
     "p2-0.5": (base_config("check-nuclear", params={"p2": 0.5}), 2, "params.p2", "at least 1"),
     "r-0": (base_config("check-nuclear", params={"r": 0}), 2, "params.r", "(0, 1], got 0"),

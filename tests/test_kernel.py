@@ -350,10 +350,10 @@ CRITERION_SUMS = {
                                          if family != "difference" or dim == 1])
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_band_sums_equal_dense_sums(family, dim, hbar):
-    # A dense row is summed pairwise.  2-d radii 2 and 6 give strides 5 and 13,
-    # where that order adds the decaying band's two outer nonzeros first;
-    # 1-d radius 70 and 3-d radii 3 and 4 give rows longer than one 128-element
-    # block; radius 4 (729 points) is cut three levels deep.
+    # Radii against a dense row summed in numpy's pairwise order: 2-d radii 2
+    # and 6 give strides 5 and 13, where that order adds the decaying band's two
+    # outer nonzeros first; 1-d radius 70 and 3-d radii 3 and 4 give rows longer
+    # than one 128-element block; radius 4 (729 points) is cut three levels deep.
     spec = LatticeSpec(hbar, dim)
     sym = constant_symbol(0.0, spec) if family == "zero" else FAMILIES[family](spec)
     for radius in {1: (70,), 2: (2, 6), 3: (3, 4)}[dim]:
@@ -367,22 +367,51 @@ def test_band_sums_equal_dense_sums(family, dim, hbar):
                                               kernel.power_sums(D, p, axis))
 
 
-def test_pairwise_row_sums_match_numpy():
-    # 10007 and 65537 are cut 7 and up to 10 levels deep.  Besides sparse rows: a
-    # dense row, and a row whose nonzeros flank every multiple of 8, where spans are cut.
+def in_order_sums(a, p, axis):
+    """Per column (axis 0) or row (axis 1), |v|^p over the row-major nonzeros v
+    of ``a``, added one by one in that order from 0.0; for p = inf, their max.
+
+    The lines run side by side: step j adds each line's j-th nonzero, or an
+    exact 0.0 past its last one.
+    """
+    rows, cols = np.nonzero(a)
+    w = np.abs(a[rows, cols])
+    line = cols if axis == 0 else rows
+    order = np.argsort(line, kind="stable")
+    counts = np.bincount(line, minlength=len(a))
+    step = np.arange(len(line)) - np.repeat(np.cumsum(counts) - counts, counts)
+    terms = np.zeros((len(a), max(counts, default=0)))
+    terms[line[order], step] = w[order] if p == np.inf else w[order] ** p
+    if p == np.inf:
+        return np.max(terms, axis=1, initial=0.0)
+    out = np.zeros(len(a))
+    for column in terms.T:
+        out = out + column
+    return out
+
+
+def test_power_sums_add_the_row_major_nonzeros_in_order():
+    # Both storages, and plain arrays sparse and full: a sum of more than a
+    # few terms in numpy's pairwise order differs in its last bits
     rng = np.random.default_rng(1)
-    for size in (1, 7, 8, 9, 127, 128, 129, 136, 300, 1031, 4001, 10007, 65537):
-        a = np.zeros((min(size, 12), size))
-        for row in a:
-            k = int(rng.integers(0, min(size, 30) + 1))
-            row[rng.choice(size, k, replace=False)] = (rng.random(k)
-                                                       * 10.0 ** rng.integers(-8, 8, size=k))
-        b = rng.random((2, size)) * 10.0 ** rng.integers(-8, 8, size=(2, size))
-        b[1, (np.arange(size) + 1) % 8 > 1] = 0.0
-        for m in (a, b[:size]):
-            rows, cols = np.nonzero(m)
-            sums = kernel._pairwise_row_sums(rows, cols, m[rows, cols], size)
-            np.testing.assert_array_equal(sums[:len(m)], np.sum(m, axis=1), err_msg=str(size))
+    matrices = []
+    for dim, radius in ((1, 6), (2, 3), (3, 1)):
+        spec = LatticeSpec(0.5, dim)
+        for sym in builtin_families(spec):
+            K = assemble(sym, spec, BoxTruncation(radius))
+            matrices += [K, dense_twin(K)]
+    for size in (1, 7, 9, 129, 1001):
+        full = rng.random((size, size)) * 10.0 ** rng.integers(-3, 3, size=(size, size))
+        full_complex = full * np.exp(2j * np.pi * rng.random((size, size)))
+        for a in (full, full_complex):
+            matrices += [a, a * (rng.random((size, size)) < 0.05)]
+    for K in matrices:
+        a = kernel.entries_of(K)
+        for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+            for axis in (0, 1):
+                np.testing.assert_array_equal(kernel.power_sums(K, p, axis),
+                                              in_order_sums(a, p, axis),
+                                              err_msg=f"{len(a)} {p} {axis}")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

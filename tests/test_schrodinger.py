@@ -26,6 +26,10 @@ def test_potential_validation():
         PotentialSpec(lambda k: -float(k @ k), 2.0)  # negative values
     with pytest.raises(ValueError):
         PotentialSpec(lambda k: float(k @ k), 4.0)   # declared order off
+    # float64 overflow at a probe, raised by pow or returned as inf by the product
+    for c, l in ((1.0, 64), (1e300, 30)):
+        with pytest.raises(ValueError, match="not finite"):
+            PotentialSpec.anharmonic(c, l)
 
 
 def test_build_hamiltonian_harmonic_3x3():

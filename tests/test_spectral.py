@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,43 @@ def test_residue_norm_is_an_upper_bound():
         R = np.zeros((n, n), dtype=complex)
         R[(np.arange(n) + 1) % n, np.arange(n)] = d * np.exp(2j * np.pi * rng.random(n))
         assert residue_norm(R) >= np.linalg.norm(R, 2)
+
+
+def integer_residue(seed, symmetric, n=24):
+    # exact dyadic entries in [-1001/1024, 1001/1024], zero diagonal
+    i = np.arange(1, n + 1)
+    m = ((np.multiply.outer(i, i) * 7919 * (seed + 1)
+          + np.add.outer(104729 * i, (104729 if symmetric else 31) * i)) % 2003 - 1001) / 1024.0
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+# ||integer_residue(seed, ...)||_2 to 40 digits, from mpmath 1.3.0 at 60 digits:
+# max |eigsy| for the symmetric ones, sqrt(max eigsy(M^T M)) for the others
+# (eigsy and svd_r at 40 digits agree to 39)
+SYMMETRIC_NORMS = [
+    "4.193654588226951990712951636693985275088", "5.190473039527455914143258747202174036932",
+    "4.44586265488889345385925785328308149587", "4.535076675840114213488995267382812497539",
+    "4.757922136454133408823787634647856758577", "4.70897038266523152498673941074965100029",
+    "4.844311416194078216100008580797946405325", "4.319227009434465061022804696158633369617",
+    "4.176137565436131379756014143271512422214", "4.382144189663447764756859707810003874117",
+    "5.098940069109521576293883796358048857904", "4.956215336026686253567456468176764957558",
+]
+GENERAL_NORMS = [
+    "4.796216154351746406116048562884631256463", "4.751486603146671399705510524802662814417",
+    "4.395658245793646988402400397833590187534", "4.550097435607967071328622090729769435027",
+]
+
+
+@pytest.mark.parametrize("symmetric, norms", [(True, SYMMETRIC_NORMS), (False, GENERAL_NORMS)])
+def test_residue_norm_bounds_the_exact_norm(symmetric, norms):
+    # with numpy 2.4 on OpenBLAS, the bare max |eigvalsh| fell below 7 of the 12 symmetric norms
+    eps = np.finfo(float).eps
+    for seed, exact in enumerate(norms):
+        R = integer_residue(seed, symmetric)
+        assert np.array_equal(R, R.T) == symmetric
+        bound = residue_norm(R)
+        assert Decimal(exact) <= Decimal(bound) <= Decimal(exact) * Decimal(1 + 4 * 24 * eps)
 
 
 def test_real_input_stays_real():
