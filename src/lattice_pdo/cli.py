@@ -8,7 +8,8 @@ time.  No task runs a parallel map, so CSV bodies are byte-identical at
 any thread cap; `_write_report` lays out report.json.  Exit codes: 0 ok,
 2 config error, 3 numeric/budget failure.  Each task runner reads and
 checks every field it uses, by its full path from the config root,
-before any numeric work.
+before any numeric work; only c|k|^(2l) leaving float64 at a box point,
+which shows while computing, is a config error found later.
 """
 
 import argparse
@@ -360,6 +361,13 @@ RUNNERS = {
 }
 
 
+def _anharmonic_field(config) -> str:
+    """Where the c and l of the one anharmonic formula sit in a checked config."""
+    if config["task"] in ("spectrum", "fit-growth") or config["symbol"]["family"] == "schrodinger":
+        return "symbol.params.potential"
+    return "symbol.params"
+
+
 def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     """Execute one experiment config; returns the list of written files."""
     t0 = time.monotonic()
@@ -369,7 +377,10 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     spec = build_lattice(config)
     outdir = out_dir or _get(config, "output.directory", default=".", kind=str)
     os.makedirs(outdir, exist_ok=True)
-    outputs = RUNNERS[task](config, spec, outdir)
+    try:
+        outputs = RUNNERS[task](config, spec, outdir)
+    except sym_mod.NonFiniteError as e:  # c and l are valid, but c|k|^(2l) leaves float64
+        raise ConfigError(_anharmonic_field(config), str(e)) from e
 
     manifest = {
         "config": _strict_json(config),

@@ -12,6 +12,14 @@ never folded, so quadrature is exact for trigonometric polynomials of
 per-axis degree below ``n_samples / 2``.  The default of 64 samples covers
 every built-in family (degree <= 1) and the symbol of a matrix on a box of
 radius up to 15, whose rows reach frequency 2R.
+
+A quadrature row of a symbol with a series over frequencies f_j along axis
+j is sampled on the N^n grid (N = ``n_samples``) by the series's one
+evaluator, `symbols._phase_sum`: sum_j N |f_j| exponentials, one
+contraction per axis, then one FFT.  The grid is a tensor grid, so the
+point-by-point sum, which that evaluator keeps for scattered points in
+n >= 2, never runs here.  A symbol given only by its values is its eval_fn
+on the grid, then the FFT.
 """
 
 from dataclasses import dataclass

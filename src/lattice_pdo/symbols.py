@@ -151,26 +151,42 @@ def _phase_sum(coeffs, freqs, theta, beta):
 
     ``coeffs`` has one axis per torus axis, ``freqs[j]`` the integer
     frequencies along axis j, and the result the shape theta.shape[:-1].
-    Axis j contributes a (points, len(freqs[j])) phase table that is
-    contracted in turn, so a theta point costs sum_j len(freqs[j])
-    exponentials rather than their product, and a coordinate value repeated
-    across points (as on a quadrature grid) is exponentiated once.  A zero
-    frequency factor (2 pi i 0)^beta_j contributes exactly 0, and a series of
-    frequency 0 alone is its coefficient, inf + 0j included (never a product
-    with the phase 1 + 0j, which would turn inf into nan).
+    Axis j contributes a (distinct values of theta_j, len(freqs[j])) phase
+    table, so a coordinate value repeated across points is exponentiated
+    once.  When those distinct values span a grid of no more nodes than
+    there are points (always for a tensor grid such as the quadrature grid,
+    a single point or any 1-d input), the series is summed on that grid
+    with one contraction per axis and the points are read out of it: on
+    the N^n quadrature grid a row costs sum_j N len(freqs[j]) exponentials
+    and n small matrix products (sum factorisation).  Otherwise, as for
+    scattered points in n >= 2 whose grid could hold up to P^n nodes, each
+    table is gathered per point and contracted point by point, at
+    sum_j len(freqs[j]) table entries a point.  A zero frequency factor
+    (2 pi i 0)^beta_j contributes exactly 0, and a series of frequency 0
+    alone is its coefficient, inf + 0j included (never a product with the
+    phase 1 + 0j, which would turn inf into nan).
     """
     if not any(np.any(f) for f in freqs):
         return np.full(theta.shape[:-1], 0j if any(beta) else np.asarray(coeffs).item(),
                        dtype=complex)
     n = theta.shape[-1]
     t = theta.reshape(-1, n)
-    tables = []
+    tables, wheres = [], []
     for j, (f, bj) in enumerate(zip(freqs, beta)):
         if bj:
             w = ((2j * np.pi * f) ** bj).reshape((-1,) + (1,) * (n - 1 - j))
             coeffs = np.where(w == 0, 0, coeffs) * w
         values, where = np.unique(t[:, j], return_inverse=True)
-        tables.append(np.exp(2j * np.pi * np.multiply.outer(values, f))[where.ravel()])
+        tables.append(np.exp(2j * np.pi * np.multiply.outer(values, f)))
+        wheres.append(where.ravel())
+    nodes = [len(table) for table in tables]
+    if math.prod(nodes) <= len(t):
+        # sum on the grid of distinct values, one axis at a time, then read the points
+        grid = coeffs
+        for table in tables:  # (axis j, later axes, earlier nodes) -> (later axes, nodes to j)
+            grid = grid.reshape(table.shape[1], -1).T @ table.T
+        return grid.ravel()[np.ravel_multi_index(wheres, nodes)].reshape(theta.shape[:-1])
+    tables = [table[where] for table, where in zip(tables, wheres)]
     # contract the last axis first; acc is (remaining axes, points)
     acc = coeffs.reshape(-1, len(freqs[-1])) @ tables[-1].T
     for f, table in zip(reversed(freqs[:-1]), reversed(tables[:-1])):
@@ -212,6 +228,25 @@ def _norms(pts) -> np.ndarray:
     np.einsum and np.sum(pts * pts, axis=1) can differ from it in the last bit.
     """
     return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+
+class NonFiniteError(ValueError):
+    """A family's formula is not finite (past float64) at a point a computation reaches."""
+
+
+def _finite_at(pts, values, what) -> np.ndarray:
+    """``values`` of ``what`` at the points ``pts`` (S, n), if all are finite.
+
+    Otherwise NonFiniteError names the first point, of least norm, where
+    they are not.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        norms = _norms(pts[bad])
+        i = np.argmin(norms)
+        raise NonFiniteError(f"{what} is not finite at k = {pts[bad[i]].tolist()}, "
+                             f"|k| = {norms[i]}: {values[bad[i]]}")
+    return values
 
 
 def _multiplier(spec: LatticeSpec, order: SymbolOrder, values: Callable, name: str) -> Symbol:
@@ -285,7 +320,8 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
     def cf(z_rows, z_offset):
         hops = int(np.sum(np.abs(z_offset)))
         if hops == 0:
-            v = np.array([float(V(k)) for k in spec.hbar * z_rows])
+            pts = spec.hbar * z_rows
+            v = _finite_at(pts, np.array([float(V(k)) for k in pts]), "potential")
             return 2 * spec.dim * h2 + v + lam
         return np.full(len(z_rows), -h2 if hops == 1 else 0.0)
 
@@ -313,17 +349,32 @@ def decaying_test_symbol(s: float, a: float, b: float,
 
 
 def anharmonic_value(c: float, l: int) -> Callable:
-    """|k| -> c |k|^(2l) by the C pow, the one anharmonic formula; l must be a natural number."""
+    """|k| -> c |k|^(2l) by the C pow, the one anharmonic formula; l must be a natural number.
+
+    Past float64 the value is inf with the sign of c, 0 for c = 0, also
+    where the C pow raises OverflowError, so callers refuse one kind of value.
+    """
     if int(l) != l or l < 1:
         raise ValueError(f"anharmonic power l must be a natural number, got {l}")
-    return lambda r: c * math.pow(r, 2 * l)
+
+    def value(r):
+        try:
+            return c * math.pow(r, 2 * l)
+        except OverflowError:
+            return c * math.inf if c else 0.0
+
+    return value
 
 
 def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
     """Anharmonic multiplier sigma(k, theta) = c |k|^(2l) (`anharmonic_value`), order 2l."""
     value = anharmonic_value(c, l)
-    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0),
-                       lambda pts: np.array([value(r) for r in _norms(pts).tolist()]),
+
+    def values(pts):
+        v = np.array([value(r) for r in _norms(pts).tolist()])
+        return _finite_at(pts, v, f"c|k|^(2l) with c={c}, l={l}")
+
+    return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0), values,
                        f"anharmonic(c={c},l={l})")
 
 

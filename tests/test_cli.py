@@ -271,6 +271,32 @@ def test_overflow_exits_numeric(tmp_path, capsys):
     assert json.loads(err[0])["error"] == "numeric"
 
 
+@pytest.mark.parametrize("task, symbol, field, point", [
+    ("check-bounds", {"family": "anharmonic", "params": {"c": 1.0, "l": 64}},
+     "symbol.params", "k = [-256.0], |k| = 256.0"),
+    ("check-bounds", {"family": "schrodinger",
+                      "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}},
+     "symbol.params.potential", "k = [-280.0], |k| = 280.0"),
+    ("spectrum", {"family": "schrodinger",
+                  "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}},
+     "symbol.params.potential", "k = [-280.0], |k| = 280.0"),
+], ids=["anharmonic-l64", "potential-l63", "potential-l63-scan"])
+def test_anharmonic_past_float64_in_the_box_is_a_config_error(tmp_path, capsys, task, symbol,
+                                                             field, point):
+    # c|k|^(2l) leaves float64 in the C pow first at |k| = 256 for l = 64 (the
+    # anharmonic family has no growth probes) and at |k| = 280 for l = 63, beyond
+    # the probes' 256: both inside the box of radius 300
+    cfg = base_config(task, symbol=symbol, truncation={"radius": 300},
+                      params={"p": 2.0} if task == "check-bounds" else {"j_max": 5})
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "config" and payload["field"] == field
+    assert f"is not finite at {point}: inf" in payload["message"]
+
+
 def test_budget_failure_exit_code(tmp_path, capsys):
     cfg = base_config(
         "spectrum",

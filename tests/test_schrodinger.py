@@ -6,7 +6,7 @@ from lattice_pdo.kernel import KernelMatrix, assemble, read_binary, write_binary
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian,
                                      fit_growth_exponent, neumann_truncation,
                                      spectrum_converged, weyl_oracle)
-from lattice_pdo.symbols import schrodinger_symbol, values_only
+from lattice_pdo.symbols import NonFiniteError, schrodinger_symbol, values_only
 
 SPEC1 = LatticeSpec(1.0, 1)
 HARMONIC = PotentialSpec.anharmonic(1.0, 1)
@@ -30,6 +30,16 @@ def test_potential_validation():
     for c, l in ((1.0, 64), (1e300, 30)):
         with pytest.raises(ValueError, match="not finite"):
             PotentialSpec.anharmonic(c, l)
+
+
+def test_potential_past_float64_beyond_the_probes_is_refused():
+    # 280^126 leaves float64, past the largest probe 256: the box names the point
+    pot = PotentialSpec.anharmonic(1.0, 63)
+    with pytest.raises(NonFiniteError, match=r"potential is not finite at k = \[-280.0\]"):
+        build_hamiltonian(SPEC1, pot, BoxTruncation(300))
+    with pytest.raises(NonFiniteError, match=r"at k = \[-280.0\]"):
+        weyl_oracle(SPEC1, pot, BoxTruncation(300), 5)
+    assert np.isfinite(build_hamiltonian(SPEC1, pot, BoxTruncation(279)).entries).all()
 
 
 def test_build_hamiltonian_harmonic_3x3():

@@ -1,12 +1,16 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_pdo.fourier import spectrum_of_row
+from lattice_pdo.fourier import _theta_grid, spectrum_of_row
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
-from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol,
-                                 decaying_test_symbol, difference_symbol, eval_symbol,
+from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
+                                 constant_symbol, decaying_test_symbol, difference_symbol, eval_symbol,
                                  multiplication_symbol, periodicity_defect,
                                  polynomial_potential, schrodinger_symbol,
                                  symbol_from_matrix, theta_derivative)
@@ -399,3 +403,121 @@ def test_closed_form_coeffs_match_per_point_values(dim, radius, hbar):
         got = sym.closed_form_coeffs(zs, off)
         assert got.dtype == want.dtype, sym.name
         np.testing.assert_array_equal(got, want, err_msg=sym.name)
+
+
+def agreement_cases(dim):
+    """(symbol, integer row z) for every built-in family and a matrix symbol in ``dim``.
+
+    |k|^-0.5 comes twice: at k = 0, where its one coefficient is inf, and off it.
+    """
+    spec = LatticeSpec(0.5, dim)
+    rng = np.random.default_rng(dim)
+    box = BoxTruncation(1)
+    size = box.size(dim)
+    K = KernelMatrix(spec, box, rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    syms = [constant_symbol(0.25 - 2j, spec),
+            multiplication_symbol(-0.5, spec),
+            multiplication_symbol(1.5, spec),
+            schrodinger_symbol(lambda k: float(k @ k), 0.3, spec, potential_order=2.0),
+            decaying_test_symbol(2.5, 1.5, -0.7, spec),
+            polynomial_potential(0.7, 2, spec),
+            symbol_from_matrix(K)]
+    if dim == 1:
+        syms.append(difference_symbol(spec.hbar))
+    z = np.array([1, -1, 0][:dim])
+    return [(sym, z) for sym in syms] + [(multiplication_symbol(-0.5, spec), 0 * z)]
+
+
+def non_grid_groups(N, n):
+    """Masks of the N^n grid that split it into N groups that are not grids themselves.
+
+    Group g holds the N^(n-1) points with sum of indices = g mod N: each
+    axis takes all N values within it, so its values span N^n > N^(n-1)
+    nodes and the sum runs point by point.  In 1-d every group is one point.
+    """
+    index_sum = np.sum(np.indices((N,) * n), axis=0) % N
+    return [index_sum == g for g in range(N)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_and_per_point_sums_agree(dim):
+    # Tolerance fixed before the first run.  Both evaluations use the same phase
+    # tables (the same exponentials of the same distinct values) and differ only
+    # in the order of the contraction; each is within (sqrt(5) n + sum_j (F_j - 1))
+    # u S of the exact sum of its tables (u = eps / 2, F_j frequencies on axis j,
+    # S = sum |c w| the l1 norm of the weighted coefficients), so they agree within
+    # (3 n + sum_j (F_j - 1)) eps S.
+    N = 64 if dim < 3 else 16
+    grid = _theta_grid(dim, N)
+    groups = non_grid_groups(N, dim)
+    for sym, z in agreement_cases(dim):
+        coeffs, freqs = _series(sym, z)
+        k = sym.spec.hbar * z
+        for beta in itertools.product(range(3), repeat=dim):
+            if sum(beta) > 2:
+                continue
+            on_grid = theta_derivative(sym, k, grid, beta)
+            assert on_grid.shape == grid.shape[:-1]
+            if not np.all(np.isfinite(coeffs)):
+                # |k|^eps, eps < 0, at k = 0: inf + 0j on the grid too, derivatives 0
+                want = 0j if any(beta) else complex(np.inf, 0.0)
+                assert np.all(on_grid == want), sym.name
+                continue
+            weights = np.array(coeffs, dtype=complex)
+            for j, bj in enumerate(beta):
+                weights *= ((2j * np.pi * freqs[j]) ** bj).reshape((-1,) + (1,) * (dim - 1 - j))
+            tol = ((3 * dim + sum(len(f) - 1 for f in freqs)) * np.finfo(float).eps
+                   * np.sum(np.abs(weights)))
+            for group in groups:
+                per_point = theta_derivative(sym, k, grid[group], beta)
+                assert np.max(np.abs(on_grid[group] - per_point)) <= tol, (sym.name, beta)
+
+
+def test_scattered_points_are_summed_point_by_point():
+    # 256 random 3-d points have 256 distinct values per axis: their grid would
+    # hold 256^3 nodes (268 MB of complex128), the points need a few hundred kB
+    spec = LatticeSpec(1.0, 3)
+    rng = np.random.default_rng(5)
+    box = BoxTruncation(1)
+    size = box.size(3)
+    K = KernelMatrix(spec, box, rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    sym = symbol_from_matrix(K)
+    theta = rng.random((256, 3))
+    k = np.array([1.0, 0.0, -1.0])
+    grid_bytes = 16 * len(theta) ** 3
+    tracemalloc.start()
+    try:
+        values = eval_symbol(sym, k, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes / 100
+    want, l1 = direct_phase_sum(K, k, theta, (0, 0, 0))
+    assert np.max(np.abs(values - want)) <= 1e-12 * l1
+
+
+def c_pow_overflows(r, exponent):
+    try:
+        math.pow(r, exponent)
+    except OverflowError:
+        return True
+    return False
+
+
+def test_anharmonic_past_float64_names_the_first_point():
+    # 256^128 = 2^1024 is the first value past float64 in the C pow
+    zs = enumerate_box_integers(SPEC1, BoxTruncation(300))
+    zero = np.zeros(1, dtype=np.int64)
+    with pytest.raises(NonFiniteError, match=r"l=64 is not finite at k = \[-256.0\], "
+                                              r"\|k\| = 256.0: inf"):
+        polynomial_potential(1.0, 64).closed_form_coeffs(zs, zero)
+    # in 2-d the first point is the one of least norm among those past float64
+    spec = LatticeSpec(1.0, 2)
+    zs2 = enumerate_box_integers(spec, BoxTruncation(200))
+    norms = np.linalg.norm(zs2, axis=1)
+    past = np.flatnonzero([c_pow_overflows(r, 126) for r in norms.tolist()])
+    first = zs2[past[np.argmin(norms[past])]]
+    with pytest.raises(NonFiniteError, match=rf"at k = \[{first[0]:.1f}, {first[1]:.1f}\]"):
+        polynomial_potential(1.0, 63, spec).closed_form_coeffs(zs2, np.zeros(2, dtype=np.int64))
+    # 0 |k|^(2l) is 0 everywhere, past float64 included
+    assert not np.any(polynomial_potential(0.0, 64).closed_form_coeffs(zs, zero))
