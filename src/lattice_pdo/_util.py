@@ -28,14 +28,26 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
-def float_pow(x, exponent) -> np.ndarray:
-    """x ** exponent elementwise with the bits of a Python float's power.
+def c_pow(x: float, exponent) -> float:
+    """x ** exponent by the C library's pow, for x >= 0; inf past float64, where that pow raises."""
+    try:
+        return math.pow(x, exponent)
+    except OverflowError:
+        return math.inf
 
-    That power is the C library's pow; numpy's vectorised power can differ
-    from it in the last bit.
+
+def float_pow(x, exponent) -> np.ndarray:
+    """`c_pow` elementwise, for x >= 0.
+
+    numpy's vectorised power can differ from the C pow in the last bit.
+    math.pow is mapped directly unless it overflows: mapping `c_pow` added
+    ~2 ms (~12%) to a pass of the `sums` benchmark workload on 2 cores.
     """
-    return np.fromiter(map(math.pow, np.asarray(x).tolist(), itertools.repeat(exponent)),
-                       dtype=float, count=len(x))
+    xs = np.asarray(x).tolist()
+    try:
+        return np.fromiter(map(math.pow, xs, itertools.repeat(exponent)), float, len(xs))
+    except OverflowError:
+        return np.fromiter(map(c_pow, xs, itertools.repeat(exponent)), float, len(xs))
 
 
 def rounded_up(value: float, short_eps: float, tiny_ops: float) -> float:

@@ -8,8 +8,8 @@ time.  No task runs a parallel map, so CSV bodies are byte-identical at
 any thread cap; `_write_report` lays out report.json.  Exit codes: 0 ok,
 2 config error, 3 numeric/budget failure.  Each task runner reads and
 checks every field it uses, by its full path from the config root,
-before any numeric work; only c|k|^(2l) leaving float64 at a box point,
-which shows while computing, is a config error found later.
+before any numeric work; only a family's formula leaving float64 at a box
+point, which shows while computing, is a config error found later.
 """
 
 import argparse
@@ -361,8 +361,8 @@ RUNNERS = {
 }
 
 
-def _anharmonic_field(config) -> str:
-    """Where the c and l of the one anharmonic formula sit in a checked config."""
+def _formula_field(config) -> str:
+    """Where the parameters of a checked config's formula sit: the potential's or the family's."""
     if config["task"] in ("spectrum", "fit-growth") or config["symbol"]["family"] == "schrodinger":
         return "symbol.params.potential"
     return "symbol.params"
@@ -379,8 +379,8 @@ def run(config: dict, out_dir=None, threads=None, seed=None) -> list:
     os.makedirs(outdir, exist_ok=True)
     try:
         outputs = RUNNERS[task](config, spec, outdir)
-    except sym_mod.NonFiniteError as e:  # c and l are valid, but c|k|^(2l) leaves float64
-        raise ConfigError(_anharmonic_field(config), str(e)) from e
+    except sym_mod.NonFiniteError as e:  # each parameter is valid, but the formula leaves float64
+        raise ConfigError(_formula_field(config), str(e)) from e
 
     manifest = {
         "config": _strict_json(config),

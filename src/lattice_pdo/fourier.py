@@ -5,21 +5,23 @@ The coefficient of sigma(k, .) at a lattice frequency m is
     int_{T^n} sigma(k, theta) exp(-2 pi i m . theta / hbar) dtheta,
 
 with m/hbar an integer vector.  `coefficients` is the one reader: a
-symbol's closed form when it has one, else the tensor trapezoid rule on
-``n_samples`` uniform points per axis (an FFT, `spectrum_of_row`), read at
-bin z mod n_samples.  A frequency with 2 |z|_inf + 1 > n_samples is refused,
-never folded, so quadrature is exact for trigonometric polynomials of
-per-axis degree below ``n_samples / 2``.  The default of 64 samples covers
-every built-in family (degree <= 1) and the symbol of a matrix on a box of
-radius up to 15, whose rows reach frequency 2R.
+symbol's closed form when it has one, else the tensor trapezoid rule on N
+uniform points per axis (an FFT, `spectrum_of_row`), read at bin z mod N.
+`grid_size` is the one rule for N: the smallest power of two at least
+max(64, 2 radius + 1), radius the largest |z|_inf the call asks for, so no
+asked frequency folds onto another.  64, the bandwidth assumed for a
+symbol given only by its values, makes quadrature exact for trigonometric
+polynomials of per-axis degree up to max(31, radius).  That covers every
+built-in family (degree <= 1) and the symbol of a matrix, whose rows reach
+frequency 2R.  A call asking for radius >= 32 gets a wider grid, so a
+coefficient's last bits can depend on the widest frequency asked with it.
 
 A quadrature row of a symbol with a series over frequencies f_j along axis
-j is sampled on the N^n grid (N = ``n_samples``) by the series's one
-evaluator, `symbols._phase_sum`: sum_j N |f_j| exponentials, one
-contraction per axis, then one FFT.  The grid is a tensor grid, so the
-point-by-point sum, which that evaluator keeps for scattered points in
-n >= 2, never runs here.  A symbol given only by its values is its eval_fn
-on the grid, then the FFT.
+j is sampled on the N^n grid by the series's one evaluator,
+`symbols._phase_sum`: sum_j N |f_j| exponentials, one contraction per axis,
+then one FFT.  The grid is a tensor grid, so the point-by-point sum, which
+that evaluator keeps for scattered points in n >= 2, never runs here.  A
+symbol given only by its values is its eval_fn on the grid, then the FFT.
 """
 
 from dataclasses import dataclass
@@ -31,54 +33,57 @@ import numpy as np
 from .lattice import BoxTruncation, enumerate_box_integers, integer_coords
 from .symbols import Symbol, eval_symbol, values_only
 from . import _util
-from ._util import check_dense_fits
+from ._util import check_dense_fits, check_fits
 
-DEFAULT_SAMPLES = 64
+
+def grid_size(radius: int) -> int:
+    """Quadrature points per axis for frequencies up to |z|_inf <= radius (module docstring)."""
+    return max(64, 1 << (2 * radius + 1).bit_length())
 
 
 @cache
-def _theta_grid(dim: int, n_samples: int) -> np.ndarray:
-    grid = np.stack(np.indices((n_samples,) * dim), axis=-1) / n_samples
+def _theta_grid(dim: int, n: int) -> np.ndarray:
+    grid = np.stack(np.indices((n,) * dim), axis=-1) / n
     grid.setflags(write=False)  # shared by every row
     return grid
 
 
-def spectrum_of_row(sym: Symbol, k, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """FFT of sigma(k, .) sampled on the uniform grid, normalized to coefficients."""
-    grid = _theta_grid(sym.spec.dim, n_samples)
+def spectrum_of_row(sym: Symbol, k, n: int) -> np.ndarray:
+    """FFT of sigma(k, .) sampled on the uniform n^dim grid, normalized to coefficients."""
+    grid = _theta_grid(sym.spec.dim, n)
     samples = eval_symbol(sym, k, grid)
-    return np.fft.fftn(samples) / n_samples ** sym.spec.dim
+    return np.fft.fftn(samples) / n ** sym.spec.dim
 
 
-def coefficients(sym: Symbol, z_rows, z_offsets, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     """Coefficient of sigma(hbar z_rows[i], .) at frequency z_offsets[j], shape (S, M).
 
     Rows (S, n) and offsets (M, n) are integer coordinates.  A closed form is
-    called once per offset; quadrature refuses the offsets if any would fold,
-    then reads one `spectrum_of_row` call per row at bins z mod n_samples.
+    called once per offset; quadrature reads one `spectrum_of_row` call per
+    row on the `grid_size` of the widest offset, at bins z mod N.  A grid
+    that would not fit in physical memory is refused before it is built.
     """
     values = np.empty((len(z_rows), len(z_offsets)), dtype=complex)
     if sym.closed_form_coeffs is not None:
         for j, z in enumerate(z_offsets):
             values[:, j] = sym.closed_form_coeffs(z_rows, z)
         return values
-    radius = int(np.max(np.abs(z_offsets), initial=0))
-    if 2 * radius + 1 > n_samples:
-        raise ValueError(f"frequency radius {radius} needs n_samples >= {2 * radius + 1}, "
-                         f"got n_samples={n_samples}: FFT quadrature would fold frequencies")
-    bins = tuple((z_offsets % n_samples).T)
+    dim = sym.spec.dim
+    n = grid_size(int(np.max(np.abs(z_offsets), initial=0)))
+    # the theta grid (dim float64), the samples and their FFT (complex128 each)
+    check_fits(n ** dim * (8 * dim + 32), f"a quadrature grid of {n}^{dim} points")
+    bins = tuple((z_offsets % n).T)
     for i, z in enumerate(z_rows):
-        values[i] = spectrum_of_row(sym, sym.spec.hbar * z, n_samples)[bins]
+        values[i] = spectrum_of_row(sym, sym.spec.hbar * z, n)[bins]
     return values
 
 
-def toroidal_coefficient(sym: Symbol, k, m, n_samples: int = DEFAULT_SAMPLES,
-                         force_quadrature: bool = False) -> complex:
+def toroidal_coefficient(sym: Symbol, k, m, force_quadrature: bool = False) -> complex:
     """Coefficient of sigma(k, .) at lattice frequency m; by quadrature if ``force_quadrature``."""
     zk, zm = integer_coords(sym.spec, k), integer_coords(sym.spec, m)
     if force_quadrature:
         sym = values_only(sym)
-    return complex(coefficients(sym, zk[None], zm[None], n_samples)[0, 0])
+    return complex(coefficients(sym, zk[None], zm[None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,7 @@ class CoefficientTable:
         return np.sum(np.abs(self.values) > 0, axis=1)
 
 
-def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
-                      n_samples: int = DEFAULT_SAMPLES) -> CoefficientTable:
+def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int) -> CoefficientTable:
     """All coefficients with k in the box and |m/hbar|_inf <= freq_radius.
 
     A table that would not fit in physical memory is refused before anything
@@ -106,7 +110,7 @@ def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int,
     k_ints = enumerate_box_integers(spec, k_box)
     m_ints = enumerate_box_integers(spec, m_box)
     return CoefficientTable(spec.hbar * k_ints, spec.hbar * m_ints,
-                            coefficients(sym, k_ints, m_ints, n_samples))
+                            coefficients(sym, k_ints, m_ints))
 
 
 @dataclass(frozen=True)
@@ -132,15 +136,14 @@ class DecayReport:
     support_radius: Optional[int]
 
 
-def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int, m_radius: int,
-                            n_samples: int = DEFAULT_SAMPLES) -> DecayReport:
+def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int,
+                            m_radius: int) -> DecayReport:
     """Empirical constant for the coefficient decay inequality at order q_tilde."""
     if q_tilde < 0:
         raise ValueError("q_tilde must be non-negative")
     spec = sym.spec
     mu, delta = sym.order.mu, sym.order.delta
-    table = coefficient_table(sym, BoxTruncation(int(k_radius)), int(m_radius),
-                              n_samples=n_samples)
+    table = coefficient_table(sym, BoxTruncation(int(k_radius)), int(m_radius))
     k_norm = np.linalg.norm(table.k_points, axis=1)
     m_norm = np.linalg.norm(table.m_points, axis=1) / spec.hbar
     weight = np.outer((1.0 + k_norm) ** (-(mu + 2 * q_tilde * delta)),

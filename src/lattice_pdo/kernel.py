@@ -31,7 +31,7 @@ import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, box_shape, enumerate_box, enumerate_box_integers
 from .symbols import Symbol
-from .fourier import DEFAULT_SAMPLES, coefficients
+from .fourier import coefficients, grid_size
 from . import _util
 from ._util import check_dense_fits, check_fits, parallel_map
 
@@ -128,7 +128,7 @@ class DiagonalSplit:
 
 
 def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
-             n_samples: int = DEFAULT_SAMPLES, threads: int = 1) -> KernelMatrix:
+             threads: int = 1) -> KernelMatrix:
     """Truncated matrix A(k, m) = coefficient of sigma(k, .) at frequency m - k.
 
     A symbol with closed-form coefficients is built band by band: one
@@ -138,9 +138,10 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     complex128 otherwise.  Bands whose triplets could not fit in physical
     memory are refused before the box coordinates or any band is built.
     Any other symbol is read row by row by `fourier.coefficients` into a
-    dense complex128 matrix; its corner rows reach offset 2R, so a box with
-    4R + 1 > ``n_samples`` is refused at the first row, before any FFT, as
-    is one whose matrix would not fit in physical memory.
+    dense complex128 matrix, each row on the quadrature grid its offsets
+    need; the provenance names the grid of the widest rows, whose corner
+    offsets reach 2R.  A matrix that would not fit in physical memory is
+    refused before any row is read.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -174,11 +175,11 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     zs = enumerate_box_integers(spec, box)
 
     def row(i):
-        return coefficients(sym, zs[i:i + 1], zs - zs[i], n_samples)[0]
+        return coefficients(sym, zs[i:i + 1], zs - zs[i])[0]
 
     entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
     return KernelMatrix._owning(spec, box, entries, provenance={
-        "symbol": sym.name, "method": f"quadrature(n={n_samples})", "radius": r})
+        "symbol": sym.name, "method": f"quadrature(n={grid_size(2 * r)})", "radius": r})
 
 
 def power_sums(K, p: float, axis: int) -> np.ndarray:

@@ -60,16 +60,16 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
-    Hermitian residues go through their own eigenvalues; otherwise the
-    largest singular value comes from an SVD.  Error model, as for the
+    Exactly Hermitian residues go through their own eigenvalues (eigvalsh
+    reads one triangle); any other through an SVD.  Error model, as for the
     eigenvalue clusters below: the computed values are exact for a matrix
     within size * eps * ||R|| of R, so the norm falls at most size * eps
     short, which `rounded_up` adds back.  Dropping the diagonal adds no
-    asymmetry, so a Hermitian KernelMatrix's residue is not checked.
+    asymmetry, so an exactly Hermitian KernelMatrix's residue is not checked.
     """
     res = np.array(entries_of(K))
     np.fill_diagonal(res, 0.0)
-    if (isinstance(K, KernelMatrix) and hermitian_check(K)[0]) or hermitian_check(res)[0]:
+    if (isinstance(K, KernelMatrix) and K.asymmetry == 0) or hermitian_check(res)[1] == 0:
         norm = np.max(np.abs(np.linalg.eigvalsh(res)), initial=0.0)
     else:
         norm = np.linalg.norm(res, 2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape,
                       enumerate_box_integers, integer_coords)
-from ._util import float_pow
+from ._util import c_pow, float_pow
 
 FD_STEP = 1e-5  # central-difference step for theta derivatives
 # Nested central differences lose accuracy like eps / FD_STEP**order: on the
@@ -293,7 +293,9 @@ def multiplication_symbol(epsilon: float, spec: LatticeSpec | None = None) -> Sy
     def values(pts):
         r = _norms(pts)
         out = np.full(len(r), at_origin)
-        out[r > 0] = float_pow(r[r > 0], epsilon)
+        away = r > 0  # the inf of epsilon < 0 at k = 0 is the symbol's value there
+        out[away] = _finite_at(pts[away], float_pow(r[away], epsilon),
+                               f"|k|^epsilon with epsilon={epsilon}")
         return out
 
     return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(float(epsilon), 1.0, 0.0),
@@ -341,7 +343,8 @@ def decaying_test_symbol(s: float, a: float, b: float,
     def cf(z_rows, z_offset):
         if np.any(z_offset[1:]) or abs(z_offset[0]) > 1:
             return np.zeros(len(z_rows))
-        r = float_pow(1.0 + _norms(spec.hbar * z_rows), -s)
+        pts = spec.hbar * z_rows
+        r = _finite_at(pts, float_pow(1.0 + _norms(pts), -s), f"(1+|k|)^-s with s={s}")
         return a * r if z_offset[0] == 0 else 0.5 * b * r
 
     return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), closed_form_coeffs=cf,
@@ -351,17 +354,15 @@ def decaying_test_symbol(s: float, a: float, b: float,
 def anharmonic_value(c: float, l: int) -> Callable:
     """|k| -> c |k|^(2l) by the C pow, the one anharmonic formula; l must be a natural number.
 
-    Past float64 the value is inf with the sign of c, 0 for c = 0, also
-    where the C pow raises OverflowError, so callers refuse one kind of value.
+    Past float64 the value is inf with the sign of c (`c_pow`), 0 for c = 0,
+    so callers refuse one kind of value.
     """
     if int(l) != l or l < 1:
         raise ValueError(f"anharmonic power l must be a natural number, got {l}")
 
     def value(r):
-        try:
-            return c * math.pow(r, 2 * l)
-        except OverflowError:
-            return c * math.inf if c else 0.0
+        power = c_pow(r, 2 * l)
+        return c * power if c or power < math.inf else 0.0
 
     return value
 
@@ -384,9 +385,9 @@ def symbol_from_matrix(K) -> Symbol:
     For a row point k of K's box, sigma(k, theta) is the trigonometric
     polynomial sum_m K(k, m) exp(+2 pi i (m - k) . theta / hbar); lattice
     rows outside the box evaluate to zero.  Reassembling a kernel from this
-    symbol reproduces K (finite Fourier inversion).  It has no closed form:
-    quadrature reassembles it exactly while 4R + 1 <= n_samples (rows reach
-    offset 2R), and refuses a wider box.
+    symbol reproduces K (finite Fourier inversion).  It has no closed form;
+    its rows are trigonometric polynomials of per-axis degree up to 2R, which
+    quadrature (`fourier.grid_size`) reassembles exactly at every radius.
 
     Its series is the row viewed as a (2R+1,)*n tensor over integer column
     coordinates a, with frequencies a - z_j along axis j (z the row's integer

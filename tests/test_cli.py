@@ -256,38 +256,31 @@ def test_criterion_sums_beyond_dense_memory(tmp_path, capsys, time_limit):
     assert "2000001x2000001" in payload["message"]
 
 
-def test_overflow_exits_numeric(tmp_path, capsys):
-    # |k|^400 overflows a float at k = 10
-    cfg = base_config(
-        "check-bounds",
-        symbol={"family": "multiplication", "params": {"epsilon": 400}},
-        truncation={"radius": 10},
-        params={"p": 2.0},
-    )
-    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
-    assert rc == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == "numeric"
-
-
-@pytest.mark.parametrize("task, symbol, field, point", [
-    ("check-bounds", {"family": "anharmonic", "params": {"c": 1.0, "l": 64}},
+@pytest.mark.parametrize("task, symbol, radius, field, point", [
+    ("check-bounds", {"family": "anharmonic", "params": {"c": 1.0, "l": 64}}, 300,
      "symbol.params", "k = [-256.0], |k| = 256.0"),
     ("check-bounds", {"family": "schrodinger",
-                      "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}},
+                      "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}}, 300,
      "symbol.params.potential", "k = [-280.0], |k| = 280.0"),
     ("spectrum", {"family": "schrodinger",
-                  "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}},
+                  "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}}, 300,
      "symbol.params.potential", "k = [-280.0], |k| = 280.0"),
-], ids=["anharmonic-l64", "potential-l63", "potential-l63-scan"])
+    ("check-bounds", {"family": "multiplication", "params": {"epsilon": 400}}, 10,
+     "symbol.params", "k = [-6.0], |k| = 6.0"),
+    ("coeffs", {"family": "multiplication", "params": {"epsilon": 400}}, 10,
+     "symbol.params", "k = [-6.0], |k| = 6.0"),
+    ("check-nuclear", {"family": "decaying", "params": {"s": -400, "a": 1.0, "b": 0.5}}, 10,
+     "symbol.params", "k = [-5.0], |k| = 5.0"),
+], ids=["anharmonic-l64", "potential-l63", "potential-l63-scan", "multiplication-eps400",
+        "multiplication-eps400-coeffs", "decaying-s-400"])
 def test_anharmonic_past_float64_in_the_box_is_a_config_error(tmp_path, capsys, task, symbol,
-                                                             field, point):
+                                                             radius, field, point):
     # c|k|^(2l) leaves float64 in the C pow first at |k| = 256 for l = 64 (the
     # anharmonic family has no growth probes) and at |k| = 280 for l = 63, beyond
-    # the probes' 256: both inside the box of radius 300
-    cfg = base_config(task, symbol=symbol, truncation={"radius": 300},
-                      params={"p": 2.0} if task == "check-bounds" else {"j_max": 5})
+    # the probes' 256: both inside the box of radius 300.  |k|^400 leaves it at
+    # |k| = 6 and (1+|k|)^400 at |k| = 5, inside the box of radius 10
+    params = {"check-bounds": {"p": 2.0}, "spectrum": {"j_max": 5}}.get(task, {})
+    cfg = base_config(task, symbol=symbol, truncation={"radius": radius}, params=params)
     rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -87,11 +87,12 @@ def test_quadrature_conjugate_symmetry():
 
 
 def test_quadrature_sample_stability():
+    # frequency radius 40 is read on 128 points per axis, radius 3 on 64
+    box = BoxTruncation(2)
     for sym in [difference_symbol(), decaying_test_symbol(3.0, 2.0, 1.0)]:
-        for m in (-2, 0, 1):
-            c64 = toroidal_coefficient(sym, 1, m, n_samples=64, force_quadrature=True)
-            c128 = toroidal_coefficient(sym, 1, m, n_samples=128, force_quadrature=True)
-            assert abs(c64 - c128) <= 1e-12
+        wide = coefficient_table(values_only(sym), box, 40).values
+        narrow = coefficient_table(values_only(sym), box, 3).values
+        assert np.max(np.abs(wide[:, 40 - 3:40 + 4] - narrow)) <= 1e-12
 
 
 def test_off_lattice_frequency_rejected():
@@ -194,19 +195,21 @@ def test_quadrature_2d_schrodinger_matches_closed_form():
                 assert abs(closed - quad) <= 1e-12
 
 
-def test_quadrature_table_refuses_to_fold():
-    # frequency 40 would come back as the coefficient of 40 - 64 = -24
-    sym = decaying_test_symbol(3.0, 2.0, 1.0)
-    quad = values_only(sym)
-    table = coefficient_table(quad, BoxTruncation(1), 31)
-    assert table.values.shape == (3, 63)
-    with pytest.raises(ValueError, match="radius 32.*n_samples=64"):
-        coefficient_table(quad, BoxTruncation(1), 32)
-    with pytest.raises(ValueError, match="n_samples=64"):
-        toroidal_coefficient(quad, 0, 40)
+def test_quadrature_table_past_64_samples_does_not_fold():
+    # on 64 points frequency 40 would share a bin with 40 - 64 = -24; the grid
+    # for radius 40 has 128, so every column is the symbol's own coefficient
+    s, a, b = 3.0, 2.0, 1.0
+    sym = decaying_test_symbol(s, a, b)
+    table = coefficient_table(values_only(sym), BoxTruncation(3), 40)
+    assert table.values.shape == (7, 81)
+    decay = (1.0 + np.abs(table.k_points[:, 0])) ** -s
+    want = np.zeros((7, 81))
+    want[:, 40] = a * decay
+    want[:, [39, 41]] = 0.5 * b * decay[:, None]
+    assert np.max(np.abs(table.values - want)) <= 1e-12
+    assert abs(toroidal_coefficient(sym, 0, 40, force_quadrature=True)) <= 1e-12
     # closed forms never fold
-    closed = coefficient_table(sym, BoxTruncation(1), 40)
-    assert closed.values[1, 41] == 0.5
+    assert coefficient_table(sym, BoxTruncation(1), 40).values[1, 41] == 0.5
 
 
 def test_coefficient_table_size_preflight(time_limit):
@@ -214,3 +217,12 @@ def test_coefficient_table_size_preflight(time_limit):
     with time_limit(10):
         with pytest.raises(ValueError, match="226981x226981 matrix needs 824325989776 bytes"):
             coefficient_table(sym, BoxTruncation(30), 30)
+
+
+def test_quadrature_grid_size_preflight(time_limit):
+    # one frequency of radius 5000 needs 16384 points per axis: 2^42 in 3-d
+    sym = decaying_test_symbol(3.0, 1.0, 1.0, LatticeSpec(1.0, 3))
+    with time_limit(10):
+        with pytest.raises(ValueError, match=r"a quadrature grid of 16384\^3 points needs "
+                                             r"246290604621824 bytes"):
+            toroidal_coefficient(sym, (0, 0, 0), (5000, 0, 0), force_quadrature=True)

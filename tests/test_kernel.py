@@ -263,39 +263,30 @@ def test_assemble_table_and_pointwise_coefficients_agree_exactly(dim, hbar):
                 assert K.entries[i, j] == table.values[i, col] == single, (sym.name, i, j)
 
 
-def test_quadrature_refuses_to_fold_columns():
-    # row offsets m - k reach 2R per axis, so 4R + 1 must not exceed n_samples = 64
-    rng = np.random.default_rng(11)
-    for radius, folds in ((15, False), (16, True)):
-        box = BoxTruncation(radius)
-        M = rng.normal(size=(box.size(1),) * 2)
-        K = KernelMatrix(SPEC1, box, M)
-        if folds:
-            with pytest.raises(ValueError, match="radius 32.*n_samples=64"):
-                assemble(symbol_from_matrix(K), SPEC1, box)
-        else:
-            K2 = assemble(symbol_from_matrix(K), SPEC1, box)
-            assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
-    # twice the samples reach twice the radius
-    box = BoxTruncation(31)
-    K = KernelMatrix(SPEC1, box, rng.normal(size=(box.size(1),) * 2))
-    K2 = assemble(symbol_from_matrix(K), SPEC1, box, n_samples=128)
+@pytest.mark.parametrize("dim, radius, n", [(1, 15, 64), (1, 16, 128), (1, 31, 128),
+                                            (1, 40, 256), (2, 16, 128)])
+def test_quadrature_reassembles_a_matrix_at_any_radius(dim, radius, n):
+    # row offsets m - k reach 2R per axis: 64 points cover them up to R = 15,
+    # and the grid doubles past that rather than fold one offset onto another
+    spec = LatticeSpec(1.0, dim)
+    box = BoxTruncation(radius)
+    K = KernelMatrix(spec, box, np.random.default_rng(11).normal(size=(box.size(dim),) * 2))
+    K2 = assemble(symbol_from_matrix(K), spec, box)
+    assert K2.provenance["method"] == f"quadrature(n={n})"
     assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
 
 
 def test_quadrature_assembly_never_aliases_a_trigonometric_polynomial():
     # cos(4 pi theta) has degree 2: the operator is 1/2 on the offsets m - k = +-2
     # and 0 elsewhere.  Row -R reads offsets up to 2R, so at R = 31 the offset 62
-    # shares bin -2 of 64 samples and would read 1/2 where the operator has 0.
+    # would share bin -2 of 64 samples and read 1/2 where the operator has 0.
     sym = Symbol(SPEC1, SymbolOrder(0.0), lambda k, theta: np.cos(4 * np.pi * theta[..., 0]),
                  name="cos(4 pi theta)")
-    with pytest.raises(ValueError, match="radius 62 needs n_samples >= 125, got n_samples=64"):
-        assemble(sym, SPEC1, BoxTruncation(31))
-    for radius, n_samples in ((15, 64), (31, 128)):
+    for radius in (15, 31):
         box = BoxTruncation(radius)
         zs = enumerate_box_integers(SPEC1, box)[:, 0]
         exact = 0.5 * (np.abs(zs[None, :] - zs[:, None]) == 2)
-        K = assemble(sym, SPEC1, box, n_samples=n_samples)
+        K = assemble(sym, SPEC1, box)
         assert np.max(np.abs(K.entries - exact)) <= 1e-15
 
 

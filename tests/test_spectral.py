@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
-from lattice_pdo.kernel import KernelMatrix, assemble, hermitize, split_diagonal
+from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
 from lattice_pdo.spectral import (diagonal_approximation, eigendecompose_hermitian,
                                   residue_norm, sandwich_check)
 from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
@@ -141,6 +141,16 @@ def test_residue_norm_is_an_upper_bound():
         R = np.zeros((n, n), dtype=complex)
         R[(np.arange(n) + 1) % n, np.arange(n)] = d * np.exp(2j * np.pi * rng.random(n))
         assert residue_norm(R) >= np.linalg.norm(R, 2)
+
+
+def test_residue_norm_bounds_a_residue_within_the_hermitian_tolerance():
+    # strictly upper triangular, asymmetry 9e-10 <= HERMITIAN_TOL: eigvalsh would
+    # read only the zero lower triangle and return 0, far below the true norm
+    n = 25
+    R = np.triu(np.full((n, n), 9e-10), 1)
+    assert hermitian_check(R)[0]
+    for K in (R, KernelMatrix(SPEC1, BoxTruncation(12), R)):
+        assert residue_norm(K) >= np.linalg.norm(R, 2) > 1.4e-8
 
 
 def integer_residue(seed, symmetric, n=24):

@@ -371,7 +371,7 @@ def test_theta_derivative_from_coefficients(family, data):
     want = np.zeros((64,) * n, dtype=complex)
     want[np.ix_(*[f % 64 for f in freqs])] = weights
     derivative = Symbol(sym.spec, sym.order, lambda kk, t: theta_derivative(sym, kk, t, beta))
-    got = spectrum_of_row(derivative, k)
+    got = spectrum_of_row(derivative, k, 64)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.sum(np.abs(weights)), 1e-300)
 
 
