@@ -220,6 +220,7 @@ def _check_sums(cfg, spec, outdir, query, sums, only=None):
 
     Writes sums.csv and report.json; the report's doubling_ratio and
     diverging fields are per sum, or the values of sum ``only`` when given.
+    A sum past float64 raises NumericError before anything is written.
     """
     sym = build_symbol(cfg, spec)
     box = build_box(cfg)
@@ -228,7 +229,10 @@ def _check_sums(cfg, spec, outdir, query, sums, only=None):
     for radius in radii:
         K = kernel.assemble(sym, spec, BoxTruncation(radius))
         for name, fn in sums:
-            values[name].append(fn(K))
+            with np.errstate(over="ignore"):
+                values[name].append(fn(K))
+            if not math.isfinite(values[name][-1]):
+                raise NumericError(f"{name} is not finite at radius {radius}: {values[name][-1]}")
     growth = {name: (vals[1] / vals[0] if vals[0] > 0 else None)
               for name, vals in values.items()}
     diverging = {name: (g is not None and g >= criteria.DIVERGENCE_RATIO)

@@ -61,13 +61,12 @@ class CriterionQuery:
     """Exponent bundle for the decision engine.
 
     p >= 1 is the boundedness exponent (the mixed sum derives its conjugate
-    itself); r in (0, 1] is the nuclearity order; p1, p2 are the
-    domain/codomain exponents, defaulting to p.
+    itself) and the domain exponent; r in (0, 1] is the nuclearity order;
+    p2 is the codomain exponent, defaulting to p.
     """
 
     p: float = 2.0
     r: float = 1.0
-    p1: Optional[float] = None
     p2: Optional[float] = None
     n: int = 1
 
@@ -76,12 +75,10 @@ class CriterionQuery:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not (0 < self.r <= 1):
             raise ValueError(f"r must lie in (0, 1], got {self.r}")
-        if self.p1 is None:
-            object.__setattr__(self, "p1", self.p)
         if self.p2 is None:
             object.__setattr__(self, "p2", self.p)
-        if self.p1 < 1 or self.p2 < 1:
-            raise ValueError("p1 and p2 must be >= 1")
+        if self.p2 < 1:
+            raise ValueError(f"p2 must be >= 1, got {self.p2}")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"dimension n must be a positive integer, got {self.n}")
 
@@ -94,7 +91,7 @@ class CriterionReport:
     details record the inequality instance behind each verdict (lhs, rhs,
     strict or not, and sharpness scope).  decay_exponent_t is the eigenvalue
     decay exponent t from 1/r = 1/t + |1/p - 1/2| when nuclearity holds with
-    p1 = p2.  The report depends on the order and the exponents alone; the
+    p = p2.  The report depends on the order and the exponents alone; the
     CLI composes report.json from it together with the truncation sums.
     """
 
@@ -135,9 +132,8 @@ def order_conditions(order: SymbolOrder, query: CriterionQuery) -> CriterionRepo
     nuclear_holds = record("r_nuclear", mu, -n / query.r - (n / query.p2 + 2) * delta,
                            True, False)
 
-    if nuclear_holds and query.p1 == query.p2:
-        p = query.p1
-        rep.decay_exponent_t = 1.0 / (1.0 / query.r - abs(1.0 / p - 0.5))
+    if nuclear_holds and query.p == query.p2:
+        rep.decay_exponent_t = 1.0 / (1.0 / query.r - abs(1.0 / query.p - 0.5))
         rep.details["eigenvalue_decay"] = {
             "t": rep.decay_exponent_t,
             "statement": "lambda_j = O(j^(-1/t))",

@@ -16,22 +16,18 @@ built-in family (degree <= 1) and the symbol of a matrix, whose rows reach
 frequency 2R.  A call asking for radius >= 32 gets a wider grid, so a
 coefficient's last bits can depend on the widest frequency asked with it.
 
-A quadrature row of a symbol with a series over frequencies f_j along axis
-j is sampled on the N^n grid by the series's one evaluator,
-`symbols._phase_sum`: sum_j N |f_j| exponentials, one contraction per axis,
-then one FFT.  The grid is a tensor grid, so the point-by-point sum, which
-that evaluator keeps for scattered points in n >= 2, never runs here.  A
-symbol given only by its values is its eval_fn on the grid, then the FFT.
+Quadrature samples the N^n grid by its axes (`symbols.grid_values`): a
+series one axis at a time, a symbol given by values on points built for
+the row alone.  Every other theta input is summed point by point.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from .lattice import BoxTruncation, enumerate_box_integers, integer_coords
-from .symbols import Symbol, eval_symbol, values_only
+from .symbols import Symbol, grid_values, quadrature_only
 from . import _util
 from ._util import check_dense_fits, check_fits
 
@@ -41,18 +37,9 @@ def grid_size(radius: int) -> int:
     return max(64, 1 << (2 * radius + 1).bit_length())
 
 
-@cache
-def _theta_grid(dim: int, n: int) -> np.ndarray:
-    grid = np.stack(np.indices((n,) * dim), axis=-1) / n
-    grid.setflags(write=False)  # shared by every row
-    return grid
-
-
 def spectrum_of_row(sym: Symbol, k, n: int) -> np.ndarray:
     """FFT of sigma(k, .) sampled on the uniform n^dim grid, normalized to coefficients."""
-    grid = _theta_grid(sym.spec.dim, n)
-    samples = eval_symbol(sym, k, grid)
-    return np.fft.fftn(samples) / n ** sym.spec.dim
+    return np.fft.fftn(grid_values(sym, k, n)) / n ** sym.spec.dim
 
 
 def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
@@ -70,7 +57,7 @@ def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
         return values
     dim = sym.spec.dim
     n = grid_size(int(np.max(np.abs(z_offsets), initial=0)))
-    # the theta grid (dim float64), the samples and their FFT (complex128 each)
+    # theta of a symbol given by values (dim float64), the samples and their FFT (complex128)
     check_fits(n ** dim * (8 * dim + 32), f"a quadrature grid of {n}^{dim} points")
     bins = tuple((z_offsets % n).T)
     for i, z in enumerate(z_rows):
@@ -82,7 +69,7 @@ def toroidal_coefficient(sym: Symbol, k, m, force_quadrature: bool = False) -> c
     """Coefficient of sigma(k, .) at lattice frequency m; by quadrature if ``force_quadrature``."""
     zk, zm = integer_coords(sym.spec, k), integer_coords(sym.spec, m)
     if force_quadrature:
-        sym = values_only(sym)
+        sym = quadrature_only(sym)
     return complex(coefficients(sym, zk[None], zm[None])[0, 0])
 
 

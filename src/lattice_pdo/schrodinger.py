@@ -224,10 +224,13 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     value the box is too small to hold (nan) keeps the scan going.
 
     start_radius must be at least 1, its box must fit in max_dim, and V
-    must carry an outside bound.
+    must have the lattice's dimension and carry an outside bound.
     """
     if not isinstance(V, PotentialSpec):
         raise TypeError("spectrum_converged requires a validated PotentialSpec")
+    if V.dim != spec.dim:
+        raise ValueError(f"the potential of dimension {V.dim} is validated along its own "
+                         f"axes only, not on a lattice of dimension {spec.dim}")
     if V.outside_min is None:
         raise ValueError("the scan needs a lower bound of V outside the box (outside_min)")
     if j_max < 1:

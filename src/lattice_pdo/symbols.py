@@ -146,52 +146,61 @@ def _series(sym: Symbol, z):
     return np.reshape(coeffs, box_shape(sym.spec, box)), [np.arange(-r, r + 1)] * sym.spec.dim
 
 
+def _frequency_zero(coeffs, freqs, beta, shape):
+    # a series of frequency 0 alone over ``shape``: its coefficient, inf + 0j included (never
+    # times the phase 1 + 0j, which makes inf nan), and 0 for a derivative; else None
+    if any(np.any(f) for f in freqs):
+        return None
+    return np.full(shape, 0j if any(beta) else np.asarray(coeffs).item(), dtype=complex)
+
+
 def _phase_sum(coeffs, freqs, theta, beta):
-    """sum_z coeffs[z] prod_j (2 pi i z_j)^beta_j exp(2 pi i z_j theta_j), axis by axis.
+    """sum_z coeffs[z] prod_j (2 pi i z_j)^beta_j exp(2 pi i z_j theta_j), point by point.
 
     ``coeffs`` has one axis per torus axis, ``freqs[j]`` the integer
-    frequencies along axis j, and the result the shape theta.shape[:-1].
-    Axis j contributes a (distinct values of theta_j, len(freqs[j])) phase
-    table, so a coordinate value repeated across points is exponentiated
-    once.  When those distinct values span a grid of no more nodes than
-    there are points (always for a tensor grid such as the quadrature grid,
-    a single point or any 1-d input), the series is summed on that grid
-    with one contraction per axis and the points are read out of it: on
-    the N^n quadrature grid a row costs sum_j N len(freqs[j]) exponentials
-    and n small matrix products (sum factorisation).  Otherwise, as for
-    scattered points in n >= 2 whose grid could hold up to P^n nodes, each
-    table is gathered per point and contracted point by point, at
-    sum_j len(freqs[j]) table entries a point.  A zero frequency factor
-    (2 pi i 0)^beta_j contributes exactly 0, and a series of frequency 0
-    alone is its coefficient, inf + 0j included (never a product with the
-    phase 1 + 0j, which would turn inf into nan).
+    frequencies along axis j, and the result the shape theta.shape[:-1]:
+    sum_j len(freqs[j]) exponentials a point, contracted last axis first.
+    A zero frequency factor (2 pi i 0)^beta_j contributes exactly 0.
     """
-    if not any(np.any(f) for f in freqs):
-        return np.full(theta.shape[:-1], 0j if any(beta) else np.asarray(coeffs).item(),
-                       dtype=complex)
+    constant = _frequency_zero(coeffs, freqs, beta, theta.shape[:-1])
+    if constant is not None:
+        return constant
     n = theta.shape[-1]
     t = theta.reshape(-1, n)
-    tables, wheres = [], []
+    tables = []
     for j, (f, bj) in enumerate(zip(freqs, beta)):
         if bj:
             w = ((2j * np.pi * f) ** bj).reshape((-1,) + (1,) * (n - 1 - j))
             coeffs = np.where(w == 0, 0, coeffs) * w
-        values, where = np.unique(t[:, j], return_inverse=True)
-        tables.append(np.exp(2j * np.pi * np.multiply.outer(values, f)))
-        wheres.append(where.ravel())
-    nodes = [len(table) for table in tables]
-    if math.prod(nodes) <= len(t):
-        # sum on the grid of distinct values, one axis at a time, then read the points
-        grid = coeffs
-        for table in tables:  # (axis j, later axes, earlier nodes) -> (later axes, nodes to j)
-            grid = grid.reshape(table.shape[1], -1).T @ table.T
-        return grid.ravel()[np.ravel_multi_index(wheres, nodes)].reshape(theta.shape[:-1])
-    tables = [table[where] for table, where in zip(tables, wheres)]
+        tables.append(np.exp(2j * np.pi * np.multiply.outer(t[:, j], f)))
     # contract the last axis first; acc is (remaining axes, points)
     acc = coeffs.reshape(-1, len(freqs[-1])) @ tables[-1].T
     for f, table in zip(reversed(freqs[:-1]), reversed(tables[:-1])):
         acc = np.einsum("qsp,ps->qp", acc.reshape(-1, len(f), len(t)), table)
     return acc.reshape(theta.shape[:-1])
+
+
+def grid_values(sym: Symbol, k, n: int) -> np.ndarray:
+    """sigma(k, theta) at theta = index / n on the n^dim grid: the quadrature sampler.
+
+    A series is summed by the grid's axes (sum factorisation): the table
+    exp(2 pi i (arange(n) / n) f_j) of axis j is contracted by one matrix
+    product, sum_j n len(f_j) exponentials in all.  Any other symbol is its
+    eval_fn on the n^dim points, built for this call only.
+    """
+    kk = as_point(sym.spec, k)
+    shape = (n,) * sym.spec.dim
+    series = _series(sym, integer_coords(sym.spec, kk))
+    if series is None:
+        theta = np.stack(np.indices(shape), axis=-1) / n
+        return np.asarray(sym.eval_fn(kk, theta), dtype=complex)
+    values = _frequency_zero(*series, (0,) * sym.spec.dim, shape)
+    if values is None:
+        values, freqs = series
+        for f in freqs:  # (axis j, later axes, earlier nodes) -> (later axes, nodes to j)
+            table = np.exp(2j * np.pi * np.multiply.outer(np.arange(n) / n, f))
+            values = values.reshape(len(f), -1).T @ table.T
+    return values.reshape(shape)
 
 
 def _finite_difference(sym, k, theta, beta):
@@ -408,7 +417,7 @@ def symbol_from_matrix(K) -> Symbol:
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 
 
-def values_only(sym: Symbol) -> Symbol:
-    """``sym`` given by its values alone, so that its coefficients come from quadrature."""
-    return replace(sym, eval_fn=partial(eval_symbol, sym), row_series=None,
-                   closed_form_coeffs=None, coeff_support_radius=None)
+def quadrature_only(sym: Symbol) -> Symbol:
+    """``sym`` without its closed form, so that its series is read by quadrature."""
+    return replace(sym, row_series=partial(_series, sym), closed_form_coeffs=None,
+                   coeff_support_radius=None)

@@ -290,6 +290,27 @@ def test_anharmonic_past_float64_in_the_box_is_a_config_error(tmp_path, capsys, 
     assert f"is not finite at {point}: inf" in payload["message"]
 
 
+@pytest.mark.parametrize("task, symbol, params, message", [
+    ("check-bounds", {"family": "multiplication", "params": {"epsilon": 100}}, {"p": 2.0},
+     "schur_l1_lp is not finite at radius 300: inf"),
+    ("check-nuclear", {"family": "decaying", "params": {"s": -100, "a": 1.0, "b": 0.5}}, {},
+     "nuclear_sum is not finite at radius 300: inf"),
+], ids=["multiplication-eps100", "decaying-s-100"])
+def test_criterion_sum_past_float64_is_refused(tmp_path, capsys, task, symbol, params, message):
+    # every entry is finite (|k|^100 <= 300^100), but the squares in the sums leave
+    # float64: exit 3 with one JSON line naming the first such sum and its radius,
+    # no numpy warning on stderr and no inf written to sums.csv or report.json
+    cfg = base_config(task, symbol=symbol, truncation={"radius": 300}, params=params)
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "numeric" and payload["message"] == message
+    assert not (tmp_path / "out" / "sums.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_budget_failure_exit_code(tmp_path, capsys):
     cfg = base_config(
         "spectrum",

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo.fourier import (coefficient_table, estimate_decay_constant,
                                  table_to_csv, toroidal_coefficient)
-from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
+from lattice_pdo.symbols import (Symbol, constant_symbol, decaying_test_symbol,
                                  difference_symbol, eval_symbol,
                                  multiplication_symbol, polynomial_potential,
-                                 schrodinger_symbol, values_only)
+                                 quadrature_only, schrodinger_symbol)
 
 SPEC1 = LatticeSpec(1.0, 1)
 
@@ -90,8 +92,8 @@ def test_quadrature_sample_stability():
     # frequency radius 40 is read on 128 points per axis, radius 3 on 64
     box = BoxTruncation(2)
     for sym in [difference_symbol(), decaying_test_symbol(3.0, 2.0, 1.0)]:
-        wide = coefficient_table(values_only(sym), box, 40).values
-        narrow = coefficient_table(values_only(sym), box, 3).values
+        wide = coefficient_table(quadrature_only(sym), box, 40).values
+        narrow = coefficient_table(quadrature_only(sym), box, 3).values
         assert np.max(np.abs(wide[:, 40 - 3:40 + 4] - narrow)) <= 1e-12
 
 
@@ -200,7 +202,7 @@ def test_quadrature_table_past_64_samples_does_not_fold():
     # for radius 40 has 128, so every column is the symbol's own coefficient
     s, a, b = 3.0, 2.0, 1.0
     sym = decaying_test_symbol(s, a, b)
-    table = coefficient_table(values_only(sym), BoxTruncation(3), 40)
+    table = coefficient_table(quadrature_only(sym), BoxTruncation(3), 40)
     assert table.values.shape == (7, 81)
     decay = (1.0 + np.abs(table.k_points[:, 0])) ** -s
     want = np.zeros((7, 81))
@@ -226,3 +228,21 @@ def test_quadrature_grid_size_preflight(time_limit):
         with pytest.raises(ValueError, match=r"a quadrature grid of 16384\^3 points needs "
                                              r"246290604621824 bytes"):
             toroidal_coefficient(sym, (0, 0, 0), (5000, 0, 0), force_quadrature=True)
+
+
+@pytest.mark.parametrize("by_values", [False, True], ids=["series", "values"])
+def test_quadrature_keeps_no_grid(by_values):
+    # a 3-d coefficient at frequency radius 32 is read on 128^3 points, whose theta
+    # coordinates alone take 48 MiB; no grid, of theta or of samples, outlives the call
+    spec = LatticeSpec(1.0, 3)
+    sym = decaying_test_symbol(3.0, 1.0, 1.0, spec)
+    if by_values:
+        sym = Symbol(spec, sym.order, eval_fn=lambda k, theta: np.cos(2 * np.pi * theta[..., 0]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        toroidal_coefficient(sym, (0, 0, 0), (32, 0, 0), force_quadrature=True)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 ** 20

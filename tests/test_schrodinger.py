@@ -6,7 +6,7 @@ from lattice_pdo.kernel import KernelMatrix, assemble, read_binary, write_binary
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian,
                                      fit_growth_exponent, neumann_truncation,
                                      spectrum_converged, weyl_oracle)
-from lattice_pdo.symbols import NonFiniteError, schrodinger_symbol, values_only
+from lattice_pdo.symbols import NonFiniteError, quadrature_only, schrodinger_symbol
 
 SPEC1 = LatticeSpec(1.0, 1)
 HARMONIC = PotentialSpec.anharmonic(1.0, 1)
@@ -70,7 +70,7 @@ def test_hamiltonian_matches_symbol_assembly():
                       (LatticeSpec(1.0, 2), PotentialSpec.anharmonic(1.0, 1, dim=2))):
         box = BoxTruncation(3)
         H = build_hamiltonian(spec, pot, box, lam=0.5)
-        sym = values_only(schrodinger_symbol(pot, 0.5, spec))
+        sym = quadrature_only(schrodinger_symbol(pot, 0.5, spec))
         K = assemble(sym, spec, box)
         assert np.max(np.abs(H.entries - K.entries)) <= 1e-12
 
@@ -104,7 +104,7 @@ def test_spectrum_real_scan_matches_complex_assembly():
         res = spectrum_converged(spec, pot, j_max=6, tol=1e-8, start_radius=3,
                                  max_dim=box.size(2))
         assert res.radius_used == R
-        K = assemble(values_only(schrodinger_symbol(pot, 0.0, spec)), spec, box)
+        K = assemble(quadrature_only(schrodinger_symbol(pot, 0.0, spec)), spec, box)
         ref = np.linalg.eigvalsh(K.entries)[:6]
         np.testing.assert_allclose(res.eigenvalues, ref, rtol=1e-10, atol=0)
 
@@ -135,6 +135,15 @@ def test_spectrum_budget_exhaustion_partial():
 def test_spectrum_refuses_max_dim_below_start_box():
     with pytest.raises(ValueError, match="max_dim"):
         spectrum_converged(SPEC1, HARMONIC, j_max=3, tol=1e-8, start_radius=25, max_dim=50)
+
+
+def test_spectrum_refuses_a_potential_of_another_dimension():
+    # a potential's growth probes and outside bound were checked along its own axes only
+    for spec, pot in ((LatticeSpec(1.0, 2), HARMONIC),
+                      (SPEC1, PotentialSpec.anharmonic(1.0, 1, dim=2))):
+        with pytest.raises(ValueError, match=rf"potential of dimension {pot.dim} .* "
+                                             rf"lattice of dimension {spec.dim}"):
+            spectrum_converged(spec, pot, j_max=3, tol=1e-8)
 
 
 def test_spectrum_requires_outside_bound():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -6,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_pdo.fourier import _theta_grid, spectrum_of_row
+from lattice_pdo.fourier import spectrum_of_row
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
                                  constant_symbol, decaying_test_symbol, difference_symbol, eval_symbol,
-                                 multiplication_symbol, periodicity_defect,
+                                 grid_values, multiplication_symbol, periodicity_defect,
                                  polynomial_potential, schrodinger_symbol,
                                  symbol_from_matrix, theta_derivative)
 from lattice_pdo.kernel import KernelMatrix, assemble
@@ -428,49 +427,30 @@ def agreement_cases(dim):
     return [(sym, z) for sym in syms] + [(multiplication_symbol(-0.5, spec), 0 * z)]
 
 
-def non_grid_groups(N, n):
-    """Masks of the N^n grid that split it into N groups that are not grids themselves.
-
-    Group g holds the N^(n-1) points with sum of indices = g mod N: each
-    axis takes all N values within it, so its values span N^n > N^(n-1)
-    nodes and the sum runs point by point.  In 1-d every group is one point.
-    """
-    index_sum = np.sum(np.indices((N,) * n), axis=0) % N
-    return [index_sum == g for g in range(N)]
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_and_per_point_sums_agree(dim):
     # Tolerance fixed before the first run.  Both evaluations use the same phase
-    # tables (the same exponentials of the same distinct values) and differ only
+    # tables (the same exponentials of the same grid coordinates) and differ only
     # in the order of the contraction; each is within (sqrt(5) n + sum_j (F_j - 1))
     # u S of the exact sum of its tables (u = eps / 2, F_j frequencies on axis j,
-    # S = sum |c w| the l1 norm of the weighted coefficients), so they agree within
+    # S = sum |c| the l1 norm of the coefficients), so they agree within
     # (3 n + sum_j (F_j - 1)) eps S.
     N = 64 if dim < 3 else 16
-    grid = _theta_grid(dim, N)
-    groups = non_grid_groups(N, dim)
+    points = np.stack(np.indices((N,) * dim), axis=-1) / N
     for sym, z in agreement_cases(dim):
         coeffs, freqs = _series(sym, z)
         k = sym.spec.hbar * z
-        for beta in itertools.product(range(3), repeat=dim):
-            if sum(beta) > 2:
-                continue
-            on_grid = theta_derivative(sym, k, grid, beta)
-            assert on_grid.shape == grid.shape[:-1]
-            if not np.all(np.isfinite(coeffs)):
-                # |k|^eps, eps < 0, at k = 0: inf + 0j on the grid too, derivatives 0
-                want = 0j if any(beta) else complex(np.inf, 0.0)
-                assert np.all(on_grid == want), sym.name
-                continue
-            weights = np.array(coeffs, dtype=complex)
-            for j, bj in enumerate(beta):
-                weights *= ((2j * np.pi * freqs[j]) ** bj).reshape((-1,) + (1,) * (dim - 1 - j))
-            tol = ((3 * dim + sum(len(f) - 1 for f in freqs)) * np.finfo(float).eps
-                   * np.sum(np.abs(weights)))
-            for group in groups:
-                per_point = theta_derivative(sym, k, grid[group], beta)
-                assert np.max(np.abs(on_grid[group] - per_point)) <= tol, (sym.name, beta)
+        on_grid = grid_values(sym, k, N)
+        assert on_grid.shape == (N,) * dim
+        per_point = eval_symbol(sym, k, points)
+        if not np.all(np.isfinite(coeffs)):
+            # |k|^eps, eps < 0, at k = 0: inf + 0j on the grid and at each point
+            assert np.all(on_grid == complex(np.inf, 0.0)), sym.name
+            assert np.all(per_point == complex(np.inf, 0.0)), sym.name
+            continue
+        tol = ((3 * dim + sum(len(f) - 1 for f in freqs)) * np.finfo(float).eps
+               * np.sum(np.abs(coeffs)))
+        assert np.max(np.abs(on_grid - per_point)) <= tol, sym.name
 
 
 def test_scattered_points_are_summed_point_by_point():
