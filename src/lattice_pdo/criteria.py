@@ -229,7 +229,10 @@ def truncation_tail_bound(order: SymbolOrder, decay: DecayReport, R: int) -> Tai
     Combines the empirical decay constant with tails of
     (1+|k|)^(mu + 2 q_tilde delta) over rows outside the box and
     (1+|m|/hbar)^(-2 q_tilde) over frequencies beyond the box reach, with
-    q_tilde the exponent the decay report was estimated at.  Each tail is
+    q_tilde the exponent the decay report was estimated at.  The constant is
+    a supremum sampled over the report's ranges, so the bound is an upper
+    bound only as far as that sample reaches; it is exact for the built-in
+    decaying family, whose weighted ratio does not depend on k.  Each tail is
     SHELL_CHUNK exact shells plus 2n c^(n-1) (1 + scale S)^(n+a) /
     (scale (-(n+a))), rounded up by the error model of `_power_shell_sum`,
     so it holds at every hbar.  ``order`` must carry the (mu, delta) the

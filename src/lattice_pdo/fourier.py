@@ -4,21 +4,24 @@ The coefficient of sigma(k, .) at a lattice frequency m is
 
     int_{T^n} sigma(k, theta) exp(-2 pi i m . theta / hbar) dtheta,
 
-with m/hbar an integer vector.  `coefficients` is the one reader: a
-symbol's closed form when it has one, else the tensor trapezoid rule on N
-uniform points per axis (an FFT, `spectrum_of_row`), read at bin z mod N.
+with m/hbar an integer vector.  `coefficients` is the one reader, with one
+rule of three cases, checked in this order:
+
+1. a closed form is called once per offset;
+2. otherwise a series (``row_series``, such as the symbol of a matrix) is
+   read: each offset's coefficient is looked up in the row's frequencies,
+   and is 0 where the series has none (`symbols.series_coefficients`);
+3. only a symbol given by its values alone (``eval_fn``) goes to FFT
+   quadrature: the tensor trapezoid rule on N uniform points per axis
+   (`spectrum_of_row`), read at bin z mod N.
+
+Cases 1 and 2 give each coefficient exactly as the symbol holds it.
 `grid_size` is the one rule for N: the smallest power of two at least
 max(64, 2 radius + 1), radius the largest |z|_inf the call asks for, so no
 asked frequency folds onto another.  64, the bandwidth assumed for a
 symbol given only by its values, makes quadrature exact for trigonometric
-polynomials of per-axis degree up to max(31, radius).  That covers every
-built-in family (degree <= 1) and the symbol of a matrix, whose rows reach
-frequency 2R.  A call asking for radius >= 32 gets a wider grid, so a
-coefficient's last bits can depend on the widest frequency asked with it.
-
-Quadrature samples the N^n grid by its axes (`symbols.grid_values`): a
-series one axis at a time, a symbol given by values on points built for
-the row alone.  Every other theta input is summed point by point.
+polynomials of per-axis degree up to max(31, radius).  The grid is built
+for each row and dropped after it; a sample that is not finite is refused.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import BoxTruncation, enumerate_box_integers, integer_coords
-from .symbols import Symbol, grid_values, quadrature_only
+from .symbols import NonFiniteError, Symbol, quadrature_only, series_coefficients
 from . import _util
 from ._util import check_dense_fits, check_fits
 
@@ -38,26 +41,40 @@ def grid_size(radius: int) -> int:
 
 
 def spectrum_of_row(sym: Symbol, k, n: int) -> np.ndarray:
-    """FFT of sigma(k, .) sampled on the uniform n^dim grid, normalized to coefficients."""
-    return np.fft.fftn(grid_values(sym, k, n)) / n ** sym.spec.dim
+    """FFT of eval_fn(k, .) on the uniform n^dim grid, normalized to coefficients.
+
+    A sample that is not finite raises NonFiniteError naming the row k.
+    """
+    dim = sym.spec.dim
+    theta = np.stack(np.indices((n,) * dim), axis=-1) / n
+    values = np.asarray(sym.eval_fn(k, theta), dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"symbol '{sym.name}' is not finite at k = {np.ravel(k).tolist()} "
+                             f"on the {n}^{dim} quadrature grid")
+    return np.fft.fftn(values) / n ** dim
 
 
 def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     """Coefficient of sigma(hbar z_rows[i], .) at frequency z_offsets[j], shape (S, M).
 
-    Rows (S, n) and offsets (M, n) are integer coordinates.  A closed form is
-    called once per offset; quadrature reads one `spectrum_of_row` call per
-    row on the `grid_size` of the widest offset, at bins z mod N.  A grid
-    that would not fit in physical memory is refused before it is built.
+    Rows (S, n) and offsets (M, n) are integer coordinates; the three cases
+    are the module docstring's rule.  Quadrature reads one `spectrum_of_row`
+    call per row on the `grid_size` of the widest offset, at bins z mod N.
+    A grid that would not fit in physical memory is refused before it is
+    built.
     """
     values = np.empty((len(z_rows), len(z_offsets)), dtype=complex)
     if sym.closed_form_coeffs is not None:
         for j, z in enumerate(z_offsets):
             values[:, j] = sym.closed_form_coeffs(z_rows, z)
         return values
+    if sym.row_series is not None:
+        for i, z in enumerate(z_rows):
+            values[i] = series_coefficients(sym, z, z_offsets)
+        return values
     dim = sym.spec.dim
     n = grid_size(int(np.max(np.abs(z_offsets), initial=0)))
-    # theta of a symbol given by values (dim float64), the samples and their FFT (complex128)
+    # theta (dim float64), the samples and their FFT (complex128)
     check_fits(n ** dim * (8 * dim + 32), f"a quadrature grid of {n}^{dim} points")
     bins = tuple((z_offsets % n).T)
     for i, z in enumerate(z_rows):
@@ -106,7 +123,9 @@ class DecayReport:
 
     ``constant`` is the max over the sampled (k, m) ranges of
     |coef(k, m)| * (1 + |m|/hbar)^(2 q_tilde) * (1 + |k|)^-(mu + 2 q_tilde delta);
-    it scopes a claim to the sample, it is not a proof.  ``support_radius``
+    it scopes a claim to the sample, it is not a proof.  It is the true
+    supremum over every k only where that ratio does not depend on k, as
+    for the built-in decaying family.  ``support_radius``
     is the largest |m/hbar|_inf with a nonzero coefficient when that is
     strictly inside the sampled range (None when coefficients reach the
     boundary).

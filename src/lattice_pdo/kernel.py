@@ -10,10 +10,10 @@ How a matrix is stored is decided in this module and nowhere else.
 `assemble` keeps a closed-form symbol's bands as their nonzero (row, col,
 value) triplets, sorted row-major: every built-in family has torus-frequency
 support radius at most 1, so a row holds at most 3^n of them.  Every other
-matrix (FFT quadrature, a user array, `hermitize` and `read_binary` output)
-is stored dense.  The criterion sums read either storage through
-`power_sums`, as its nonzeros in row-major order, so both storages give the
-same bits.  Eigensolves, `hermitize`, `split_diagonal`, `apply`,
+matrix (a series read or FFT quadrature, a user array, `hermitize` and
+`read_binary` output) is stored dense.  The criterion sums read either
+storage through `power_sums`, as its nonzeros in row-major order, so both
+storages give the same bits.  Eigensolves, `hermitize`, `split_diagonal`, `apply`,
 `write_binary` and `symbol_from_matrix` read `entries`, the dense matrix,
 which triplet storage builds on first access (after checking that it fits in
 memory) and keeps.  The values decide the dtype: real values are stored as
@@ -138,10 +138,12 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     complex128 otherwise.  Bands whose triplets could not fit in physical
     memory are refused before the box coordinates or any band is built.
     Any other symbol is read row by row by `fourier.coefficients` into a
-    dense complex128 matrix, each row on the quadrature grid its offsets
-    need; the provenance names the grid of the widest rows, whose corner
-    offsets reach 2R.  A matrix that would not fit in physical memory is
-    refused before any row is read.
+    dense complex128 matrix: a series (the symbol of a matrix) exactly, by
+    frequency lookup, with the method "series"; a symbol given by its
+    values by quadrature, each row on the grid its offsets need, with the
+    method naming the grid of the widest rows, whose corner offsets reach
+    2R.  A matrix that would not fit in physical memory is refused before
+    any row is read.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -178,8 +180,9 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
         return coefficients(sym, zs[i:i + 1], zs - zs[i])[0]
 
     entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
+    method = "series" if sym.row_series is not None else f"quadrature(n={grid_size(2 * r)})"
     return KernelMatrix._owning(spec, box, entries, provenance={
-        "symbol": sym.name, "method": f"quadrature(n={grid_size(2 * r)})", "radius": r})
+        "symbol": sym.name, "method": method, "radius": r})
 
 
 def power_sums(K, p: float, axis: int) -> np.ndarray:

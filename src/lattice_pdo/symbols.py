@@ -2,8 +2,7 @@
 
 A symbol is a function of a lattice point ``k`` and a torus point ``theta``
 with coordinates in [0, 1); evaluation is 1-periodic in each theta
-coordinate.  Torus frequencies are the integers m/hbar, so the quadrature
-grid of the fourier module resolves them exactly.
+coordinate.  Torus frequencies are the integers m/hbar.
 
 Order metadata (mu, rho, delta) feeds the boundedness / compactness /
 nuclearity decision engine in `criteria`.  rho is carried for completeness
@@ -11,7 +10,7 @@ only; no implemented criterion consumes it.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -20,12 +19,6 @@ import numpy as np
 from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape,
                       enumerate_box_integers, integer_coords)
 from ._util import c_pow, float_pow
-
-FD_STEP = 1e-5  # central-difference step for theta derivatives
-# Nested central differences lose accuracy like eps / FD_STEP**order: on the
-# decaying family order 3 was off by 6.5e-4 and order 4 gave 693.9 for an
-# exact 60.2, so orders above 2 are refused rather than answered wrongly.
-FD_MAX_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -47,17 +40,21 @@ class SymbolOrder:
 class Symbol:
     """Evaluatable symbol with order metadata.
 
-    A symbol with a finite series over integer frequencies takes its values
-    and its theta-derivatives of every order from it (`theta_derivative`).
-    The series of row z, the point hbar z, is row_series(z) when present: a
-    coefficient tensor with one axis per torus axis, and each axis's integer
-    frequencies.  Otherwise it is gathered from closed_form_coeffs when
-    ``coeff_support_radius`` is finite.  closed_form_coeffs(z_rows, z_offset)
+    A symbol is given in one of three ways; `fourier.coefficients` reads the
+    first one present, in this order.  closed_form_coeffs(z_rows, z_offset)
     gives the torus Fourier coefficients at the integer frequency
     ``z_offset`` (n,) of the integer rows ``z_rows`` (S, n): S values, real
     or complex, zero once |z_offset|_inf exceeds ``coeff_support_radius``
-    (None if unknown).  Any other symbol is eval_fn(k, theta), for ``k`` of
-    shape (n,) and ``theta`` of shape (..., n), vectorized to theta.shape[:-1].
+    (None if unknown).  Else row_series(z) gives the series of row z, the
+    point hbar z: a coefficient tensor with one axis per torus axis, and
+    each axis's integer frequencies, ascending.  Else the symbol is its
+    values alone, eval_fn(k, theta), for ``k`` of shape (n,) and ``theta``
+    of shape (..., n), vectorized to theta.shape[:-1].
+
+    A symbol with a finite series (row_series, or a closed form with a
+    finite support radius) takes its values and its theta-derivatives of
+    every order from it (`theta_derivative`).  A symbol given by values
+    alone has no theta-derivative above order 0.
     """
 
     spec: LatticeSpec
@@ -112,9 +109,9 @@ def theta_derivative(sym: Symbol, k, theta, beta):
 
     A symbol with a finite series sums prod_j (2 pi i z_j)^beta_j c(k, z)
     exp(2 pi i z . theta) over its frequencies z, for its values (beta = 0)
-    and its derivatives of every order alike.  Any other symbol gives eval_fn
-    and central differences of it up to total order FD_MAX_ORDER.  A k off
-    the lattice hbar Z^n raises ValueError.
+    and its derivatives of every order alike.  A symbol given by values
+    alone gives eval_fn for beta = 0 and raises ValueError for any higher
+    order.  A k off the lattice hbar Z^n raises ValueError.
     """
     kk = as_point(sym.spec, k)
     z = integer_coords(sym.spec, kk)
@@ -125,11 +122,9 @@ def theta_derivative(sym: Symbol, k, theta, beta):
         out = _phase_sum(*series, tt, b)
     elif sum(b) == 0:
         out = sym.eval_fn(kk, tt)
-    elif sum(b) > FD_MAX_ORDER:
-        raise ValueError(f"symbol '{sym.name}' has no exact theta derivative and central "
-                         f"differences stop at order {FD_MAX_ORDER}, requested {sum(b)}")
     else:
-        out = _finite_difference(sym, kk, tt, b)
+        raise ValueError(f"symbol '{sym.name}' is given by its values alone and has no "
+                         f"theta derivative of order {sum(b)}")
     return _value(sym.spec, tt, out)
 
 
@@ -180,50 +175,19 @@ def _phase_sum(coeffs, freqs, theta, beta):
     return acc.reshape(theta.shape[:-1])
 
 
-def grid_values(sym: Symbol, k, n: int) -> np.ndarray:
-    """sigma(k, theta) at theta = index / n on the n^dim grid: the quadrature sampler.
+def series_coefficients(sym: Symbol, z, z_offsets) -> np.ndarray:
+    """Coefficients of row z at the integer frequencies ``z_offsets`` (M, n).
 
-    A series is summed by the grid's axes (sum factorisation): the table
-    exp(2 pi i (arange(n) / n) f_j) of axis j is contracted by one matrix
-    product, sum_j n len(f_j) exponentials in all.  Any other symbol is its
-    eval_fn on the n^dim points, built for this call only.
+    Each offset is looked up in the per-axis frequencies of row_series(z):
+    its coefficient where the series holds it, and 0 where it does not.
     """
-    kk = as_point(sym.spec, k)
-    shape = (n,) * sym.spec.dim
-    series = _series(sym, integer_coords(sym.spec, kk))
-    if series is None:
-        theta = np.stack(np.indices(shape), axis=-1) / n
-        return np.asarray(sym.eval_fn(kk, theta), dtype=complex)
-    values = _frequency_zero(*series, (0,) * sym.spec.dim, shape)
-    if values is None:
-        values, freqs = series
-        for f in freqs:  # (axis j, later axes, earlier nodes) -> (later axes, nodes to j)
-            table = np.exp(2j * np.pi * np.multiply.outer(np.arange(n) / n, f))
-            values = values.reshape(len(f), -1).T @ table.T
-    return values.reshape(shape)
-
-
-def _finite_difference(sym, k, theta, beta):
-    # peel one derivative at a time; nested central differences
-    axis = next(j for j, bj in enumerate(beta) if bj > 0)
-    lower = tuple(bj - 1 if j == axis else bj for j, bj in enumerate(beta))
-    step = np.zeros(sym.spec.dim)
-    step[axis] = FD_STEP
-
-    def value(t):
-        if sum(lower) == 0:
-            return np.asarray(sym.eval_fn(k, t), dtype=complex)
-        return _finite_difference(sym, k, t, lower)
-
-    return (value(theta + step) - value(theta - step)) / (2 * FD_STEP)
-
-
-def periodicity_defect(sym: Symbol, k, theta, axis: int) -> float:
-    """|sigma(k, theta) - sigma(k, theta + e_axis)|, without mod-1 reduction."""
-    tt = _as_theta(sym.spec, theta)
-    shifted = tt.copy()
-    shifted[..., axis] += 1.0
-    return abs(eval_symbol(sym, k, tt) - eval_symbol(sym, k, shifted))
+    coeffs, freqs = sym.row_series(z)
+    index, held = [], np.ones(len(z_offsets), dtype=bool)
+    for f, zj in zip(freqs, np.asarray(z_offsets).T):
+        i = np.minimum(np.searchsorted(f, zj), len(f) - 1)
+        held &= f[i] == zj
+        index.append(i)
+    return np.where(held, coeffs[tuple(index)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +309,8 @@ def decaying_test_symbol(s: float, a: float, b: float,
     """sigma(k, theta) = (1+|k|)^-s * (a + b cos 2 pi theta_1), order (-s, 1, 0).
 
     Decaying family used to exercise the nuclearity sums and the diagonal
-    eigenvalue approximation.
+    eigenvalue approximation.  A coefficient past float64 raises
+    NonFiniteError, naming the point.
     """
     spec = spec or LatticeSpec(1.0, 1)
 
@@ -354,7 +319,9 @@ def decaying_test_symbol(s: float, a: float, b: float,
             return np.zeros(len(z_rows))
         pts = spec.hbar * z_rows
         r = _finite_at(pts, float_pow(1.0 + _norms(pts), -s), f"(1+|k|)^-s with s={s}")
-        return a * r if z_offset[0] == 0 else 0.5 * b * r
+        c, name = (a, "a") if z_offset[0] == 0 else (0.5 * b, "b/2")
+        with np.errstate(over="ignore"):  # refused by name below, not warned about
+            return _finite_at(pts, c * r, f"{name} (1+|k|)^-s with a={a}, b={b}, s={s}")
 
     return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), closed_form_coeffs=cf,
                   coeff_support_radius=1, name=f"decaying(s={s},a={a},b={b})")
@@ -394,9 +361,8 @@ def symbol_from_matrix(K) -> Symbol:
     For a row point k of K's box, sigma(k, theta) is the trigonometric
     polynomial sum_m K(k, m) exp(+2 pi i (m - k) . theta / hbar); lattice
     rows outside the box evaluate to zero.  Reassembling a kernel from this
-    symbol reproduces K (finite Fourier inversion).  It has no closed form;
-    its rows are trigonometric polynomials of per-axis degree up to 2R, which
-    quadrature (`fourier.grid_size`) reassembles exactly at every radius.
+    symbol reads K back exactly (`series_coefficients`).  It has no closed
+    form; its rows are trigonometric polynomials of per-axis degree up to 2R.
 
     Its series is the row viewed as a (2R+1,)*n tensor over integer column
     coordinates a, with frequencies a - z_j along axis j (z the row's integer
@@ -418,6 +384,5 @@ def symbol_from_matrix(K) -> Symbol:
 
 
 def quadrature_only(sym: Symbol) -> Symbol:
-    """``sym`` without its closed form, so that its series is read by quadrature."""
-    return replace(sym, row_series=partial(_series, sym), closed_form_coeffs=None,
-                   coeff_support_radius=None)
+    """``sym`` given by its values alone, so that its coefficients are read by FFT quadrature."""
+    return Symbol(sym.spec, sym.order, eval_fn=partial(eval_symbol, sym), name=sym.name)

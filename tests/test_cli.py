@@ -256,31 +256,43 @@ def test_criterion_sums_beyond_dense_memory(tmp_path, capsys, time_limit):
     assert "2000001x2000001" in payload["message"]
 
 
-@pytest.mark.parametrize("task, symbol, radius, field, point", [
+LATTICE1 = {"hbar": 1.0, "dim": 1}
+
+
+@pytest.mark.parametrize("task, symbol, radius, field, point, lattice", [
     ("check-bounds", {"family": "anharmonic", "params": {"c": 1.0, "l": 64}}, 300,
-     "symbol.params", "k = [-256.0], |k| = 256.0"),
+     "symbol.params", "k = [-256.0], |k| = 256.0", LATTICE1),
     ("check-bounds", {"family": "schrodinger",
                       "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}}, 300,
-     "symbol.params.potential", "k = [-280.0], |k| = 280.0"),
+     "symbol.params.potential", "k = [-280.0], |k| = 280.0", LATTICE1),
     ("spectrum", {"family": "schrodinger",
                   "params": {"potential": {"c": 1.0, "l": 63}, "lambda": 0.0}}, 300,
-     "symbol.params.potential", "k = [-280.0], |k| = 280.0"),
+     "symbol.params.potential", "k = [-280.0], |k| = 280.0", LATTICE1),
     ("check-bounds", {"family": "multiplication", "params": {"epsilon": 400}}, 10,
-     "symbol.params", "k = [-6.0], |k| = 6.0"),
+     "symbol.params", "k = [-6.0], |k| = 6.0", LATTICE1),
     ("coeffs", {"family": "multiplication", "params": {"epsilon": 400}}, 10,
-     "symbol.params", "k = [-6.0], |k| = 6.0"),
+     "symbol.params", "k = [-6.0], |k| = 6.0", LATTICE1),
     ("check-nuclear", {"family": "decaying", "params": {"s": -400, "a": 1.0, "b": 0.5}}, 10,
-     "symbol.params", "k = [-5.0], |k| = 5.0"),
+     "symbol.params", "k = [-5.0], |k| = 5.0", LATTICE1),
+    ("check-nuclear", {"family": "decaying", "params": {"s": -50, "a": 1e300, "b": 0.5}}, 3,
+     "symbol.params", "k = [-0.5], |k| = 0.5", {"hbar": 0.25, "dim": 1}),
+    ("assemble", {"family": "decaying", "params": {"s": -300, "a": 1e300, "b": 0.5}}, 3,
+     "symbol.params", "k = [-1.0, 0.0], |k| = 1.0", {"hbar": 1.0, "dim": 2}),
 ], ids=["anharmonic-l64", "potential-l63", "potential-l63-scan", "multiplication-eps400",
-        "multiplication-eps400-coeffs", "decaying-s-400"])
+        "multiplication-eps400-coeffs", "decaying-s-400", "decaying-a1e300-s-50",
+        "decaying-a1e300-s-300-2d"])
 def test_anharmonic_past_float64_in_the_box_is_a_config_error(tmp_path, capsys, task, symbol,
-                                                             radius, field, point):
+                                                             radius, field, point, lattice):
     # c|k|^(2l) leaves float64 in the C pow first at |k| = 256 for l = 64 (the
     # anharmonic family has no growth probes) and at |k| = 280 for l = 63, beyond
     # the probes' 256: both inside the box of radius 300.  |k|^400 leaves it at
-    # |k| = 6 and (1+|k|)^400 at |k| = 5, inside the box of radius 10
+    # |k| = 6 and (1+|k|)^400 at |k| = 5, inside the box of radius 10.  (1+|k|)^-s
+    # is finite in the box of radius 3 for s = -50 and s = -300, but a = 1e300 times
+    # it is not: at |k| = 0.5 (1.5^50 = 6.4e8) and at |k| = 1 (2^300 = 2.0e90).  No
+    # numpy warning reaches stderr: it holds the one JSON line
     params = {"check-bounds": {"p": 2.0}, "spectrum": {"j_max": 5}}.get(task, {})
-    cfg = base_config(task, symbol=symbol, truncation={"radius": radius}, params=params)
+    cfg = base_config(task, lattice=lattice, symbol=symbol, truncation={"radius": radius},
+                      params=params)
     rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()

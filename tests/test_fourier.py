@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo.fourier import (coefficient_table, estimate_decay_constant,
                                  table_to_csv, toroidal_coefficient)
-from lattice_pdo.symbols import (Symbol, constant_symbol, decaying_test_symbol,
-                                 difference_symbol, eval_symbol,
+from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, constant_symbol,
+                                 decaying_test_symbol, difference_symbol, eval_symbol,
                                  multiplication_symbol, polynomial_potential,
                                  quadrature_only, schrodinger_symbol)
 
@@ -175,7 +176,6 @@ def test_decay_constant_enumeration_oracle():
 
 def test_quadrature_2d_product_cosines():
     # sigma = cos(2 pi t1) cos(2 pi t2) has coefficients 1/4 at (+-1, +-1)
-    from lattice_pdo.symbols import Symbol, SymbolOrder
     spec2 = LatticeSpec(1.0, 2)
     sym = Symbol(spec2, SymbolOrder(0.0),
                  lambda k, t: np.cos(2 * np.pi * t[..., 0]) * np.cos(2 * np.pi * t[..., 1]) + 0j)
@@ -230,14 +230,11 @@ def test_quadrature_grid_size_preflight(time_limit):
             toroidal_coefficient(sym, (0, 0, 0), (5000, 0, 0), force_quadrature=True)
 
 
-@pytest.mark.parametrize("by_values", [False, True], ids=["series", "values"])
-def test_quadrature_keeps_no_grid(by_values):
+def test_quadrature_keeps_no_grid():
     # a 3-d coefficient at frequency radius 32 is read on 128^3 points, whose theta
     # coordinates alone take 48 MiB; no grid, of theta or of samples, outlives the call
     spec = LatticeSpec(1.0, 3)
-    sym = decaying_test_symbol(3.0, 1.0, 1.0, spec)
-    if by_values:
-        sym = Symbol(spec, sym.order, eval_fn=lambda k, theta: np.cos(2 * np.pi * theta[..., 0]))
+    sym = Symbol(spec, SymbolOrder(0.0), eval_fn=lambda k, theta: np.cos(2 * np.pi * theta[..., 0]))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -246,3 +243,23 @@ def test_quadrature_keeps_no_grid(by_values):
     finally:
         tracemalloc.stop()
     assert kept < 2 ** 20
+
+
+def test_forced_quadrature_refuses_non_finite_samples():
+    # |k|^-0.5 is inf at k = 0: its FFT would read nan, with numpy warnings, where the
+    # closed form gives 0 at frequency 1; quadrature refuses the row instead
+    for spec, k, m in ((SPEC1, 0.0, 1.0), (LatticeSpec(0.5, 2), (0.0, 0.0), (0.5, 0.0))):
+        sym = multiplication_symbol(-0.5, spec)
+        assert toroidal_coefficient(sym, k, m) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"not finite at k = \[0\.0(, 0\.0)?\]"):
+                toroidal_coefficient(sym, k, m, force_quadrature=True)
+    # a symbol given by values alone is refused the same way, naming its row
+    def nan_at_one_values(k, theta):
+        return np.full(theta.shape[:-1], np.nan if k[0] == 1 else 1.0)
+
+    nan_at_one = Symbol(SPEC1, SymbolOrder(0.0), nan_at_one_values, name="nan-at-1")
+    assert toroidal_coefficient(nan_at_one, 0.0, 0.0) == 1.0
+    with pytest.raises(NonFiniteError, match=r"'nan-at-1' .*not finite at k = \[1\.0\]"):
+        coefficient_table(nan_at_one, BoxTruncation(1), 1)

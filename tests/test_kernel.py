@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_pdo.fourier import coefficient_table, toroidal_coefficient
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
-from lattice_pdo import kernel
+from lattice_pdo import fourier, kernel
 from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 hermitize, read_binary, split_diagonal,
                                 write_binary, write_csv)
@@ -129,7 +129,7 @@ def test_roundtrip_random_kernels():
         M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         K = KernelMatrix(SPEC1, box, M)
         K2 = assemble(symbol_from_matrix(K), SPEC1, box)
-        assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+        assert np.array_equal(K2.entries, K.entries)
 
 
 def test_kernel_rejects_nonfinite():
@@ -208,7 +208,7 @@ def test_roundtrip_2d_quadrature_path():
     M = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     K = KernelMatrix(spec2, box, M)
     K2 = assemble(symbol_from_matrix(K), spec2, box)
-    assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+    assert np.array_equal(K2.entries, K.entries)
 
 
 def test_assemble_2d_schrodinger_neighbors():
@@ -266,27 +266,58 @@ def test_assemble_table_and_pointwise_coefficients_agree_exactly(dim, hbar):
 @pytest.mark.parametrize("dim, radius, n", [(1, 15, 64), (1, 16, 128), (1, 31, 128),
                                             (1, 40, 256), (2, 16, 128)])
 def test_quadrature_reassembles_a_matrix_at_any_radius(dim, radius, n):
-    # row offsets m - k reach 2R per axis: 64 points cover them up to R = 15,
-    # and the grid doubles past that rather than fold one offset onto another
+    # the symbol of a matrix is read from its series, exactly, at every radius.  Given
+    # by its values alone, its row -R reads offsets m - k up to 2R per axis: 64
+    # points cover them up to R = 15, and the grid doubles past that rather than
+    # fold one offset onto another
     spec = LatticeSpec(1.0, dim)
     box = BoxTruncation(radius)
     K = KernelMatrix(spec, box, np.random.default_rng(11).normal(size=(box.size(dim),) * 2))
-    K2 = assemble(symbol_from_matrix(K), spec, box)
-    assert K2.provenance["method"] == f"quadrature(n={n})"
-    assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+    sym = symbol_from_matrix(K)
+    K2 = assemble(sym, spec, box)
+    assert K2.provenance["method"] == "series"
+    assert np.array_equal(K2.entries, K.entries)
+    zs = enumerate_box_integers(spec, box)
+    assert fourier.grid_size(int(np.max(np.abs(zs - zs[0])))) == n
+    corner = fourier.coefficients(quadrature_only(sym), zs[:1], zs - zs[0])[0]
+    assert np.max(np.abs(corner - K.entries[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 2), (1, 20), (2, 3), (3, 1)])
+def test_matrix_symbol_reassembles_exactly_without_fft(monkeypatch, dim, radius):
+    # a matrix symbol's rows are its series: assembly reads them and runs no FFT
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT quadrature ran")
+
+    monkeypatch.setattr(fourier, "spectrum_of_row", no_fft)
+    monkeypatch.setattr(np.fft, "fftn", no_fft)
+    rng = np.random.default_rng(dim + radius)
+    for hbar in (1.0, 0.5):
+        spec, box = LatticeSpec(hbar, dim), BoxTruncation(radius)
+        shape = (box.size(dim),) * 2
+        K = KernelMatrix(spec, box, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        K2 = assemble(symbol_from_matrix(K), spec, box)
+        assert np.array_equal(K2.entries, K.entries)
+        # a box's rows outside the matrix's box have no series terms: they read 0
+        wider = assemble(symbol_from_matrix(K), spec, BoxTruncation(radius + 1))
+        inner = np.flatnonzero(np.all(np.abs(wider.points()) <= hbar * radius, axis=1))
+        assert np.array_equal(wider.entries[np.ix_(inner, inner)], K.entries)
+        assert np.count_nonzero(wider.entries) == np.count_nonzero(K.entries)
 
 
 def test_quadrature_assembly_never_aliases_a_trigonometric_polynomial():
     # cos(4 pi theta) has degree 2: the operator is 1/2 on the offsets m - k = +-2
     # and 0 elsewhere.  Row -R reads offsets up to 2R, so at R = 31 the offset 62
-    # would share bin -2 of 64 samples and read 1/2 where the operator has 0.
+    # would share bin -2 of 64 samples and read 1/2 where the operator has 0: the
+    # grid has 64 points up to R = 15 and doubles past that
     sym = Symbol(SPEC1, SymbolOrder(0.0), lambda k, theta: np.cos(4 * np.pi * theta[..., 0]),
                  name="cos(4 pi theta)")
-    for radius in (15, 31):
+    for radius, n in ((15, 64), (16, 128), (31, 128), (40, 256)):
         box = BoxTruncation(radius)
         zs = enumerate_box_integers(SPEC1, box)[:, 0]
         exact = 0.5 * (np.abs(zs[None, :] - zs[:, None]) == 2)
         K = assemble(sym, SPEC1, box)
+        assert K.provenance["method"] == f"quadrature(n={n})"
         assert np.max(np.abs(K.entries - exact)) <= 1e-15
 
 

@@ -10,9 +10,8 @@ from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
                                  constant_symbol, decaying_test_symbol, difference_symbol, eval_symbol,
-                                 grid_values, multiplication_symbol, periodicity_defect,
-                                 polynomial_potential, schrodinger_symbol,
-                                 symbol_from_matrix, theta_derivative)
+                                 multiplication_symbol, polynomial_potential, quadrature_only,
+                                 schrodinger_symbol, symbol_from_matrix, theta_derivative)
 from lattice_pdo.kernel import KernelMatrix, assemble
 
 SPEC1 = LatticeSpec(1.0, 1)
@@ -89,8 +88,9 @@ def test_periodicity_samples():
         for _ in range(100):
             k = sym.spec.hbar * rng.integers(-5, 6, size=n)
             theta = rng.random(n)
-            axis = int(rng.integers(0, n))
-            assert periodicity_defect(sym, k, theta, axis) <= 1e-9
+            shifted = theta.copy()
+            shifted[int(rng.integers(0, n))] += 1.0
+            assert abs(eval_symbol(sym, k, theta) - eval_symbol(sym, k, shifted)) <= 1e-9
 
 
 def test_derivative_difference():
@@ -110,26 +110,18 @@ def test_derivative_decaying_second_order():
     assert theta_derivative(sym, 0, 0.0, 2) == pytest.approx(-4 * np.pi ** 2)
 
 
-def test_derivative_finite_difference_fallback():
+def test_value_only_symbol_refuses_theta_derivatives():
+    # a symbol given by its values alone has no series to differentiate: order 0 is
+    # its values, and every higher order is refused by name rather than approximated
     base = decaying_test_symbol(3.0, 2.0, 1.0)
-    fd = Symbol(base.spec, base.order, decaying_values(3.0, 2.0, 1.0), name="fd")
-    for theta in (0.2, np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)):
-        for beta in (1, 2):
-            exact = theta_derivative(base, 1, theta, beta)
-            approx = theta_derivative(fd, 1, theta, beta)
-            assert np.shape(approx) == np.shape(exact) == np.shape(theta)[:-1]
-            assert np.max(np.abs(approx - exact)) <= 1e-4 * max(1.0, np.max(np.abs(exact)))
-
-
-def test_finite_differences_stop_at_order_two():
-    # nested central differences at FD_STEP return 693.9 for this exact 60.2
-    base = decaying_test_symbol(3.0, 2.0, 1.0)
-    fd = Symbol(base.spec, base.order, decaying_values(3.0, 2.0, 1.0), name="fd")
     exact = 0.125 * (2 * np.pi) ** 4 * np.cos(2 * np.pi * 0.2)
     assert theta_derivative(base, 1, 0.2, 4) == pytest.approx(exact, rel=1e-12)
-    for beta in (3, 4):
-        with pytest.raises(ValueError, match=f"stop at order 2, requested {beta}"):
-            theta_derivative(fd, 1, 0.2, beta)
+    by_values = Symbol(base.spec, base.order, decaying_values(3.0, 2.0, 1.0), name="by-values")
+    assert theta_derivative(by_values, 1, 0.2, 0) == eval_symbol(by_values, 1, 0.2)
+    assert eval_symbol(by_values, 1, 0.2) == pytest.approx(eval_symbol(base, 1, 0.2), rel=1e-12)
+    for beta in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"'by-values' .* order {beta}"):
+            theta_derivative(by_values, 1, 0.2, beta)
 
 
 def test_order_validation():
@@ -186,7 +178,7 @@ def test_symbol_from_matrix_roundtrip_hermitian():
     M = 0.5 * (M + M.conj().T)
     K = KernelMatrix(SPEC1, box, M)
     K2 = assemble(symbol_from_matrix(K), SPEC1, box)
-    assert np.max(np.abs(K2.entries - K.entries)) <= 1e-10
+    assert np.array_equal(K2.entries, K.entries)
 
 
 def test_symbol_from_matrix_derivative():
@@ -429,28 +421,29 @@ def agreement_cases(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_and_per_point_sums_agree(dim):
-    # Tolerance fixed before the first run.  Both evaluations use the same phase
-    # tables (the same exponentials of the same grid coordinates) and differ only
-    # in the order of the contraction; each is within (sqrt(5) n + sum_j (F_j - 1))
-    # u S of the exact sum of its tables (u = eps / 2, F_j frequencies on axis j,
-    # S = sum |c| the l1 norm of the coefficients), so they agree within
-    # (3 n + sum_j (F_j - 1)) eps S.
+    # Forced quadrature samples a series point by point on the N^dim grid; the FFT of
+    # those samples gives back the series.  Tolerance fixed before the first run,
+    # with u = eps / 2, F_j the frequencies on axis j, f the largest |frequency| and
+    # S = sum |c|: each sample is within (sqrt(5) n + sum_j (F_j - 1)) u S of the sum
+    # of its computed exponentials, whose phases 2 pi f theta are off by at most
+    # 4 pi f u and values by u more each, so within n (1 + 4 pi f) u S of the exact
+    # sum; the FFT adds at most 5 u log2(N^n) S.  The sum of the three is below
+    # (n (3 + 2 pi f + 3 log2 N) + sum_j (F_j - 1)) eps S.
     N = 64 if dim < 3 else 16
-    points = np.stack(np.indices((N,) * dim), axis=-1) / N
     for sym, z in agreement_cases(dim):
         coeffs, freqs = _series(sym, z)
         k = sym.spec.hbar * z
-        on_grid = grid_values(sym, k, N)
-        assert on_grid.shape == (N,) * dim
-        per_point = eval_symbol(sym, k, points)
+        forced = quadrature_only(sym)
         if not np.all(np.isfinite(coeffs)):
-            # |k|^eps, eps < 0, at k = 0: inf + 0j on the grid and at each point
-            assert np.all(on_grid == complex(np.inf, 0.0)), sym.name
-            assert np.all(per_point == complex(np.inf, 0.0)), sym.name
+            # |k|^eps, eps < 0, at k = 0: inf at every sample, refused rather than read
+            with pytest.raises(NonFiniteError, match="not finite at k"):
+                spectrum_of_row(forced, k, N)
             continue
-        tol = ((3 * dim + sum(len(f) - 1 for f in freqs)) * np.finfo(float).eps
-               * np.sum(np.abs(coeffs)))
-        assert np.max(np.abs(on_grid - per_point)) <= tol, sym.name
+        got = spectrum_of_row(forced, k, N)[np.ix_(*[f % N for f in freqs])]
+        f = max(int(np.max(np.abs(fj))) for fj in freqs)
+        tol = ((dim * (3 + 2 * np.pi * f + 3 * np.log2(N)) + sum(len(fj) - 1 for fj in freqs))
+               * np.finfo(float).eps * np.sum(np.abs(coeffs)))
+        assert np.max(np.abs(got - coeffs)) <= tol, sym.name
 
 
 def test_scattered_points_are_summed_point_by_point():
