@@ -9,19 +9,22 @@ rule of three cases, checked in this order:
 
 1. a closed form is called once per offset;
 2. otherwise a series (``row_series``, such as the symbol of a matrix) is
-   read: each offset's coefficient is looked up in the row's frequencies,
-   and is 0 where the series has none (`symbols.series_coefficients`);
+   read: each offset's coefficient is found by its index in the row's
+   consecutive frequencies, and is 0 outside them
+   (`symbols.series_coefficients`);
 3. only a symbol given by its values alone (``eval_fn``) goes to FFT
    quadrature: the tensor trapezoid rule on N uniform points per axis
    (`spectrum_of_row`), read at bin z mod N.
 
-Cases 1 and 2 give each coefficient exactly as the symbol holds it.
+Cases 1 and 2 give each coefficient exactly as the symbol holds it, in the
+values' own dtype (float64 for a real symbol); case 3 gives complex128.
 `grid_size` is the one rule for N: the smallest power of two at least
 max(64, 2 radius + 1), radius the largest |z|_inf the call asks for, so no
 asked frequency folds onto another.  64, the bandwidth assumed for a
 symbol given only by its values, makes quadrature exact for trigonometric
-polynomials of per-axis degree up to max(31, radius).  The grid is built
-for each row and dropped after it; a sample that is not finite is refused.
+polynomials of per-axis degree up to max(31, radius).  The grid is
+sampled SAMPLE_BLOCK points at a time into one array, transformed in place
+and dropped after its row; a sample that is not finite is refused.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,8 @@ from .symbols import NonFiniteError, Symbol, quadrature_only, series_coefficient
 from . import _util
 from ._util import check_dense_fits, check_fits
 
+SAMPLE_BLOCK = 1 << 14   # grid points handed to eval_fn at a time: all of a 128^2 grid
+
 
 def grid_size(radius: int) -> int:
     """Quadrature points per axis for frequencies up to |z|_inf <= radius (module docstring)."""
@@ -43,15 +48,20 @@ def grid_size(radius: int) -> int:
 def spectrum_of_row(sym: Symbol, k, n: int) -> np.ndarray:
     """FFT of eval_fn(k, .) on the uniform n^dim grid, normalized to coefficients.
 
-    A sample that is not finite raises NonFiniteError naming the row k.
+    eval_fn sees the grid SAMPLE_BLOCK points at a time, each block's theta
+    built from its flat indices.  A sample that is not finite raises
+    NonFiniteError naming the row k.
     """
-    dim = sym.spec.dim
-    theta = np.stack(np.indices((n,) * dim), axis=-1) / n
-    values = np.asarray(sym.eval_fn(k, theta), dtype=complex)
+    dim, size = sym.spec.dim, n ** sym.spec.dim
+    values = np.empty((n,) * dim, dtype=complex)
+    for start in range(0, size, SAMPLE_BLOCK):
+        flat = np.arange(start, min(start + SAMPLE_BLOCK, size))
+        theta = np.stack(np.unravel_index(flat, values.shape), axis=-1) / n
+        values.reshape(-1)[flat] = sym.eval_fn(k, theta)
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(f"symbol '{sym.name}' is not finite at k = {np.ravel(k).tolist()} "
                              f"on the {n}^{dim} quadrature grid")
-    return np.fft.fftn(values) / n ** dim
+    return np.divide(np.fft.fftn(values, out=values), size, out=values)
 
 
 def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
@@ -63,19 +73,16 @@ def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     A grid that would not fit in physical memory is refused before it is
     built.
     """
-    values = np.empty((len(z_rows), len(z_offsets)), dtype=complex)
     if sym.closed_form_coeffs is not None:
-        for j, z in enumerate(z_offsets):
-            values[:, j] = sym.closed_form_coeffs(z_rows, z)
-        return values
+        return np.stack([sym.closed_form_coeffs(z_rows, z) for z in z_offsets], axis=1)
     if sym.row_series is not None:
-        for i, z in enumerate(z_rows):
-            values[i] = series_coefficients(sym, z, z_offsets)
-        return values
+        return np.array([series_coefficients(sym, z, z_offsets) for z in z_rows])
     dim = sym.spec.dim
     n = grid_size(int(np.max(np.abs(z_offsets), initial=0)))
-    # theta (dim float64), the samples and their FFT (complex128)
-    check_fits(n ** dim * (8 * dim + 32), f"a quadrature grid of {n}^{dim} points")
+    # the samples, transformed in place, and one block's theta and eval_fn work
+    # (a series' phase tables and partial sums), budgeted at 64 values a point
+    check_fits(16 * (n ** dim + 64 * SAMPLE_BLOCK), f"a quadrature grid of {n}^{dim} points")
+    values = np.empty((len(z_rows), len(z_offsets)), dtype=complex)
     bins = tuple((z_offsets % n).T)
     for i, z in enumerate(z_rows):
         values[i] = spectrum_of_row(sym, sym.spec.hbar * z, n)[bins]
@@ -96,7 +103,7 @@ class CoefficientTable:
 
     k_points: np.ndarray     # (S, n)
     m_points: np.ndarray     # (M, n)
-    values: np.ndarray       # (S, M) complex
+    values: np.ndarray       # (S, M), in the dtype `coefficients` returns
 
     def nonzeros_per_row(self) -> np.ndarray:
         return np.sum(np.abs(self.values) > 0, axis=1)

@@ -16,10 +16,10 @@ storage through `power_sums`, as its nonzeros in row-major order, so both
 storages give the same bits.  Eigensolves, `hermitize`, `split_diagonal`, `apply`,
 `write_binary` and `symbol_from_matrix` read `entries`, the dense matrix,
 which triplet storage builds on first access (after checking that it fits in
-memory) and keeps.  The values decide the dtype: real values are stored as
-float64 (so real symmetric operators get the real eigensolvers), anything
-else as complex128.  Truncation is plain restriction to the box (no boundary
-corrections).
+memory) and keeps.  The values alone decide the dtype (`stored_entries`),
+whatever built them: real values are stored as float64 (so real symmetric
+operators get the real eigensolvers), anything else as complex128.
+Truncation is plain restriction to the box (no boundary corrections).
 """
 
 import math
@@ -133,17 +133,16 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
 
     A symbol with closed-form coefficients is built band by band: one
     call per offset z = (m - k)/hbar with |z|_inf within its support radius
-    (every offset that fits in the box when the radius is unknown), kept
-    as sorted nonzero triplets, float64 when every band is real and
-    complex128 otherwise.  Bands whose triplets could not fit in physical
-    memory are refused before the box coordinates or any band is built.
-    Any other symbol is read row by row by `fourier.coefficients` into a
-    dense complex128 matrix: a series (the symbol of a matrix) exactly, by
-    frequency lookup, with the method "series"; a symbol given by its
-    values by quadrature, each row on the grid its offsets need, with the
-    method naming the grid of the widest rows, whose corner offsets reach
-    2R.  A matrix that would not fit in physical memory is refused before
-    any row is read.
+    and 2R, kept as sorted nonzero triplets.  Bands whose triplets could
+    not fit in physical memory are refused before the box coordinates or
+    any band is built.  Any other symbol is read row by row by
+    `fourier.coefficients` into a dense matrix: a series (the symbol of a
+    matrix) exactly, by frequency index, with the method "series"; a symbol
+    given by its values by quadrature, each row on the grid its offsets
+    need, with the method naming the grid of the widest rows, whose corner
+    offsets reach 2R.  A matrix that would not fit in physical memory is
+    refused before any row is read.  Either way `stored_entries` decides
+    the dtype: float64 when every value is real, complex128 otherwise.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -151,8 +150,7 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     r = box.radius
 
     if sym.closed_form_coeffs is not None:
-        reach = BoxTruncation(2 * r if sym.coeff_support_radius is None
-                              else min(sym.coeff_support_radius, 2 * r))
+        reach = BoxTruncation(min(sym.coeff_support_radius, 2 * r))
         bands = reach.size(spec.dim)
         check_fits(bands * size * TRIPLET_BYTES, f"{bands} bands of a {size}-point box")
         zs, shape = enumerate_box_integers(spec, box), box_shape(spec, box)
@@ -179,7 +177,7 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     def row(i):
         return coefficients(sym, zs[i:i + 1], zs - zs[i])[0]
 
-    entries = np.array(parallel_map(row, list(range(size)), threads), dtype=complex)
+    entries = np.array(parallel_map(row, list(range(size)), threads))
     method = "series" if sym.row_series is not None else f"quadrature(n={grid_size(2 * r)})"
     return KernelMatrix._owning(spec, box, entries, provenance={
         "symbol": sym.name, "method": method, "radius": r})

@@ -88,9 +88,11 @@ class DiagApproxReport:
     exact zeros.  Points within the outermost 15 percent of the box radius
     are excluded from the fit: their residuals measure the Dirichlet
     truncation edge, not the operator, and flatten the slope by an order of
-    magnitude at desk scale.  low_overlap flags matched basis vectors whose
-    projection onto the eigenspace of their eigenvalue's cluster has norm
-    below 1/2, where first-order reasoning degrades.  A cluster is a run of
+    magnitude at desk scale.  A window whose log(1 + |k|) takes fewer than
+    two distinct values has no slope: fit_exponent is then None.
+    low_overlap flags matched basis vectors whose projection onto the
+    eigenspace of their eigenvalue's cluster has norm below 1/2, where
+    first-order reasoning degrades.  A cluster is a run of
     sorted eigenvalues whose gaps are within eigh's backward error,
     size * eps * max |lambda|; taking the whole eigenspace makes the flag
     independent of the basis the solver picks inside a degenerate one.
@@ -144,8 +146,8 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
                  & (sup <= 0.85 * K.box.radius)
                  & (np.abs(residuals) > 0))
     fit = None
-    if np.sum(in_window) >= 2:
-        x = np.log(1.0 + norms[in_window])
+    x = np.log(1.0 + norms[in_window])
+    if len(np.unique(x)) >= 2:
         y = np.log(np.abs(residuals[in_window]))
         fit = float(np.polyfit(x, y, 1)[0])
 

@@ -44,17 +44,18 @@ class Symbol:
     first one present, in this order.  closed_form_coeffs(z_rows, z_offset)
     gives the torus Fourier coefficients at the integer frequency
     ``z_offset`` (n,) of the integer rows ``z_rows`` (S, n): S values, real
-    or complex, zero once |z_offset|_inf exceeds ``coeff_support_radius``
-    (None if unknown).  Else row_series(z) gives the series of row z, the
-    point hbar z: a coefficient tensor with one axis per torus axis, and
-    each axis's integer frequencies, ascending.  Else the symbol is its
-    values alone, eval_fn(k, theta), for ``k`` of shape (n,) and ``theta``
-    of shape (..., n), vectorized to theta.shape[:-1].
+    or complex, zero once |z_offset|_inf exceeds ``coeff_support_radius``,
+    which a closed form must declare (a finite integer r >= 0).  Else
+    row_series(z) gives the series of row z, the point hbar z, as
+    ``(coeffs, low)``: a coefficient tensor with one axis per torus axis,
+    and the lowest integer frequency (n,) of each axis, whose frequencies
+    are consecutive, low[j] + arange(coeffs.shape[j]).  Else the symbol is
+    its values alone, eval_fn(k, theta), for ``k`` of shape (n,) and
+    ``theta`` of shape (..., n), vectorized to theta.shape[:-1].
 
-    A symbol with a finite series (row_series, or a closed form with a
-    finite support radius) takes its values and its theta-derivatives of
-    every order from it (`theta_derivative`).  A symbol given by values
-    alone has no theta-derivative above order 0.
+    A symbol with a series (row_series or a closed form) takes its values
+    and its theta-derivatives of every order from it (`theta_derivative`).
+    A symbol given by values alone has no theta-derivative above order 0.
     """
 
     spec: LatticeSpec
@@ -66,9 +67,10 @@ class Symbol:
     name: str = "symbol"
 
     def __post_init__(self):
-        if self.eval_fn is None and self.row_series is None and (
-                self.closed_form_coeffs is None or self.coeff_support_radius is None):
-            raise ValueError(f"symbol '{self.name}' has neither eval_fn nor a finite series")
+        if self.closed_form_coeffs is not None and self.coeff_support_radius is None:
+            raise ValueError(f"symbol '{self.name}' has a closed form without a support radius")
+        if self.eval_fn is None and self.row_series is None and self.closed_form_coeffs is None:
+            raise ValueError(f"symbol '{self.name}' has neither eval_fn nor a series")
 
 
 def _as_theta(spec: LatticeSpec, theta):
@@ -129,37 +131,31 @@ def theta_derivative(sym: Symbol, k, theta, beta):
 
 
 def _series(sym: Symbol, z):
-    # row z's coefficient tensor and per-axis frequencies; None without a finite series
+    # row z's (coeffs, low), the `Symbol` series form; None for a symbol given by its values
     if sym.row_series is not None:
         return sym.row_series(z)
-    r = sym.coeff_support_radius
-    if sym.closed_form_coeffs is None or r is None:
+    if sym.closed_form_coeffs is None:
         return None
+    r = sym.coeff_support_radius
     box = BoxTruncation(r)
     offsets = enumerate_box_integers(sym.spec, box)
     coeffs = [sym.closed_form_coeffs(z[None], off)[0] for off in offsets]
-    return np.reshape(coeffs, box_shape(sym.spec, box)), [np.arange(-r, r + 1)] * sym.spec.dim
+    return np.reshape(coeffs, box_shape(sym.spec, box)), np.full(sym.spec.dim, -r)
 
 
-def _frequency_zero(coeffs, freqs, beta, shape):
-    # a series of frequency 0 alone over ``shape``: its coefficient, inf + 0j included (never
-    # times the phase 1 + 0j, which makes inf nan), and 0 for a derivative; else None
-    if any(np.any(f) for f in freqs):
-        return None
-    return np.full(shape, 0j if any(beta) else np.asarray(coeffs).item(), dtype=complex)
-
-
-def _phase_sum(coeffs, freqs, theta, beta):
+def _phase_sum(coeffs, low, theta, beta):
     """sum_z coeffs[z] prod_j (2 pi i z_j)^beta_j exp(2 pi i z_j theta_j), point by point.
 
-    ``coeffs`` has one axis per torus axis, ``freqs[j]`` the integer
-    frequencies along axis j, and the result the shape theta.shape[:-1]:
-    sum_j len(freqs[j]) exponentials a point, contracted last axis first.
+    ``coeffs`` has one axis per torus axis, ``low[j]`` the lowest integer
+    frequency along axis j, and the result the shape theta.shape[:-1]:
+    sum_j coeffs.shape[j] exponentials a point, contracted last axis first.
     A zero frequency factor (2 pi i 0)^beta_j contributes exactly 0.
     """
-    constant = _frequency_zero(coeffs, freqs, beta, theta.shape[:-1])
-    if constant is not None:
-        return constant
+    if coeffs.size == 1 and not np.any(low):
+        # frequency 0 alone: its coefficient, inf + 0j included (never times the phase
+        # 1 + 0j, which makes inf nan), and 0 for a derivative
+        return np.full(theta.shape[:-1], 0j if any(beta) else coeffs.item(), dtype=complex)
+    freqs = [lj + np.arange(size) for lj, size in zip(low, coeffs.shape)]
     n = theta.shape[-1]
     t = theta.reshape(-1, n)
     tables = []
@@ -176,18 +172,15 @@ def _phase_sum(coeffs, freqs, theta, beta):
 
 
 def series_coefficients(sym: Symbol, z, z_offsets) -> np.ndarray:
-    """Coefficients of row z at the integer frequencies ``z_offsets`` (M, n).
+    """Coefficients of row z at the integer frequencies ``z_offsets`` (M, n), in their dtype.
 
-    Each offset is looked up in the per-axis frequencies of row_series(z):
-    its coefficient where the series holds it, and 0 where it does not.
+    Offset z_offsets[i] sits at index z_offsets[i] - low of row_series(z):
+    its coefficient where that index is inside the tensor, and 0 where not.
     """
-    coeffs, freqs = sym.row_series(z)
-    index, held = [], np.ones(len(z_offsets), dtype=bool)
-    for f, zj in zip(freqs, np.asarray(z_offsets).T):
-        i = np.minimum(np.searchsorted(f, zj), len(f) - 1)
-        held &= f[i] == zj
-        index.append(i)
-    return np.where(held, coeffs[tuple(index)], 0)
+    coeffs, low = sym.row_series(z)
+    index = z_offsets - low
+    inside = ((index >= 0) & (index < coeffs.shape)).all(1)
+    return np.where(inside, coeffs[tuple(np.where(inside[:, None], index, 0).T)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +359,18 @@ def symbol_from_matrix(K) -> Symbol:
 
     Its series is the row viewed as a (2R+1,)*n tensor over integer column
     coordinates a, with frequencies a - z_j along axis j (z the row's integer
-    coordinates), so a theta point costs at most n(2R+1) exponentials rather
-    than (2R+1)^n.
+    coordinates), lowest -R - z_j, so a theta point costs at most n(2R+1)
+    exponentials rather than (2R+1)^n.
     """
     spec = K.spec
     r = K.box.radius
     rows = np.asarray(K.entries).reshape(2 * box_shape(spec, K.box))
-    offsets = np.arange(-r, r + 1)
-    outside = np.zeros((1,) * spec.dim), [np.zeros(1, dtype=np.int64)] * spec.dim
+    outside = np.zeros((1,) * spec.dim), np.zeros(spec.dim, dtype=np.int64)
 
     def row_series(z):
         if np.any(np.abs(z) > r):
             return outside
-        return rows[tuple(z + r)], list(offsets - z[:, None])
+        return rows[tuple(z + r)], -r - z
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,21 @@ def test_diag_approx_task(tmp_path):
     lines = (tmp_path / "out" / "diag_approx.csv").read_text().splitlines()
     assert lines[0] == "index,k_1,eigenvalue,diag,residual"
     assert len(lines) == 1 + 61
+
+
+def test_diag_approx_fit_refuses_a_rank_deficient_window(tmp_path):
+    # at hbar 1 and R = 3 the difference operator's fit window holds two points with
+    # the same |k| = 2: one value of log(1 + |k|), so no slope is fitted
+    cfg = base_config("diag-approx", truncation={"radius": 3})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lattice_pdo.cli", "run",
+         write_config(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    summary = json.loads((tmp_path / "out" / "diag_approx.json").read_text())
+    assert summary["fit_exponent"] is None
 
 
 def test_fit_growth_task(tmp_path):

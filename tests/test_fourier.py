@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lattice_pdo import fourier
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo.fourier import (coefficient_table, estimate_decay_constant,
                                  table_to_csv, toroidal_coefficient)
@@ -222,12 +223,35 @@ def test_coefficient_table_size_preflight(time_limit):
 
 
 def test_quadrature_grid_size_preflight(time_limit):
-    # one frequency of radius 5000 needs 16384 points per axis: 2^42 in 3-d
+    # one frequency of radius 5000 needs 16384 points per axis: 2^42 in 3-d, 16 bytes
+    # each, and one block of 2^14 points at 64 values of 16 bytes
     sym = decaying_test_symbol(3.0, 1.0, 1.0, LatticeSpec(1.0, 3))
     with time_limit(10):
         with pytest.raises(ValueError, match=r"a quadrature grid of 16384\^3 points needs "
-                                             r"246290604621824 bytes"):
+                                             r"70368760954880 bytes"):
             toroidal_coefficient(sym, (0, 0, 0), (5000, 0, 0), force_quadrature=True)
+
+
+def test_forced_quadrature_stays_within_its_preflight(monkeypatch):
+    # a 3-d series forced to quadrature on 64^3 points is sampled block by block, so
+    # what the call holds at its peak is within the bytes its preflight counted
+    counted = []
+    check_fits = fourier.check_fits
+
+    def counting(need, what):
+        counted.append(need)
+        check_fits(need, what)
+
+    monkeypatch.setattr(fourier, "check_fits", counting)
+    sym = decaying_test_symbol(3.0, 1.0, 1.0, LatticeSpec(1.0, 3))
+    tracemalloc.start()
+    try:
+        toroidal_coefficient(sym, (0, 0, 0), (3, 0, 0), force_quadrature=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
 
 
 def test_quadrature_keeps_no_grid():

@@ -132,6 +132,26 @@ def test_roundtrip_random_kernels():
         assert np.array_equal(K2.entries, K.entries)
 
 
+@pytest.mark.parametrize("dim, radius", [(1, 3), (2, 2), (3, 1)])
+def test_series_read_of_a_real_matrix_is_real(dim, radius):
+    # the symbol of a float64 K reads K back as float64, bit for bit; on a wider box
+    # the rows and columns beyond K's box read 0
+    spec = LatticeSpec(0.5, dim)
+    box = BoxTruncation(radius)
+    size = box.size(dim)
+    K = KernelMatrix(spec, box, np.random.default_rng(dim).normal(size=(size, size)))
+    sym = symbol_from_matrix(K)
+    K2 = assemble(sym, spec, box)
+    assert K2.entries.dtype == np.float64
+    assert np.array_equal(K2.entries, K.entries)
+    wide = assemble(sym, spec, BoxTruncation(radius + 1))
+    inner = [index_of(spec, wide.box, k) for k in K.points()]
+    want = np.zeros((wide.size, wide.size))
+    want[np.ix_(inner, inner)] = K.entries
+    assert wide.entries.dtype == np.float64
+    assert np.array_equal(wide.entries, want)
+
+
 def test_kernel_rejects_nonfinite():
     for dtype in (complex, float):
         for bad in (np.nan, np.inf):

@@ -161,6 +161,15 @@ def test_off_lattice_k_is_refused(index):
         theta_derivative(sym, k, 0.1, 0)
 
 
+def test_closed_form_needs_a_support_radius():
+    def cf(z_rows, z_offset):
+        return np.zeros(len(z_rows))
+
+    for eval_fn in (None, lambda k, theta: np.zeros(theta.shape[:-1])):
+        with pytest.raises(ValueError, match="closed form without a support radius"):
+            Symbol(SPEC1, SymbolOrder(0.0), eval_fn=eval_fn, closed_form_coeffs=cf)
+
+
 def test_symbol_from_difference_matrix():
     box = BoxTruncation(3)
     K = assemble(difference_symbol(), SPEC1, box)
@@ -230,8 +239,8 @@ def test_matrix_symbol_matches_direct_phase_sum(case):
     n = K.spec.dim
     sym = symbol_from_matrix(K)
     z = np.rint(k / K.spec.hbar).astype(np.int64)
-    coeffs, freqs = sym.row_series(z)
-    assert coeffs.shape == tuple(len(f) for f in freqs)
+    coeffs, low = sym.row_series(z)
+    assert coeffs.ndim == n and np.shape(low) == (n,)
     values = eval_symbol(sym, k, theta)
     derivs = theta_derivative(sym, k, theta, beta)
     assert np.shape(values) == np.shape(derivs) == theta.shape[:-1]
@@ -241,7 +250,8 @@ def test_matrix_symbol_matches_direct_phase_sum(case):
         return
     # the series of row k is its row of K, column m at the frequency (m - k)/hbar
     np.testing.assert_array_equal(coeffs.reshape(-1), K.entries[index_of(K.spec, K.box, k)])
-    grid = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, n)
+    # at consecutive frequencies from the lowest one, low + index
+    grid = np.indices(coeffs.shape).reshape(n, -1).T + low
     np.testing.assert_array_equal(grid, enumerate_box_integers(K.spec, K.box) - z)
     for got, b in ((values, (0,) * n), (derivs, beta)):
         want, l1 = direct_phase_sum(K, k, theta, b)
@@ -431,7 +441,8 @@ def test_grid_and_per_point_sums_agree(dim):
     # (n (3 + 2 pi f + 3 log2 N) + sum_j (F_j - 1)) eps S.
     N = 64 if dim < 3 else 16
     for sym, z in agreement_cases(dim):
-        coeffs, freqs = _series(sym, z)
+        coeffs, low = _series(sym, z)
+        freqs = [lj + np.arange(size) for lj, size in zip(low, coeffs.shape)]
         k = sym.spec.hbar * z
         forced = quadrature_only(sym)
         if not np.all(np.isfinite(coeffs)):
