@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-CSV_CHUNK = 4096  # rows formatted and written per step, so memory stays flat
+CSV_CHUNK = 2048  # rows formatted and written per step, so memory stays flat
 
 
 def parallel_map(fn, items, threads=1):

@@ -6,20 +6,19 @@ vector e_i puts coefficient values down column i.  For the forward
 difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
-How a matrix is stored is decided in this module and nowhere else.
-`assemble` keeps a closed-form symbol's bands as their nonzero (row, col,
-value) triplets, sorted row-major: every built-in family has torus-frequency
-support radius at most 1, so a row holds at most 3^n of them.  Every other
-matrix (a series read or FFT quadrature, a user array, `hermitize` and
-`read_binary` output) is stored dense.  The criterion sums read either
-storage through `power_sums`, as its nonzeros in row-major order, so both
-storages give the same bits.  Eigensolves, `hermitize`, `split_diagonal`, `apply`,
-`write_binary` and `symbol_from_matrix` read `entries`, the dense matrix,
-which triplet storage builds on first access (after checking that it fits in
-memory) and keeps.  The values alone decide the dtype (`stored_entries`),
-whatever built them: real values are stored as float64 (so real symmetric
-operators get the real eigensolvers), anything else as complex128.
-Truncation is plain restriction to the box (no boundary corrections).
+Every matrix is stored one way, decided in this module and nowhere else:
+as its nonzero (row, col, value) triplets, sorted row-major.  A
+closed-form row holds at most 3^n of them (every built-in family has
+torus-frequency support radius at most 1).  A square array (a user's
+matrix, a series read or FFT quadrature, `read_binary` input) gives its
+triplets through one reader, `np.nonzero`, so an entry equal to 0 (-0.0
+too) is never stored.  Only eigensolves, `apply`, `write_binary` and
+`symbol_from_matrix` read `entries`, the dense matrix, which is built on
+first access (after checking that it fits in memory) and kept.  The
+values alone decide the dtype (`stored_entries`): real values are stored
+as float64 (so real symmetric operators get the real eigensolvers),
+anything else as complex128.  Truncation is plain restriction to the box
+(no boundary corrections).
 """
 
 import math
@@ -39,54 +38,52 @@ TRIPLET_BYTES = 32       # two int64 indices and a complex128 value
 HERMITIAN_TOL = 1e-9     # largest asymmetry `hermitian_check` accepts
 
 
-def stored_entries(a, copy=False) -> np.ndarray:
-    """The storage rule: real entries as float64, anything else as complex128.
-
-    A new row-major array when ``copy``; otherwise ``a`` itself if it
-    already follows the rule.
-    """
+def stored_entries(a) -> np.ndarray:
+    """The storage rule: real entries as float64, anything else as complex128."""
     a = np.asarray(a)
-    dtype = float if a.dtype.kind in "biuf" else complex
-    return np.array(a, dtype=dtype, order="C") if copy else np.asarray(a, dtype=dtype)
+    return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
+
+
+def _nonzero(a):
+    # the one reader of a square array: its nonzero (rows, cols, values), row-major
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
 
 
 class KernelMatrix:
     """Truncated matrix of an operator over a box of lattice points.
 
-    ``KernelMatrix(spec, box, entries)`` stores a copy of a square array
-    dense, by the rule of `stored_entries`, so the caller's array is left
-    as it was; the package's own dense builders hand over arrays they made
-    for the kernel, without a copy.  `assemble` stores closed-form bands as
-    triplets.  Either way the stored values are read-only, checked finite
-    once and never replaced, so `asymmetry` is computed once.
+    ``KernelMatrix(spec, box, a)`` stores the nonzeros of a square array
+    (`TRIPLET_BYTES` each, checked to fit in physical memory first), and
+    leaves the caller's array as it was.  The stored triplets are
+    read-only, checked finite once and never replaced, so `asymmetry` is
+    computed once.
     """
 
     def __init__(self, spec: LatticeSpec, box: BoxTruncation, entries, provenance=None):
-        self._store(spec, box, provenance, stored_entries(entries, copy=True), None)
+        a = stored_entries(entries)
+        size = box.size(spec.dim)
+        if a.shape != (size, size):
+            raise ValueError(f"entries must be {size}x{size} for this box, got {a.shape}")
+        nnz = np.count_nonzero(a)
+        check_fits(nnz * TRIPLET_BYTES, f"{nnz} nonzeros of a {size}x{size} matrix")
+        self._store(spec, box, provenance, _nonzero(a))
 
     @classmethod
-    def _owning(cls, spec, box, entries, provenance):
-        # a dense array made for this kernel alone: stored as it is
+    def _from_flat(cls, spec, box, flat, values, provenance):
+        # values at the distinct positions row * size + col, in any order; zeros are dropped
+        values = stored_entries(values)
+        keep = np.flatnonzero(values)
+        order = keep[np.argsort(flat[keep])]
         K = cls.__new__(cls)
-        K._store(spec, box, provenance, stored_entries(entries), None)
+        K._store(spec, box, provenance, (*np.divmod(flat[order], box.size(spec.dim)), values[order]))
         return K
 
-    @classmethod
-    def _from_triplets(cls, spec, box, rows, cols, values, provenance):
-        # nonzero values at (rows, cols), sorted row-major
-        K = cls.__new__(cls)
-        K._store(spec, box, provenance, values, (rows, cols, values))
-        return K
-
-    def _store(self, spec, box, provenance, values, triplets):
-        if triplets is None:  # dense storage: the values are the matrix
-            size = box.size(spec.dim)
-            if values.shape != (size, size):
-                raise ValueError(f"entries must be {size}x{size} for this box, got {values.shape}")
-            self.__dict__["entries"] = values  # fills the cached property
-        if not np.all(np.isfinite(values)):
+    def _store(self, spec, box, provenance, triplets):
+        if not np.all(np.isfinite(triplets[2])):
             raise ValueError("kernel entries must be finite")
-        values.setflags(write=False)
+        for part in triplets:
+            part.setflags(write=False)
         self.spec = spec
         self.box = box
         self.provenance = dict(provenance or {})
@@ -98,20 +95,20 @@ class KernelMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense matrix; triplet storage builds it on first access and keeps it."""
+        """The dense matrix, built on first access and kept."""
         return _dense(self.size, *self._triplets)
 
     @cached_property
     def asymmetry(self) -> float:
         """max |A(k,m) - conj(A(m,k))|."""
-        return _asymmetry(self.entries)
+        return _asymmetry(self.size, *self._triplets)
 
     def points(self) -> np.ndarray:
         return enumerate_box(self.spec, self.box)
 
 
 def _dense(size, rows, cols, values) -> np.ndarray:
-    # the only place a triplet kernel becomes a dense matrix
+    # the only place a kernel becomes a dense matrix
     check_dense_fits((size, size))
     a = np.zeros((size, size), dtype=values.dtype)
     a[rows, cols] = values
@@ -133,16 +130,17 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
 
     A symbol with closed-form coefficients is built band by band: one
     call per offset z = (m - k)/hbar with |z|_inf within its support radius
-    and 2R, kept as sorted nonzero triplets.  Bands whose triplets could
-    not fit in physical memory are refused before the box coordinates or
-    any band is built.  Any other symbol is read row by row by
-    `fourier.coefficients` into a dense matrix: a series (the symbol of a
-    matrix) exactly, by frequency index, with the method "series"; a symbol
-    given by its values by quadrature, each row on the grid its offsets
-    need, with the method naming the grid of the widest rows, whose corner
-    offsets reach 2R.  A matrix that would not fit in physical memory is
-    refused before any row is read.  Either way `stored_entries` decides
-    the dtype: float64 when every value is real, complex128 otherwise.
+    and 2R, kept as its nonzero triplets.  Bands whose triplets could not
+    fit in physical memory are refused before the box coordinates or any
+    band is built.  Any other symbol is read row by row by
+    `fourier.coefficients` into a dense array, whose nonzeros are stored: a
+    series (the symbol of a matrix) exactly, by frequency index, with the
+    method "series"; a symbol given by its values by quadrature, each row
+    on the grid its offsets need, with the method naming the grid of the
+    widest rows, whose corner offsets reach 2R.  An array that would not
+    fit in physical memory is refused before any row is read.  Either way
+    `stored_entries` decides the dtype: float64 when every value is real,
+    complex128 otherwise.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -159,17 +157,11 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
             rows = np.flatnonzero(np.all(np.abs(zs + off) <= r, axis=1))
             # in box order the band is one index shift: column = row + shift
             shift = np.ravel_multi_index(tuple(zs[rows[0]] + off + r), shape) - rows[0]
-            band = np.asarray(sym.closed_form_coeffs(zs[rows], off))
-            nonzero = np.flatnonzero(band)
-            rows = rows[nonzero]
             flat.append(rows * size + rows + shift)  # row * size + col
-            values.append(band[nonzero])
-        flat = np.concatenate(flat)
-        order = np.argsort(flat)
-        rows, cols = np.divmod(flat[order], size)
-        return KernelMatrix._from_triplets(
-            spec, box, rows, cols, stored_entries(np.concatenate(values))[order],
-            provenance={"symbol": sym.name, "method": "closed-form", "radius": r})
+            values.append(np.asarray(sym.closed_form_coeffs(zs[rows], off)))
+        return KernelMatrix._from_flat(spec, box, np.concatenate(flat), np.concatenate(values),
+                                       provenance={"symbol": sym.name, "method": "closed-form",
+                                                   "radius": r})
 
     check_dense_fits((size, size))
     zs = enumerate_box_integers(spec, box)
@@ -179,25 +171,27 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
 
     entries = np.array(parallel_map(row, list(range(size)), threads))
     method = "series" if sym.row_series is not None else f"quadrature(n={grid_size(2 * r)})"
-    return KernelMatrix._owning(spec, box, entries, provenance={
+    return KernelMatrix(spec, box, entries, provenance={
         "symbol": sym.name, "method": method, "radius": r})
+
+
+def _triplets_of(K):
+    # (size, rows, cols, values) of a KernelMatrix, or of a plain square array by `_nonzero`
+    if isinstance(K, KernelMatrix):
+        return K.size, *K._triplets
+    a = entries_of(K)
+    return len(a), *_nonzero(a)
 
 
 def power_sums(K, p: float, axis: int) -> np.ndarray:
     """sum of |A(k, m)|^p over rows k (axis 0, per column) or columns m (axis 1, per row).
 
     p = inf gives the per-column or per-row maximum instead.  This is the
-    one reader of the criterion sums, for a KernelMatrix or a plain square
-    array.  Either storage is read as its nonzeros in row-major order (the
-    stored triplets, or `np.nonzero` of the dense matrix), and each column
-    or row adds its terms in that order from 0.0, so both give the same bits.
+    one reader of the criterion sums, for a KernelMatrix (its triplets) or a
+    plain square array (its nonzeros by `np.nonzero`).  Each column or row
+    adds its terms in row-major order from 0.0.
     """
-    if isinstance(K, KernelMatrix) and K._triplets is not None:
-        size, (rows, cols, values) = K.size, K._triplets
-    else:
-        a = entries_of(K)
-        size, (rows, cols) = len(a), np.nonzero(a)
-        values = a[rows, cols]
+    size, rows, cols, values = _triplets_of(K)
     line, w = (cols if axis == 0 else rows), np.abs(values)
     if p == math.inf:
         out = np.zeros(size)
@@ -217,12 +211,22 @@ def apply(K: KernelMatrix, a) -> np.ndarray:
 
 def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
     """Exact entrywise split into the diagonal and the zero-diagonal residue."""
-    d = np.diag(K.entries).copy()
-    res = np.array(K.entries)
-    np.fill_diagonal(res, 0.0)
-    residue = KernelMatrix._owning(K.spec, K.box, res,
-                                   provenance=dict(K.provenance, part="off-diagonal"))
+    rows, cols, values = K._triplets
+    on = rows == cols
+    d = np.zeros(K.size, dtype=values.dtype)
+    d[rows[on]] = values[on]
+    residue = KernelMatrix._from_flat(K.spec, K.box, rows[~on] * K.size + cols[~on], values[~on],
+                                      provenance=dict(K.provenance, part="off-diagonal"))
     return DiagonalSplit(d, residue)
+
+
+def subtract_diagonal(K: KernelMatrix, d) -> KernelMatrix:
+    """K - diag(d); a diagonal entry that becomes 0 is not stored."""
+    split, size = split_diagonal(K), K.size
+    rows, cols, values = split.residue._triplets
+    return KernelMatrix._from_flat(
+        K.spec, K.box, np.concatenate([rows * size + cols, np.arange(size) * (size + 1)]),
+        np.concatenate([values, split.diagonal - d]), provenance=K.provenance)
 
 
 def entries_of(K) -> np.ndarray:
@@ -235,8 +239,17 @@ def entries_of(K) -> np.ndarray:
     return a
 
 
-def _asymmetry(a) -> float:
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _lookup(size, rows, cols, values, at_rows, at_cols) -> np.ndarray:
+    # the stored value at each position (at_rows, at_cols), or 0 where none is stored
+    keys, want = rows * size + cols, at_rows * size + at_cols
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[at] == want, values[at], 0)
+
+
+def _asymmetry(size, rows, cols, values) -> float:
+    # a pair with neither entry stored adds 0; a pair with one adds it at the stored one
+    transposed = _lookup(size, rows, cols, values, cols, rows)
+    return float(np.max(np.abs(values - np.conj(transposed)), initial=0.0))
 
 
 def hermitian_check(K):
@@ -244,15 +257,18 @@ def hermitian_check(K):
 
     Hermitian means an asymmetry of at most HERMITIAN_TOL.
     """
-    asym = K.asymmetry if isinstance(K, KernelMatrix) else _asymmetry(entries_of(K))
+    asym = K.asymmetry if isinstance(K, KernelMatrix) else _asymmetry(*_triplets_of(K))
     return asym <= HERMITIAN_TOL, asym
 
 
 def hermitize(K: KernelMatrix) -> KernelMatrix:
-    """(K + K^H) / 2, the Hermitian part."""
-    sym = 0.5 * (K.entries + K.entries.conj().T)
-    return KernelMatrix._owning(K.spec, K.box, sym,
-                                provenance=dict(K.provenance, hermitized=True))
+    """(K + K^H) / 2, the Hermitian part, on the stored positions and their transposes."""
+    size, (rows, cols, _) = K.size, K._triplets
+    flat = np.union1d(rows * size + cols, cols * size + rows)
+    r, c = np.divmod(flat, size)
+    sym = 0.5 * (_lookup(size, *K._triplets, r, c) + np.conj(_lookup(size, *K._triplets, c, r)))
+    return KernelMatrix._from_flat(K.spec, K.box, flat, sym,
+                                   provenance=dict(K.provenance, hermitized=True))
 
 
 # ---------------------------------------------------------------------------
@@ -260,27 +276,9 @@ def hermitize(K: KernelMatrix) -> KernelMatrix:
 # ---------------------------------------------------------------------------
 
 def write_csv(K: KernelMatrix, path) -> None:
-    """Nonzero entries as CSV rows (row, col, re, im), row-major.
-
-    Triplets are written as stored.  A dense matrix is gathered a few rows
-    at a time, about CSV_CHUNK entries per block, so the export never holds
-    every nonzero at once.
-    """
-    header = ["row", "col", "re", "im"]
-    if K._triplets is not None:
-        rows, cols, values = K._triplets
-        _util.write_csv(path, header, [rows, cols, values.real, values.imag])
-        return
-    a = K.entries
-    step = max(1, _util.CSV_CHUNK // K.size)
-
-    def blocks():
-        for first in range(0, K.size, step):
-            rows, cols = np.nonzero(a[first:first + step])
-            values = a[first + rows, cols]
-            yield [first + rows, cols, values.real, values.imag]
-
-    _util.write_csv_blocks(path, header, blocks())
+    """The stored triplets as CSV rows (row, col, re, im), row-major."""
+    rows, cols, values = K._triplets
+    _util.write_csv(path, ["row", "col", "re", "im"], [rows, cols, values.real, values.imag])
 
 
 _BIN_HEADER = struct.Struct("<qdq")  # dim, hbar, radius
@@ -301,5 +299,4 @@ def read_binary(path) -> KernelMatrix:
         box = BoxTruncation(int(radius))
         size = box.size(spec.dim)
         data = np.frombuffer(fh.read(), dtype="<c16").reshape(size, size)
-    return KernelMatrix._owning(spec, box, data.astype(complex),
-                                provenance={"source": str(path)})
+    return KernelMatrix(spec, box, data, provenance={"source": str(path)})

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
-from .kernel import KernelMatrix, assemble, power_sums
+from .kernel import KernelMatrix, assemble, power_sums, subtract_diagonal
 from .symbols import anharmonic_value, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
@@ -169,20 +169,18 @@ def default_start_radius(spec: LatticeSpec) -> int:
     return max(1, (side - 1) // 2)
 
 
-def neumann_truncation(H: KernelMatrix) -> np.ndarray:
+def neumann_truncation(H: KernelMatrix) -> KernelMatrix:
     """N_R: the box Hamiltonian H_R with every hop that leaves the box dropped.
 
     Each diagonal entry loses hbar^-2 per nearest neighbour outside the box,
     so the kinetic form of N_R is hbar^-2 times the sum of (x_a - x_b)^2 over
     the edges inside the box.  The missing neighbours come from the box
-    coordinates, whatever the storage of H: one per coordinate equal to +R
+    coordinates, whatever the entries of H: one per coordinate equal to +R
     and one per coordinate equal to -R, so R = 0 counts both sides.
     """
     z, r = enumerate_box_integers(H.spec, H.box), H.box.radius
     missing = np.sum(z == r, axis=1) + np.sum(z == -r, axis=1)
-    N = np.array(H.entries)
-    N[np.diag_indices(H.size)] -= missing / H.spec.hbar ** 2
-    return N
+    return subtract_diagonal(H, missing / H.spec.hbar ** 2)
 
 
 def _lowest(a, j_max) -> np.ndarray:
@@ -254,7 +252,7 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
         N = neumann_truncation(H)
         norm = max(np.max(power_sums(H, 1.0, 1)), np.max(power_sums(N, 1.0, 1)))
         err = H.size * np.finfo(float).eps * norm
-        dirichlet, neumann = _lowest(H.entries, j_max), _lowest(N, j_max)
+        dirichlet, neumann = _lowest(H.entries, j_max), _lowest(N.entries, j_max)
         values = np.where(flags, values, dirichlet)
         flags |= ((np.maximum(dirichlet - neumann, 0.0) + 2 * err
                    <= tol * (1.0 + np.abs(dirichlet)))

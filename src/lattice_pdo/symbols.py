@@ -67,8 +67,12 @@ class Symbol:
     name: str = "symbol"
 
     def __post_init__(self):
-        if self.closed_form_coeffs is not None and self.coeff_support_radius is None:
+        r = self.coeff_support_radius
+        if self.closed_form_coeffs is not None and r is None:
             raise ValueError(f"symbol '{self.name}' has a closed form without a support radius")
+        if r is not None and (isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0):
+            raise ValueError(f"symbol '{self.name}' has support radius {r!r}, "
+                             "not a non-negative integer")
         if self.eval_fn is None and self.row_series is None and self.closed_form_coeffs is None:
             raise ValueError(f"symbol '{self.name}' has neither eval_fn nor a series")
 

@@ -448,9 +448,9 @@ def test_diag_approx_checks_each_matrix_once(tmp_path, monkeypatch, symbol, matr
     passes = []
     asymmetry = kernel._asymmetry
 
-    def counted(a):
-        passes.append(a.shape)
-        return asymmetry(a)
+    def counted(size, *triplets):
+        passes.append(size)
+        return asymmetry(size, *triplets)
 
     monkeypatch.setattr(kernel, "_asymmetry", counted)
     cfg = base_config("diag-approx", symbol=symbol, truncation={"radius": 10})

@@ -494,3 +494,99 @@ def test_dense_csv_export_memory_stays_flat(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < K.entries.nbytes / 4
+
+
+def hermitian_cases():
+    """Square arrays for the triplet Hermitian path: real and complex, full and with
+    structural zeros, all zero, and pairs whose Hermitian part cancels to exactly 0."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for size in (1, 3, 9, 25):
+        real = rng.normal(size=(size, size))
+        full = real + 1j * rng.normal(size=(size, size))
+        mask = rng.random((size, size)) < 0.3
+        cases += [real, full, real * mask, full * mask, np.triu(full), np.zeros((size, size))]
+    cases.append(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    cases.append(np.array([[0.0, 1j, 0.0], [1j, 0.0, 2.0], [0.0, 0.0, 0.0]]))
+    return cases
+
+
+@pytest.mark.parametrize("a", hermitian_cases())
+def test_triplet_hermitian_path_matches_dense(a):
+    # the stored value at each transposed position, or 0 where none is stored, gives
+    # the dense asymmetry and Hermitian part bit for bit, and an exact 0 is not stored
+    K = KernelMatrix(SPEC1, BoxTruncation((len(a) - 1) // 2), a)
+    A = K.entries
+    assert K.asymmetry == float(np.max(np.abs(A - A.conj().T)))
+    assert hermitian_check(K) == hermitian_check(A)
+    H = hermitize(K)
+    want = 0.5 * (A + A.conj().T)
+    assert H.entries.dtype == want.dtype
+    assert np.array_equal(H.entries, want)
+    rows, cols, values = H._triplets
+    assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(want)))
+    assert np.all(values != 0)
+    assert H.asymmetry == 0.0
+
+
+def test_hermitize_drops_a_cancelled_pair():
+    # 1 against -1, and i against i, cancel to exactly 0 at (0, 1) and (1, 0)
+    real, cplx = hermitian_cases()[-2:]
+    for a, (rows, cols) in ((real, ([2], [2])), (cplx, ([1, 2], [2, 1]))):
+        H = hermitize(KernelMatrix(SPEC1, BoxTruncation(1), a))
+        np.testing.assert_array_equal(H._triplets[0], rows)
+        np.testing.assert_array_equal(H._triplets[1], cols)
+    zero = hermitize(KernelMatrix(SPEC1, BoxTruncation(1), np.zeros((3, 3))))
+    assert all(len(part) == 0 for part in zero._triplets)
+    assert zero.asymmetry == 0.0
+
+
+def test_triplet_readers_build_no_dense_matrix(monkeypatch, tmp_path):
+    from lattice_pdo.schrodinger import PotentialSpec, build_hamiltonian, neumann_truncation
+
+    def no_dense(*args):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(kernel, "_dense", no_dense)
+    spec = LatticeSpec(0.5, 2)
+    K = assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(3))
+    assert not hermitian_check(K)[0]
+    assert hermitian_check(hermitize(K)) == (True, 0.0)
+    split = split_diagonal(K)
+    assert len(split.diagonal) == K.size
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, 2), BoxTruncation(3), 0.25)
+    N = neumann_truncation(H)
+    for M in (K, split.residue, N):
+        for p in (1.0, 2.0, np.inf):
+            for axis in (0, 1):
+                kernel.power_sums(M, p, axis)
+    write_csv(K, tmp_path / "k.csv")
+
+
+def test_dense_input_preflight_counts_its_nonzeros(monkeypatch):
+    # 32 bytes a nonzero, counted and checked before the nonzeros are read
+    counted = []
+    check_fits = kernel.check_fits
+
+    def counting(need, what):
+        counted.append((need, what))
+        check_fits(need, what)
+
+    monkeypatch.setattr(kernel, "check_fits", counting)
+    a = np.zeros((5, 5))
+    a[[0, 1, 3], [4, 1, 0]] = [1.0, -2.0, 0.5]
+    a[2, 2] = -0.0  # equal to 0: not counted, not stored
+    K = KernelMatrix(SPEC1, BoxTruncation(2), a)
+    assert counted == [(3 * kernel.TRIPLET_BYTES, "3 nonzeros of a 5x5 matrix")]
+    assert len(K._triplets[2]) == 3
+
+    def refuse(need, what):
+        raise ValueError(f"{what} needs {need} bytes, more than the physical memory")
+
+    def no_read(a):
+        raise AssertionError("the nonzeros were read")
+
+    monkeypatch.setattr(kernel, "check_fits", refuse)
+    monkeypatch.setattr(kernel, "_nonzero", no_read)
+    with pytest.raises(ValueError, match="3 nonzeros of a 5x5 matrix needs 96 bytes"):
+        KernelMatrix(SPEC1, BoxTruncation(2), a)

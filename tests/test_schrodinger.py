@@ -168,9 +168,9 @@ def test_neumann_box_form_and_bracket(hbar, dim):
     potential = np.array([pot(hbar * z) for z in zs]) + lam
     x = np.random.default_rng(dim).normal(size=(5, len(zs)))
     form = ((x[:, a] - x[:, b]) ** 2).sum(axis=1) / hbar ** 2 + (potential * x ** 2).sum(axis=1)
-    np.testing.assert_allclose(np.einsum("ki,ij,kj->k", x, N, x), form, rtol=1e-12)
+    np.testing.assert_allclose(np.einsum("ki,ij,kj->k", x, N.entries, x), form, rtol=1e-12)
     # dropping the hops that leave the box lowers every eigenvalue
-    assert np.all(np.linalg.eigvalsh(N) <= np.linalg.eigvalsh(H.entries) + 1e-12)
+    assert np.all(np.linalg.eigvalsh(N.entries) <= np.linalg.eigvalsh(H.entries) + 1e-12)
 
 
 def test_certificate_needs_the_outside_bound():
@@ -208,11 +208,31 @@ def test_neumann_truncation_of_a_dense_twin(tmp_path, dim, radius):
     spec = LatticeSpec(0.5, dim)
     H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, dim), BoxTruncation(radius), 0.25)
     N = neumann_truncation(H)
-    np.testing.assert_array_equal(neumann_truncation(KernelMatrix(spec, H.box, H.entries)), N)
+    np.testing.assert_array_equal(neumann_truncation(KernelMatrix(spec, H.box, H.entries)).entries,
+                                  N.entries)
     write_binary(H, tmp_path / "H.bin")
-    np.testing.assert_array_equal(neumann_truncation(read_binary(tmp_path / "H.bin")), N)
+    np.testing.assert_array_equal(neumann_truncation(read_binary(tmp_path / "H.bin")).entries,
+                                  N.entries)
     if radius == 0:  # the one point misses all 2n neighbours: only V(0) + lambda is left
-        assert N[0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert N.entries[0, 0] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("hbar, radius", [(1.0, 1), (0.5, 2)])
+def test_neumann_diagonal_that_becomes_zero_is_not_stored(hbar, radius):
+    # lambda = -hbar^-2 - V(hbar R): the edge diagonal 2 hbar^-2 + V + lambda = hbar^-2
+    # of H_R loses it with its one missing hop; at hbar = 1 the centre of H_R is 0 too
+    spec = LatticeSpec(hbar, 1)
+    lam = -1.0 / hbar ** 2 - (hbar * radius) ** 2
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1), BoxTruncation(radius), lam)
+    N = neumann_truncation(H)
+    want = np.array(H.entries)
+    want[[0, -1], [0, -1]] -= 1.0 / hbar ** 2
+    assert want[0, 0] == want[-1, -1] == 0.0
+    assert hbar != 1.0 or H.entries[radius, radius] == 0.0
+    assert np.array_equal(N.entries, want)
+    rows, cols, values = N._triplets
+    assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(want)))
+    assert np.all(values != 0)
 
 
 def test_quartic_ground_state_certified():

@@ -170,6 +170,20 @@ def test_closed_form_needs_a_support_radius():
             Symbol(SPEC1, SymbolOrder(0.0), eval_fn=eval_fn, closed_form_coeffs=cf)
 
 
+def test_support_radius_must_be_a_non_negative_integer():
+    # refused when the symbol is built, naming it, not later by the first box read
+    def cf(z_rows, z_offset):
+        return np.zeros(len(z_rows))
+
+    for radius in (-1, 1.5, "2", True):
+        with pytest.raises(ValueError, match=r"symbol 'cf' .*support radius .*non-negative integer"):
+            Symbol(SPEC1, SymbolOrder(0.0), closed_form_coeffs=cf, coeff_support_radius=radius,
+                   name="cf")
+    for radius in (0, 2, np.int64(3)):
+        sym = Symbol(SPEC1, SymbolOrder(0.0), closed_form_coeffs=cf, coeff_support_radius=radius)
+        assert np.all(assemble(sym, SPEC1, BoxTruncation(1)).entries == 0)
+
+
 def test_symbol_from_difference_matrix():
     box = BoxTruncation(3)
     K = assemble(difference_symbol(), SPEC1, box)
