@@ -88,7 +88,12 @@ def write_csv(path, header, columns) -> None:
     Per chunk, each distinct value of a column (by its bits, for a float) is
     formatted once as str of its Python value, so the bytes are csv.writer's.
     """
-    write_csv_blocks(path, header, [columns])
+    columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_row(header))
+        for start in range(0, columns[0].size, CSV_CHUNK):
+            fields = [_csv_texts(c.flat[start:start + CSV_CHUNK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def _csv_row(row) -> str:  # csv.writer's line; csv is imported on first write
@@ -104,13 +109,3 @@ def _csv_texts(values) -> list:
     texts = list(map(fmt, distinct.view(values.dtype).tolist()))
     return np.array(texts, dtype=object)[inverse].tolist()
 
-
-def write_csv_blocks(path, header, blocks) -> None:
-    """`write_csv` with the rows handed over a block of columns at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_row(header))
-        for columns in blocks:
-            columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
-            for start in range(0, columns[0].size, CSV_CHUNK):
-                fields = [_csv_texts(c.flat[start:start + CSV_CHUNK]) for c in columns]
-                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

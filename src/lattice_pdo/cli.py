@@ -102,8 +102,14 @@ def _fraction(cfg, path, default, open_low=False):
 
 
 def build_lattice(cfg) -> LatticeSpec:
-    return LatticeSpec(_positive(cfg, "lattice.hbar", required=True),
-                       _at_least(cfg, "lattice.dim", 1, required=True))
+    # A box that fits in memory has fewer than 2^64 points, so n |z|_inf^2 < 2^128 for
+    # its integer coordinates z.  For hbar in [1e-100, 1e100] its points hbar z then
+    # have squared norms in [1e-200, 1e239] when nonzero, and hbar^-2 <= 1e200: all
+    # finite and normal (float64's normal range is [2.2e-308, 1.8e308]).
+    hbar = _positive(cfg, "lattice.hbar", required=True)
+    if not 1e-100 <= hbar <= 1e100:
+        raise ConfigError("lattice.hbar", f"must lie in [1e-100, 1e+100], got {hbar}")
+    return LatticeSpec(hbar, _at_least(cfg, "lattice.dim", 1, required=True))
 
 
 def build_symbol(cfg, spec: LatticeSpec):

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, box_shape, enumerate_box, enumerate_box_integers
-from .symbols import Symbol
+from .symbols import Symbol, _finite_at
 from .fourier import coefficients, grid_size
 from . import _util
 from ._util import check_dense_fits, check_fits, parallel_map
@@ -56,8 +56,9 @@ class KernelMatrix:
     ``KernelMatrix(spec, box, a)`` stores the nonzeros of a square array
     (`TRIPLET_BYTES` each, checked to fit in physical memory first), and
     leaves the caller's array as it was.  The stored triplets are
-    read-only, checked finite once and never replaced, so `asymmetry` is
-    computed once.
+    read-only, checked finite once (`NonFiniteError` names the row point of
+    least norm that holds a non-finite entry) and never replaced, so
+    `asymmetry` is computed once.
     """
 
     def __init__(self, spec: LatticeSpec, box: BoxTruncation, entries, provenance=None):
@@ -80,8 +81,8 @@ class KernelMatrix:
         return K
 
     def _store(self, spec, box, provenance, triplets):
-        if not np.all(np.isfinite(triplets[2])):
-            raise ValueError("kernel entries must be finite")
+        if not np.all(np.isfinite(triplets[2])):  # NonFiniteError names the row point
+            _finite_at(enumerate_box(spec, box)[triplets[0]], triplets[2], "kernel entry")
         for part in triplets:
             part.setflags(write=False)
         self.spec = spec

@@ -7,8 +7,8 @@ potentials localize the low eigenvectors, so one box brackets them: the
 Dirichlet box H_R (the plain truncation) and the Neumann box N_R (H_R
 without the hops that leave the box) sandwich each low eigenvalue of H.
 The scan certifies a value as soon as one radius closes its bracket to
-the tolerance, dense solver error included, and writes the Dirichlet
-value of that radius.
+the tolerance, dense solver error included.  `kernel` builds both boxes,
+`power_sums` bounds them and `spectral` solves them.
 
 The sorted values of the diagonal part (V(k) + 2n hbar^-2 + shift) are an
 independent oracle: Hermitian perturbation bounds every eigenvalue of H
@@ -23,6 +23,7 @@ import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from .kernel import KernelMatrix, assemble, power_sums, subtract_diagonal
+from .spectral import eigendecompose_hermitian
 from .symbols import anharmonic_value, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
@@ -151,9 +152,12 @@ class ConvergedSpectrum:
 
     eigenvalues: np.ndarray
     converged: np.ndarray
-    radius_used: int
     radii_scanned: list
     stop: str
+
+    @property
+    def radius_used(self) -> int:
+        return self.radii_scanned[-1]
 
     @property
     def all_converged(self) -> bool:
@@ -183,14 +187,6 @@ def neumann_truncation(H: KernelMatrix) -> KernelMatrix:
     return subtract_diagonal(H, missing / H.spec.hbar ** 2)
 
 
-def _lowest(a, j_max) -> np.ndarray:
-    # the j_max smallest eigenvalues, nan-padded when the box has fewer
-    out = np.full(j_max, np.nan)
-    vals = np.linalg.eigvalsh(a)[:j_max]
-    out[:len(vals)] = vals
-    return out
-
-
 def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: float,
                        lam: float = 0.0, start_radius: Optional[int] = None,
                        max_dim: int = DEFAULT_MAX_DIM) -> ConvergedSpectrum:
@@ -207,11 +203,10 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
         lambda_j(N_R) + err < V_out(R) + lam,
 
     so a computed bracket never counts as narrower than the solver bound.
-    A certified value keeps the Dirichlet value of its certifying radius;
-    the others take the last radius's value.  The radius doubles until
-    all j_max values are certified, the next box exceeds max_dim points,
-    or no uncertified value can be certified any more (partial result,
-    flags False); radius_used is the last radius solved.
+    Both boxes are solved by `eigendecompose_hermitian`, which refuses a
+    box matrix that is not Hermitian.  The radius doubles until all j_max
+    values are certified, the next box exceeds max_dim points, or no
+    uncertified value can be certified any more (`ConvergedSpectrum`).
 
     The last stop applies once every uncertified value with a finite
     Dirichlet value has 2 err > tol * (1 + max(|lambda_j(H_R)|, |lam + V_0|)),
@@ -252,7 +247,9 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
         N = neumann_truncation(H)
         norm = max(np.max(power_sums(H, 1.0, 1)), np.max(power_sums(N, 1.0, 1)))
         err = H.size * np.finfo(float).eps * norm
-        dirichlet, neumann = _lowest(H.entries, j_max), _lowest(N.entries, j_max)
+        dirichlet, neumann = np.full((2, j_max), np.nan)  # nan where the box is too small
+        dirichlet[:H.size] = eigendecompose_hermitian(H).eigenvalues[:j_max]
+        neumann[:H.size] = eigendecompose_hermitian(N).eigenvalues[:j_max]
         values = np.where(flags, values, dirichlet)
         flags |= ((np.maximum(dirichlet - neumann, 0.0) + 2 * err
                    <= tol * (1.0 + np.abs(dirichlet)))
@@ -262,7 +259,7 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
             stop = "all certified" if np.all(flags) else "solver error bound above tol"
             break
         R *= 2
-    return ConvergedSpectrum(values, flags, radii[-1], radii, stop)
+    return ConvergedSpectrum(values, flags, radii, stop)
 
 
 @dataclass

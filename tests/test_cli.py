@@ -295,9 +295,14 @@ LATTICE1 = {"hbar": 1.0, "dim": 1}
      "symbol.params", "k = [-0.5], |k| = 0.5", {"hbar": 0.25, "dim": 1}),
     ("assemble", {"family": "decaying", "params": {"s": -300, "a": 1e300, "b": 0.5}}, 3,
      "symbol.params", "k = [-1.0, 0.0], |k| = 1.0", {"hbar": 1.0, "dim": 2}),
+    *[(task, {"family": "multiplication", "params": {"epsilon": -0.5}}, 3,
+       "symbol.params", "k = [0.0], |k| = 0.0", LATTICE1)
+      for task in ("assemble", "check-bounds", "check-nuclear", "diag-approx")],
 ], ids=["anharmonic-l64", "potential-l63", "potential-l63-scan", "multiplication-eps400",
         "multiplication-eps400-coeffs", "decaying-s-400", "decaying-a1e300-s-50",
-        "decaying-a1e300-s-300-2d"])
+        "decaying-a1e300-s-300-2d", "multiplication-eps-0.5-assemble",
+        "multiplication-eps-0.5-check-bounds", "multiplication-eps-0.5-check-nuclear",
+        "multiplication-eps-0.5-diag-approx"])
 def test_anharmonic_past_float64_in_the_box_is_a_config_error(tmp_path, capsys, task, symbol,
                                                              radius, field, point, lattice):
     # c|k|^(2l) leaves float64 in the C pow first at |k| = 256 for l = 64 (the
@@ -305,8 +310,9 @@ def test_anharmonic_past_float64_in_the_box_is_a_config_error(tmp_path, capsys, 
     # the probes' 256: both inside the box of radius 300.  |k|^400 leaves it at
     # |k| = 6 and (1+|k|)^400 at |k| = 5, inside the box of radius 10.  (1+|k|)^-s
     # is finite in the box of radius 3 for s = -50 and s = -300, but a = 1e300 times
-    # it is not: at |k| = 0.5 (1.5^50 = 6.4e8) and at |k| = 1 (2^300 = 2.0e90).  No
-    # numpy warning reaches stderr: it holds the one JSON line
+    # it is not: at |k| = 0.5 (1.5^50 = 6.4e8) and at |k| = 1 (2^300 = 2.0e90).
+    # |k|^-0.5 is infinite at k = 0, which every box holds, so every kernel task
+    # refuses it.  No numpy warning reaches stderr: it holds the one JSON line
     params = {"check-bounds": {"p": 2.0}, "spectrum": {"j_max": 5}}.get(task, {})
     cfg = base_config(task, lattice=lattice, symbol=symbol, truncation={"radius": radius},
                       params=params)
@@ -686,6 +692,11 @@ EXITS = {
                       2, "lattice.dim", "one-dimensional"),
     "radius-negative": (base_config("assemble", truncation={"radius": -1}),
                         2, "truncation.radius", "at least 0, got -1"),
+    # at the smallest hbar, |k| = 1e-100 tells the nearest points from the origin
+    "coeffs-hbar-1e-100": (base_config(
+        "coeffs", lattice={"hbar": 1e-100, "dim": 1}, truncation={"radius": 8},
+        symbol={"family": "multiplication", "params": {"epsilon": -400}}),
+        2, "symbol.params", "is not finite at k = [-1e-100], |k| = 1e-100: inf"),
 }
 
 
@@ -795,3 +806,57 @@ def test_scan_error_stop_is_not_called_a_budget_stop(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["message"] == ("solver error bound above tol: "
                                   "1 of 10 eigenvalues unconverged at radius 100")
+
+
+def _run_quietly(tmp_path, capfd, cfg):
+    # warnings are errors (pyproject.toml), and stderr is read at the fd level, where
+    # LAPACK writes too
+    rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    return rc, capfd.readouterr().err
+
+
+def _hbar_case(task, hbar, symbol, radius):
+    return base_config(task, lattice={"hbar": hbar, "dim": 1}, symbol=symbol,
+                       truncation={"radius": radius})
+
+
+MULT_EPS_M400 = {"family": "multiplication", "params": {"epsilon": -400}}
+DECAYING = {"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}}
+DIFFERENCE = {"family": "difference", "params": {}}
+
+# outside the range the norms break: at 1e-300 the square of each k != 0 underflows
+# to 0, so |k|^-400 reads inf at every k; at 1e300 they overflow, with numpy warnings
+HBAR_OUT_OF_RANGE = {
+    "coeffs-1e-300": _hbar_case("coeffs", 1e-300, MULT_EPS_M400, 8),
+    "check-nuclear-1e300": _hbar_case("check-nuclear", 1e300, DECAYING, 3),
+    "diag-approx-1e300": _hbar_case("diag-approx", 1e300, DIFFERENCE, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HBAR_OUT_OF_RANGE))
+def test_hbar_outside_its_range_is_refused(tmp_path, capfd, case):
+    rc, err = _run_quietly(tmp_path, capfd, HBAR_OUT_OF_RANGE[case])
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["field"] == "lattice.hbar"
+    assert "must lie in [1e-100, 1e+100]" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("hbar", [1e-100, 1e100])
+@pytest.mark.parametrize("task, symbol", [("check-nuclear", DECAYING),
+                                          ("diag-approx", DIFFERENCE)])
+def test_hbar_at_its_range_ends_runs_quietly(tmp_path, capfd, hbar, task, symbol):
+    rc, err = _run_quietly(tmp_path, capfd, _hbar_case(task, hbar, symbol, 3))
+    assert (rc, err) == (0, "")
+
+
+def test_negative_power_multiplier_coefficients_hold_inf_at_the_origin_only(tmp_path):
+    cfg = base_config("coeffs", symbol={"family": "multiplication", "params": {"epsilon": -0.5}},
+                      truncation={"radius": 3})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "coeffs.csv").read_text().splitlines()[1:]]
+    assert [r for r in rows if "inf" in r] == [["0.0", "0.0", "inf", "0.0"]]

@@ -12,8 +12,8 @@ from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 write_binary, write_csv)
 from lattice_pdo.criteria import mixed_lp_sum, nuclear_sum, schur_l1_lp, sup_entry
 from lattice_pdo.spectral import eigendecompose_hermitian, residue_norm
-from lattice_pdo.symbols import (Symbol, SymbolOrder, constant_symbol, decaying_test_symbol,
-                                 difference_symbol, multiplication_symbol,
+from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, constant_symbol,
+                                 decaying_test_symbol, difference_symbol, multiplication_symbol,
                                  polynomial_potential, quadrature_only,
                                  schrodinger_symbol, symbol_from_matrix)
 
@@ -157,7 +157,8 @@ def test_kernel_rejects_nonfinite():
         for bad in (np.nan, np.inf):
             M = np.eye(3, dtype=dtype)
             M[0, 0] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(NonFiniteError, match=r"^kernel entry is not finite at k = "
+                                                     r"\[-1.0\], \|k\| = 1.0: \(?(nan|inf)"):
                 KernelMatrix(SPEC1, BoxTruncation(1), M)
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
+from lattice_pdo import schrodinger
 from lattice_pdo.kernel import KernelMatrix, assemble, read_binary, write_binary
-from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian,
+from lattice_pdo.schrodinger import (ConvergedSpectrum, PotentialSpec, build_hamiltonian,
                                      fit_growth_exponent, neumann_truncation,
                                      spectrum_converged, weyl_oracle)
+from lattice_pdo.spectral import eigendecompose_hermitian
 from lattice_pdo.symbols import NonFiniteError, quadrature_only, schrodinger_symbol
 
 SPEC1 = LatticeSpec(1.0, 1)
@@ -335,3 +337,44 @@ def test_scan_records_why_it_stopped(V, hbar, start, max_dim, stop):
                              max_dim=max_dim)
     assert res.stop == stop
     assert res.all_converged is (stop == "all certified")
+
+
+def test_scan_solves_each_box_matrix_through_spectral(monkeypatch):
+    # H_R and N_R, in that order, at every radius scanned
+    solved = []
+
+    def counting(K, want_vectors=False):
+        solved.append(K)
+        return eigendecompose_hermitian(K, want_vectors)
+
+    monkeypatch.setattr(schrodinger, "eigendecompose_hermitian", counting)
+    spec, pot = LatticeSpec(1.0, 2), PotentialSpec.anharmonic(1.0, 1, 2)
+    res = spectrum_converged(spec, pot, j_max=20, tol=1e-8, start_radius=2, max_dim=625)
+    assert len(res.radii_scanned) >= 2
+    assert len(solved) == 2 * len(res.radii_scanned)
+    for R, H, N in zip(res.radii_scanned, solved[::2], solved[1::2]):
+        want = build_hamiltonian(spec, pot, BoxTruncation(R))
+        assert np.array_equal(H.entries, want.entries)
+        assert np.array_equal(N.entries, neumann_truncation(want).entries)
+
+
+def test_scan_refuses_a_box_matrix_that_is_not_hermitian(monkeypatch):
+    # eigvalsh reads one triangle, so a hop changed on the other side alone would
+    # give the values of a matrix the scan was never handed, with no error
+    build = schrodinger.build_hamiltonian
+
+    def lopsided(spec, V, box, lam=0.0):
+        a = np.array(build(spec, V, box, lam).entries)
+        a[0, 1] = -2.0
+        return KernelMatrix(spec, box, a)
+
+    monkeypatch.setattr(schrodinger, "build_hamiltonian", lopsided)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectrum_converged(SPEC1, HARMONIC, j_max=3, tol=1e-8, start_radius=2, max_dim=5)
+
+
+def test_radius_used_is_the_last_radius_scanned():
+    res = ConvergedSpectrum(np.ones(2), np.array([True, False]), [3, 6], "budget exhausted")
+    assert res.radius_used == 6
+    with pytest.raises(AttributeError):
+        res.radius_used = 3

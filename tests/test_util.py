@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from lattice_pdo._util import CSV_CHUNK, write_csv, write_csv_blocks
+from lattice_pdo._util import CSV_CHUNK, write_csv
 
 SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf]
 
@@ -18,20 +18,19 @@ def per_row_csv(path, header, index, x, v):
                         repr(float(v[i].real)), repr(float(v[i].imag))])
 
 
-def csv_writer_blocks(path, header, blocks):
+def csv_writer_rows(path, header, columns):
     # the writer every table had before values were formatted once per chunk:
     # csv.writer given each cell's Python value
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for columns in blocks:
-            columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
-            w.writerows(zip(*(c.ravel().tolist() for c in columns)))
+        columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+        w.writerows(zip(*(c.ravel().tolist() for c in columns)))
 
 
-def assert_matches_csv_writer(tmp_path, header, blocks):
-    csv_writer_blocks(tmp_path / "ref.csv", header, blocks)
-    write_csv_blocks(tmp_path / "new.csv", header, blocks)
+def assert_matches_csv_writer(tmp_path, header, columns):
+    csv_writer_rows(tmp_path / "ref.csv", header, columns)
+    write_csv(tmp_path / "new.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     return (tmp_path / "new.csv").read_text()
 
@@ -41,7 +40,7 @@ def test_write_csv_keeps_signed_zeros_and_nan_payloads_apart(tmp_path):
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x8000000000000],
                     dtype=np.int64).view(float)
     x = np.array([0.0, -0.0, 0.0, *nans, -0.0, nans[1], 1.0])
-    text = assert_matches_csv_writer(tmp_path, ["i", "x"], [[np.arange(x.size), x]])
+    text = assert_matches_csv_writer(tmp_path, ["i", "x"], [np.arange(x.size), x])
     assert [line.split(",")[1] for line in text.splitlines()[1:]] == \
         ["0.0", "-0.0", "0.0", "nan", "nan", "nan", "-0.0", "nan", "1.0"]
 
@@ -51,7 +50,7 @@ def test_write_csv_repeats_values_across_a_chunk_boundary(tmp_path, rows):
     # a constant column, one value that recurs every third row, and distinct rows
     x = np.where(np.arange(rows) % 3 == 0, 0.1, np.arange(rows) / 7.0)
     assert_matches_csv_writer(tmp_path, ["c", "x", "i"],
-                              [[np.full(rows, -2.5), x, np.arange(rows) - 10]])
+                              [np.full(rows, -2.5), x, np.arange(rows) - 10])
 
 
 def test_write_csv_quotes_labels_as_csv_writer(tmp_path):
@@ -59,29 +58,31 @@ def test_write_csv_quotes_labels_as_csv_writer(tmp_path):
     labels = ["schur_l1_lp", "a,b", 'say "x"', "two\nlines", "sup_entry"]
     text = assert_matches_csv_writer(
         tmp_path, ["criterion", "radius", "value"],
-        [[labels, np.array([10, 20])[:, None], np.arange(10.0).reshape(2, 5) / 3]])
+        [labels, np.array([10, 20])[:, None], np.arange(10.0).reshape(2, 5) / 3])
     assert text.startswith('criterion,radius,value\nschur_l1_lp,10,0.0\n"a,b",10,')
 
 
 def test_write_csv_broadcasts_a_scalar_column(tmp_path):
     text = assert_matches_csv_writer(tmp_path, ["x", "tag", "flag"],
-                                     [[np.linspace(-1.0, 1.0, 9), 7, True]])
+                                     [np.linspace(-1.0, 1.0, 9), 7, True])
     assert text.splitlines()[1] == "-1.0,7,True"
 
 
 def test_write_csv_of_zero_rows_writes_the_header_only(tmp_path):
     text = assert_matches_csv_writer(tmp_path, ["row", "col", "re", "im"],
-                                     [[np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0)]])
+                                     [np.zeros(0, int), np.zeros(0, int), np.zeros(0), np.zeros(0)])
     assert text == "row,col,re,im\n"
 
 
-def test_write_csv_blocks_of_uneven_sizes(tmp_path):
-    # empty, single-row and multi-chunk blocks, with labels and shared values
+def test_write_csv_of_runs_of_uneven_sizes(tmp_path):
+    # empty, single-row and multi-chunk runs of rows drawn one run at a time, with a
+    # label and shared values, in one table whose run ends fall inside chunks
     rng = np.random.default_rng(1)
     sizes = [0, 1, 3, CSV_CHUNK + 5, 0, 2 * CSV_CHUNK - 1, 2]
-    blocks = [[np.arange(n) + first, rng.integers(-3, 3, size=n) * 0.25,
-               rng.normal(size=n), "block"] for first, n in zip(np.cumsum([0] + sizes), sizes)]
-    text = assert_matches_csv_writer(tmp_path, ["i", "q", "x", "label"], blocks)
+    q, x = (np.concatenate(c) for c in zip(*[(rng.integers(-3, 3, size=n) * 0.25,
+                                              rng.normal(size=n)) for n in sizes]))
+    text = assert_matches_csv_writer(tmp_path, ["i", "q", "x", "label"],
+                                     [np.arange(q.size), q, x, "block"])
     assert len(text.splitlines()) == 1 + sum(sizes)
 
 
