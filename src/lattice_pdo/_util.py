@@ -5,19 +5,10 @@ import io
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 CSV_CHUNK = 2048  # rows formatted and written per step, so memory stays flat
-
-
-def parallel_map(fn, items, threads=1):
-    """Ordered map over items; thread count never affects the result."""
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def sha256_of(path) -> str:

@@ -4,7 +4,7 @@ Usage: lattice-pdo run <config.json> [--out DIR] [--threads N] [--seed S]
 
 Every run writes a manifest.json listing each output file with a content
 hash, the echoed config, the library version, the thread cap and the wall
-time.  No task runs a parallel map, so CSV bodies are byte-identical at
+time.  No task starts a thread, so CSV bodies are byte-identical at
 any thread cap; `_write_report` lays out report.json.  Exit codes: 0 ok,
 2 config error, 3 numeric/budget failure.  Each task runner reads and
 checks every field it uses, by its full path from the config root,
@@ -316,7 +316,8 @@ def task_spectrum(cfg, spec, outdir, fit_growth=False):
     """The box-doubling scan of spectrum and fit-growth.
 
     fit-growth requires params.j_range and fails only on unconverged
-    values inside it; spectrum fails on any unconverged value.
+    values inside it; spectrum fails on any unconverged value.  fit-growth
+    refuses a j_max beyond the scan's reach, whose rows would be nan.
     """
     pot, lam = build_potential(cfg, spec)
     j_max = _at_least(cfg, "params.j_max", 1, required=True)
@@ -329,6 +330,10 @@ def task_spectrum(cfg, spec, outdir, fit_growth=False):
                                 or not 1 <= j_range[0] < j_range[1] <= j_max):
         raise ConfigError("params.j_range", "expected integers [j_lo, j_hi] with "
                           f"1 <= j_lo < j_hi <= j_max = {j_max}, got {j_range}")
+    last = schrodinger.scan_radii(spec, start, max_dim)[-1]
+    if fit_growth and j_max > (points := BoxTruncation(last).size(spec.dim)):
+        raise ConfigError("params.j_max", f"the scan's largest box within max_dim {max_dim} has "
+                          f"radius {last} and {points} points, fewer than j_max = {j_max}")
 
     result = schrodinger.spectrum_converged(spec, pot, j_max, tol, lam=lam,
                                             start_radius=start, max_dim=max_dim)

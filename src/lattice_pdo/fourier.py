@@ -7,7 +7,7 @@ The coefficient of sigma(k, .) at a lattice frequency m is
 with m/hbar an integer vector.  `coefficients` is the one reader, with one
 rule of three cases, checked in this order:
 
-1. a closed form is called once per offset;
+1. a closed form returns the table of all rows and offsets in one call;
 2. otherwise a series (``row_series``, such as the symbol of a matrix) is
    read: each offset's coefficient is found by its index in the row's
    consecutive frequencies, and is 0 outside them
@@ -74,7 +74,7 @@ def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     built.
     """
     if sym.closed_form_coeffs is not None:
-        return np.stack([sym.closed_form_coeffs(z_rows, z) for z in z_offsets], axis=1)
+        return sym.closed_form_coeffs(z_rows, z_offsets)
     if sym.row_series is not None:
         return np.array([series_coefficients(sym, z, z_offsets) for z in z_rows])
     dim = sym.spec.dim
@@ -104,9 +104,6 @@ class CoefficientTable:
     k_points: np.ndarray     # (S, n)
     m_points: np.ndarray     # (M, n)
     values: np.ndarray       # (S, M), in the dtype `coefficients` returns
-
-    def nonzeros_per_row(self) -> np.ndarray:
-        return np.sum(np.abs(self.values) > 0, axis=1)
 
 
 def coefficient_table(sym: Symbol, k_box: BoxTruncation, freq_radius: int) -> CoefficientTable:

@@ -7,9 +7,9 @@ difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
 Every matrix is stored one way, decided in this module and nowhere else:
-as its nonzero (row, col, value) triplets, sorted row-major.  A
-closed-form row holds at most 3^n of them (every built-in family has
-torus-frequency support radius at most 1).  A square array (a user's
+as its nonzero (row, col, value) triplets, sorted row-major.  A closed
+form gives them from one table, at most 3^n a row (every built-in family
+has torus-frequency support radius at most 1).  A square array (a user's
 matrix, a series read or FFT quadrature, `read_binary` input) gives its
 triplets through one reader, `np.nonzero`, so an entry equal to 0 (-0.0
 too) is never stored.  Only eigensolves, `apply`, `write_binary` and
@@ -28,11 +28,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import BoxTruncation, LatticeSpec, box_shape, enumerate_box, enumerate_box_integers
+from .lattice import BoxTruncation, LatticeSpec, enumerate_box, enumerate_box_integers
 from .symbols import Symbol, _finite_at
 from .fourier import coefficients, grid_size
 from . import _util
-from ._util import check_dense_fits, check_fits, parallel_map
+from ._util import check_dense_fits, check_fits
 
 TRIPLET_BYTES = 32       # two int64 indices and a complex128 value
 HERMITIAN_TOL = 1e-9     # largest asymmetry `hermitian_check` accepts
@@ -129,11 +129,11 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
              threads: int = 1) -> KernelMatrix:
     """Truncated matrix A(k, m) = coefficient of sigma(k, .) at frequency m - k.
 
-    A symbol with closed-form coefficients is built band by band: one
-    call per offset z = (m - k)/hbar with |z|_inf within its support radius
-    and 2R, kept as its nonzero triplets.  Bands whose triplets could not
-    fit in physical memory are refused before the box coordinates or any
-    band is built.  Any other symbol is read row by row by
+    A symbol with closed-form coefficients is read in one call: the table
+    of all box rows at the offsets z = (m - k)/hbar with |z|_inf within its
+    support radius and 2R, whose entries with a column in the box are kept
+    as nonzero triplets (refused before anything is built if they could not
+    fit in physical memory).  Any other symbol is read row by row by
     `fourier.coefficients` into a dense array, whose nonzeros are stored: a
     series (the symbol of a matrix) exactly, by frequency index, with the
     method "series"; a symbol given by its values by quadrature, each row
@@ -141,7 +141,8 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     widest rows, whose corner offsets reach 2R.  An array that would not
     fit in physical memory is refused before any row is read.  Either way
     `stored_entries` decides the dtype: float64 when every value is real,
-    complex128 otherwise.
+    complex128 otherwise.  ``threads`` is unused (rows are read in turn);
+    it is kept because perfbench/workloads.py passes it.
     """
     if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -152,25 +153,18 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
         reach = BoxTruncation(min(sym.coeff_support_radius, 2 * r))
         bands = reach.size(spec.dim)
         check_fits(bands * size * TRIPLET_BYTES, f"{bands} bands of a {size}-point box")
-        zs, shape = enumerate_box_integers(spec, box), box_shape(spec, box)
-        flat, values = [], []
-        for off in enumerate_box_integers(spec, reach):
-            rows = np.flatnonzero(np.all(np.abs(zs + off) <= r, axis=1))
-            # in box order the band is one index shift: column = row + shift
-            shift = np.ravel_multi_index(tuple(zs[rows[0]] + off + r), shape) - rows[0]
-            flat.append(rows * size + rows + shift)  # row * size + col
-            values.append(np.asarray(sym.closed_form_coeffs(zs[rows], off)))
-        return KernelMatrix._from_flat(spec, box, np.concatenate(flat), np.concatenate(values),
-                                       provenance={"symbol": sym.name, "method": "closed-form",
-                                                   "radius": r})
+        zs, offsets = enumerate_box_integers(spec, box), enumerate_box_integers(spec, reach)
+        rows, cols = np.nonzero(np.logical_and.reduce(
+            [np.abs(zj[:, None] + oj) <= r for zj, oj in zip(zs.T, offsets.T)]))
+        # in box order, the column of row i at offset z is i + z . strides
+        shifts = offsets @ (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
+        return KernelMatrix._from_flat(spec, box, rows * (size + 1) + shifts[cols],
+                                       sym.closed_form_coeffs(zs, offsets)[rows, cols],
+                                       {"symbol": sym.name, "method": "closed-form", "radius": r})
 
     check_dense_fits((size, size))
     zs = enumerate_box_integers(spec, box)
-
-    def row(i):
-        return coefficients(sym, zs[i:i + 1], zs - zs[i])[0]
-
-    entries = np.array(parallel_map(row, list(range(size)), threads))
+    entries = np.array([coefficients(sym, zs[i:i + 1], zs - zs[i])[0] for i in range(size)])
     method = "series" if sym.row_series is not None else f"quadrature(n={grid_size(2 * r)})"
     return KernelMatrix(spec, box, entries, provenance={
         "symbol": sym.name, "method": method, "radius": r})

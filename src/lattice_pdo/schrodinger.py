@@ -132,9 +132,9 @@ def weyl_oracle(spec: LatticeSpec, V, box: BoxTruncation, j_max: int,
     reference, not a rigorous bracket; no caller needs one, as each allows
     4n hbar^-2, twice the hopping norm.
     """
-    band = _hamiltonian_symbol(spec, V, lam).closed_form_coeffs
-    diag = band(enumerate_box_integers(spec, box), np.zeros(spec.dim, dtype=np.int64))
-    return np.sort(diag)[:j_max]
+    closed_form = _hamiltonian_symbol(spec, V, lam).closed_form_coeffs
+    diag = closed_form(enumerate_box_integers(spec, box), np.zeros((1, spec.dim), dtype=np.int64))
+    return np.sort(diag[:, 0])[:j_max]
 
 
 @dataclass
@@ -171,6 +171,14 @@ def default_start_radius(spec: LatticeSpec) -> int:
     # keep the starting box near the 1-d budget of 51 points
     side = max(3, int(51 ** (1.0 / spec.dim)))
     return max(1, (side - 1) // 2)
+
+
+def scan_radii(spec: LatticeSpec, start_radius: int, max_dim: int) -> list:
+    """The radii the box-doubling scan may solve: start_radius, then each double within max_dim."""
+    radii = [start_radius]
+    while BoxTruncation(2 * radii[-1]).size(spec.dim) <= max_dim:
+        radii.append(2 * radii[-1])
+    return radii
 
 
 def neumann_truncation(H: KernelMatrix) -> KernelMatrix:
@@ -242,7 +250,7 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     values = np.full(j_max, np.nan)
     flags = np.zeros(j_max, dtype=bool)
     stop = "budget exhausted"
-    while BoxTruncation(R).size(spec.dim) <= max_dim:
+    for R in scan_radii(spec, R, max_dim):
         H = build_hamiltonian(spec, V, BoxTruncation(R), lam)
         N = neumann_truncation(H)
         norm = max(np.max(power_sums(H, 1.0, 1)), np.max(power_sums(N, 1.0, 1)))
@@ -258,7 +266,6 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
         if np.all(flags | (2 * err > tol * (1.0 + np.maximum(np.abs(dirichlet), floor)))):
             stop = "all certified" if np.all(flags) else "solver error bound above tol"
             break
-        R *= 2
     return ConvergedSpectrum(values, flags, radii, stop)
 
 

@@ -42,10 +42,10 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 
     Real input is solved in real arithmetic, with real eigenvectors.
     """
-    mat = entries_of(K)
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
+    mat = entries_of(K)
     if want_vectors:
         vals, vecs = np.linalg.eigh(mat)
         if vecs.size:

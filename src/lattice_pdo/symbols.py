@@ -41,11 +41,11 @@ class Symbol:
     """Evaluatable symbol with order metadata.
 
     A symbol is given in one of three ways; `fourier.coefficients` reads the
-    first one present, in this order.  closed_form_coeffs(z_rows, z_offset)
-    gives the torus Fourier coefficients at the integer frequency
-    ``z_offset`` (n,) of the integer rows ``z_rows`` (S, n): S values, real
-    or complex, zero once |z_offset|_inf exceeds ``coeff_support_radius``,
-    which a closed form must declare (a finite integer r >= 0).  Else
+    first one present, in this order.  closed_form_coeffs(z_rows, z_offsets)
+    gives in one call the (S, M) table of torus Fourier coefficients, real or
+    complex, of the integer rows z_rows (S, n) at the integer frequencies
+    z_offsets (M, n); column j is 0 where |z_offsets[j]|_inf exceeds the
+    declared ``coeff_support_radius``, an integer r >= 0.  Else
     row_series(z) gives the series of row z, the point hbar z, as
     ``(coeffs, low)``: a coefficient tensor with one axis per torus axis,
     and the lowest integer frequency (n,) of each axis, whose frequencies
@@ -140,11 +140,9 @@ def _series(sym: Symbol, z):
         return sym.row_series(z)
     if sym.closed_form_coeffs is None:
         return None
-    r = sym.coeff_support_radius
-    box = BoxTruncation(r)
-    offsets = enumerate_box_integers(sym.spec, box)
-    coeffs = [sym.closed_form_coeffs(z[None], off)[0] for off in offsets]
-    return np.reshape(coeffs, box_shape(sym.spec, box)), np.full(sym.spec.dim, -r)
+    box = BoxTruncation(sym.coeff_support_radius)
+    coeffs = sym.closed_form_coeffs(z[None], enumerate_box_integers(sym.spec, box))[0]
+    return coeffs.reshape(box_shape(sym.spec, box)), np.full(sym.spec.dim, -box.radius)
 
 
 def _phase_sum(coeffs, low, theta, beta):
@@ -222,10 +220,10 @@ def _finite_at(pts, values, what) -> np.ndarray:
 def _multiplier(spec: LatticeSpec, order: SymbolOrder, values: Callable, name: str) -> Symbol:
     """sigma(k, theta) = v(k), for ``values`` mapping points (S, n) to their S values v."""
 
-    def cf(z_rows, z_offset):
-        if np.any(z_offset):
-            return np.zeros(len(z_rows))
-        return values(spec.hbar * z_rows)
+    def cf(z_rows, z_offsets):
+        at_zero = ~np.any(z_offsets, axis=1)
+        v = values(spec.hbar * z_rows) if at_zero.any() else np.zeros(len(z_rows))
+        return np.where(at_zero, v[:, None], 0)
 
     return Symbol(spec, order, closed_form_coeffs=cf, coeff_support_radius=0, name=name)
 
@@ -244,8 +242,9 @@ def difference_symbol(hbar: float = 1.0) -> Symbol:
     """
     spec = LatticeSpec(hbar, 1)
 
-    def cf(z_rows, z_offset):
-        return np.full(len(z_rows), {1: 1.0, 0: -1.0}.get(int(z_offset[0]), 0.0))
+    def cf(z_rows, z_offsets):
+        z = z_offsets[:, 0]
+        return np.tile(np.select([z == 1, z == 0], [1.0, -1.0]), (len(z_rows), 1))
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), closed_form_coeffs=cf,
                   coeff_support_radius=1, name="difference")
@@ -289,13 +288,14 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
         raise ValueError("potential_order is required when V does not carry an order attribute")
     h2 = spec.hbar ** -2
 
-    def cf(z_rows, z_offset):
-        hops = int(np.sum(np.abs(z_offset)))
-        if hops == 0:
+    def cf(z_rows, z_offsets):
+        hops = np.sum(np.abs(z_offsets), axis=1)
+        out = np.tile(np.where(hops == 1, -h2, 0.0), (len(z_rows), 1))
+        if np.any(hops == 0):
             pts = spec.hbar * z_rows
             v = _finite_at(pts, np.array([float(V(k)) for k in pts]), "potential")
-            return 2 * spec.dim * h2 + v + lam
-        return np.full(len(z_rows), -h2 if hops == 1 else 0.0)
+            out[:, hops == 0] = (2 * spec.dim * h2 + v + lam)[:, None]
+        return out
 
     return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0),
                   closed_form_coeffs=cf, coeff_support_radius=1, name="schrodinger")
@@ -311,14 +311,19 @@ def decaying_test_symbol(s: float, a: float, b: float,
     """
     spec = spec or LatticeSpec(1.0, 1)
 
-    def cf(z_rows, z_offset):
-        if np.any(z_offset[1:]) or abs(z_offset[0]) > 1:
-            return np.zeros(len(z_rows))
+    def cf(z_rows, z_offsets):
+        hops = np.where(np.any(z_offsets[:, 1:], axis=1), 2, np.abs(z_offsets[:, 0]))
+        out = np.zeros((len(z_rows), len(z_offsets)))
+        if np.all(hops > 1):
+            return out
         pts = spec.hbar * z_rows
         r = _finite_at(pts, float_pow(1.0 + _norms(pts), -s), f"(1+|k|)^-s with s={s}")
-        c, name = (a, "a") if z_offset[0] == 0 else (0.5 * b, "b/2")
-        with np.errstate(over="ignore"):  # refused by name below, not warned about
-            return _finite_at(pts, c * r, f"{name} (1+|k|)^-s with a={a}, b={b}, s={s}")
+        for hop, c, name in ((1, 0.5 * b, "b/2"), (0, a, "a")):  # the order a box meets them
+            if np.any(hops == hop):
+                with np.errstate(over="ignore"):  # refused by name below, not warned about
+                    out[:, hops == hop] = _finite_at(pts, c * r, f"{name} (1+|k|)^-s with "
+                                                                 f"a={a}, b={b}, s={s}")[:, None]
+        return out
 
     return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), closed_form_coeffs=cf,
                   coeff_support_radius=1, name=f"decaying(s={s},a={a},b={b})")

@@ -681,6 +681,17 @@ EXITS = {
         symbol={"family": "schrodinger",
                 "params": {"potential": {"c": 1.0, "l": 1}, "lambda": -10.0}}),
         3, None, "non-positive"),
+    # the doubling from the start radius reaches radius 4 within max_dim: 9 points in
+    # 1-d and 81 in 2-d, too few for j_max, whose last rows would be nan
+    "fit-growth-j-max-past-reach-1d": (base_config(
+        "fit-growth", symbol=SCHRODINGER, truncation={"radius": 2},
+        params={"j_max": 12, "j_range": [1, 3], "max_dim": 9, "tol": 0.5}),
+        2, "params.j_max", "radius 4 and 9 points"),
+    "fit-growth-j-max-past-reach-2d": (base_config(
+        "fit-growth", lattice={"hbar": 1.0, "dim": 2}, symbol=SCHRODINGER,
+        truncation={"radius": 1},
+        params={"j_max": 90, "j_range": [1, 3], "max_dim": 100, "tol": 0.5}),
+        2, "params.j_max", "radius 4 and 81 points"),
     "spectrum-error-limited": (base_config(
         "spectrum", lattice={"hbar": 0.25, "dim": 1}, truncation={"radius": 100},
         symbol={"family": "schrodinger", "params": {"potential": {"c": 1.0, "l": 2}}},

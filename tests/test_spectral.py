@@ -3,6 +3,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from lattice_pdo import kernel
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
 from lattice_pdo.spectral import (diagonal_approximation, eigendecompose_hermitian,
@@ -55,6 +56,16 @@ def test_eigendecompose_rejects_non_hermitian():
     K = assemble(difference_symbol(), SPEC1, BoxTruncation(2))
     with pytest.raises(ValueError):
         eigendecompose_hermitian(K)
+
+
+def test_non_hermitian_is_refused_before_the_dense_matrix(monkeypatch):
+    # the refusal reads the stored triplets only; no dense matrix is built for it
+    def no_dense(*args):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(kernel, "_dense", no_dense)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigendecompose_hermitian(assemble(difference_symbol(), SPEC1, BoxTruncation(3)))
 
 
 def test_eigenvector_contract():

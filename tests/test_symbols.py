@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_pdo.fourier import spectrum_of_row
+from lattice_pdo import schrodinger
+from lattice_pdo.fourier import coefficient_table, spectrum_of_row
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
@@ -162,8 +164,8 @@ def test_off_lattice_k_is_refused(index):
 
 
 def test_closed_form_needs_a_support_radius():
-    def cf(z_rows, z_offset):
-        return np.zeros(len(z_rows))
+    def cf(z_rows, z_offsets):
+        return np.zeros((len(z_rows), len(z_offsets)))
 
     for eval_fn in (None, lambda k, theta: np.zeros(theta.shape[:-1])):
         with pytest.raises(ValueError, match="closed form without a support radius"):
@@ -172,8 +174,8 @@ def test_closed_form_needs_a_support_radius():
 
 def test_support_radius_must_be_a_non_negative_integer():
     # refused when the symbol is built, naming it, not later by the first box read
-    def cf(z_rows, z_offset):
-        return np.zeros(len(z_rows))
+    def cf(z_rows, z_offsets):
+        return np.zeros((len(z_rows), len(z_offsets)))
 
     for radius in (-1, 1.5, "2", True):
         with pytest.raises(ValueError, match=r"symbol 'cf' .*support radius .*non-negative integer"):
@@ -295,7 +297,7 @@ def test_potential_symbol_order():
 
 
 def row_coefficients(sym, K, z):
-    """Coefficient tensor of row z and its frequencies per axis, gathered one offset at a time."""
+    """Coefficient tensor of row z and its frequencies per axis, from one closed-form table."""
     n = sym.spec.dim
     if K is not None:
         side = 2 * K.box.radius + 1
@@ -303,7 +305,7 @@ def row_coefficients(sym, K, z):
         return row, [np.arange(-K.box.radius, K.box.radius + 1) - zj for zj in z]
     r = sym.coeff_support_radius
     offsets = enumerate_box_integers(sym.spec, BoxTruncation(r))
-    coeffs = [sym.closed_form_coeffs(z[None], off)[0] for off in offsets]
+    coeffs = sym.closed_form_coeffs(z[None], offsets)[0]
     return np.reshape(coeffs, (2 * r + 1,) * n), [np.arange(-r, r + 1)] * n
 
 
@@ -415,7 +417,7 @@ def test_closed_form_coeffs_match_per_point_values(dim, radius, hbar):
                       lambda k, l=l: 0.7 * per_point_norm(k) ** (2 * l)))
     for sym, off, old in cases:
         want = np.array([old(k) for k in spec.hbar * zs])
-        got = sym.closed_form_coeffs(zs, off)
+        got = sym.closed_form_coeffs(zs, off[None])[:, 0]
         assert got.dtype == want.dtype, sym.name
         np.testing.assert_array_equal(got, want, err_msg=sym.name)
 
@@ -505,7 +507,7 @@ def c_pow_overflows(r, exponent):
 def test_anharmonic_past_float64_names_the_first_point():
     # 256^128 = 2^1024 is the first value past float64 in the C pow
     zs = enumerate_box_integers(SPEC1, BoxTruncation(300))
-    zero = np.zeros(1, dtype=np.int64)
+    zero = np.zeros((1, 1), dtype=np.int64)
     with pytest.raises(NonFiniteError, match=r"l=64 is not finite at k = \[-256.0\], "
                                               r"\|k\| = 256.0: inf"):
         polynomial_potential(1.0, 64).closed_form_coeffs(zs, zero)
@@ -516,6 +518,36 @@ def test_anharmonic_past_float64_names_the_first_point():
     past = np.flatnonzero([c_pow_overflows(r, 126) for r in norms.tolist()])
     first = zs2[past[np.argmin(norms[past])]]
     with pytest.raises(NonFiniteError, match=rf"at k = \[{first[0]:.1f}, {first[1]:.1f}\]"):
-        polynomial_potential(1.0, 63, spec).closed_form_coeffs(zs2, np.zeros(2, dtype=np.int64))
+        polynomial_potential(1.0, 63, spec).closed_form_coeffs(zs2, np.zeros((1, 2), np.int64))
     # 0 |k|^(2l) is 0 everywhere, past float64 included
     assert not np.any(polynomial_potential(0.0, 64).closed_form_coeffs(zs, zero))
+
+
+def counting(sym, calls):
+    """``sym`` with a closed form that appends the offsets of each call to ``calls``."""
+    cf = sym.closed_form_coeffs
+
+    def counted(z_rows, z_offsets):
+        calls.append(len(z_offsets))
+        return cf(z_rows, z_offsets)
+
+    return dataclasses.replace(sym, closed_form_coeffs=counted)
+
+
+def test_each_reader_calls_a_closed_form_once(monkeypatch):
+    # one table for all offsets: no reader loops over offsets
+    spec = LatticeSpec(0.5, 2)
+    calls = []
+    sym = counting(decaying_test_symbol(2.0, 1.0, 1.0, spec), calls)
+    reads = {"assemble": lambda: assemble(sym, spec, BoxTruncation(2)),
+             "coefficient_table": lambda: coefficient_table(sym, BoxTruncation(1), 3),
+             "theta_derivative": lambda: theta_derivative(sym, [0.5, -0.5], [[0.1, 0.2]], (1, 0))}
+    for name, read in reads.items():
+        calls.clear()
+        read()
+        assert len(calls) == 1, name
+    monkeypatch.setattr(schrodinger, "schrodinger_symbol",
+                        lambda *args, **kw: counting(schrodinger_symbol(*args, **kw), calls))
+    calls.clear()
+    schrodinger.weyl_oracle(spec, lambda k: float(k @ k), BoxTruncation(2), 5)
+    assert calls == [1]
