@@ -12,15 +12,19 @@ form gives them from one table, at most 3^n a row (every built-in family
 has torus-frequency support radius at most 1).  A square array (a user's
 matrix, a series read or FFT quadrature, `read_binary` input) gives its
 triplets through one reader, `np.nonzero`, so an entry equal to 0 (-0.0
-too) is never stored.  Only eigensolves, `apply`, `write_binary` and
+too) is never stored.  Only eigenvectors, `apply`, `write_binary` and
 `symbol_from_matrix` read `entries`, the dense matrix, which is built on
-first access (after checking that it fits in memory) and kept.  The
-values alone decide the dtype (`stored_entries`): real values are stored
-as float64 (so real symmetric operators get the real eigensolvers),
-anything else as complex128.  Truncation is plain restriction to the box
-(no boundary corrections).
+first access (after checking that it fits in memory) and kept.
+Eigenvalues alone (`spectral.eigendecompose_hermitian`, `residue_norm`)
+read `reflection_blocks`, dense blocks one per parity pattern of the axis
+reflections that fix the triplets, each built and checked to fit in
+memory on its own and not kept.  The values alone decide the dtype
+(`stored_entries`): real values are stored as float64 (so real symmetric
+operators get the real eigensolvers), anything else as complex128.
+Truncation is plain restriction to the box (no boundary corrections).
 """
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -109,12 +113,86 @@ class KernelMatrix:
 
 
 def _dense(size, rows, cols, values) -> np.ndarray:
-    # the only place a kernel becomes a dense matrix
+    # the only place a kernel becomes a dense matrix: `entries` and each reflection block
     check_dense_fits((size, size))
     a = np.zeros((size, size), dtype=values.dtype)
     a[rows, cols] = values
     a.setflags(write=False)
     return a
+
+
+def reflection_blocks(K: KernelMatrix):
+    """K's dense blocks in the basis adapted to the axis reflections z_a -> -z_a that fix it.
+
+    A generator: each block is built when it is asked for, so a caller that
+    lets go of one before the next holds one block at a time.
+
+    An axis is folded when its reflection maps the stored triplets onto
+    themselves, keys and values exactly.  The representatives are the box
+    points with z_a >= 0 on every folded axis.  A parity pattern s (a set
+    of odd folded axes) has one block, over the representatives with
+    z_a > 0 on each odd axis, in box order: the triplet (u, w, A) of a
+    representative row u adds chi_s(w) sqrt2^(nz(u) - nz(w)) A to entry
+    (u, |w|), where |w| reflects w onto the representatives, chi_s(w) is
+    the product of sign(w_a) over the odd axes (a triplet with
+    chi_s(w) = 0 adds nothing) and nz counts nonzero folded coordinates.
+    The spectrum of K is the union of its blocks' spectra.
+
+    With f folded axes an entry is a rounded sum of at most 2^f scaled
+    terms, real and imaginary parts apart, so it is off by at most
+    (2^f + 2) eps times the same sum over |K|.  For a Hermitian K, whose
+    |K| is symmetric with 2-norm at most ||K||_inf, the blocks are then
+    those of a matrix within (2^f + 2) eps ||K||_inf of K.  With no folded
+    axis there is one block: `entries`, bit for bit.
+    """
+    n, r, size = K.spec.dim, K.box.radius, K.size
+    rows, cols, values = K._triplets
+    side = 2 * r + 1
+    strides = side ** np.arange(n - 1, -1, -1)
+    zr, zc = (i[:, None] // strides % side - r for i in (rows, cols))
+    keys = rows * size + cols
+
+    def fixes(a):
+        mirrored = (rows - 2 * zr[:, a] * strides[a]) * size + cols - 2 * zc[:, a] * strides[a]
+        order = np.argsort(mirrored)
+        return np.array_equal(mirrored[order], keys) and np.array_equal(values[order], values)
+
+    folded = [a for a in range(n) if fixes(a)]
+    rep = np.all(zr[:, folded] >= 0, axis=1)
+    u, w, v = zr[rep], zc[rep], values[rep]
+    d = np.count_nonzero(u[:, folded], axis=1) - np.count_nonzero(w[:, folded], axis=1)
+    weight = np.ldexp(np.where(d % 2, np.sqrt(2.0), 1.0), d // 2)  # sqrt2^d, one rounding
+    w_abs, sign = w.copy(), np.sign(w)
+    w_abs[:, folded] = np.abs(w[:, folded])
+    for odd in itertools.product((False, True), repeat=len(folded)):
+        odd_axes = [a for a, o in zip(folded, odd) if o]
+        low = np.full(n, -r)
+        low[folded] = odd
+        shape = r + 1 - low
+        if not np.all(shape):
+            continue
+        chi = np.prod(sign[:, odd_axes], axis=1)
+        keep = np.flatnonzero(np.all(u[:, odd_axes] > 0, axis=1) & (chi != 0))
+        block_strides = np.r_[np.cumprod(shape[:0:-1])[::-1], 1]
+        yield _summed_dense(math.prod(shape), (u[keep] - low) @ block_strides,
+                            (w_abs[keep] - low) @ block_strides,
+                            _scaled(v[keep], chi[keep] * weight[keep]))
+
+
+def _scaled(values, factors) -> np.ndarray:
+    # values * factors with a complex value's two parts scaled apart, so 1.0 keeps every bit
+    if values.dtype.kind != "c":
+        return values * factors
+    return (values.view(float).reshape(-1, 2) * factors[:, None]).view(complex)[:, 0]
+
+
+def _summed_dense(size, rows, cols, values) -> np.ndarray:
+    # `_dense` with the values at one position added up; a lone value keeps its bits
+    flat = rows * size + cols
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    return _dense(size, *np.divmod(flat[first], size), np.add.reduceat(values[order], first))
 
 
 @dataclass

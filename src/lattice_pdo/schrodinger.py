@@ -7,7 +7,7 @@ potentials localize the low eigenvectors, so one box brackets them: the
 Dirichlet box H_R (the plain truncation) and the Neumann box N_R (H_R
 without the hops that leave the box) sandwich each low eigenvalue of H.
 The scan certifies a value as soon as one radius closes its bracket to
-the tolerance, dense solver error included.  `kernel` builds both boxes,
+the tolerance, solver error included.  `kernel` builds both boxes,
 `power_sums` bounds them and `spectral` solves them.
 
 The sorted values of the diagonal part (V(k) + 2n hbar^-2 + shift) are an
@@ -24,7 +24,7 @@ import numpy as np
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from .kernel import KernelMatrix, assemble, power_sums, subtract_diagonal
 from .spectral import eigendecompose_hermitian
-from .symbols import anharmonic_value, schrodinger_symbol
+from .symbols import anharmonic_value, anharmonic_values, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
 
@@ -38,13 +38,16 @@ class PotentialSpec:
     large-radius doubling ratio must match the declared order (log2 ratio
     within 0.5 of mu).  outside_min, when given, maps rho >= 0 to a lower
     bound of V(k) over |k|_inf >= rho; `spectrum_converged` needs it to
-    certify eigenvalues.
+    certify eigenvalues.  array_fn, when given, maps points (S, n) to the
+    S values of fn as one array, bit for bit; the Schrodinger symbol reads
+    V through it (else fn is called point by point).
     """
 
     fn: Callable
     mu: float
     dim: int = 1
     outside_min: Optional[Callable] = None
+    array_fn: Optional[Callable] = None
 
     def __post_init__(self):
         if not (self.mu > 0):
@@ -102,7 +105,8 @@ class PotentialSpec:
         if not (c > 0):
             raise ValueError(f"anharmonic coefficient must be positive, got {c}")
         value = anharmonic_value(c, l)
-        return cls(lambda k: value(float(np.linalg.norm(k))), 2.0 * l, dim, outside_min=value)
+        return cls(lambda k: value(float(np.linalg.norm(k))), 2.0 * l, dim, outside_min=value,
+                   array_fn=anharmonic_values(c, l))
 
 
 def _hamiltonian_symbol(spec: LatticeSpec, V, lam: float):
@@ -204,23 +208,38 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     lambda_j(N_R) <= lambda_j(H) <= lambda_j(H_R) whenever lambda_j(N_R)
     lies below V_out(R) + lam, where V_out(R) <= V on every lattice point
     outside the box (Dirichlet-Neumann bracketing, Reed & Simon IV,
-    XIII.15).  With err = size * eps * ||A||_inf over both box matrices as
-    the bound on a dense eigenvalue's error, lambda_j is certified when
+    XIII.15).  With err = scale * eps * ||A||_inf over both box matrices
+    as the bound on a computed eigenvalue's error (below), lambda_j is
+    certified when
 
         max(lambda_j(H_R) - lambda_j(N_R), 0) + 2 err <= tol * (1 + |lambda_j(H_R)|)
         lambda_j(N_R) + err < V_out(R) + lam,
 
     so a computed bracket never counts as narrower than the solver bound.
     Both boxes are solved by `eigendecompose_hermitian`, which refuses a
-    box matrix that is not Hermitian.  The radius doubles until all j_max
-    values are certified, the next box exceeds max_dim points, or no
-    uncertified value can be certified any more (`ConvergedSpectrum`).
+    box matrix that is not Hermitian and solves it in the blocks of its
+    axis reflections (`kernel.reflection_blocks`).  Error model: a dense
+    solve of an m-point block B is taken to be exact for a matrix within
+    m eps ||B||_2 of it, and ||B||_2 <= ||A||_2 <= ||A||_inf.  Forming a
+    block rounds each entry, a sum of at most 2^n weighted terms of A, by
+    at most (2^n + 2) eps times the same sum over |A|, so the blocks are
+    those of a matrix within (2^n + 2) eps ||A||_inf of A (|A| is
+    symmetric, with 2-norm at most ||A||_inf).  A block has at most
+    (R + 1)(2R + 1)^(n-1) points when an axis folds, and the one block of
+    a box with no folded axis is formed exactly, so
+
+        scale = max(size, (R + 1)(2R + 1)^(n-1) + 2^n + 2),
+
+    which is the box size except in 1-d with R <= 3 and in 2-d and 3-d
+    with R = 1.  The radius doubles until all j_max values are certified,
+    the next box exceeds max_dim points, or no uncertified value can be
+    certified any more (`ConvergedSpectrum`).
 
     The last stop applies once every uncertified value with a finite
     Dirichlet value has 2 err > tol * (1 + max(|lambda_j(H_R)|, |lam + V_0|)),
     V_0 = V.outside_min(0) <= inf V.  No box R' > R can certify it: err never
-    shrinks, as max(||H_R||_inf, ||N_R||_inf) <= ||H_R'||_inf and the box
-    grows; and lambda_j(H_R') lies in [lam + inf V, lambda_j(H_R)] (Cauchy
+    shrinks, as max(||H_R||_inf, ||N_R||_inf) <= ||H_R'||_inf and scale
+    grows with R; and lambda_j(H_R') lies in [lam + inf V, lambda_j(H_R)] (Cauchy
     interlacing, nonnegative kinetic part), which bounds its tolerance.  A
     value the box is too small to hold (nan) keeps the scan going.
 
@@ -254,7 +273,8 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
         H = build_hamiltonian(spec, V, BoxTruncation(R), lam)
         N = neumann_truncation(H)
         norm = max(np.max(power_sums(H, 1.0, 1)), np.max(power_sums(N, 1.0, 1)))
-        err = H.size * np.finfo(float).eps * norm
+        scale = max(H.size, (R + 1) * (2 * R + 1) ** (spec.dim - 1) + 2 ** spec.dim + 2)
+        err = scale * np.finfo(float).eps * norm
         dirichlet, neumann = np.full((2, j_max), np.nan)  # nan where the box is too small
         dirichlet[:H.size] = eigendecompose_hermitian(H).eigenvalues[:j_max]
         neumann[:H.size] = eigendecompose_hermitian(N).eigenvalues[:j_max]

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import KernelMatrix, entries_of, hermitian_check
+from .kernel import (KernelMatrix, entries_of, hermitian_check, power_sums, reflection_blocks,
+                     split_diagonal)
 from .symbols import SymbolOrder
 from ._util import rounded_up
 
@@ -41,39 +42,60 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     """Full spectrum of a Hermitian kernel matrix (or plain square array).
 
     Real input is solved in real arithmetic, with real eigenvectors.
+    Eigenvalues alone of a KernelMatrix come from its reflection blocks
+    (`kernel.reflection_blocks`), each solved apart, and merged by sorting:
+    if the solve of an m-point block B is exact for a matrix within
+    m eps ||B||_2 of B, they are exact for a matrix within
+    (m + 2^n + 2) eps ||K||_inf of K, m the largest block.  Eigenvectors,
+    and eigenvalues of a plain array, come from the dense matrix.
     """
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    mat = entries_of(K)
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(mat)
-        if vecs.size:
-            top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-            # libm's hypot, as abs() of a complex scalar: np.abs of a complex
-            # array can round its last bit differently
-            vecs /= top / np.hypot(top.real, top.imag)
-        return SpectralResult(vals, vecs)
-    return SpectralResult(np.linalg.eigvalsh(mat), None)
+    if not want_vectors:
+        return SpectralResult(_eigenvalues(K), None)
+    vals, vecs = np.linalg.eigh(entries_of(K))
+    if vecs.size:
+        top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+        # libm's hypot, as abs() of a complex scalar: np.abs of a complex
+        # array can round its last bit differently
+        vecs /= top / np.hypot(top.real, top.imag)
+    return SpectralResult(vals, vecs)
+
+
+def _eigenvalues(K) -> np.ndarray:
+    # ascending eigenvalues of a Hermitian KernelMatrix by its blocks, or of a plain array
+    blocks = reflection_blocks(K) if isinstance(K, KernelMatrix) else [entries_of(K)]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
 
 
 def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
     Exactly Hermitian residues go through their own eigenvalues (eigvalsh
-    reads one triangle); any other through an SVD.  Error model, as for the
-    eigenvalue clusters below: the computed values are exact for a matrix
-    within size * eps * ||R|| of R, so the norm falls at most size * eps
-    short, which `rounded_up` adds back.  Dropping the diagonal adds no
-    asymmetry, so an exactly Hermitian KernelMatrix's residue is not checked.
+    reads one triangle), a KernelMatrix's through its reflection blocks;
+    any other through an SVD.  Error model, as for the eigenvalue clusters
+    below: the computed values are exact for a matrix within size * eps *
+    ||R|| of the matrix solved, so the norm falls at most size * eps short,
+    which `rounded_up` adds back.  Forming the blocks rounds too: they are
+    the blocks of a matrix within (2^n + 2) eps ||R||_inf of R
+    (`kernel.reflection_blocks`), and that term is added before rounding
+    up.  A plain array's residue is solved as it is.  Dropping the
+    diagonal adds no asymmetry, so an exactly Hermitian KernelMatrix's
+    residue is not checked.
     """
-    res = np.array(entries_of(K))
-    np.fill_diagonal(res, 0.0)
-    if (isinstance(K, KernelMatrix) and K.asymmetry == 0) or hermitian_check(res)[1] == 0:
-        norm = np.max(np.abs(np.linalg.eigvalsh(res)), initial=0.0)
+    if isinstance(K, KernelMatrix):
+        res, size, terms = split_diagonal(K).residue, K.size, 2 ** K.spec.dim + 2
     else:
-        norm = np.linalg.norm(res, 2)
-    return rounded_up(float(norm), len(res), 0.0)
+        res, terms = np.array(entries_of(K)), 0
+        np.fill_diagonal(res, 0.0)
+        size = len(res)
+    if (isinstance(K, KernelMatrix) and K.asymmetry == 0) or hermitian_check(res)[1] == 0:
+        norm = np.max(np.abs(_eigenvalues(res)), initial=0.0)
+        norm += terms * np.finfo(float).eps * np.max(power_sums(res, 1.0, 1), initial=0.0)
+    else:
+        norm = np.linalg.norm(entries_of(res), 2)
+    return rounded_up(float(norm), size, 0.0)
 
 
 @dataclass

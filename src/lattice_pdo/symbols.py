@@ -277,6 +277,10 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
 
     sigma(k, theta) = hbar^-2 * sum_j (2 - 2 cos 2 pi theta_j) + V(k) + lam.
 
+    V is a scalar callable of a point k (n,); a V with an ``array_fn``
+    attribute (a `PotentialSpec` that has one) is read through it instead,
+    one array over the points (S, n).
+
     Derived from the hopping stencil, so the constant term is
     2*n*hbar^-2 + lam after averaging over theta; in one dimension with
     hbar = 1 this reduces to the familiar -2 cos(2 pi theta) + V(k) + lam + 2.
@@ -287,13 +291,15 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
     if potential_order is None:
         raise ValueError("potential_order is required when V does not carry an order attribute")
     h2 = spec.hbar ** -2
+    # V at every point at once where it has an array form, else point by point
+    values = getattr(V, "array_fn", None) or (lambda pts: np.array([float(V(k)) for k in pts]))
 
     def cf(z_rows, z_offsets):
         hops = np.sum(np.abs(z_offsets), axis=1)
         out = np.tile(np.where(hops == 1, -h2, 0.0), (len(z_rows), 1))
         if np.any(hops == 0):
             pts = spec.hbar * z_rows
-            v = _finite_at(pts, np.array([float(V(k)) for k in pts]), "potential")
+            v = _finite_at(pts, values(pts), "potential")
             out[:, hops == 0] = (2 * spec.dim * h2 + v + lam)[:, None]
         return out
 
@@ -345,13 +351,25 @@ def anharmonic_value(c: float, l: int) -> Callable:
     return value
 
 
-def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
-    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l) (`anharmonic_value`), order 2l."""
-    value = anharmonic_value(c, l)
+def anharmonic_values(c: float, l: int) -> Callable:
+    """`anharmonic_value` of the norm of each row of points (S, n), bit for bit, as one array."""
+    anharmonic_value(c, l)  # refuses an l that is not a natural number
 
     def values(pts):
-        v = np.array([value(r) for r in _norms(pts).tolist()])
-        return _finite_at(pts, v, f"c|k|^(2l) with c={c}, l={l}")
+        # as in Python floats, past float64 is inf; 0 * inf is nan, which the c = 0 rule makes 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = c * float_pow(_norms(pts), 2 * l)
+        return np.where(np.isnan(v), 0.0, v)
+
+    return values
+
+
+def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
+    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l) (`anharmonic_value`), order 2l."""
+    value = anharmonic_values(c, l)
+
+    def values(pts):
+        return _finite_at(pts, value(pts), f"c|k|^(2l) with c={c}, l={l}")
 
     return _multiplier(spec or LatticeSpec(1.0, 1), SymbolOrder(2.0 * l, 1.0, 0.0), values,
                        f"anharmonic(c={c},l={l})")

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from lattice_pdo import cli, kernel
+from lattice_pdo import cli, kernel, schrodinger
 from lattice_pdo.cli import main
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo.spectral import SpectralResult
 from lattice_pdo.symbols import constant_symbol
 
 
@@ -428,12 +429,39 @@ PINNED_CSV = {
         "diag_approx.csv", "36a63b1776ab1c768846e1729ca90942acff1094ece592428a487b8b9e2486bf"),
     # re-pinned when each scan value became certified by a Dirichlet-Neumann
     # bracket at one radius: 97 rows certified instead of 49, and 46 values
-    # taken from the certifying radius 25 moved by at most 6.3e-13 relative
+    # taken from the certifying radius 25 moved by at most 6.3e-13 relative.
+    # Re-pinned when each box came to be solved in its reflection blocks, behind
+    # test_pinned_budget_scan_agrees_with_dense_solves: flags, R_used and nan rows
+    # kept, 96 of 101 values moved by at most 3.0e-12 (7.9e-14 relative)
     "spectrum-budget-exhausted": (_run_config(base_config(
         "spectrum", symbol=SCHRODINGER, truncation={"radius": 25},
         params={"j_max": 300, "max_dim": 101}), 3),
-        "spectrum.csv", "3c2674249be127d4bda5c2d33afd369c3ab8a07c061cadbf673ab20a47b3aa83"),
+        "spectrum.csv", "5496388b1701a4937361ab537fd1af32663d242ad51018ea8438a60d5b41d50b"),
 }
+
+
+def test_pinned_budget_scan_agrees_with_dense_solves(monkeypatch):
+    # the guard of the spectrum-budget-exhausted digest: solving each box in its
+    # reflection blocks moves no flag, radius or nan row, and no value by its err
+    spec, pot = LatticeSpec(1.0, 1), schrodinger.PotentialSpec.anharmonic(1.0, 1)
+
+    def scan():
+        return schrodinger.spectrum_converged(spec, pot, 300, 1e-8, start_radius=25, max_dim=101)
+
+    folded = scan()
+    monkeypatch.setattr(schrodinger, "eigendecompose_hermitian",
+                        lambda K: SpectralResult(np.linalg.eigvalsh(K.entries), None))
+    dense = scan()
+    assert folded.radii_scanned == dense.radii_scanned == [25, 50]
+    assert folded.stop == dense.stop == "budget exhausted"
+    assert np.array_equal(folded.converged, dense.converged)
+    finite = np.isfinite(dense.eigenvalues)
+    assert np.array_equal(np.isfinite(folded.eigenvalues), finite) and finite.sum() == 101
+    H = schrodinger.build_hamiltonian(spec, pot, BoxTruncation(50))
+    N = schrodinger.neumann_truncation(H)
+    norm = max(np.max(kernel.power_sums(K, 1.0, 1)) for K in (H, N))
+    err = H.size * np.finfo(float).eps * norm  # the err of the last, largest box
+    assert np.max(np.abs(folded.eigenvalues - dense.eigenvalues)[finite]) <= err
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CSV))
@@ -483,11 +511,12 @@ def test_criterion_sums_build_no_dense_matrix(tmp_path, monkeypatch, task, param
                       params=params)
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
     assert built == []
-    # the eigensolve of diag-approx does build it, through the same builder
+    # diag-approx does build it, through the same builder: the whole matrix for the
+    # eigenvectors, then the four reflection blocks of the residue for its norm
     cfg = base_config("diag-approx", lattice=lattice, symbol=decaying, truncation={"radius": 4})
     assert main(["run", write_config(tmp_path, cfg, name="diag.json"),
                  "--out", str(tmp_path / "diag")]) == 0
-    assert built == [81]
+    assert built == [81, 25, 20, 20, 16]
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -44,6 +44,18 @@ def test_potential_past_float64_beyond_the_probes_is_refused():
     assert np.isfinite(build_hamiltonian(SPEC1, pot, BoxTruncation(279)).entries).all()
 
 
+@pytest.mark.parametrize("dim, hbar, radius", [(1, 0.37, 400), (2, 0.3, 25)])
+@pytest.mark.parametrize("l", [1, 2])
+def test_potential_array_form_keeps_every_bit(dim, hbar, radius, l):
+    # the anharmonic potential read as one array, against its fn called point by point
+    spec, box = LatticeSpec(hbar, dim), BoxTruncation(radius)
+    pot = PotentialSpec.anharmonic(0.7, l, dim)
+    by_array = build_hamiltonian(spec, pot, box, lam=0.25)
+    by_point = build_hamiltonian(spec, lambda k: pot.fn(k), box, lam=0.25)
+    for a, b in zip(by_array._triplets, by_point._triplets):
+        assert np.array_equal(a, b)
+
+
 def test_build_hamiltonian_harmonic_3x3():
     H = build_hamiltonian(SPEC1, HARMONIC, BoxTruncation(1))
     assert H.entries.dtype == np.float64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_pdo import kernel
-from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
 from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
 from lattice_pdo.spectral import (diagonal_approximation, eigendecompose_hermitian,
                                   residue_norm, sandwich_check)
@@ -303,3 +303,102 @@ def test_sandwich_requires_vectors_path():
     K = assemble(difference_symbol(), SPEC1, BoxTruncation(3))
     with pytest.raises(ValueError):
         sandwich_check(K)
+
+
+# ---------------------------------------------------------------------------
+# values-only solves in the blocks of the axis reflections
+# ---------------------------------------------------------------------------
+
+def _agrees_with_dense(K):
+    # each eigenvalue within size * eps * ||K||_inf of the dense solve's
+    dense = np.linalg.eigvalsh(K.entries)
+    tol = K.size * np.finfo(float).eps * np.max(kernel.power_sums(K, 1.0, 1))
+    folded = eigendecompose_hermitian(K).eigenvalues
+    assert folded.shape == dense.shape
+    assert np.max(np.abs(folded - dense)) <= tol
+
+
+def _box_kernels():
+    from lattice_pdo.schrodinger import PotentialSpec, build_hamiltonian, neumann_truncation
+    cases = {}
+    for dim, radius, l in ((1, 40, 2), (2, 6, 1), (3, 3, 1)):
+        spec = LatticeSpec(0.5, dim)
+        H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, l, dim), BoxTruncation(radius))
+        cases[f"H-{dim}d"], cases[f"N-{dim}d"] = H, neumann_truncation(H)
+    for dim, radius in ((1, 30), (2, 5)):
+        spec = LatticeSpec(1.0, dim)
+        cases[f"decaying-hermitized-{dim}d"] = hermitize(
+            assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(radius)))
+    cases["complex-2d"] = complex_reflection_kernel(LatticeSpec(1.0, 2), BoxTruncation(4))
+    return cases
+
+
+def complex_reflection_kernel(spec, box):
+    # exp(-|z - w|^2) (1 + i (|z|^2 - |w|^2) / 10) + |z|^2 on the diagonal: Hermitian, and
+    # fixed by every axis reflection bit for bit (integer coordinates, exact squares)
+    z = enumerate_box_integers(spec, box).astype(float)
+    sq = np.sum(z * z, axis=1)
+    gap = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
+    a = np.exp(-gap) * (1 + 1j * np.subtract.outer(sq, sq) / 10) + np.diag(sq)
+    return KernelMatrix(spec, box, a)
+
+
+BOX_KERNELS = _box_kernels()
+
+
+@pytest.mark.parametrize("case", sorted(BOX_KERNELS))
+def test_folded_values_agree_with_dense(case):
+    K = BOX_KERNELS[case]
+    blocks = list(kernel.reflection_blocks(K))
+    assert len(blocks) == 2 ** K.spec.dim  # every axis folds
+    assert sum(len(b) for b in blocks) == K.size
+    _agrees_with_dense(K)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_no_invariant_axis_keeps_every_bit(dtype):
+    # a potential linear in k is fixed by no reflection: one block, the dense matrix
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(4)
+    z = enumerate_box_integers(spec, box)
+    hop = np.diag(np.full(len(z) - 1, -1.0), 1)
+    a = np.diag(z @ [1.0, 0.3]) + hop + hop.T
+    if dtype is complex:
+        a = a + 0.25j * (hop - hop.T)
+    K = KernelMatrix(spec, box, a)
+    blocks = list(kernel.reflection_blocks(K))
+    assert len(blocks) == 1 and np.array_equal(blocks[0], K.entries)
+    assert blocks[0].dtype == K.entries.dtype == dtype
+    assert np.array_equal(eigendecompose_hermitian(K).eigenvalues, np.linalg.eigvalsh(K.entries))
+
+
+def test_one_ulp_off_folds_the_other_axes_only():
+    # bump V at (1, 2) and its axis-1 mirror (1, -2) by one ulp: axis 1 still folds, axis 0 not
+    H = BOX_KERNELS["H-2d"]
+    spec, box = H.spec, H.box
+    a = np.array(H.entries)
+    for point in ((0.5, 1.0), (0.5, -1.0)):
+        i = index_of(spec, box, point)
+        a[i, i] = np.nextafter(a[i, i], np.inf)
+    K = KernelMatrix(spec, box, a)
+    side, r = 2 * box.radius + 1, box.radius
+    assert sorted(len(b) for b in kernel.reflection_blocks(K)) == [side * r, side * (r + 1)]
+    _agrees_with_dense(K)
+
+
+def test_two_d_scan_builds_no_matrix_of_the_whole_box(monkeypatch):
+    from lattice_pdo.schrodinger import PotentialSpec, spectrum_converged
+    built = []
+    dense = kernel._dense
+
+    def recorded(size, *triplets):
+        built.append(size)
+        return dense(size, *triplets)
+
+    monkeypatch.setattr(kernel, "_dense", recorded)
+    spec = LatticeSpec(1.0, 2)
+    result = spectrum_converged(spec, PotentialSpec.anharmonic(1.0, 1, 2), 60, 1e-8,
+                                start_radius=3, max_dim=625)
+    # per radius, H then N: the blocks even-even, even-odd, odd-even and odd-odd
+    assert result.radii_scanned == [3, 6, 12]
+    assert built == [size for r in result.radii_scanned for _ in "HN"
+                     for size in ((r + 1) ** 2, (r + 1) * r, r * (r + 1), r ** 2)]

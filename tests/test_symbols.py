@@ -11,7 +11,8 @@ from lattice_pdo.fourier import coefficient_table, spectrum_of_row
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
-                                 constant_symbol, decaying_test_symbol, difference_symbol, eval_symbol,
+                                 anharmonic_value, anharmonic_values, constant_symbol,
+                                 decaying_test_symbol, difference_symbol, eval_symbol,
                                  multiplication_symbol, polynomial_potential, quadrature_only,
                                  schrodinger_symbol, symbol_from_matrix, theta_derivative)
 from lattice_pdo.kernel import KernelMatrix, assemble
@@ -521,6 +522,17 @@ def test_anharmonic_past_float64_names_the_first_point():
         polynomial_potential(1.0, 63, spec).closed_form_coeffs(zs2, np.zeros((1, 2), np.int64))
     # 0 |k|^(2l) is 0 everywhere, past float64 included
     assert not np.any(polynomial_potential(0.0, 64).closed_form_coeffs(zs, zero))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.7, -2.0])
+def test_anharmonic_values_is_the_scalar_formula_at_each_point(c):
+    # |k|^128 past float64 (|k| >= 256) included: inf with the sign of c, 0 for c = 0;
+    # c = -2 also leaves float64 in the product, below |k| = 256
+    pts = 0.37 * enumerate_box_integers(LatticeSpec(1.0, 2), BoxTruncation(800))[::97]
+    norms = [float(np.linalg.norm(k)) for k in pts]
+    assert min(norms) < 256 < max(norms)
+    value = anharmonic_value(c, 64)
+    assert np.array_equal(anharmonic_values(c, 64)(pts), [value(r) for r in norms])
 
 
 def counting(sym, calls):
