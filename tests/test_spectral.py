@@ -6,6 +6,8 @@ import pytest
 from lattice_pdo import kernel
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
 from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
+from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian, neumann_truncation,
+                                     spectrum_converged)
 from lattice_pdo.spectral import (diagonal_approximation, eigendecompose_hermitian,
                                   residue_norm, sandwich_check)
 from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
@@ -318,8 +320,17 @@ def _agrees_with_dense(K):
     assert np.max(np.abs(folded - dense)) <= tol
 
 
+def complex_reflection_kernel(spec, box):
+    # exp(-|z - w|^2) (1 + i (|z|^2 - |w|^2) / 10) + |z|^2 on the diagonal: Hermitian, and
+    # fixed by every axis reflection bit for bit (integer coordinates, exact squares)
+    z = enumerate_box_integers(spec, box).astype(float)
+    sq = np.sum(z * z, axis=1)
+    gap = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
+    a = np.exp(-gap) * (1 + 1j * np.subtract.outer(sq, sq) / 10) + np.diag(sq)
+    return KernelMatrix(spec, box, a)
+
+
 def _box_kernels():
-    from lattice_pdo.schrodinger import PotentialSpec, build_hamiltonian, neumann_truncation
     cases = {}
     for dim, radius, l in ((1, 40, 2), (2, 6, 1), (3, 3, 1)):
         spec = LatticeSpec(0.5, dim)
@@ -331,16 +342,6 @@ def _box_kernels():
             assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(radius)))
     cases["complex-2d"] = complex_reflection_kernel(LatticeSpec(1.0, 2), BoxTruncation(4))
     return cases
-
-
-def complex_reflection_kernel(spec, box):
-    # exp(-|z - w|^2) (1 + i (|z|^2 - |w|^2) / 10) + |z|^2 on the diagonal: Hermitian, and
-    # fixed by every axis reflection bit for bit (integer coordinates, exact squares)
-    z = enumerate_box_integers(spec, box).astype(float)
-    sq = np.sum(z * z, axis=1)
-    gap = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
-    a = np.exp(-gap) * (1 + 1j * np.subtract.outer(sq, sq) / 10) + np.diag(sq)
-    return KernelMatrix(spec, box, a)
 
 
 BOX_KERNELS = _box_kernels()
@@ -386,7 +387,6 @@ def test_one_ulp_off_folds_the_other_axes_only():
 
 
 def test_two_d_scan_builds_no_matrix_of_the_whole_box(monkeypatch):
-    from lattice_pdo.schrodinger import PotentialSpec, spectrum_converged
     built = []
     dense = kernel._dense
 
