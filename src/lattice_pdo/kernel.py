@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box, enumerate_box_integers
-from .symbols import Symbol, _finite_at
+from .symbols import NonFiniteError, Symbol, _finite_at
 from .fourier import coefficients, grid_size
 from . import _util
 from ._util import check_dense_fits, check_fits
@@ -136,17 +136,20 @@ def reflection_blocks(K: KernelMatrix):
     (u, |w|), where |w| reflects w onto the representatives, chi_s(w) is
     the product of sign(w_a) over the odd axes (a triplet with
     chi_s(w) = 0 adds nothing) and nz counts nonzero folded coordinates.
-    The spectrum of K is the union of its blocks' spectra.
-
-    With f folded axes an entry is a rounded sum of at most 2^f scaled
-    terms, real and imaginary parts apart, so it is off by at most
-    (2^f + 2) eps times the same sum over |K|.  For a Hermitian K, whose
-    |K| is symmetric with 2-norm at most ||K||_inf, the blocks are then
-    those of a matrix within (2^f + 2) eps ||K||_inf of K.  With no folded
-    axis there is one block: `entries`, bit for bit.
+    The spectrum of K is the union of its blocks' spectra.  With no folded
+    axis there is one block: `entries`, bit for bit.  The rounding of the
+    other blocks is bounded in `spectral.eigendecompose_hermitian`.
     """
     n, r, size = K.spec.dim, K.box.radius, K.size
     rows, cols, values = K._triplets
+    # bytes a triplet at the peak, when a block's dense matrix is built with no axis
+    # folded, so every selection keeps every triplet: six (nnz, n) int64 coordinate
+    # arrays (zr, zc, u, w, w_abs, sign: 48 n); the bool rep and seven 8-byte arrays
+    # (keys, d, weight, chi, keep, the block rows and cols: 57); five more in
+    # `_summed_dense` (the flat keys, their order, the first of each run, its rows and
+    # cols: 40); and three value arrays of at most 16 bytes (v, the scaled values and
+    # their sums: 48).  `_dense` checks the block itself.
+    check_fits((48 * n + 145) * len(values), f"reflection blocks of {len(values)} triplets")
     side = 2 * r + 1
     strides = side ** np.arange(n - 1, -1, -1)
     zr, zc = (i[:, None] // strides % side - r for i in (rows, cols))
@@ -303,12 +306,21 @@ def subtract_diagonal(K: KernelMatrix, d) -> KernelMatrix:
 
 
 def entries_of(K) -> np.ndarray:
-    """The entries of a KernelMatrix, or a plain square array under `stored_entries`."""
+    """The entries of a KernelMatrix, or a plain square array under `stored_entries`.
+
+    A plain array is held to a KernelMatrix's rule: a non-finite entry
+    raises NonFiniteError, naming the first (row, col) in row-major order.
+    """
     if isinstance(K, KernelMatrix):
         return K.entries
     a = stored_entries(K)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteError(f"matrix entry is not finite at (row, col) = ({row}, {col}): "
+                             f"{a[row, col]}")
     return a
 
 

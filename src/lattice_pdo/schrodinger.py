@@ -7,8 +7,8 @@ potentials localize the low eigenvectors, so one box brackets them: the
 Dirichlet box H_R (the plain truncation) and the Neumann box N_R (H_R
 without the hops that leave the box) sandwich each low eigenvalue of H.
 The scan certifies a value as soon as one radius closes its bracket to
-the tolerance, solver error included.  `kernel` builds both boxes,
-`power_sums` bounds them and `spectral` solves them.
+the tolerance, solver error included.  `kernel` builds both boxes and
+`spectral` solves them and bounds the solver's error.
 
 The sorted values of the diagonal part (V(k) + 2n hbar^-2 + shift) are an
 independent oracle: Hermitian perturbation bounds every eigenvalue of H
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
-from .kernel import KernelMatrix, assemble, power_sums, subtract_diagonal
+from .kernel import KernelMatrix, assemble, subtract_diagonal
 from .spectral import eigendecompose_hermitian
 from .symbols import anharmonic_value, anharmonic_values, schrodinger_symbol
 
@@ -208,30 +208,17 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     lambda_j(N_R) <= lambda_j(H) <= lambda_j(H_R) whenever lambda_j(N_R)
     lies below V_out(R) + lam, where V_out(R) <= V on every lattice point
     outside the box (Dirichlet-Neumann bracketing, Reed & Simon IV,
-    XIII.15).  With err = scale * eps * ||A||_inf over both box matrices
-    as the bound on a computed eigenvalue's error (below), lambda_j is
-    certified when
+    XIII.15).  With err the larger `SpectralResult.error_bound` of the two
+    solves, lambda_j is certified when
 
         max(lambda_j(H_R) - lambda_j(N_R), 0) + 2 err <= tol * (1 + |lambda_j(H_R)|)
         lambda_j(N_R) + err < V_out(R) + lam,
 
     so a computed bracket never counts as narrower than the solver bound.
     Both boxes are solved by `eigendecompose_hermitian`, which refuses a
-    box matrix that is not Hermitian and solves it in the blocks of its
-    axis reflections (`kernel.reflection_blocks`).  Error model: a dense
-    solve of an m-point block B is taken to be exact for a matrix within
-    m eps ||B||_2 of it, and ||B||_2 <= ||A||_2 <= ||A||_inf.  Forming a
-    block rounds each entry, a sum of at most 2^n weighted terms of A, by
-    at most (2^n + 2) eps times the same sum over |A|, so the blocks are
-    those of a matrix within (2^n + 2) eps ||A||_inf of A (|A| is
-    symmetric, with 2-norm at most ||A||_inf).  A block has at most
-    (R + 1)(2R + 1)^(n-1) points when an axis folds, and the one block of
-    a box with no folded axis is formed exactly, so
-
-        scale = max(size, (R + 1)(2R + 1)^(n-1) + 2^n + 2),
-
-    which is the box size except in 1-d with R <= 3 and in 2-d and 3-d
-    with R = 1.  The radius doubles until all j_max values are certified,
+    box matrix that is not Hermitian, solves it in the blocks of its axis
+    reflections and bounds each value's error by scale * eps * ||A||_inf.
+    The radius doubles until all j_max values are certified,
     the next box exceeds max_dim points, or no uncertified value can be
     certified any more (`ConvergedSpectrum`).
 
@@ -271,13 +258,11 @@ def spectrum_converged(spec: LatticeSpec, V: PotentialSpec, j_max: int, tol: flo
     stop = "budget exhausted"
     for R in scan_radii(spec, R, max_dim):
         H = build_hamiltonian(spec, V, BoxTruncation(R), lam)
-        N = neumann_truncation(H)
-        norm = max(np.max(power_sums(H, 1.0, 1)), np.max(power_sums(N, 1.0, 1)))
-        scale = max(H.size, (R + 1) * (2 * R + 1) ** (spec.dim - 1) + 2 ** spec.dim + 2)
-        err = scale * np.finfo(float).eps * norm
+        h, n = eigendecompose_hermitian(H), eigendecompose_hermitian(neumann_truncation(H))
+        err = max(h.error_bound, n.error_bound)
         dirichlet, neumann = np.full((2, j_max), np.nan)  # nan where the box is too small
-        dirichlet[:H.size] = eigendecompose_hermitian(H).eigenvalues[:j_max]
-        neumann[:H.size] = eigendecompose_hermitian(N).eigenvalues[:j_max]
+        dirichlet[:H.size] = h.eigenvalues[:j_max]
+        neumann[:H.size] = n.eigenvalues[:j_max]
         values = np.where(flags, values, dirichlet)
         flags |= ((np.maximum(dirichlet - neumann, 0.0) + 2 * err
                    <= tol * (1.0 + np.abs(dirichlet)))

@@ -26,7 +26,7 @@ SANDWICH_SLACK = 1e-8   # rounding allowed at each link of the sandwich chain
 
 @dataclass
 class SpectralResult:
-    """Sorted spectrum, with eigenvectors on request.
+    """Sorted spectrum, its error bound (`eigendecompose_hermitian`), eigenvectors on request.
 
     Eigenvalues ascend; eigenvector column j pairs with eigenvalue j, with
     the phase fixed so each column's largest-magnitude component (the first
@@ -36,6 +36,7 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
+    error_bound: float
 
 
 def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
@@ -43,59 +44,72 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 
     Real input is solved in real arithmetic, with real eigenvectors.
     Eigenvalues alone of a KernelMatrix come from its reflection blocks
-    (`kernel.reflection_blocks`), each solved apart, and merged by sorting:
-    if the solve of an m-point block B is exact for a matrix within
-    m eps ||B||_2 of B, they are exact for a matrix within
-    (m + 2^n + 2) eps ||K||_inf of K, m the largest block.  Eigenvectors,
-    and eigenvalues of a plain array, come from the dense matrix.
+    (`kernel.reflection_blocks`), each solved apart, and merged by sorting;
+    eigenvectors, and eigenvalues of a plain array, from the dense matrix.
+
+    error_bound = scale * eps * ||K||_inf bounds each sorted value's
+    distance from the exact one (Weyl).  A dense solve of an m-point B is
+    taken to be exact for a matrix within m eps ||B||_2 <= m eps ||K||_inf
+    of B, B being K or a block of K: scale = size for a dense solve.  A
+    block entry, a sum of at most 2^n weighted terms of K, real and
+    imaginary parts apart, rounds by at most (2^n + 2) eps times the same
+    sum over |K|, so the blocks are those of a matrix within
+    (2^n + 2) eps ||K||_inf of K (|K| is symmetric).  A block has at most
+    (R + 1)(2R + 1)^(n-1) points when an axis folds, and a box with no
+    folded axis has one block, formed exactly, so a block solve has
+    scale = max(size, (R + 1)(2R + 1)^(n-1) + 2^n + 2), growing with R:
+    the box size except in 1-d with R <= 3 and in 2-d and 3-d with R = 1.
     """
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     if not want_vectors:
-        return SpectralResult(_eigenvalues(K), None)
+        return _eigenvalues(K)
     vals, vecs = np.linalg.eigh(entries_of(K))
     if vecs.size:
         top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
         # libm's hypot, as abs() of a complex scalar: np.abs of a complex
         # array can round its last bit differently
         vecs /= top / np.hypot(top.real, top.imag)
-    return SpectralResult(vals, vecs)
+    return _bounded(K, vals, vecs, len(vals))
 
 
-def _eigenvalues(K) -> np.ndarray:
-    # ascending eigenvalues of a Hermitian KernelMatrix by its blocks, or of a plain array
-    blocks = reflection_blocks(K) if isinstance(K, KernelMatrix) else [entries_of(K)]
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+def _eigenvalues(K) -> SpectralResult:
+    # the values-only solve of a Hermitian KernelMatrix by its blocks, or of a plain array
+    if not isinstance(K, KernelMatrix):
+        return _bounded(K, np.linalg.eigvalsh(entries_of(K)), None, len(K))
+    n, r = K.spec.dim, K.box.radius
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in reflection_blocks(K)]))
+    return _bounded(K, vals, None, max(K.size, (r + 1) * (2 * r + 1) ** (n - 1) + 2 ** n + 2))
+
+
+def _bounded(K, vals, vecs, scale: int) -> SpectralResult:
+    norm = np.max(power_sums(K, 1.0, 1), initial=0.0)
+    return SpectralResult(vals, vecs, float(scale * np.finfo(float).eps * norm))
 
 
 def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
-    Exactly Hermitian residues go through their own eigenvalues (eigvalsh
-    reads one triangle), a KernelMatrix's through its reflection blocks;
-    any other through an SVD.  Error model, as for the eigenvalue clusters
-    below: the computed values are exact for a matrix within size * eps *
-    ||R|| of the matrix solved, so the norm falls at most size * eps short,
-    which `rounded_up` adds back.  Forming the blocks rounds too: they are
-    the blocks of a matrix within (2^n + 2) eps ||R||_inf of R
-    (`kernel.reflection_blocks`), and that term is added before rounding
-    up.  A plain array's residue is solved as it is.  Dropping the
-    diagonal adds no asymmetry, so an exactly Hermitian KernelMatrix's
-    residue is not checked.
+    An exactly Hermitian residue (a KernelMatrix's solved in its reflection
+    blocks) gives max |lambda| + error_bound (Weyl), rounded up once; any
+    other goes through an SVD, taken to be exact for a matrix within
+    size * eps * ||R|| of the one solved, so its norm falls at most
+    size * eps short, which `rounded_up` adds back.  Dropping the diagonal
+    adds no asymmetry, so an exactly Hermitian KernelMatrix's residue is
+    not checked.
     """
     if isinstance(K, KernelMatrix):
-        res, size, terms = split_diagonal(K).residue, K.size, 2 ** K.spec.dim + 2
+        res = split_diagonal(K).residue
     else:
-        res, terms = np.array(entries_of(K)), 0
+        res = np.array(entries_of(K))
         np.fill_diagonal(res, 0.0)
-        size = len(res)
     if (isinstance(K, KernelMatrix) and K.asymmetry == 0) or hermitian_check(res)[1] == 0:
-        norm = np.max(np.abs(_eigenvalues(res)), initial=0.0)
-        norm += terms * np.finfo(float).eps * np.max(power_sums(res, 1.0, 1), initial=0.0)
-    else:
-        norm = np.linalg.norm(entries_of(res), 2)
-    return rounded_up(float(norm), size, 0.0)
+        dec = _eigenvalues(res)
+        return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
+                          1, 0.0)
+    a = entries_of(res)
+    return rounded_up(float(np.linalg.norm(a, 2)), len(a), 0.0)
 
 
 @dataclass

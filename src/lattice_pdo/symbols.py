@@ -18,7 +18,7 @@ import numpy as np
 
 from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape,
                       enumerate_box_integers, integer_coords)
-from ._util import c_pow, float_pow
+from ._util import c_pow, check_fits, float_pow
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,14 @@ def _phase_sum(coeffs, low, theta, beta):
     freqs = [lj + np.arange(size) for lj, size in zip(low, coeffs.shape)]
     n = theta.shape[-1]
     t = theta.reshape(-1, n)
+    # complex values a point: every phase table (the sum of the widths), the first
+    # partial sum (the product of all widths but the last) and the one built from it
+    # (all but the last two); while a table is built, 24 more bytes an entry (its
+    # float phases and their complex multiple); and a scaled copy of coeffs
+    widths = coeffs.shape
+    check_fits(16 * coeffs.size + len(t) * (
+        16 * (sum(widths) + math.prod(widths[:-1]) + math.prod(widths[:-2])) + 24 * max(widths)),
+        f"phase sums over {coeffs.size} frequencies at {len(t)} points")
     tables = []
     for j, (f, bj) in enumerate(zip(freqs, beta)):
         if bj:

@@ -10,7 +10,7 @@ import pytest
 from lattice_pdo import cli, kernel, schrodinger
 from lattice_pdo.cli import main
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
-from lattice_pdo.spectral import SpectralResult
+from lattice_pdo.spectral import SpectralResult, eigendecompose_hermitian
 from lattice_pdo.symbols import constant_symbol
 
 
@@ -448,9 +448,12 @@ def test_pinned_budget_scan_agrees_with_dense_solves(monkeypatch):
     def scan():
         return schrodinger.spectrum_converged(spec, pot, 300, 1e-8, start_radius=25, max_dim=101)
 
+    def dense_solve(K):
+        bound = K.size * np.finfo(float).eps * np.max(kernel.power_sums(K, 1.0, 1))
+        return SpectralResult(np.linalg.eigvalsh(K.entries), None, bound)
+
     folded = scan()
-    monkeypatch.setattr(schrodinger, "eigendecompose_hermitian",
-                        lambda K: SpectralResult(np.linalg.eigvalsh(K.entries), None))
+    monkeypatch.setattr(schrodinger, "eigendecompose_hermitian", dense_solve)
     dense = scan()
     assert folded.radii_scanned == dense.radii_scanned == [25, 50]
     assert folded.stop == dense.stop == "budget exhausted"
@@ -459,8 +462,7 @@ def test_pinned_budget_scan_agrees_with_dense_solves(monkeypatch):
     assert np.array_equal(np.isfinite(folded.eigenvalues), finite) and finite.sum() == 101
     H = schrodinger.build_hamiltonian(spec, pot, BoxTruncation(50))
     N = schrodinger.neumann_truncation(H)
-    norm = max(np.max(kernel.power_sums(K, 1.0, 1)) for K in (H, N))
-    err = H.size * np.finfo(float).eps * norm  # the err of the last, largest box
+    err = max(eigendecompose_hermitian(K).error_bound for K in (H, N))  # of the largest box
     assert np.max(np.abs(folded.eigenvalues - dense.eigenvalues)[finite]) <= err
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_pdo.fourier import coefficient_table, toroidal_coefficient
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
-from lattice_pdo import fourier, kernel
+from lattice_pdo import _util, fourier, kernel
 from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 hermitize, read_binary, split_diagonal,
                                 write_binary, write_csv)
@@ -115,11 +115,16 @@ def test_hermitian_check():
 ], ids=["hermitian_check", "eigendecompose_hermitian", "residue_norm", "sup_entry",
         "schur_l1_lp", "mixed_lp_sum", "nuclear_sum"])
 def test_plain_entries_must_be_square(read):
-    # one reader serves the checks, the eigensolver and the criterion sums
+    # one reader serves the checks, the eigensolver and the criterion sums: a plain
+    # array is refused unless square and finite, as a KernelMatrix is
     read(np.eye(3))
     read([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="square"):
         read(np.ones((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.inf)):
+        with pytest.raises(NonFiniteError, match=r"^matrix entry is not finite at "
+                                                 r"\(row, col\) = \(0, 1\): "):
+            read([[1, bad], [bad, 1]])
 
 
 def test_roundtrip_random_kernels():
@@ -591,3 +596,64 @@ def test_dense_input_preflight_counts_its_nonzeros(monkeypatch):
     monkeypatch.setattr(kernel, "_nonzero", no_read)
     with pytest.raises(ValueError, match="3 nonzeros of a 5x5 matrix needs 96 bytes"):
         KernelMatrix(SPEC1, BoxTruncation(2), a)
+
+
+def dense_reflection_kernel(tilt):
+    # every entry of the 2-d R=12 box stored (390 625 triplets), Hermitian and fixed
+    # by the reflections of the axes the tilt (a, b) leaves at 0
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(12)
+    z = enumerate_box_integers(spec, box).astype(float)
+    gap = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
+    return KernelMatrix(spec, box, np.exp(-gap / 100) + np.diag(np.sum(z * z, axis=1) + z @ tilt))
+
+
+@pytest.mark.parametrize("tilt, blocks", [((0.0, 0.0), 4), ((0.5, 0.0), 2), ((0.5, 0.25), 1)])
+def test_reflection_blocks_stay_within_their_preflight(monkeypatch, tilt, blocks):
+    # the per-triplet count, with the largest block `_dense` checks, covers the traced
+    # peak of a values-only solve
+    K = dense_reflection_kernel(tilt)
+    assert len(K._triplets[2]) == 390625 and len(list(kernel.reflection_blocks(K))) == blocks
+    hermitian_check(K)  # the asymmetry is computed once and kept
+    counted, dense = [], []
+    check_fits, util_check_fits = kernel.check_fits, _util.check_fits
+
+    def counting(into, check):
+        def counted_check(need, what):
+            into.append(need)
+            check(need, what)
+        return counted_check
+
+    monkeypatch.setattr(kernel, "check_fits", counting(counted, check_fits))
+    monkeypatch.setattr(_util, "check_fits", counting(dense, util_check_fits))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eigendecompose_hermitian(K)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert counted == [(48 * 2 + 145) * 390625]
+    assert len(dense) == blocks
+    assert peak <= counted[0] + max(dense)
+    if blocks == 4:  # folded, the count alone covers it
+        assert peak <= counted[0]
+
+
+def test_reflection_blocks_preflight_refuses_before_any_temporary(monkeypatch):
+    K = dense_reflection_kernel((0.0, 0.0))
+    hermitian_check(K)
+
+    def refuse(need, what):
+        raise ValueError(f"{what} needs {need} bytes, more than the physical memory")
+
+    monkeypatch.setattr(kernel, "check_fits", refuse)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="^reflection blocks of 390625 triplets needs "
+                                             "94140625 bytes"):
+            eigendecompose_hermitian(K)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 390625  # less than a byte a triplet

@@ -7,7 +7,7 @@ from lattice_pdo.kernel import KernelMatrix, assemble, read_binary, write_binary
 from lattice_pdo.schrodinger import (ConvergedSpectrum, PotentialSpec, build_hamiltonian,
                                      fit_growth_exponent, neumann_truncation,
                                      spectrum_converged, weyl_oracle)
-from lattice_pdo.spectral import eigendecompose_hermitian
+from lattice_pdo.spectral import SpectralResult, eigendecompose_hermitian
 from lattice_pdo.symbols import NonFiniteError, quadrature_only, schrodinger_symbol
 
 SPEC1 = LatticeSpec(1.0, 1)
@@ -368,6 +368,27 @@ def test_scan_solves_each_box_matrix_through_spectral(monkeypatch):
         want = build_hamiltonian(spec, pot, BoxTruncation(R))
         assert np.array_equal(H.entries, want.entries)
         assert np.array_equal(N.entries, neumann_truncation(want).entries)
+
+
+@pytest.mark.parametrize("loose", ["H", "N"])
+def test_scan_takes_the_larger_error_bound_of_its_two_solves(monkeypatch, loose):
+    # one solve's bound above tol stops the scan with nothing certified, whichever
+    # box it belongs to; with exact bounds all three values certify at R = 25
+    solved = []
+
+    def solve(K):
+        solved.append(K)
+        res = eigendecompose_hermitian(K)
+        if "HN"[(len(solved) - 1) % 2] == loose:
+            return SpectralResult(res.eigenvalues, None, 1.0)
+        return res
+
+    assert spectrum_converged(SPEC1, HARMONIC, j_max=3, tol=1e-8, max_dim=101).all_converged
+    monkeypatch.setattr(schrodinger, "eigendecompose_hermitian", solve)
+    res = spectrum_converged(SPEC1, HARMONIC, j_max=3, tol=1e-8, max_dim=101)
+    assert res.radii_scanned == [25]
+    assert res.stop == "solver error bound above tol"
+    assert not res.converged.any()
 
 
 def test_scan_refuses_a_box_matrix_that_is_not_hermitian(monkeypatch):

@@ -402,3 +402,56 @@ def test_two_d_scan_builds_no_matrix_of_the_whole_box(monkeypatch):
     assert result.radii_scanned == [3, 6, 12]
     assert built == [size for r in result.radii_scanned for _ in "HN"
                      for size in ((r + 1) ** 2, (r + 1) * r, r * (r + 1), r ** 2)]
+
+
+# ---------------------------------------------------------------------------
+# the error bound each solve returns
+# ---------------------------------------------------------------------------
+
+def _box_pair(dim, radius, lam):
+    # H_R and N_R of the harmonic oscillator; a negative lam makes ||N_R||_inf the larger
+    spec = LatticeSpec(1.0, dim)
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, dim), BoxTruncation(radius), lam)
+    return H, neumann_truncation(H)
+
+
+@pytest.mark.parametrize("lam", [0.0, -50.0])
+@pytest.mark.parametrize("dim, radius", [(1, 1), (1, 2), (1, 3), (1, 25),
+                                         (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_block_solve_error_bound_is_the_scan_formula(dim, radius, lam):
+    # scale * eps * ||A||_inf bit for bit, with the scale of a block solve, for each box
+    # matrix and for the larger of the two, which is the scan's err
+    side = 2 * radius + 1
+    scale = max(side ** dim, (radius + 1) * side ** (dim - 1) + 2 ** dim + 2)
+    pair = _box_pair(dim, radius, lam)
+    norms = [np.max(kernel.power_sums(K, 1.0, 1)) for K in pair]
+    bounds = [eigendecompose_hermitian(K).error_bound for K in pair]
+    assert bounds == [scale * np.finfo(float).eps * norm for norm in norms]
+    assert max(bounds) == scale * np.finfo(float).eps * max(norms)
+
+
+def test_dense_solve_error_bound_has_the_size_as_scale():
+    H, _ = _box_pair(1, 2, 0.0)
+    want = H.size * np.finfo(float).eps * np.max(kernel.power_sums(H, 1.0, 1))
+    assert eigendecompose_hermitian(H, want_vectors=True).error_bound == want
+    assert eigendecompose_hermitian(np.array(H.entries)).error_bound == want
+
+
+@pytest.mark.parametrize("dim, radii", [(1, [1, 2, 4, 8, 16, 32, 64]), (2, [1, 2, 4, 8]),
+                                        (3, [1, 2, 4])])
+def test_error_bound_never_falls_as_the_radius_doubles(dim, radii):
+    # the premise of the scan's stop rule: no larger box has a smaller err
+    for lam in (0.0, -50.0):
+        bounds = [[eigendecompose_hermitian(K).error_bound for K in _box_pair(dim, r, lam)]
+                  for r in radii]
+        for small, large in zip(bounds, bounds[1:]):
+            assert large[0] >= small[0] and large[1] >= small[1]
+
+
+@pytest.mark.parametrize("case", sorted(BOX_KERNELS))
+def test_residue_norm_adds_the_error_bound_of_its_solve(case):
+    # Weyl: the norm of the residue is within error_bound of its largest computed |value|
+    res = split_diagonal(BOX_KERNELS[case]).residue
+    dec = eigendecompose_hermitian(res)
+    assert dec.error_bound > 0
+    assert residue_norm(BOX_KERNELS[case]) >= np.max(np.abs(dec.eigenvalues)) + dec.error_bound

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_pdo import schrodinger
-from lattice_pdo.fourier import coefficient_table, spectrum_of_row
+from lattice_pdo import schrodinger, symbols
+from lattice_pdo.fourier import coefficient_table, spectrum_of_row, toroidal_coefficient
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
@@ -495,6 +495,61 @@ def test_scattered_points_are_summed_point_by_point():
     assert peak < grid_bytes / 100
     want, l1 = direct_phase_sum(K, k, theta, (0, 0, 0))
     assert np.max(np.abs(values - want)) <= 1e-12 * l1
+
+
+def _matrix_symbol_3d_radius_4():
+    spec, box = LatticeSpec(1.0, 3), BoxTruncation(4)
+    return symbol_from_matrix(KernelMatrix(
+        spec, box, np.random.default_rng(0).normal(size=(box.size(3), box.size(3)))))
+
+
+def test_phase_sums_stay_within_their_preflight(monkeypatch):
+    # the matrix symbol forced to quadrature on 64^3 points, 2^14 points a call: phase
+    # tables of 27 and partial sums of 81 complex values a point at their widest
+    counted, peaks = [], []
+    check_fits, phase_sum = symbols.check_fits, symbols._phase_sum
+
+    def counting(need, what):
+        counted.append(need)
+        check_fits(need, what)
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = phase_sum(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(symbols, "check_fits", counting)
+    monkeypatch.setattr(symbols, "_phase_sum", traced)
+    sym = _matrix_symbol_3d_radius_4()
+    tracemalloc.start()
+    try:
+        toroidal_coefficient(sym, (0, 0, 0), (1, 0, 0), force_quadrature=True)
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == len(peaks) == 64 ** 3 // 2 ** 14
+    assert max(peaks) > 16 * 2 ** 14 * 81  # the partial sums were built
+    assert all(peak <= need for peak, need in zip(peaks, counted))
+
+
+def test_phase_sums_preflight_refuses_before_any_table(monkeypatch):
+    def refuse(need, what):
+        raise ValueError(f"{what} needs {need} bytes, more than the physical memory")
+
+    monkeypatch.setattr(symbols, "check_fits", refuse)
+    sym = _matrix_symbol_3d_radius_4()
+    theta = np.random.default_rng(1).random((2 ** 14, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match=r"^phase sums over 729 frequencies at 16384 points "
+                                             r"needs \d+ bytes"):
+            eval_symbol(sym, (0, 0, 0), theta)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(theta)  # less than one complex value a point
 
 
 def c_pow_overflows(r, exponent):
