@@ -6,21 +6,21 @@ vector e_i puts coefficient values down column i.  For the forward
 difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
-Every matrix is stored one way, decided in this module and nowhere else:
-as its nonzero (row, col, value) triplets, sorted row-major.  A closed
-form gives them from one table, at most 3^n a row (every built-in family
-has torus-frequency support radius at most 1).  A square array (a user's
-matrix, a series read or FFT quadrature, `read_binary` input) gives its
-triplets through one reader, `np.nonzero`, so an entry equal to 0 (-0.0
-too) is never stored.  Only eigenvectors, `apply`, `write_binary` and
-`symbol_from_matrix` read `entries`, the dense matrix, which is built on
-first access (after checking that it fits in memory) and kept.
-Eigenvalues alone (`spectral.eigendecompose_hermitian`, `residue_norm`)
-read `reflection_blocks`, dense blocks one per parity pattern of the axis
-reflections that fix the triplets, each built and checked to fit in
-memory on its own and not kept.  The values alone decide the dtype
-(`stored_entries`): real values are stored as float64 (so real symmetric
-operators get the real eigensolvers), anything else as complex128.
+Every matrix is stored one way, decided in this module and nowhere else: as
+its nonzero (row, col, value) triplets, sorted row-major.  A closed form
+gives them from one table, at most 3^n a row (every built-in family has
+torus-frequency support radius at most 1).  A square array (a user's
+matrix, a series read or FFT quadrature, `read_binary` input, or a plain
+array given to a reader, stored with no lattice by `as_kernel`) gives its
+triplets through one reader, `np.flatnonzero`, so an entry equal to 0 (-0.0
+too) is never stored.  Only `spectral`'s eigenvectors and SVD read
+`entries`, the dense matrix, built on first access (after checking that it
+fits in memory) and kept.  Eigenvalues alone read `reflection_blocks`,
+dense blocks one per parity pattern of the axis reflections that fix the
+triplets, each built and checked to fit in memory on its own and not kept.
+The values alone decide the dtype (`stored_entries`): real values are
+stored as float64 (so real symmetric operators get the real eigensolvers),
+anything else as complex128.
 Truncation is plain restriction to the box (no boundary corrections).
 """
 
@@ -48,10 +48,12 @@ def stored_entries(a) -> np.ndarray:
     return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
 
 
-def _nonzero(a):
-    # the one reader of a square array: its nonzero (rows, cols, values), row-major
-    rows, cols = np.nonzero(a)
-    return rows, cols, a[rows, cols]
+def _nonzeros(a):
+    # the one reader of a square array: its nonzeros' flat positions and values, preflighted
+    nnz = np.count_nonzero(a)
+    check_fits(nnz * TRIPLET_BYTES, f"{nnz} nonzeros of a {len(a)}x{len(a)} matrix")
+    flat = np.flatnonzero(a)
+    return flat, np.take(a, flat)
 
 
 class KernelMatrix:
@@ -61,8 +63,8 @@ class KernelMatrix:
     (`TRIPLET_BYTES` each, checked to fit in physical memory first), and
     leaves the caller's array as it was.  The stored triplets are
     read-only, checked finite once (`NonFiniteError` names the row point of
-    least norm that holds a non-finite entry) and never replaced, so
-    `asymmetry` is computed once.
+    least norm holding a non-finite entry; with no lattice, `as_kernel`,
+    the first (row, col)) and never replaced, so `asymmetry` is computed once.
     """
 
     def __init__(self, spec: LatticeSpec, box: BoxTruncation, entries, provenance=None):
@@ -70,33 +72,34 @@ class KernelMatrix:
         size = box.size(spec.dim)
         if a.shape != (size, size):
             raise ValueError(f"entries must be {size}x{size} for this box, got {a.shape}")
-        nnz = np.count_nonzero(a)
-        check_fits(nnz * TRIPLET_BYTES, f"{nnz} nonzeros of a {size}x{size} matrix")
-        self._store(spec, box, provenance, _nonzero(a))
+        self._store(spec, box, size, *_nonzeros(a), provenance)
 
     @classmethod
-    def _from_flat(cls, spec, box, flat, values, provenance):
-        # values at the distinct positions row * size + col, in any order; zeros are dropped
+    def _from_flat(cls, spec, box, size, flat, values, provenance):
+        return cls.__new__(cls)._store(spec, box, size, flat, values, provenance)
+
+    def _store(self, spec, box, size, flat, values, provenance):
+        # the one construction, from values at distinct positions row * size + col; 0 is dropped
         values = stored_entries(values)
         keep = np.flatnonzero(values)
         order = keep[np.argsort(flat[keep])]
-        K = cls.__new__(cls)
-        K._store(spec, box, provenance, (*np.divmod(flat[order], box.size(spec.dim)), values[order]))
-        return K
-
-    def _store(self, spec, box, provenance, triplets):
-        if not np.all(np.isfinite(triplets[2])):  # NonFiniteError names the row point
-            _finite_at(enumerate_box(spec, box)[triplets[0]], triplets[2], "kernel entry")
-        for part in triplets:
+        rows, cols = np.divmod(flat[order], size)
+        values = values[order]
+        finite = np.isfinite(values)
+        if not finite.all():
+            if spec is None:
+                i = np.argmin(finite)
+                raise NonFiniteError(f"matrix entry is not finite at (row, col) = "
+                                     f"({rows[i]}, {cols[i]}): {values[i]}")
+            _finite_at(enumerate_box(spec, box)[rows], values, "kernel entry")
+        for part in (rows, cols, values):
             part.setflags(write=False)
         self.spec = spec
         self.box = box
+        self.size = size
         self.provenance = dict(provenance or {})
-        self._triplets = triplets
-
-    @property
-    def size(self) -> int:
-        return self.box.size(self.spec.dim)
+        self._triplets = rows, cols, values
+        return self
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -137,30 +140,37 @@ def reflection_blocks(K: KernelMatrix):
     the product of sign(w_a) over the odd axes (a triplet with
     chi_s(w) = 0 adds nothing) and nz counts nonzero folded coordinates.
     The spectrum of K is the union of its blocks' spectra.  With no folded
-    axis there is one block: `entries`, bit for bit.  The rounding of the
-    other blocks is bounded in `spectral.eigendecompose_hermitian`.
+    axis (or no lattice) the one block, `entries`, is built from the
+    triplets; the rounding of the others is bounded in `spectral`.
     """
-    n, r, size = K.spec.dim, K.box.radius, K.size
     rows, cols, values = K._triplets
-    # bytes a triplet at the peak, when a block's dense matrix is built with no axis
-    # folded, so every selection keeps every triplet: six (nnz, n) int64 coordinate
-    # arrays (zr, zc, u, w, w_abs, sign: 48 n); the bool rep and seven 8-byte arrays
-    # (keys, d, weight, chi, keep, the block rows and cols: 57); five more in
-    # `_summed_dense` (the flat keys, their order, the first of each run, its rows and
-    # cols: 40); and three value arrays of at most 16 bytes (v, the scaled values and
-    # their sums: 48).  `_dense` checks the block itself.
-    check_fits((48 * n + 145) * len(values), f"reflection blocks of {len(values)} triplets")
-    side = 2 * r + 1
-    strides = side ** np.arange(n - 1, -1, -1)
+    folded = []
+    if K.spec is not None:
+        n, r, size = K.spec.dim, K.box.radius, K.size
+        # bytes a triplet at the peak of a block's build, as if every selection kept every
+        # triplet: six (nnz, n) int64 coordinate arrays (zr, zc, u, w, w_abs, sign: 48 n);
+        # the bool rep and seven 8-byte arrays (keys, d, weight, chi, keep, the block rows
+        # and cols: 57); five more in `_summed_dense` (the flat keys, their order, the first
+        # of each run, its rows and cols: 40); and three value arrays of at most 16 bytes
+        # (v, the scaled values and their sums: 48).  The fold test needs less; `_dense`
+        # checks each block.
+        check_fits((48 * n + 145) * len(values), f"reflection blocks of {len(values)} triplets")
+        side = 2 * r + 1
+        strides = side ** np.arange(n - 1, -1, -1)
+        keys = rows * size + cols
+
+        def fixes(a):
+            # reflecting axis a takes a box index i to i - 2 strides[a] z_a(i)
+            mirrored = [i - 2 * strides[a] * (i // strides[a] % side - r) for i in (rows, cols)]
+            mirrored = mirrored[0] * size + mirrored[1]
+            order = np.argsort(mirrored)
+            return np.array_equal(mirrored[order], keys) and np.array_equal(values[order], values)
+
+        folded = [a for a in range(n) if fixes(a)]
+    if not folded:
+        yield _dense(K.size, rows, cols, values)
+        return
     zr, zc = (i[:, None] // strides % side - r for i in (rows, cols))
-    keys = rows * size + cols
-
-    def fixes(a):
-        mirrored = (rows - 2 * zr[:, a] * strides[a]) * size + cols - 2 * zc[:, a] * strides[a]
-        order = np.argsort(mirrored)
-        return np.array_equal(mirrored[order], keys) and np.array_equal(values[order], values)
-
-    folded = [a for a in range(n) if fixes(a)]
     rep = np.all(zr[:, folded] >= 0, axis=1)
     u, w, v = zr[rep], zc[rep], values[rep]
     d = np.count_nonzero(u[:, folded], axis=1) - np.count_nonzero(w[:, folded], axis=1)
@@ -239,7 +249,7 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
             [np.abs(zj[:, None] + oj) <= r for zj, oj in zip(zs.T, offsets.T)]))
         # in box order, the column of row i at offset z is i + z . strides
         shifts = offsets @ (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
-        return KernelMatrix._from_flat(spec, box, rows * (size + 1) + shifts[cols],
+        return KernelMatrix._from_flat(spec, box, size, rows * (size + 1) + shifts[cols],
                                        sym.closed_form_coeffs(zs, offsets)[rows, cols],
                                        {"symbol": sym.name, "method": "closed-form", "radius": r})
 
@@ -251,23 +261,26 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
         "symbol": sym.name, "method": method, "radius": r})
 
 
-def _triplets_of(K):
-    # (size, rows, cols, values) of a KernelMatrix, or of a plain square array by `_nonzero`
+def as_kernel(K) -> KernelMatrix:
+    """K itself, or a plain square array stored as a KernelMatrix with no lattice."""
     if isinstance(K, KernelMatrix):
-        return K.size, *K._triplets
-    a = entries_of(K)
-    return len(a), *_nonzero(a)
+        return K
+    a = stored_entries(K)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return KernelMatrix._from_flat(None, None, len(a), *_nonzeros(a), None)
 
 
 def power_sums(K, p: float, axis: int) -> np.ndarray:
     """sum of |A(k, m)|^p over rows k (axis 0, per column) or columns m (axis 1, per row).
 
     p = inf gives the per-column or per-row maximum instead.  This is the
-    one reader of the criterion sums, for a KernelMatrix (its triplets) or a
-    plain square array (its nonzeros by `np.nonzero`).  Each column or row
-    adds its terms in row-major order from 0.0.
+    one reader of the criterion sums, of a KernelMatrix's triplets or a
+    plain square array's (`as_kernel`).  Each column or row adds its terms
+    in row-major order from 0.0.
     """
-    size, rows, cols, values = _triplets_of(K)
+    K = as_kernel(K)
+    size, (rows, cols, values) = K.size, K._triplets
     line, w = (cols if axis == 0 else rows), np.abs(values)
     if p == math.inf:
         out = np.zeros(size)
@@ -278,11 +291,14 @@ def power_sums(K, p: float, axis: int) -> np.ndarray:
 
 
 def apply(K: KernelMatrix, a) -> np.ndarray:
-    """Matrix-vector product in box enumeration order."""
+    """Matrix-vector product in box enumeration order, each row's terms added in column order."""
     v = np.asarray(a, dtype=complex)
     if v.shape != (K.size,):
         raise ValueError(f"sequence length {v.shape} does not match box size {K.size}")
-    return K.entries @ v
+    rows, cols, values = K._triplets
+    out = np.zeros(K.size, dtype=complex)
+    np.add.at(out, rows, values * v[cols])
+    return out
 
 
 def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
@@ -291,8 +307,8 @@ def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
     on = rows == cols
     d = np.zeros(K.size, dtype=values.dtype)
     d[rows[on]] = values[on]
-    residue = KernelMatrix._from_flat(K.spec, K.box, rows[~on] * K.size + cols[~on], values[~on],
-                                      provenance=dict(K.provenance, part="off-diagonal"))
+    residue = KernelMatrix._from_flat(K.spec, K.box, K.size, rows[~on] * K.size + cols[~on],
+                                      values[~on], dict(K.provenance, part="off-diagonal"))
     return DiagonalSplit(d, residue)
 
 
@@ -301,27 +317,8 @@ def subtract_diagonal(K: KernelMatrix, d) -> KernelMatrix:
     split, size = split_diagonal(K), K.size
     rows, cols, values = split.residue._triplets
     return KernelMatrix._from_flat(
-        K.spec, K.box, np.concatenate([rows * size + cols, np.arange(size) * (size + 1)]),
+        K.spec, K.box, size, np.concatenate([rows * size + cols, np.arange(size) * (size + 1)]),
         np.concatenate([values, split.diagonal - d]), provenance=K.provenance)
-
-
-def entries_of(K) -> np.ndarray:
-    """The entries of a KernelMatrix, or a plain square array under `stored_entries`.
-
-    A plain array is held to a KernelMatrix's rule: a non-finite entry
-    raises NonFiniteError, naming the first (row, col) in row-major order.
-    """
-    if isinstance(K, KernelMatrix):
-        return K.entries
-    a = stored_entries(K)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    finite = np.isfinite(a)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteError(f"matrix entry is not finite at (row, col) = ({row}, {col}): "
-                             f"{a[row, col]}")
-    return a
 
 
 def _lookup(size, rows, cols, values, at_rows, at_cols) -> np.ndarray:
@@ -338,11 +335,8 @@ def _asymmetry(size, rows, cols, values) -> float:
 
 
 def hermitian_check(K):
-    """(is_hermitian, max |A(k,m) - conj(A(m,k))|) of a KernelMatrix or a square array.
-
-    Hermitian means an asymmetry of at most HERMITIAN_TOL.
-    """
-    asym = K.asymmetry if isinstance(K, KernelMatrix) else _asymmetry(*_triplets_of(K))
+    """(asymmetry <= HERMITIAN_TOL, `asymmetry`) of a KernelMatrix or a square array."""
+    asym = as_kernel(K).asymmetry
     return asym <= HERMITIAN_TOL, asym
 
 
@@ -352,7 +346,7 @@ def hermitize(K: KernelMatrix) -> KernelMatrix:
     flat = np.union1d(rows * size + cols, cols * size + rows)
     r, c = np.divmod(flat, size)
     sym = 0.5 * (_lookup(size, *K._triplets, r, c) + np.conj(_lookup(size, *K._triplets, c, r)))
-    return KernelMatrix._from_flat(K.spec, K.box, flat, sym,
+    return KernelMatrix._from_flat(K.spec, K.box, size, flat, sym,
                                    provenance=dict(K.provenance, hermitized=True))
 
 
@@ -371,9 +365,18 @@ _BIN_HEADER = struct.Struct("<qdq")  # dim, hbar, radius
 
 def write_binary(K: KernelMatrix, path) -> None:
     """Compact binary: header (n int64, hbar float64, R int64), then row-major complex128."""
+    size, (rows, cols, values) = K.size, K._triplets
+    check_dense_fits((size, size))
+    # refused as `entries` is, but written from the triplets through ~1 MiB of zeroed rows
+    buf = np.zeros((max(1, 2 ** 20 // (16 * size)), size), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(K.spec.dim, K.spec.hbar, K.box.radius))
-        fh.write(np.ascontiguousarray(K.entries, dtype="<c16").tobytes())
+        for start in range(0, size, len(buf)):
+            lo, hi = np.searchsorted(rows, [start, start + len(buf)])
+            at = rows[lo:hi] - start, cols[lo:hi]
+            buf[at] = values[lo:hi]
+            fh.write(buf[:size - start])
+            buf[at] = 0
 
 
 def read_binary(path) -> KernelMatrix:

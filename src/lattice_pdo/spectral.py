@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (KernelMatrix, entries_of, hermitian_check, power_sums, reflection_blocks,
+from .kernel import (KernelMatrix, as_kernel, hermitian_check, power_sums, reflection_blocks,
                      split_diagonal)
 from .symbols import SymbolOrder
 from ._util import rounded_up
@@ -42,30 +42,29 @@ class SpectralResult:
 def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     """Full spectrum of a Hermitian kernel matrix (or plain square array).
 
-    Real input is solved in real arithmetic, with real eigenvectors.
-    Eigenvalues alone of a KernelMatrix come from its reflection blocks
-    (`kernel.reflection_blocks`), each solved apart, and merged by sorting;
-    eigenvectors, and eigenvalues of a plain array, from the dense matrix.
+    Real input is solved in real arithmetic, with real eigenvectors (from
+    the dense matrix); eigenvalues alone by `kernel.reflection_blocks`.
 
     error_bound = scale * eps * ||K||_inf bounds each sorted value's
     distance from the exact one (Weyl).  A dense solve of an m-point B is
     taken to be exact for a matrix within m eps ||B||_2 <= m eps ||K||_inf
-    of B, B being K or a block of K: scale = size for a dense solve.  A
-    block entry, a sum of at most 2^n weighted terms of K, real and
-    imaginary parts apart, rounds by at most (2^n + 2) eps times the same
-    sum over |K|, so the blocks are those of a matrix within
+    of B, B being K or a block of K: scale = size for a dense solve or a
+    plain array.  A block entry, a sum of at most 2^n weighted terms of K,
+    real and imaginary parts apart, rounds by at most (2^n + 2) eps times
+    the same sum over |K|, so the blocks are those of a matrix within
     (2^n + 2) eps ||K||_inf of K (|K| is symmetric).  A block has at most
     (R + 1)(2R + 1)^(n-1) points when an axis folds, and a box with no
     folded axis has one block, formed exactly, so a block solve has
     scale = max(size, (R + 1)(2R + 1)^(n-1) + 2^n + 2), growing with R:
     the box size except in 1-d with R <= 3 and in 2-d and 3-d with R = 1.
     """
+    K = as_kernel(K)
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     if not want_vectors:
         return _eigenvalues(K)
-    vals, vecs = np.linalg.eigh(entries_of(K))
+    vals, vecs = np.linalg.eigh(K.entries)
     if vecs.size:
         top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
         # libm's hypot, as abs() of a complex scalar: np.abs of a complex
@@ -74,12 +73,12 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     return _bounded(K, vals, vecs, len(vals))
 
 
-def _eigenvalues(K) -> SpectralResult:
-    # the values-only solve of a Hermitian KernelMatrix by its blocks, or of a plain array
-    if not isinstance(K, KernelMatrix):
-        return _bounded(K, np.linalg.eigvalsh(entries_of(K)), None, len(K))
-    n, r = K.spec.dim, K.box.radius
+def _eigenvalues(K: KernelMatrix) -> SpectralResult:
+    # the values-only solve of a Hermitian KernelMatrix by its blocks
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in reflection_blocks(K)]))
+    if K.spec is None:
+        return _bounded(K, vals, None, K.size)
+    n, r = K.spec.dim, K.box.radius
     return _bounded(K, vals, None, max(K.size, (r + 1) * (2 * r + 1) ** (n - 1) + 2 ** n + 2))
 
 
@@ -91,25 +90,19 @@ def _bounded(K, vals, vecs, scale: int) -> SpectralResult:
 def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
-    An exactly Hermitian residue (a KernelMatrix's solved in its reflection
-    blocks) gives max |lambda| + error_bound (Weyl), rounded up once; any
-    other goes through an SVD, taken to be exact for a matrix within
-    size * eps * ||R|| of the one solved, so its norm falls at most
-    size * eps short, which `rounded_up` adds back.  Dropping the diagonal
-    adds no asymmetry, so an exactly Hermitian KernelMatrix's residue is
-    not checked.
+    An exactly Hermitian residue (`kernel.split_diagonal`'s, solved in its
+    reflection blocks) gives max |lambda| + error_bound (Weyl), rounded up
+    once; any other goes through an SVD, taken to be exact for a matrix
+    within size * eps * ||R|| of the one solved, so its norm falls at most
+    size * eps short, which `rounded_up` adds back.
     """
-    if isinstance(K, KernelMatrix):
-        res = split_diagonal(K).residue
-    else:
-        res = np.array(entries_of(K))
-        np.fill_diagonal(res, 0.0)
-    if (isinstance(K, KernelMatrix) and K.asymmetry == 0) or hermitian_check(res)[1] == 0:
+    K = as_kernel(K)
+    res = split_diagonal(K).residue
+    if K.asymmetry == 0 or res.asymmetry == 0:  # dropping the diagonal adds no asymmetry
         dec = _eigenvalues(res)
         return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
                           1, 0.0)
-    a = entries_of(res)
-    return rounded_up(float(np.linalg.norm(a, 2)), len(a), 0.0)
+    return rounded_up(float(np.linalg.norm(res.entries, 2)), res.size, 0.0)
 
 
 @dataclass
@@ -155,7 +148,7 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     n = K.spec.dim
     applicable = order.mu < -(n + 2) * order.delta
 
-    diag = np.real(np.diag(K.entries))
+    diag = np.real(split_diagonal(K).diagonal)
     pts = K.points()
     perm = np.argsort(diag, kind="stable")
 
@@ -216,7 +209,7 @@ def sandwich_check(K: KernelMatrix) -> SandwichReport:
     A non-Hermitian K is refused by the eigendecomposition.
     """
     dec = eigendecompose_hermitian(K, want_vectors=True)
-    diag = np.real(np.diag(K.entries))
+    diag = np.real(split_diagonal(K).diagonal)
     rnorm = residue_norm(K)
 
     lam = dec.eigenvalues

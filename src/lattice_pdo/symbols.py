@@ -395,17 +395,20 @@ def symbol_from_matrix(K) -> Symbol:
     Its series is the row viewed as a (2R+1,)*n tensor over integer column
     coordinates a, with frequencies a - z_j along axis j (z the row's integer
     coordinates), lowest -R - z_j, so a theta point costs at most n(2R+1)
-    exponentials rather than (2R+1)^n.
+    exponentials rather than (2R+1)^n, filled from the row's triplets.
     """
-    spec = K.spec
-    r = K.box.radius
-    rows = np.asarray(K.entries).reshape(2 * box_shape(spec, K.box))
+    spec, r = K.spec, K.box.radius
+    rows, cols, values = K._triplets
+    shape = box_shape(spec, K.box)
     outside = np.zeros((1,) * spec.dim), np.zeros(spec.dim, dtype=np.int64)
 
     def row_series(z):
         if np.any(np.abs(z) > r):
             return outside
-        return rows[tuple(z + r)], -r - z
+        lo, hi = np.searchsorted(rows, np.ravel_multi_index(tuple(z + r), shape) + np.arange(2))
+        coeffs = np.zeros(K.size, dtype=values.dtype)
+        coeffs[cols[lo:hi]] = values[lo:hi]
+        return coeffs.reshape(shape), -r - z
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,26 @@ def test_hermitian_check():
     assert not ok
     ok, asym = hermitian_check(hermitize(Kd))
     assert ok and asym == 0.0
+
+
+@pytest.mark.parametrize("read, checks", [
+    (eigendecompose_hermitian, 1), (lambda a: eigendecompose_hermitian(a, True), 1),
+    (residue_norm, 2), (lambda a: residue_norm(a + 1j * np.triu(a, 1)), 2),
+], ids=["eigenvalues", "eigenvectors", "residue_norm", "residue_norm_svd"])
+def test_a_plain_array_is_read_once(monkeypatch, read, checks):
+    # a plain array is stored once, as a KernelMatrix with no lattice, and checked finite
+    # once; residue_norm checks one more matrix, the residue split from it
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return isfinite(*args, **kwargs)
+
+    a = np.diag(np.arange(40.0)) + np.eye(40, k=1) + np.eye(40, k=-1)
+    monkeypatch.setattr(np, "isfinite", counted)
+    read(a)
+    assert len(calls) == checks
 
 
 @pytest.mark.parametrize("read", [
@@ -225,6 +246,76 @@ def test_binary_roundtrip(tmp_path):
     assert K2.spec == K.spec
     assert K2.box == K.box
     np.testing.assert_array_equal(K2.entries, K.entries)
+
+
+def no_dense(*args):
+    raise AssertionError("a dense matrix was built")
+
+
+def bin_kernels():
+    # the console-script 2-d export (one block of rows), the same at R=8 (289 rows: two
+    # blocks of 226 and 63 rows), and a complex kernel whose real or imaginary part, or
+    # both, are 0 at some entries (401 rows: blocks of 163, 163 and 75), with the digests
+    # of their files
+    spec = LatticeSpec(0.5, 2)
+    i = np.arange(401 * 401).reshape(401, 401)
+    return [
+        (assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, BoxTruncation(6)),
+         "1a74887a553772571d582a5f772327c2842391f22638a8502ccc28d3858f684a"),
+        (assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, BoxTruncation(8)),
+         "8dfb0bb1c5dccc7c3f1a4a739234f9654b41d01cc8635771324d742d5ec6a7ad"),
+        (KernelMatrix(LatticeSpec(1.0, 1), BoxTruncation(200), (i % 7 - 3) + 1j * (i % 5 - 2)),
+         "74aa18c0bc87a7fc5796569d449317a0dcc4d40a78ca8e2fee9d8ada92676829"),
+    ]
+
+
+def test_binary_export_streams_the_same_bytes(monkeypatch, tmp_path):
+    # each block of rows is written from the triplets: the file is the dense matrix's,
+    # byte for byte, whole or partial last block, and no dense matrix is built
+    monkeypatch.setattr(kernel, "_dense", no_dense)
+    for K, digest in bin_kernels():
+        write_binary(K, tmp_path / "k.bin")
+        assert hashlib.sha256((tmp_path / "k.bin").read_bytes()).hexdigest() == digest
+
+
+def test_binary_export_is_refused_before_any_byte(monkeypatch, tmp_path):
+    def refuse(shape):
+        raise ValueError(f"a dense {shape} matrix does not fit")
+
+    monkeypatch.setattr(kernel, "check_dense_fits", refuse)
+    with pytest.raises(ValueError, match="does not fit"):
+        write_binary(bin_kernels()[0][0], tmp_path / "k.bin")
+    assert not (tmp_path / "k.bin").exists()
+
+
+def test_matrix_symbol_roundtrip_builds_no_dense_matrix(monkeypatch):
+    # each row's series is gathered from its triplets, and reassembly stores them back
+    rng = np.random.default_rng(11)
+    spec, box = LatticeSpec(0.5, 2), BoxTruncation(2)
+    M = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    M[rng.random((25, 25)) < 0.5] = 0
+    M[7] = 0  # a row with no triplet
+    for a in (M, M.real):
+        K = KernelMatrix(spec, box, a)
+        monkeypatch.setattr(kernel, "_dense", no_dense)
+        K2 = assemble(symbol_from_matrix(K), spec, box)
+        monkeypatch.undo()
+        for got, want in zip(K2._triplets, K._triplets):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_apply_adds_each_row_in_column_order(monkeypatch):
+    # the triplet product: row k's terms A(k, m) v(m) added from 0 in increasing m
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(9, 9)) * 10.0 ** rng.integers(-8, 8, size=(9, 9))
+    v = rng.normal(size=9) + 1j * rng.normal(size=9)
+    K = KernelMatrix(SPEC1, BoxTruncation(4), a * (rng.random((9, 9)) < 0.7))
+    want = np.zeros(9, dtype=complex)
+    for k, m, value in zip(*K._triplets):
+        want[k] += value * v[m]
+    monkeypatch.setattr(kernel, "_dense", no_dense)
+    assert np.array_equal(apply(K, v), want)
 
 
 def test_roundtrip_2d_quadrature_path():
@@ -454,7 +545,7 @@ def test_power_sums_add_the_row_major_nonzeros_in_order():
         for a in (full, full_complex):
             matrices += [a, a * (rng.random((size, size)) < 0.05)]
     for K in matrices:
-        a = kernel.entries_of(K)
+        a = kernel.as_kernel(K).entries
         for p in (1.0, 1.5, 2.0, 3.0, np.inf):
             for axis in (0, 1):
                 np.testing.assert_array_equal(kernel.power_sums(K, p, axis),
@@ -593,7 +684,7 @@ def test_dense_input_preflight_counts_its_nonzeros(monkeypatch):
         raise AssertionError("the nonzeros were read")
 
     monkeypatch.setattr(kernel, "check_fits", refuse)
-    monkeypatch.setattr(kernel, "_nonzero", no_read)
+    monkeypatch.setattr(np, "flatnonzero", no_read)
     with pytest.raises(ValueError, match="3 nonzeros of a 5x5 matrix needs 96 bytes"):
         KernelMatrix(SPEC1, BoxTruncation(2), a)
 
@@ -637,6 +728,13 @@ def test_reflection_blocks_stay_within_their_preflight(monkeypatch, tilt, blocks
     assert peak <= counted[0] + max(dense)
     if blocks == 4:  # folded, the count alone covers it
         assert peak <= counted[0]
+    if blocks == 1:
+        # no axis folds, so the peak is the fold test's, or the one block built straight
+        # from the triplets with the keys beside it: the fold test holds the keys, one
+        # axis's mirrored keys, their argsort order, one gather of the mirrored keys or
+        # of the values (at most 16 bytes) and the bool of its comparison, 41 bytes a
+        # triplet at most
+        assert peak <= (3 * 8 + 16 + 1) * 390625 + max(dense)
 
 
 def test_reflection_blocks_preflight_refuses_before_any_temporary(monkeypatch):
