@@ -399,16 +399,17 @@ def symbol_from_matrix(K) -> Symbol:
     """
     spec, r = K.spec, K.box.radius
     rows, cols, values = K._triplets
-    shape = box_shape(spec, K.box)
+    # box point z is row i = index[z] (none outside the box), its triplets starts[i]:starts[i + 1]
+    index = {z: i for i, z in enumerate(map(tuple, enumerate_box_integers(spec, K.box).tolist()))}
+    starts = np.searchsorted(rows, np.arange(K.size + 1))
     outside = np.zeros((1,) * spec.dim), np.zeros(spec.dim, dtype=np.int64)
 
     def row_series(z):
-        if np.any(np.abs(z) > r):
+        if (i := index.get(tuple(z.tolist()))) is None:
             return outside
-        lo, hi = np.searchsorted(rows, np.ravel_multi_index(tuple(z + r), shape) + np.arange(2))
         coeffs = np.zeros(K.size, dtype=values.dtype)
-        coeffs[cols[lo:hi]] = values[lo:hi]
-        return coeffs.reshape(shape), -r - z
+        coeffs[cols[starts[i]:starts[i + 1]]] = values[starts[i]:starts[i + 1]]
+        return coeffs.reshape(box_shape(spec, K.box)), -r - z
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 
