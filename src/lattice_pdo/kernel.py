@@ -9,23 +9,23 @@ and -1 at k = i.
 Every matrix is stored one way, decided in this module and nowhere else: as
 its nonzero (row, col, value) triplets, sorted row-major.  A closed form
 gives them from one table, at most 3^n a row (every built-in family has
-torus-frequency support radius at most 1).  A square array (a user's
-matrix, a series read or FFT quadrature, `read_binary` input, or a plain
-array given to a reader, stored with no lattice by `as_kernel`) gives its
-triplets through one reader, `np.flatnonzero`, so an entry equal to 0 (-0.0
-too) is never stored.  Only `spectral`'s eigenvectors and SVD read
-`entries`, the dense matrix, built on first access (after checking that it
-fits in memory) and kept.  Eigenvalues alone read `reflection_blocks`,
-dense blocks one per parity pattern of the axis reflections that fix the
-triplets, each built and checked to fit in memory on its own and not kept.
-The values alone decide the dtype (`stored_entries`): real values are
-stored as float64 (so real symmetric operators get the real eigensolvers),
-anything else as complex128.
+torus-frequency support radius at most 1).  A square array (a user's matrix,
+a series read or FFT quadrature, a plain array given to a reader, or
+`read_binary`'s ~1 MiB of rows at a time) gives its triplets through one
+reader, `np.flatnonzero` block by block, so an entry equal to 0 (-0.0 too)
+is never stored.  Only `spectral`'s eigenvectors and SVD read `entries`, the
+dense matrix, built on each read (after checking that it fits in memory) and
+not kept.  Eigenvalues alone read `reflection_blocks`, dense blocks one per
+parity pattern of the axis reflections that fix the triplets, each built and
+checked to fit in memory on its own and not kept.  The values alone decide
+the dtype (`stored_entries`): real values are stored as float64 (so real
+symmetric operators get the real eigensolvers), anything else as complex128.
 Truncation is plain restriction to the box (no boundary corrections).
 """
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,12 +48,16 @@ def stored_entries(a) -> np.ndarray:
     return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
 
 
-def _nonzeros(a):
-    # the one reader of a square array: its nonzeros' flat positions and values, preflighted
-    nnz = np.count_nonzero(a)
-    check_fits(nnz * TRIPLET_BYTES, f"{nnz} nonzeros of a {len(a)}x{len(a)} matrix")
-    flat = np.flatnonzero(a)
-    return flat, np.take(a, flat)
+def _nonzeros(size, blocks):
+    # the one square-array reader, by (first row, rows) blocks: nonzeros' flat positions, values
+    parts, nnz = [], 0
+    for first, a in blocks:
+        nnz += np.count_nonzero(a)  # preflighted before the block's nonzeros are kept
+        check_fits(nnz * TRIPLET_BYTES, f"{nnz} nonzeros of a {size}x{size} matrix")
+        flat = np.flatnonzero(a)
+        parts.append((flat + first * size, np.take(a, flat)))
+        del a  # before the next block is read
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 class KernelMatrix:
@@ -61,18 +65,18 @@ class KernelMatrix:
 
     ``KernelMatrix(spec, box, a)`` stores the nonzeros of a square array
     (`TRIPLET_BYTES` each, checked to fit in physical memory first), and
-    leaves the caller's array as it was.  The stored triplets are
-    read-only, checked finite once (`NonFiniteError` names the row point of
-    least norm holding a non-finite entry; with no lattice, `as_kernel`,
-    the first (row, col)) and never replaced, so `asymmetry` is computed once.
+    leaves the caller's array as it was; spec None stores it with no lattice.
+    The triplets, the only copy kept, are read-only and checked finite once
+    (`NonFiniteError` names the row point of least norm holding a non-finite
+    entry; with no lattice, the first (row, col)); `asymmetry` is computed once.
     """
 
     def __init__(self, spec: LatticeSpec, box: BoxTruncation, entries, provenance=None):
         a = stored_entries(entries)
-        size = box.size(spec.dim)
+        size = math.isqrt(a.size) if spec is None else box.size(spec.dim)
         if a.shape != (size, size):
-            raise ValueError(f"entries must be {size}x{size} for this box, got {a.shape}")
-        self._store(spec, box, size, *_nonzeros(a), provenance)
+            raise ValueError(f"entries must be a square {size}x{size} matrix, got {a.shape}")
+        self._store(spec, box, size, *_nonzeros(size, [(0, a)]), provenance)
 
     @classmethod
     def _from_flat(cls, spec, box, size, flat, values, provenance):
@@ -82,7 +86,7 @@ class KernelMatrix:
         # the one construction, from values at distinct positions row * size + col; 0 is dropped
         values = stored_entries(values)
         keep = np.flatnonzero(values)
-        order = keep[np.argsort(flat[keep])]
+        order = keep[np.argsort(flat[keep], kind="stable")]
         rows, cols = np.divmod(flat[order], size)
         values = values[order]
         finite = np.isfinite(values)
@@ -101,9 +105,9 @@ class KernelMatrix:
         self._triplets = rows, cols, values
         return self
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
-        """The dense matrix, built on first access and kept."""
+        """The dense matrix, read-only, built on each read and not kept."""
         return _dense(self.size, *self._triplets)
 
     @cached_property
@@ -262,13 +266,8 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
 
 
 def as_kernel(K) -> KernelMatrix:
-    """K itself, or a plain square array stored as a KernelMatrix with no lattice."""
-    if isinstance(K, KernelMatrix):
-        return K
-    a = stored_entries(K)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return KernelMatrix._from_flat(None, None, len(a), *_nonzeros(a), None)
+    """K itself, or a plain square array stored as ``KernelMatrix(None, None, K)``."""
+    return K if isinstance(K, KernelMatrix) else KernelMatrix(None, None, K)
 
 
 def power_sums(K, p: float, axis: int) -> np.ndarray:
@@ -380,11 +379,16 @@ def write_binary(K: KernelMatrix, path) -> None:
 
 
 def read_binary(path) -> KernelMatrix:
-    """Read a matrix written by write_binary."""
+    """Read a matrix written by write_binary, its length checked first, ~1 MiB of rows a read."""
     with open(path, "rb") as fh:
         dim, hbar, radius = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
         spec = LatticeSpec(hbar, int(dim))
         box = BoxTruncation(int(radius))
         size = box.size(spec.dim)
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(size, size)
-    return KernelMatrix(spec, box, data, provenance={"source": str(path)})
+        want, got = _BIN_HEADER.size + 16 * size * size, os.fstat(fh.fileno()).st_size
+        if got != want:
+            raise ValueError(f"{path} holds {got} bytes; a {size}x{size} matrix takes {want}")
+        step = max(1, 2 ** 20 // (16 * size))  # write_binary's rows a block
+        flat, values = _nonzeros(size, ((i, np.frombuffer(fh.read(16 * size * step), "<c16"))
+                                        for i in range(0, size, step)))
+    return KernelMatrix._from_flat(spec, box, size, flat, values, {"source": str(path)})

@@ -97,7 +97,10 @@ def residue_norm(K) -> float:
     size * eps short, which `rounded_up` adds back.
     """
     K = as_kernel(K)
-    res = split_diagonal(K).residue
+    return _residue_norm(K, split_diagonal(K).residue)
+
+
+def _residue_norm(K: KernelMatrix, res: KernelMatrix) -> float:
     if K.asymmetry == 0 or res.asymmetry == 0:  # dropping the diagonal adds no asymmetry
         dec = _eigenvalues(res)
         return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
@@ -148,7 +151,8 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     n = K.spec.dim
     applicable = order.mu < -(n + 2) * order.delta
 
-    diag = np.real(split_diagonal(K).diagonal)
+    split = split_diagonal(K)
+    diag = np.real(split.diagonal)
     pts = K.points()
     perm = np.argsort(diag, kind="stable")
 
@@ -165,7 +169,7 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
             overlaps[a:b] = np.linalg.norm(dec.eigenvectors[perm[a:b], a:b], axis=1)
     low_overlap = overlaps < 0.5
 
-    rnorm = residue_norm(K)
+    rnorm = _residue_norm(K, split.residue)
 
     matched_pts = pts[perm]
     norms = np.linalg.norm(matched_pts, axis=1)
@@ -209,8 +213,9 @@ def sandwich_check(K: KernelMatrix) -> SandwichReport:
     A non-Hermitian K is refused by the eigendecomposition.
     """
     dec = eigendecompose_hermitian(K, want_vectors=True)
-    diag = np.real(split_diagonal(K).diagonal)
-    rnorm = residue_norm(K)
+    split = split_diagonal(K)
+    diag = np.real(split.diagonal)
+    rnorm = _residue_norm(K, split.residue)
 
     lam = dec.eigenvalues
     dist = np.abs(lam[:, None] - diag[None, :])

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -269,13 +270,80 @@ def bin_kernels():
     ]
 
 
+def block_bytes(size):
+    """The bytes of one of write_binary's blocks of rows, about 1 MiB."""
+    return 16 * size * max(1, 2 ** 20 // (16 * size))
+
+
+def sized_reads(monkeypatch, limit):
+    """Make kernel's `open` give a file whose every read asks for at most ``limit`` bytes.
+
+    Returns the list of the sizes read.
+    """
+    reads = []
+
+    class SizedReads(io.BufferedReader):
+        def read(self, size=-1):
+            assert size is not None and 0 <= size <= limit, f"a read of {size} bytes"
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(kernel, "open", lambda path, mode: SizedReads(io.FileIO(path, mode)),
+                        raising=False)
+    return reads
+
+
 def test_binary_export_streams_the_same_bytes(monkeypatch, tmp_path):
     # each block of rows is written from the triplets: the file is the dense matrix's,
-    # byte for byte, whole or partial last block, and no dense matrix is built
+    # byte for byte, whole or partial last block, and no dense matrix is built.  Read
+    # back one block of rows a read (1, 2 and 3 blocks), it gives the triplets that were
+    # written, as complex128, the file's dtype
     monkeypatch.setattr(kernel, "_dense", no_dense)
-    for K, digest in bin_kernels():
-        write_binary(K, tmp_path / "k.bin")
-        assert hashlib.sha256((tmp_path / "k.bin").read_bytes()).hexdigest() == digest
+    kernels = bin_kernels()
+    for j, (K, digest) in enumerate(kernels):
+        write_binary(K, tmp_path / f"k{j}.bin")
+        assert hashlib.sha256((tmp_path / f"k{j}.bin").read_bytes()).hexdigest() == digest
+    for j, (K, _) in enumerate(kernels):
+        reads = sized_reads(monkeypatch, block_bytes(K.size))
+        K2 = read_binary(tmp_path / f"k{j}.bin")
+        assert reads[0] == 24 and len(reads) - 1 == j + 1
+        for got, want in zip(K2._triplets, K._triplets):
+            np.testing.assert_array_equal(got, want)
+        assert K2._triplets[2].dtype == np.complex128
+
+
+def test_binary_read_is_refused_before_a_second_block(monkeypatch, tmp_path):
+    # the running nonzero count is preflighted after each block is read, before its
+    # nonzeros are kept; a file of the wrong length is refused after the header alone
+    K = bin_kernels()[2][0]  # 401 rows, three blocks
+    write_binary(K, tmp_path / "k.bin")
+    reads = sized_reads(monkeypatch, block_bytes(K.size))
+
+    def refuse(need, what):
+        raise ValueError(f"{what} needs {need} bytes, more than the physical memory")
+
+    monkeypatch.setattr(kernel, "check_fits", refuse)
+    with pytest.raises(ValueError, match=r"^\d+ nonzeros of a 401x401 matrix needs"):
+        read_binary(tmp_path / "k.bin")
+    assert reads == [24, block_bytes(401)]
+    reads.clear()
+    with open(tmp_path / "k.bin", "ab") as fh:
+        fh.write(bytes(16))
+    with pytest.raises(ValueError, match=f"holds {24 + 16 * 401 ** 2 + 16} bytes; a 401x401 "
+                                         f"matrix takes {24 + 16 * 401 ** 2}$"):
+        read_binary(tmp_path / "k.bin")
+    assert reads == [24]
+
+
+def test_binary_of_the_wrong_length_is_refused(tmp_path):
+    # truncated mid-row, truncated at a row boundary, or one entry too many: a reader by
+    # blocks of rows takes each of them silently unless the file's length is checked
+    write_binary(bin_kernels()[1][0], tmp_path / "k.bin")
+    data = (tmp_path / "k.bin").read_bytes()
+    for bad in (data[:-16 * 100], data[:-16 * 289], data + bytes(16)):
+        (tmp_path / "bad.bin").write_bytes(bad)
+        with pytest.raises(ValueError):
+            read_binary(tmp_path / "bad.bin")
 
 
 def test_binary_export_is_refused_before_any_byte(monkeypatch, tmp_path):

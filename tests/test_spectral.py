@@ -3,7 +3,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from lattice_pdo import kernel
+from lattice_pdo import kernel, spectral
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
 from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian, neumann_truncation,
@@ -298,6 +298,48 @@ def test_sandwich_schrodinger():
     rep = sandwich_check(K)
     assert rep.chain_holds()
     assert np.max(rep.middle) <= 2 * np.cos(np.pi / 42) + 1e-10
+
+
+def test_no_dense_copy_is_kept():
+    # the dense matrix is built for each eigenvector solve and dropped after it
+    sym = decaying_test_symbol(3.0, 2.0, 1.0)
+    K = hermitize(assemble(sym, SPEC1, BoxTruncation(10)))
+
+    def dense_attributes():
+        found = []
+        for value in vars(K).values():
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray) and part.shape == (K.size, K.size):
+                    found.append(part)
+        return found
+
+    eigendecompose_hermitian(K, want_vectors=True)
+    assert dense_attributes() == []
+    diagonal_approximation(K, sym.order)
+    assert dense_attributes() == []
+    a, b = K.entries, K.entries
+    assert a is not b and not np.shares_memory(a, b)
+    assert np.array_equal(a, b)
+    assert not a.flags.writeable and not b.flags.writeable
+
+
+@pytest.mark.parametrize("check", ["diag-approx", "sandwich"])
+def test_one_split_per_check(monkeypatch, check):
+    # the diagonal and the residue norm come from one split of K
+    splits = []
+
+    def counted(K):
+        splits.append(K.size)
+        return split_diagonal(K)
+
+    sym = decaying_test_symbol(3.0, 2.0, 1.0)
+    K = hermitize(assemble(sym, SPEC1, BoxTruncation(10)))
+    monkeypatch.setattr(spectral, "split_diagonal", counted)
+    if check == "diag-approx":
+        diagonal_approximation(K, sym.order)
+    else:
+        sandwich_check(K)
+    assert splits == [21]
 
 
 def test_sandwich_requires_vectors_path():
