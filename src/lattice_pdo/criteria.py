@@ -26,7 +26,7 @@ def schur_l1_lp(K, p: float) -> float:
     """max over columns m of sum_k |A(k, m)|^p (the l1 -> lp column test)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float(np.max(power_sums(K, p, 0)))
+    return float(np.max(power_sums(K, p, 0), initial=0.0))
 
 
 def sup_entry(K) -> float:

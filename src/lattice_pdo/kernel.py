@@ -115,8 +115,14 @@ class KernelMatrix:
         """max |A(k,m) - conj(A(m,k))|."""
         return _asymmetry(self.size, *self._triplets)
 
+    def lattice(self):
+        """(spec, box), or ValueError for a matrix stored with no lattice."""
+        if self.spec is None:
+            raise ValueError(f"the {self.size}x{self.size} matrix has no lattice")
+        return self.spec, self.box
+
     def points(self) -> np.ndarray:
-        return enumerate_box(self.spec, self.box)
+        return enumerate_box(*self.lattice())
 
 
 def _dense(size, rows, cols, values) -> np.ndarray:
@@ -143,7 +149,8 @@ def reflection_blocks(K: KernelMatrix):
     (u, |w|), where |w| reflects w onto the representatives, chi_s(w) is
     the product of sign(w_a) over the odd axes (a triplet with
     chi_s(w) = 0 adds nothing) and nz counts nonzero folded coordinates.
-    The spectrum of K is the union of its blocks' spectra.  With no folded
+    The spectrum of K is the union of the spectra of its 2^f blocks, f
+    folded axes (at R = 0 all but one of them are 0x0).  With no folded
     axis (or no lattice) the one block, `entries`, is built from the
     triplets; the rounding of the others is bounded in `spectral`.
     """
@@ -186,8 +193,6 @@ def reflection_blocks(K: KernelMatrix):
         low = np.full(n, -r)
         low[folded] = odd
         shape = r + 1 - low
-        if not np.all(shape):
-            continue
         chi = np.prod(sign[:, odd_axes], axis=1)
         keep = np.flatnonzero(np.all(u[:, odd_axes] > 0, axis=1) & (chi != 0))
         block_strides = np.r_[np.cumprod(shape[:0:-1])[::-1], 1]
@@ -239,7 +244,7 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     complex128 otherwise.  ``threads`` is unused (rows are read in turn);
     it is kept because perfbench/workloads.py passes it.
     """
-    if spec.dim != sym.spec.dim or abs(spec.hbar - sym.spec.hbar) > 1e-12:
+    if spec != sym.spec:
         raise ValueError("lattice spec does not match the symbol's lattice")
     size = box.size(spec.dim)
     r = box.radius
@@ -362,14 +367,19 @@ def write_csv(K: KernelMatrix, path) -> None:
 _BIN_HEADER = struct.Struct("<qdq")  # dim, hbar, radius
 
 
+def _rows_per_block(size) -> int:
+    # kernel.bin is written and read ~1 MiB of rows at a time
+    return max(1, 2 ** 20 // (16 * size))
+
+
 def write_binary(K: KernelMatrix, path) -> None:
     """Compact binary: header (n int64, hbar float64, R int64), then row-major complex128."""
-    size, (rows, cols, values) = K.size, K._triplets
+    (spec, box), size, (rows, cols, values) = K.lattice(), K.size, K._triplets
     check_dense_fits((size, size))
     # refused as `entries` is, but written from the triplets through ~1 MiB of zeroed rows
-    buf = np.zeros((max(1, 2 ** 20 // (16 * size)), size), dtype="<c16")
+    buf = np.zeros((_rows_per_block(size), size), dtype="<c16")
     with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(K.spec.dim, K.spec.hbar, K.box.radius))
+        fh.write(_BIN_HEADER.pack(spec.dim, spec.hbar, box.radius))
         for start in range(0, size, len(buf)):
             lo, hi = np.searchsorted(rows, [start, start + len(buf)])
             at = rows[lo:hi] - start, cols[lo:hi]
@@ -379,16 +389,22 @@ def write_binary(K: KernelMatrix, path) -> None:
 
 
 def read_binary(path) -> KernelMatrix:
-    """Read a matrix written by write_binary, its length checked first, ~1 MiB of rows a read."""
+    """Read a write_binary file: header and length checked first, then ~1 MiB of rows a read."""
     with open(path, "rb") as fh:
-        dim, hbar, radius = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        spec = LatticeSpec(hbar, int(dim))
-        box = BoxTruncation(int(radius))
+        head, got = fh.read(_BIN_HEADER.size), os.fstat(fh.fileno()).st_size
+        if len(head) != _BIN_HEADER.size:
+            raise ValueError(f"{path} holds {got} bytes; the header takes {_BIN_HEADER.size}")
+        dim, hbar, radius = _BIN_HEADER.unpack(head)
+        spec, box = LatticeSpec(hbar, dim), BoxTruncation(radius)
+        # a box of more points than the file has bytes is refused before its size is computed
+        if dim * math.log(2 * radius + 1) > math.log(got):
+            raise ValueError(f"{path} holds {got} bytes; a box of {2 * radius + 1}^{dim} "
+                             f"points takes more")
         size = box.size(spec.dim)
-        want, got = _BIN_HEADER.size + 16 * size * size, os.fstat(fh.fileno()).st_size
+        want = _BIN_HEADER.size + 16 * size * size
         if got != want:
             raise ValueError(f"{path} holds {got} bytes; a {size}x{size} matrix takes {want}")
-        step = max(1, 2 ** 20 // (16 * size))  # write_binary's rows a block
+        step = _rows_per_block(size)
         flat, values = _nonzeros(size, ((i, np.frombuffer(fh.read(16 * size * step), "<c16"))
                                         for i in range(0, size, step)))
     return KernelMatrix._from_flat(spec, box, size, flat, values, {"source": str(path)})

@@ -18,14 +18,14 @@ LATTICE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Lattice hbar*Z^n: spacing ``hbar`` and dimension ``dim``."""
+    """Lattice hbar*Z^n: spacing ``hbar`` (positive and finite) and dimension ``dim``."""
 
     hbar: float
     dim: int
 
     def __post_init__(self):
-        if not (self.hbar > 0):
-            raise ValueError(f"lattice spacing must be positive, got {self.hbar}")
+        if not (0 < self.hbar < np.inf):
+            raise ValueError(f"lattice spacing must be positive and finite, got {self.hbar}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"lattice dimension must be a positive integer, got {self.dim}")
         object.__setattr__(self, "hbar", float(self.hbar))

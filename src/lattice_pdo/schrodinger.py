@@ -194,7 +194,7 @@ def neumann_truncation(H: KernelMatrix) -> KernelMatrix:
     coordinates, whatever the entries of H: one per coordinate equal to +R
     and one per coordinate equal to -R, so R = 0 counts both sides.
     """
-    z, r = enumerate_box_integers(H.spec, H.box), H.box.radius
+    z, r = enumerate_box_integers(*H.lattice()), H.box.radius
     missing = np.sum(z == r, axis=1) + np.sum(z == -r, axis=1)
     return subtract_diagonal(H, missing / H.spec.hbar ** 2)
 

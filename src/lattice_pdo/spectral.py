@@ -148,7 +148,7 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     are computed either way (applicable=False withholds the claim).  A
     non-Hermitian K is refused by the eigendecomposition.
     """
-    n = K.spec.dim
+    n = K.lattice()[0].dim
     applicable = order.mu < -(n + 2) * order.delta
 
     split = split_diagonal(K)

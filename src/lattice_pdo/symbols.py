@@ -397,10 +397,10 @@ def symbol_from_matrix(K) -> Symbol:
     coordinates), lowest -R - z_j, so a theta point costs at most n(2R+1)
     exponentials rather than (2R+1)^n, filled from the row's triplets.
     """
-    spec, r = K.spec, K.box.radius
+    spec, box = K.lattice()
     rows, cols, values = K._triplets
     # box point z is row i = index[z] (none outside the box), its triplets starts[i]:starts[i + 1]
-    index = {z: i for i, z in enumerate(map(tuple, enumerate_box_integers(spec, K.box).tolist()))}
+    index = {z: i for i, z in enumerate(map(tuple, enumerate_box_integers(spec, box).tolist()))}
     starts = np.searchsorted(rows, np.arange(K.size + 1))
     outside = np.zeros((1,) * spec.dim), np.zeros(spec.dim, dtype=np.int64)
 
@@ -409,7 +409,7 @@ def symbol_from_matrix(K) -> Symbol:
             return outside
         coeffs = np.zeros(K.size, dtype=values.dtype)
         coeffs[cols[starts[i]:starts[i + 1]]] = values[starts[i]:starts[i + 1]]
-        return coeffs.reshape(box_shape(spec, K.box)), -r - z
+        return coeffs.reshape(box_shape(spec, box)), -box.radius - z
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 

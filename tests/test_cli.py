@@ -224,6 +224,31 @@ def test_config_error_scan_radius_zero(tmp_path, capsys, time_limit, task):
     assert json.loads(err[0])["error"] == "config"
 
 
+def test_assemble_writes_a_binary_kernel_that_reads_back_to_the_csv(tmp_path):
+    # kernel.bin, alone or beside kernel.csv, is listed with its sha256 and holds the
+    # CSV's triplets: the 2-d decaying kernel, 25 rows
+    bins = []
+    for formats in (["bin"], ["csv", "bin"]):
+        out = tmp_path / "-".join(formats)
+        cfg = base_config("assemble", lattice={"hbar": 0.5, "dim": 2},
+                          symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}},
+                          truncation={"radius": 2},
+                          output={"directory": ".", "formats": formats})
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(o["path"] for o in outputs) == sorted(f"kernel.{f}" for f in formats)
+        for o in outputs:
+            assert hashlib.sha256((out / o["path"]).read_bytes()).hexdigest() == o["sha256"]
+        bins.append((out / "kernel.bin").read_bytes())
+    assert bins[0] == bins[1]
+    body = (out / "kernel.csv").read_text().splitlines()[1:]
+    rows, cols, re, im = (np.array(c, dtype=float) for c in zip(*(l.split(",") for l in body)))
+    K = kernel.read_binary(tmp_path / "bin" / "kernel.bin")
+    assert K.size == 25 and len(body) > 25
+    for got, want in zip(K._triplets, (rows, cols, re + 1j * im)):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("task", ["assemble", "diag-approx"])
 def test_dense_size_preflight(tmp_path, capsys, time_limit, task):
     # 61^3 = 226 981 points: a dense complex128 matrix of ~824 GB, which the

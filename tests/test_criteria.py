@@ -405,3 +405,8 @@ def test_shell_tail_sum_reads_one_chunk(monkeypatch):
         shells.clear()
         _power_shell_sum(-n - 0.05, 0.25, n, 100)
         assert 0 < sum(shells) <= criteria.SHELL_CHUNK
+
+
+def test_sums_of_an_empty_matrix_are_zero():
+    # a 0x0 array has no column and no entry: its column test is 0.0, as its sup is
+    assert schur_l1_lp(np.zeros((0, 0)), 2.0) == sup_entry(np.zeros((0, 0))) == 0.0

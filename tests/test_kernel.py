@@ -1,5 +1,7 @@
 import hashlib
 import io
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,8 @@ from lattice_pdo.kernel import (KernelMatrix, apply, assemble, hermitian_check,
                                 hermitize, read_binary, split_diagonal,
                                 write_binary, write_csv)
 from lattice_pdo.criteria import mixed_lp_sum, nuclear_sum, schur_l1_lp, sup_entry
-from lattice_pdo.spectral import eigendecompose_hermitian, residue_norm
+from lattice_pdo.schrodinger import neumann_truncation
+from lattice_pdo.spectral import diagonal_approximation, eigendecompose_hermitian, residue_norm
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, constant_symbol,
                                  decaying_test_symbol, difference_symbol, multiplication_symbol,
                                  polynomial_potential, quadrature_only,
@@ -344,6 +347,39 @@ def test_binary_of_the_wrong_length_is_refused(tmp_path):
         (tmp_path / "bad.bin").write_bytes(bad)
         with pytest.raises(ValueError):
             read_binary(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("header,message", [
+    (b"\x01\x00", "holds 2 bytes; the header takes 24$"),
+    (struct.pack("<qdq", 3_000_000, 1.0, 1), "holds 24 bytes; a box of 3\\^3000000 points"),
+    (struct.pack("<qdq", 1, math.inf, 0) + bytes(16), "positive and finite, got inf"),
+], ids=["short", "3e6-dims", "inf-spacing"])
+def test_binary_header_is_refused_in_bounded_time(tmp_path, time_limit, header, message):
+    # a short header, a box of more points than the file has bytes (computed, it is
+    # a 1.4-million-digit integer), or a spacing that is no lattice's
+    (tmp_path / "bad.bin").write_bytes(header)
+    with time_limit(1), pytest.raises(ValueError, match=message):
+        read_binary(tmp_path / "bad.bin")
+
+
+def test_a_matrix_with_no_lattice_is_refused_where_a_lattice_is_needed(tmp_path):
+    K = KernelMatrix(None, None, np.eye(3))
+    for needs_lattice in (lambda: write_binary(K, tmp_path / "k.bin"),
+                          lambda: symbol_from_matrix(K),
+                          lambda: diagonal_approximation(K, SymbolOrder(-4.0)),
+                          lambda: neumann_truncation(K)):
+        with pytest.raises(ValueError, match="3x3 matrix has no lattice"):
+            needs_lattice()
+    assert not (tmp_path / "k.bin").exists()
+
+
+@pytest.mark.parametrize("other", [LatticeSpec(2e-20, 1), LatticeSpec(np.nextafter(1e-20, 1), 1),
+                                   LatticeSpec(1e-20, 2)], ids=["2e-20", "next-float", "2-d"])
+def test_assemble_refuses_a_symbol_of_another_lattice(other):
+    # within 1e-12 of each other, 1e-20 and 2e-20 are still two lattices: the symbol's
+    # |k| on one would be the diagonal of a box of the other
+    with pytest.raises(ValueError, match="does not match the symbol's lattice"):
+        assemble(multiplication_symbol(1.0, LatticeSpec(1e-20, 1)), other, BoxTruncation(2))
 
 
 def test_binary_export_is_refused_before_any_byte(monkeypatch, tmp_path):

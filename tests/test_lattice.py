@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,10 @@ def test_rounding_tolerance():
 def test_invalid_specs():
     with pytest.raises(ValueError):
         LatticeSpec(0.0, 1)
+    # inf, which a kernel.bin header can carry, is no lattice spacing either
+    for hbar in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="lattice spacing must be positive"):
+            LatticeSpec(hbar, 1)
     with pytest.raises(ValueError):
         LatticeSpec(1.0, 0)
     with pytest.raises(ValueError):

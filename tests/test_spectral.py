@@ -497,3 +497,19 @@ def test_residue_norm_adds_the_error_bound_of_its_solve(case):
     dec = eigendecompose_hermitian(res)
     assert dec.error_bound > 0
     assert residue_norm(BOX_KERNELS[case]) >= np.max(np.abs(dec.eigenvalues)) + dec.error_bound
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radius_zero_solves_in_every_parity_block(dim):
+    # the one box point is fixed by every reflection: one 1x1 block and 2^n - 1 empty
+    # ones give the diagonal entry, bounded as every folded solve is, with scale
+    # (R + 1)(2R + 1)^(n - 1) + 2^n + 2 = 2^n + 3
+    spec, box = LatticeSpec(0.5, dim), BoxTruncation(0)
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, dim), box, lam=0.25)
+    for K in (H, neumann_truncation(H)):
+        blocks = list(kernel.reflection_blocks(K))
+        assert sorted(b.shape for b in blocks) == [(0, 0)] * (2 ** dim - 1) + [(1, 1)]
+        dec = eigendecompose_hermitian(K)
+        d = K.entries[0, 0]
+        assert np.array_equal(dec.eigenvalues, [d])
+        assert dec.error_bound == (2 ** dim + 3) * np.finfo(float).eps * abs(d)
