@@ -13,11 +13,11 @@ torus-frequency support radius at most 1).  A square array (a user's matrix,
 a series read or FFT quadrature, a plain array given to a reader, or
 `read_binary`'s ~1 MiB of rows at a time) gives its triplets through one
 reader, `np.flatnonzero` block by block, so an entry equal to 0 (-0.0 too)
-is never stored.  Only `spectral`'s eigenvectors and SVD read `entries`, the
-dense matrix, built on each read (after checking that it fits in memory) and
-not kept.  Eigenvalues alone read `reflection_blocks`, dense blocks one per
-parity pattern of the axis reflections that fix the triplets, each built and
-checked to fit in memory on its own and not kept.  The values alone decide
+is never stored.  Every solve in `spectral` reads `reflection_blocks`: dense
+blocks, one per parity pattern of the axis reflections that fix the triplets,
+each built (checked to fit in memory) when asked for, not kept, and yielded
+with the basis that maps its rows back onto the box.  No module of the package
+reads `entries`, the dense matrix of the whole box.  The values alone decide
 the dtype (`stored_entries`): real values are stored as float64 (so real
 symmetric operators get the real eigensolvers), anything else as complex128.
 Truncation is plain restriction to the box (no boundary corrections).
@@ -126,7 +126,7 @@ class KernelMatrix:
 
 
 def _dense(size, rows, cols, values) -> np.ndarray:
-    # the only place a kernel becomes a dense matrix: `entries` and each reflection block
+    # the only place a kernel becomes a dense matrix: each reflection block, and `entries`
     check_dense_fits((size, size))
     a = np.zeros((size, size), dtype=values.dtype)
     a[rows, cols] = values
@@ -137,35 +137,39 @@ def _dense(size, rows, cols, values) -> np.ndarray:
 def reflection_blocks(K: KernelMatrix):
     """K's dense blocks in the basis adapted to the axis reflections z_a -> -z_a that fix it.
 
-    A generator: each block is built when it is asked for, so a caller that
-    lets go of one before the next holds one block at a time.
+    A generator of (block, (at, pos, coef)): each block is built when it is
+    asked for, so a caller that lets go of one before the next holds one
+    block at a time.
 
     An axis is folded when its reflection maps the stored triplets onto
     themselves, keys and values exactly.  The representatives are the box
-    points with z_a >= 0 on every folded axis.  A parity pattern s (a set
+    points with z_a >= 0 on every folded axis; |z| reflects z onto them and
+    nz(z) counts its nonzero folded coordinates.  A parity pattern s (a set
     of odd folded axes) has one block, over the representatives with
-    z_a > 0 on each odd axis, in box order: the triplet (u, w, A) of a
-    representative row u adds chi_s(w) sqrt2^(nz(u) - nz(w)) A to entry
-    (u, |w|), where |w| reflects w onto the representatives, chi_s(w) is
-    the product of sign(w_a) over the odd axes (a triplet with
-    chi_s(w) = 0 adds nothing) and nz counts nonzero folded coordinates.
-    The spectrum of K is the union of the spectra of its 2^f blocks, f
-    folded axes (at R = 0 all but one of them are 0x0).  With no folded
-    axis (or no lattice) the one block, `entries`, is built from the
-    triplets; the rounding of the others is bounded in `spectral`.
+    z_a > 0 on each odd axis, in box order.  Its row u is the unit vector
+    2^(-nz(u)/2) sum over |z| = u of chi_s(z) e_z, chi_s(z) the product of
+    sign(z_a) over the odd axes: the triplet (u, w, A) of a representative
+    row u adds chi_s(w) sqrt2^(nz(u) - nz(w)) A to entry (u, |w|), and box
+    point at[i] takes coef[i] = chi_s 2^(-nz/2) times block row pos[i].
+    The rows are orthonormal, so the eigenvalues (or singular values) of K
+    are those of its 2^f blocks together, f folded axes (at R = 0 all but
+    one block are 0x0).  With no folded axis (or no lattice) the one block
+    is the dense matrix, built from the triplets, and the basis the
+    identity; the rounding of the others is bounded in `spectral`.
     """
     rows, cols, values = K._triplets
-    folded = []
+    size, folded = K.size, []
     if K.spec is not None:
-        n, r, size = K.spec.dim, K.box.radius, K.size
-        # bytes a triplet at the peak of a block's build, as if every selection kept every
-        # triplet: six (nnz, n) int64 coordinate arrays (zr, zc, u, w, w_abs, sign: 48 n);
-        # the bool rep and seven 8-byte arrays (keys, d, weight, chi, keep, the block rows
-        # and cols: 57); five more in `_summed_dense` (the flat keys, their order, the first
-        # of each run, its rows and cols: 40); and three value arrays of at most 16 bytes
-        # (v, the scaled values and their sums: 48).  The fold test needs less; `_dense`
-        # checks each block.
-        check_fits((48 * n + 145) * len(values), f"reflection blocks of {len(values)} triplets")
+        n, r = K.spec.dim, K.box.radius
+        # bytes at the peak of a block's build, as if every selection kept everything.  A
+        # triplet: its key (from the fold test), the representatives' positions, u, w, v (at
+        # most 16) and the weight (56); keep (8); in `_summed_dense` its arguments (32), the
+        # flat keys, their order and the sorted keys (24), the first of each run, its rows
+        # and cols (24), the sorted values and their sums (32): 176.  A point: z, |z| and
+        # two (size, n) temporaries (32 n); nz, 2^(-nz/2), chi_s and pos (32); the bases of
+        # this block and of the caller's last (48).  `_dense` checks each block.
+        check_fits(176 * len(values) + (32 * n + 80) * size,
+                   f"reflection blocks of {len(values)} triplets")
         side = 2 * r + 1
         strides = side ** np.arange(n - 1, -1, -1)
         keys = rows * size + cols
@@ -179,26 +183,27 @@ def reflection_blocks(K: KernelMatrix):
 
         folded = [a for a in range(n) if fixes(a)]
     if not folded:
-        yield _dense(K.size, rows, cols, values)
+        every = np.arange(size)
+        yield _dense(size, rows, cols, values), (every, every, np.ones(size))
         return
-    zr, zc = (i[:, None] // strides % side - r for i in (rows, cols))
-    rep = np.all(zr[:, folded] >= 0, axis=1)
-    u, w, v = zr[rep], zc[rep], values[rep]
-    d = np.count_nonzero(u[:, folded], axis=1) - np.count_nonzero(w[:, folded], axis=1)
-    weight = np.ldexp(np.where(d % 2, np.sqrt(2.0), 1.0), d // 2)  # sqrt2^d, one rounding
-    w_abs, sign = w.copy(), np.sign(w)
-    w_abs[:, folded] = np.abs(w[:, folded])
+    # the fold, written once per box point: z, |z| and nz(z)
+    z = np.arange(size)[:, None] // strides % side - r
+    z_abs = np.where(np.isin(np.arange(n), folded), np.abs(z), z)
+    nz = np.count_nonzero(z[:, folded], axis=1)
+    rep = np.flatnonzero(np.all(z[:, folded] >= 0, axis=1)[rows])
+    u, w, v = rows[rep], cols[rep], values[rep]
+    weight, unit = (np.ldexp(np.where(d % 2, np.sqrt(2.0), 1.0), d // 2)  # sqrt2^d, one rounding
+                    for d in (nz[u] - nz[w], -nz))
     for odd in itertools.product((False, True), repeat=len(folded)):
-        odd_axes = [a for a, o in zip(folded, odd) if o]
         low = np.full(n, -r)
         low[folded] = odd
         shape = r + 1 - low
-        chi = np.prod(sign[:, odd_axes], axis=1)
-        keep = np.flatnonzero(np.all(u[:, odd_axes] > 0, axis=1) & (chi != 0))
-        block_strides = np.r_[np.cumprod(shape[:0:-1])[::-1], 1]
-        yield _summed_dense(math.prod(shape), (u[keep] - low) @ block_strides,
-                            (w_abs[keep] - low) @ block_strides,
-                            _scaled(v[keep], chi[keep] * weight[keep]))
+        chi = np.prod(np.sign(z[:, [a for a, o in zip(folded, odd) if o]]), axis=1)
+        pos = (z_abs - low) @ np.r_[np.cumprod(shape[:0:-1])[::-1], 1]
+        keep, at = np.flatnonzero(chi[u] * chi[w]), np.flatnonzero(chi)
+        yield (_summed_dense(math.prod(shape), pos[u[keep]], pos[w[keep]],
+                             _scaled(v[keep], chi[w[keep]] * weight[keep])),
+               (at, pos[at], chi[at] * unit[at]))
 
 
 def _scaled(values, factors) -> np.ndarray:
@@ -407,4 +412,6 @@ def read_binary(path) -> KernelMatrix:
         step = _rows_per_block(size)
         flat, values = _nonzeros(size, ((i, np.frombuffer(fh.read(16 * size * step), "<c16"))
                                         for i in range(0, size, step)))
+    # the box's integer coordinates, which `points` enumerates, must fit too
+    check_fits(8 * dim * size, f"the integer coordinates of a {size}-point box in {dim}-d")
     return KernelMatrix._from_flat(spec, box, size, flat, values, {"source": str(path)})

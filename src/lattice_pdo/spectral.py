@@ -19,9 +19,10 @@ import numpy as np
 from .kernel import (KernelMatrix, as_kernel, hermitian_check, power_sums, reflection_blocks,
                      split_diagonal)
 from .symbols import SymbolOrder
-from ._util import rounded_up
+from ._util import check_dense_fits, rounded_up
 
 SANDWICH_SLACK = 1e-8   # rounding allowed at each link of the sandwich chain
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -42,19 +43,20 @@ class SpectralResult:
 def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     """Full spectrum of a Hermitian kernel matrix (or plain square array).
 
-    Real input is solved in real arithmetic, with real eigenvectors (from
-    the dense matrix); eigenvalues alone by `kernel.reflection_blocks`.
+    Solved in `kernel.reflection_blocks`, each block by `eigvalsh`, or by
+    `eigh` with its vectors carried back onto the box; real input in real
+    arithmetic, with real eigenvectors.
 
-    error_bound = scale * eps * ||K||_inf bounds each sorted value's
-    distance from the exact one (Weyl).  A dense solve of an m-point B is
-    taken to be exact for a matrix within m eps ||B||_2 <= m eps ||K||_inf
-    of B, B being K or a block of K: scale = size for a dense solve or a
-    plain array.  A block entry, a sum of at most 2^n weighted terms of K,
-    real and imaginary parts apart, rounds by at most (2^n + 2) eps times
-    the same sum over |K|, so the blocks are those of a matrix within
-    (2^n + 2) eps ||K||_inf of K (|K| is symmetric).  A block has at most
-    (R + 1)(2R + 1)^(n-1) points when an axis folds, and a box with no
-    folded axis has one block, formed exactly, so a block solve has
+    error_bound = scale * eps * ||K||_inf, with or without vectors, bounds
+    each sorted value's distance from the exact one (Weyl).  A dense solve
+    of an m-point block B is taken to be exact for a matrix within
+    m eps ||B||_2 <= m eps ||K||_inf of B: scale = size for a plain array,
+    one block formed exactly.  A block entry, a sum of at most 2^n weighted
+    terms of K, real and imaginary parts apart, rounds by at most
+    (2^n + 2) eps times the same sum over |K|, so the blocks are those of a
+    matrix within (2^n + 2) eps ||K||_inf of K (|K| is symmetric).  A block
+    has at most (R + 1)(2R + 1)^(n-1) points when an axis folds, and the
+    whole box when none does, so a box has
     scale = max(size, (R + 1)(2R + 1)^(n-1) + 2^n + 2), growing with R:
     the box size except in 1-d with R <= 3 and in 2-d and 3-d with R = 1.
     """
@@ -62,39 +64,58 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    if not want_vectors:
-        return _eigenvalues(K)
-    vals, vecs = np.linalg.eigh(K.entries)
-    if vecs.size:
-        top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return _bounded(K, *_solve(K, "vectors" if want_vectors else "values"))
+
+
+def _solve(K: KernelMatrix, want: str):
+    # the one solve path, block by block: "values" by eigvalsh, "vectors" by eigh, each
+    # block's vectors carried back into the columns of one box-sized array, or "norm" by
+    # each block's 2-norm; a stable sort, with the columns to match
+    parts, vecs = [], None
+    if want == "vectors":
+        check_dense_fits((K.size, K.size))
+        vecs = np.zeros((K.size, K.size), dtype=K._triplets[2].dtype)
+    for block, (at, pos, coef) in reflection_blocks(K):
+        if want == "norm":
+            parts.append([np.linalg.norm(block, 2)])
+        elif want == "values":
+            parts.append(np.linalg.eigvalsh(block))
+        else:
+            done, (vals, v) = sum(map(len, parts)), np.linalg.eigh(block)
+            vecs[at, done:done + len(vals)] = coef[:, None] * v[pos]
+            parts.append(vals)
+    order = np.argsort(vals := np.concatenate(parts), kind="stable")
+    if vecs is not None:
+        vecs = vecs[:, order]
+        top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(K.size)]
         # libm's hypot, as abs() of a complex scalar: np.abs of a complex
         # array can round its last bit differently
         vecs /= top / np.hypot(top.real, top.imag)
-    return _bounded(K, vals, vecs, len(vals))
+    return vals[order], vecs
 
 
-def _eigenvalues(K: KernelMatrix) -> SpectralResult:
-    # the values-only solve of a Hermitian KernelMatrix by its blocks
-    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in reflection_blocks(K)]))
-    if K.spec is None:
-        return _bounded(K, vals, None, K.size)
-    n, r = K.spec.dim, K.box.radius
-    return _bounded(K, vals, None, max(K.size, (r + 1) * (2 * r + 1) ** (n - 1) + 2 ** n + 2))
-
-
-def _bounded(K, vals, vecs, scale: int) -> SpectralResult:
+def _bounded(K: KernelMatrix, vals, vecs) -> SpectralResult:
+    # the one error bound: scale = size for a plain array, the block rule for a box
+    scale = K.size
+    if K.spec is not None:
+        n, r = K.spec.dim, K.box.radius
+        scale = max(K.size, (r + 1) * (2 * r + 1) ** (n - 1) + 2 ** n + 2)
     norm = np.max(power_sums(K, 1.0, 1), initial=0.0)
-    return SpectralResult(vals, vecs, float(scale * np.finfo(float).eps * norm))
+    return SpectralResult(vals, vecs, float(scale * EPS * norm))
 
 
 def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
-    An exactly Hermitian residue (`kernel.split_diagonal`'s, solved in its
-    reflection blocks) gives max |lambda| + error_bound (Weyl), rounded up
-    once; any other goes through an SVD, taken to be exact for a matrix
-    within size * eps * ||R|| of the one solved, so its norm falls at most
-    size * eps short, which `rounded_up` adds back.
+    An exactly Hermitian residue (`kernel.split_diagonal`'s) gives
+    max |lambda| + error_bound (Weyl), rounded up once.  Any other gives the
+    largest 2-norm of its reflection blocks, whose singular values are its
+    own.  Each is taken to be exact for a matrix within size * eps ||B||_2
+    of the block B solved, which `rounded_up` adds back.  A box's blocks
+    are formed within (2^n + 2) eps || |R| ||_2 of R's (as in
+    `eigendecompose_hermitian`); |R| need not be symmetric, so (2^n + 2) eps
+    times the larger of ||R||_1 and ||R||_inf, which bounds
+    sqrt(||R||_1 ||R||_inf) >= || |R| ||_2, is added first.
     """
     K = as_kernel(K)
     return _residue_norm(K, split_diagonal(K).residue)
@@ -102,10 +123,12 @@ def residue_norm(K) -> float:
 
 def _residue_norm(K: KernelMatrix, res: KernelMatrix) -> float:
     if K.asymmetry == 0 or res.asymmetry == 0:  # dropping the diagonal adds no asymmetry
-        dec = _eigenvalues(res)
+        dec = _bounded(res, *_solve(res, "values"))
         return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
                           1, 0.0)
-    return rounded_up(float(np.linalg.norm(res.entries, 2)), res.size, 0.0)
+    formed = 0.0 if res.spec is None else (2 ** res.spec.dim + 2) * EPS * max(
+        np.max(power_sums(res, 1.0, axis), initial=0.0) for axis in (0, 1))
+    return rounded_up(float(_solve(res, "norm")[0][-1] + formed), res.size, 0.0)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lattice_pdo import cli, kernel, schrodinger
+from lattice_pdo import cli, kernel, schrodinger, spectral
 from lattice_pdo.cli import main
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo.spectral import SpectralResult, eigendecompose_hermitian
@@ -448,10 +448,13 @@ PINNED_CSV = {
         symbol={"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 1.0}},
         params={"r": 0.5, "p2": 2.0}), 0),
         "sums.csv", "b71e0012c68bb797411198200386cdd61fb9e56a42f03f097042a7a32d01e0fc"),
+    # re-pinned when the eigenvectors came to be solved in reflection blocks, behind
+    # test_pinned_diag_approx_agrees_with_a_dense_solve: index, point and diag columns
+    # and low_overlap_pairs kept, eigenvalues moved by at most 5.6e-16
     "diag-approx": (_run_config(base_config(
         "diag-approx", lattice={"hbar": 0.5, "dim": 2}, truncation={"radius": 4},
         symbol={"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}}), 0),
-        "diag_approx.csv", "36a63b1776ab1c768846e1729ca90942acff1094ece592428a487b8b9e2486bf"),
+        "diag_approx.csv", "2ddb68fccf43a1d360ef9c51ab6b7a12c106f936274cbdd55ec6c40479b6a636"),
     # re-pinned when each scan value became certified by a Dirichlet-Neumann
     # bracket at one radius: 97 rows certified instead of 49, and 46 values
     # taken from the certifying radius 25 moved by at most 6.3e-13 relative.
@@ -489,6 +492,35 @@ def test_pinned_budget_scan_agrees_with_dense_solves(monkeypatch):
     N = schrodinger.neumann_truncation(H)
     err = max(eigendecompose_hermitian(K).error_bound for K in (H, N))  # of the largest box
     assert np.max(np.abs(folded.eigenvalues - dense.eigenvalues)[finite]) <= err
+
+
+def test_pinned_diag_approx_agrees_with_a_dense_solve(tmp_path, monkeypatch):
+    # the guard of the diag-approx digest: solving in reflection blocks moves no index,
+    # point or diag field and no low-overlap flag, and no eigenvalue by its solve's
+    # error_bound from a dense eigh of the whole matrix
+    run = PINNED_CSV["diag-approx"][0]
+    solve, bounds = spectral.eigendecompose_hermitian, []
+
+    def dense_solve(K, want_vectors=False):
+        bounds.append(solve(K).error_bound)
+        return SpectralResult(*np.linalg.eigh(K.entries), bounds[-1])
+
+    def table(out):
+        body = (out / "diag_approx.csv").read_text().splitlines()
+        summary = json.loads((out / "diag_approx.json").read_text())
+        return [line.split(",") for line in body], summary["low_overlap_pairs"]
+
+    run(tmp_path / "folded")
+    monkeypatch.setattr(spectral, "eigendecompose_hermitian", dense_solve)
+    run(tmp_path / "dense")
+    (folded, folded_low), (dense, dense_low) = table(tmp_path / "folded"), table(tmp_path / "dense")
+    assert len(bounds) == 1 and len(folded) == len(dense) == 82
+    assert folded[0] == dense[0] == ["index", "k_1", "k_2", "eigenvalue", "diag", "residual"]
+    for a, b in zip(folded, dense):
+        assert a[:3] == b[:3] and a[4] == b[4]
+    moved = [abs(float(a[3]) - float(b[3])) for a, b in zip(folded[1:], dense[1:])]
+    assert max(moved) <= bounds[0]
+    assert folded_low == dense_low
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CSV))
@@ -538,12 +570,12 @@ def test_criterion_sums_build_no_dense_matrix(tmp_path, monkeypatch, task, param
                       params=params)
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
     assert built == []
-    # diag-approx does build it, through the same builder: the whole matrix for the
-    # eigenvectors, then the four reflection blocks of the residue for its norm
+    # diag-approx builds no matrix of the whole box either: through the same `_dense`, the
+    # four reflection blocks of K for its eigenvectors, then those of the residue
     cfg = base_config("diag-approx", lattice=lattice, symbol=decaying, truncation={"radius": 4})
     assert main(["run", write_config(tmp_path, cfg, name="diag.json"),
                  "--out", str(tmp_path / "diag")]) == 0
-    assert built == [81, 25, 20, 20, 16]
+    assert built == [25, 20, 20, 16] * 2
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -353,10 +353,13 @@ def test_binary_of_the_wrong_length_is_refused(tmp_path):
     (b"\x01\x00", "holds 2 bytes; the header takes 24$"),
     (struct.pack("<qdq", 3_000_000, 1.0, 1), "holds 24 bytes; a box of 3\\^3000000 points"),
     (struct.pack("<qdq", 1, math.inf, 0) + bytes(16), "positive and finite, got inf"),
-], ids=["short", "3e6-dims", "inf-spacing"])
+    (struct.pack("<qdq", 2 ** 40, 1.0, 0) + bytes(16),
+     "^the integer coordinates of a 1-point box in 1099511627776-d needs 8796093022208 bytes"),
+], ids=["short", "3e6-dims", "inf-spacing", "2^40-dims"])
 def test_binary_header_is_refused_in_bounded_time(tmp_path, time_limit, header, message):
     # a short header, a box of more points than the file has bytes (computed, it is
-    # a 1.4-million-digit integer), or a spacing that is no lattice's
+    # a 1.4-million-digit integer), a spacing that is no lattice's, or a one-point box
+    # in 2^40 dimensions, whose coordinates `points` could not enumerate
     (tmp_path / "bad.bin").write_bytes(header)
     with time_limit(1), pytest.raises(ValueError, match=message):
         read_binary(tmp_path / "bad.bin")
@@ -804,10 +807,10 @@ def dense_reflection_kernel(tilt):
 
 @pytest.mark.parametrize("tilt, blocks", [((0.0, 0.0), 4), ((0.5, 0.0), 2), ((0.5, 0.25), 1)])
 def test_reflection_blocks_stay_within_their_preflight(monkeypatch, tilt, blocks):
-    # the per-triplet count, with the largest block `_dense` checks, covers the traced
-    # peak of a values-only solve
+    # the count of triplets and points, with the largest block `_dense` checks, covers the
+    # traced peak of a values-only solve
     K = dense_reflection_kernel(tilt)
-    assert len(K._triplets[2]) == 390625 and len(list(kernel.reflection_blocks(K))) == blocks
+    assert len(K._triplets[2]) == 390625 and sum(1 for _ in kernel.reflection_blocks(K)) == blocks
     hermitian_check(K)  # the asymmetry is computed once and kept
     counted, dense = [], []
     check_fits, util_check_fits = kernel.check_fits, _util.check_fits
@@ -827,7 +830,7 @@ def test_reflection_blocks_stay_within_their_preflight(monkeypatch, tilt, blocks
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert counted == [(48 * 2 + 145) * 390625]
+    assert counted == [176 * 390625 + (32 * 2 + 80) * 625]
     assert len(dense) == blocks
     assert peak <= counted[0] + max(dense)
     if blocks == 4:  # folded, the count alone covers it
@@ -853,7 +856,7 @@ def test_reflection_blocks_preflight_refuses_before_any_temporary(monkeypatch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         with pytest.raises(ValueError, match="^reflection blocks of 390625 triplets needs "
-                                             "94140625 bytes"):
+                                             "68840000 bytes"):
             eigendecompose_hermitian(K)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:

@@ -1,9 +1,11 @@
+import json
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from lattice_pdo import kernel, spectral
+from lattice_pdo.cli import main
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
 from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
 from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian, neumann_truncation,
@@ -392,10 +394,52 @@ BOX_KERNELS = _box_kernels()
 @pytest.mark.parametrize("case", sorted(BOX_KERNELS))
 def test_folded_values_agree_with_dense(case):
     K = BOX_KERNELS[case]
-    blocks = list(kernel.reflection_blocks(K))
+    blocks = [b for b, _ in kernel.reflection_blocks(K)]
     assert len(blocks) == 2 ** K.spec.dim  # every axis folds
     assert sum(len(b) for b in blocks) == K.size
     _agrees_with_dense(K)
+
+
+@pytest.mark.parametrize("case", sorted(BOX_KERNELS))
+def test_block_eigenvectors_are_eigenpairs_of_the_box(case):
+    # bounds fixed before the first run: X^H X - I within scale * eps and K X - X Lambda
+    # within scale * eps ||K||_inf (error_bound) entrywise, and each column's largest
+    # component real positive, its imaginary part within 4 eps of it.  "Largest" is up to
+    # 4 eps: complex-2d has columns whose eight largest components tie to rounding, and
+    # dividing out the phase can move their argmax from the one the rule chose
+    K = BOX_KERNELS[case]
+    dec = eigendecompose_hermitian(K, want_vectors=True)
+    X, eps = dec.eigenvectors, np.finfo(float).eps
+    assert X.dtype == K.entries.dtype
+    assert np.array_equal(dec.eigenvalues, np.sort(dec.eigenvalues))
+    scale = dec.error_bound / (eps * np.max(kernel.power_sums(K, 1.0, 1)))
+    assert np.max(np.abs(X.conj().T @ X - np.eye(K.size))) <= scale * eps
+    assert np.max(np.abs(K.entries @ X - X * dec.eigenvalues)) <= dec.error_bound
+    near_top = np.abs(X) >= (1 - 4 * eps) * np.max(np.abs(X), axis=0)
+    real_positive = (X.real > 0) & (np.abs(X.imag) <= 4 * eps * X.real)
+    assert np.all(np.any(near_top & real_positive, axis=0))
+
+
+def test_the_one_path_reads_no_dense_matrix_of_the_box(tmp_path, monkeypatch):
+    # the unhermitized decaying(3, 2, 1) kernel folds and is not Hermitian: its residue's
+    # norm is the larger 2-norm of two blocks, of 31 and 30 points
+    spec = LatticeSpec(1.0, 1)
+    K = assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(30))
+    assert split_diagonal(K).residue.asymmetry > 0
+    assert sorted(len(b) for b, _ in kernel.reflection_blocks(K)) == [30, 31]
+    dense = np.linalg.norm(split_diagonal(K).residue.entries, 2)
+
+    def no_entries(self):
+        raise AssertionError("the dense matrix of the box was read")
+
+    monkeypatch.setattr(KernelMatrix, "entries", property(no_entries))
+    cfg = {"lattice": {"hbar": 1.0, "dim": 1}, "truncation": {"radius": 30}, "task": "diag-approx",
+           "symbol": {"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}},
+           "params": {}, "output": {"directory": ".", "formats": ["csv", "json"]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
+    sandwich_check(hermitize(K))
+    assert residue_norm(K) >= dense
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -408,7 +452,7 @@ def test_no_invariant_axis_keeps_every_bit(dtype):
     if dtype is complex:
         a = a + 0.25j * (hop - hop.T)
     K = KernelMatrix(spec, box, a)
-    blocks = list(kernel.reflection_blocks(K))
+    blocks = [b for b, _ in kernel.reflection_blocks(K)]
     assert len(blocks) == 1 and np.array_equal(blocks[0], K.entries)
     assert blocks[0].dtype == K.entries.dtype == dtype
     assert np.array_equal(eigendecompose_hermitian(K).eigenvalues, np.linalg.eigvalsh(K.entries))
@@ -424,7 +468,7 @@ def test_one_ulp_off_folds_the_other_axes_only():
         a[i, i] = np.nextafter(a[i, i], np.inf)
     K = KernelMatrix(spec, box, a)
     side, r = 2 * box.radius + 1, box.radius
-    assert sorted(len(b) for b in kernel.reflection_blocks(K)) == [side * r, side * (r + 1)]
+    assert sorted(len(b) for b, _ in kernel.reflection_blocks(K)) == [side * r, side * (r + 1)]
     _agrees_with_dense(K)
 
 
@@ -472,10 +516,16 @@ def test_block_solve_error_bound_is_the_scan_formula(dim, radius, lam):
     assert max(bounds) == scale * np.finfo(float).eps * max(norms)
 
 
-def test_dense_solve_error_bound_has_the_size_as_scale():
+def test_vectors_and_values_share_one_error_bound():
+    # a box has the block rule's scale, max(5, 3 + 2 + 2) = 7 at 1-d R=2, with or
+    # without vectors; a plain array has scale = size, with or without vectors
     H, _ = _box_pair(1, 2, 0.0)
+    norm = np.max(kernel.power_sums(H, 1.0, 1))
+    block = 7 * np.finfo(float).eps * norm
+    assert eigendecompose_hermitian(H, want_vectors=True).error_bound == block
+    assert eigendecompose_hermitian(H).error_bound == block
     want = H.size * np.finfo(float).eps * np.max(kernel.power_sums(H, 1.0, 1))
-    assert eigendecompose_hermitian(H, want_vectors=True).error_bound == want
+    assert eigendecompose_hermitian(np.array(H.entries), want_vectors=True).error_bound == want
     assert eigendecompose_hermitian(np.array(H.entries)).error_bound == want
 
 
@@ -507,7 +557,7 @@ def test_radius_zero_solves_in_every_parity_block(dim):
     spec, box = LatticeSpec(0.5, dim), BoxTruncation(0)
     H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, dim), box, lam=0.25)
     for K in (H, neumann_truncation(H)):
-        blocks = list(kernel.reflection_blocks(K))
+        blocks = [b for b, _ in kernel.reflection_blocks(K)]
         assert sorted(b.shape for b in blocks) == [(0, 0)] * (2 ** dim - 1) + [(1, 1)]
         dec = eigendecompose_hermitian(K)
         d = K.entries[0, 0]
