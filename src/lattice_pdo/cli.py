@@ -4,8 +4,9 @@ Usage: lattice-pdo run <config.json> [--out DIR] [--threads N] [--seed S]
 
 Every run writes a manifest.json listing each output file with a content
 hash, the echoed config, the library version, the thread cap and the wall
-time.  No task starts a thread, so CSV bodies are byte-identical at
-any thread cap; `_write_report` lays out report.json.  Exit codes: 0 ok,
+time.  No task starts a thread, so CSV bodies are byte-identical at any
+--threads cap, though not across OpenBLAS's own thread counts (ROADMAP
+item 12); `_write_report` lays out report.json.  Exit codes: 0 ok,
 2 config error, 3 numeric/budget failure.  Each task runner reads and
 checks every field it uses, by its full path from the config root,
 before any numeric work; only a family's formula leaving float64 at a box

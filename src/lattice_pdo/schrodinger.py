@@ -24,7 +24,7 @@ import numpy as np
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from .kernel import KernelMatrix, assemble, subtract_diagonal
 from .spectral import eigendecompose_hermitian
-from .symbols import anharmonic_value, anharmonic_values, schrodinger_symbol
+from .symbols import anharmonic_of_norms, anharmonic_values, schrodinger_symbol
 
 DEFAULT_MAX_DIM = 4000
 
@@ -54,25 +54,23 @@ class PotentialSpec:
             raise ValueError(f"potential order must be positive, got {self.mu}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", int(self.dim))
         self._validate()
 
     def _validate(self):
-        probes = [np.zeros(self.dim)]
+        # each probe point is built when it is evaluated, once: memory stays O(dim)
+        self._probe(np.zeros(self.dim))
+        growth = np.empty((self.dim, 2))  # V(128 e_j), V(256 e_j), checked after every probe
         for j in range(self.dim):
+            on_axis = {}
             for r in (1, 2, 4, 8, 16, 64, 128, 256):
-                for sign in (1.0, -1.0):
+                for x in (r, -r):
                     p = np.zeros(self.dim)
-                    p[j] = sign * r
-                    probes.append(p)
-        probes.append(np.full(self.dim, 3.0))
-        for p in probes:
-            v = self._probe(p)
-            if v < 0:
-                raise ValueError(f"potential is negative at {p}: {v}")
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            v128, v256 = self._probe(128 * e), self._probe(256 * e)
+                    p[j] = x
+                    on_axis[x] = self._probe(p)
+            growth[j] = on_axis[128], on_axis[256]
+        self._probe(np.full(self.dim, 3.0))
+        for j, (v128, v256) in enumerate(growth):
             if not (v256 > v128 > 0):
                 raise ValueError(
                     f"potential does not grow along axis {j}: V(128e)={v128}, V(256e)={v256}")
@@ -90,6 +88,8 @@ class PotentialSpec:
             v = math.inf
         if not math.isfinite(v):
             raise ValueError(f"potential is not finite at {k}: {v}")
+        if v < 0:
+            raise ValueError(f"potential is negative at {k}: {v}")
         return v
 
     def __call__(self, k):
@@ -104,8 +104,12 @@ class PotentialSpec:
         """
         if not (c > 0):
             raise ValueError(f"anharmonic coefficient must be positive, got {c}")
-        value = anharmonic_value(c, l)
-        return cls(lambda k: value(float(np.linalg.norm(k))), 2.0 * l, dim, outside_min=value,
+        value = anharmonic_of_norms(c, l)
+
+        def at(r):
+            return float(value([r])[0])
+
+        return cls(lambda k: at(np.linalg.norm(k)), 2.0 * l, dim, outside_min=at,
                    array_fn=anharmonic_values(c, l))
 
 

@@ -29,10 +29,10 @@ EPS = np.finfo(float).eps
 class SpectralResult:
     """Sorted spectrum, its error bound (`eigendecompose_hermitian`), eigenvectors on request.
 
-    Eigenvalues ascend; eigenvector column j pairs with eigenvalue j, with
-    the phase fixed so each column's largest-magnitude component (the first
-    one, on a tie) is real positive.  eigenvectors is None when vectors
-    were not requested.
+    Eigenvalues ascend; eigenvector column j pairs with eigenvalue j.  Its
+    phase makes its component of largest modulus as solved (the first, on a
+    tie) real and positive; after the division that holds to within 4 eps.
+    eigenvectors is None when vectors were not requested.
     """
 
     eigenvalues: np.ndarray
@@ -64,21 +64,19 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    return _bounded(K, *_solve(K, "vectors" if want_vectors else "values"))
+    return _bounded(K, *_solve(K, want_vectors))
 
 
-def _solve(K: KernelMatrix, want: str):
-    # the one solve path, block by block: "values" by eigvalsh, "vectors" by eigh, each
-    # block's vectors carried back into the columns of one box-sized array, or "norm" by
-    # each block's 2-norm; a stable sort, with the columns to match
+def _solve(K: KernelMatrix, want_vectors: bool):
+    # the one solve path, block by block: values by eigvalsh, or with vectors by eigh,
+    # each block's vectors carried back into the columns of one box-sized array; a
+    # stable sort, with the columns to match
     parts, vecs = [], None
-    if want == "vectors":
+    if want_vectors:
         check_dense_fits((K.size, K.size))
         vecs = np.zeros((K.size, K.size), dtype=K._triplets[2].dtype)
     for block, (at, pos, coef) in reflection_blocks(K):
-        if want == "norm":
-            parts.append([np.linalg.norm(block, 2)])
-        elif want == "values":
+        if not want_vectors:
             parts.append(np.linalg.eigvalsh(block))
         else:
             done, (vals, v) = sum(map(len, parts)), np.linalg.eigh(block)
@@ -123,12 +121,13 @@ def residue_norm(K) -> float:
 
 def _residue_norm(K: KernelMatrix, res: KernelMatrix) -> float:
     if K.asymmetry == 0 or res.asymmetry == 0:  # dropping the diagonal adds no asymmetry
-        dec = _bounded(res, *_solve(res, "values"))
+        dec = _bounded(res, *_solve(res, False))
         return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
                           1, 0.0)
     formed = 0.0 if res.spec is None else (2 ** res.spec.dim + 2) * EPS * max(
         np.max(power_sums(res, 1.0, axis), initial=0.0) for axis in (0, 1))
-    return rounded_up(float(_solve(res, "norm")[0][-1] + formed), res.size, 0.0)
+    norm = max(np.linalg.norm(block, 2) for block, _ in reflection_blocks(res))
+    return rounded_up(float(norm + formed), res.size, 0.0)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape,
                       enumerate_box_integers, integer_coords)
-from ._util import c_pow, check_fits, float_pow
+from ._util import check_fits, float_pow
 
 
 @dataclass(frozen=True)
@@ -343,37 +343,32 @@ def decaying_test_symbol(s: float, a: float, b: float,
                   coeff_support_radius=1, name=f"decaying(s={s},a={a},b={b})")
 
 
-def anharmonic_value(c: float, l: int) -> Callable:
-    """|k| -> c |k|^(2l) by the C pow, the one anharmonic formula; l must be a natural number.
+def anharmonic_of_norms(c: float, l: int) -> Callable:
+    """Norms r -> c r^(2l) by `float_pow`, the one anharmonic formula; l a natural number.
 
-    Past float64 the value is inf with the sign of c (`c_pow`), 0 for c = 0,
-    so callers refuse one kind of value.
+    Past float64 the value is inf with the sign of c, 0 for c = 0, so callers
+    refuse one kind of value.
     """
     if int(l) != l or l < 1:
         raise ValueError(f"anharmonic power l must be a natural number, got {l}")
 
-    def value(r):
-        power = c_pow(r, 2 * l)
-        return c * power if c or power < math.inf else 0.0
-
-    return value
-
-
-def anharmonic_values(c: float, l: int) -> Callable:
-    """`anharmonic_value` of the norm of each row of points (S, n), bit for bit, as one array."""
-    anharmonic_value(c, l)  # refuses an l that is not a natural number
-
-    def values(pts):
+    def values(r):
         # as in Python floats, past float64 is inf; 0 * inf is nan, which the c = 0 rule makes 0
         with np.errstate(over="ignore", invalid="ignore"):
-            v = c * float_pow(_norms(pts), 2 * l)
+            v = c * float_pow(r, 2 * l)
         return np.where(np.isnan(v), 0.0, v)
 
     return values
 
 
+def anharmonic_values(c: float, l: int) -> Callable:
+    """`anharmonic_of_norms` of the norm of each row of points (S, n), as one array."""
+    value = anharmonic_of_norms(c, l)
+    return lambda pts: value(_norms(pts))
+
+
 def polynomial_potential(c: float, l: int, spec: LatticeSpec | None = None) -> Symbol:
-    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l) (`anharmonic_value`), order 2l."""
+    """Anharmonic multiplier sigma(k, theta) = c |k|^(2l) (`anharmonic_of_norms`), order 2l."""
     value = anharmonic_values(c, l)
 
     def values(pts):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,55 @@ def test_potential_validation():
     for c, l in ((1.0, 64), (1e300, 30)):
         with pytest.raises(ValueError, match="not finite"):
             PotentialSpec.anharmonic(c, l)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 300])
+def test_potential_validation_evaluates_each_probe_once(dim):
+    # the origin, 16 points on each axis and (3, ..., 3)
+    calls = []
+
+    def counted(k):
+        calls.append(None)
+        return float(k @ k)
+
+    PotentialSpec(counted, 2.0, dim)
+    assert len(calls) == 16 * dim + 2
+
+
+def test_potential_validation_holds_no_probe_beyond_the_one_evaluated():
+    # all 16 dim + 2 probes of dim 300 at once would take ~12 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        PotentialSpec(lambda k: float(k @ k), 2.0, 300)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_potential_dimension_is_stored_as_an_integer():
+    pot = PotentialSpec(lambda k: float(k @ k), 2.0, dim=2.0)
+    assert type(pot.dim) is int and pot.dim == 2
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        PotentialSpec(lambda k: float(k @ k), 2.0, dim=2.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hbar", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("l", [1, 2])
+def test_anharmonic_outside_min_is_a_lower_bound_exact_on_the_axes(dim, hbar, l):
+    # the scan at radius R certifies with outside_min(hbar (R + 1)) <= V beyond the box
+    R = 4
+    pot = PotentialSpec.anharmonic(0.7, l, dim)
+    z = enumerate_box_integers(LatticeSpec(hbar, dim), BoxTruncation(R + 3))
+    V = pot.array_fn(hbar * z)
+    sup = np.max(np.abs(z), axis=1)
+    on_axis = np.sum(z != 0, axis=1) == 1
+    for s in range(R + 1, R + 4):
+        bound = pot.outside_min(hbar * s)
+        assert np.all(bound <= V[sup >= s])
+        assert np.all(V[on_axis & (sup == s)] == bound)
 
 
 def test_potential_past_float64_beyond_the_probes_is_refused():

@@ -11,11 +11,12 @@ from lattice_pdo.fourier import coefficient_table, spectrum_of_row, toroidal_coe
 from lattice_pdo.lattice import (BoxTruncation, LatticeSpec, enumerate_box,
                                  enumerate_box_integers, index_of)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, _series,
-                                 anharmonic_value, anharmonic_values, constant_symbol,
+                                 anharmonic_of_norms, anharmonic_values, constant_symbol,
                                  decaying_test_symbol, difference_symbol, eval_symbol,
                                  multiplication_symbol, polynomial_potential, quadrature_only,
                                  schrodinger_symbol, symbol_from_matrix, theta_derivative)
 from lattice_pdo.kernel import KernelMatrix, assemble
+from lattice_pdo._util import c_pow
 
 SPEC1 = LatticeSpec(1.0, 1)
 
@@ -579,6 +580,12 @@ def test_anharmonic_past_float64_names_the_first_point():
     assert not np.any(polynomial_potential(0.0, 64).closed_form_coeffs(zs, zero))
 
 
+def scalar_anharmonic(c, l, r):
+    """c r^(2l) in Python floats by the C pow, past float64 inf with the sign of c, 0 for c = 0."""
+    power = c_pow(r, 2 * l)
+    return c * power if c or power < math.inf else 0.0
+
+
 @pytest.mark.parametrize("c", [0.0, 0.7, -2.0])
 def test_anharmonic_values_is_the_scalar_formula_at_each_point(c):
     # |k|^128 past float64 (|k| >= 256) included: inf with the sign of c, 0 for c = 0;
@@ -586,8 +593,9 @@ def test_anharmonic_values_is_the_scalar_formula_at_each_point(c):
     pts = 0.37 * enumerate_box_integers(LatticeSpec(1.0, 2), BoxTruncation(800))[::97]
     norms = [float(np.linalg.norm(k)) for k in pts]
     assert min(norms) < 256 < max(norms)
-    value = anharmonic_value(c, 64)
-    assert np.array_equal(anharmonic_values(c, 64)(pts), [value(r) for r in norms])
+    expected = [scalar_anharmonic(c, 64, r) for r in norms]
+    assert np.array_equal(anharmonic_values(c, 64)(pts), expected)
+    assert np.array_equal(anharmonic_of_norms(c, 64)(norms), expected)
 
 
 def counting(sym, calls):
