@@ -9,7 +9,8 @@ rule of three cases, checked in this order:
 
 1. a closed form returns the table of all rows and offsets in one call;
 2. otherwise a series (``row_series``, such as the symbol of a matrix) is
-   read: each offset's coefficient is found by its index in the row's
+   read for all rows in one call, and every (row, offset) pair is gathered
+   in one step: each coefficient is found by its index in its row's
    consecutive frequencies, and is 0 outside them
    (`symbols.series_coefficients`);
 3. only a symbol given by its values alone (``eval_fn``) goes to FFT
@@ -76,7 +77,7 @@ def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     if sym.closed_form_coeffs is not None:
         return sym.closed_form_coeffs(z_rows, z_offsets)
     if sym.row_series is not None:
-        return np.array([series_coefficients(sym, z, z_offsets) for z in z_rows])
+        return series_coefficients(sym, z_rows, z_offsets)
     dim = sym.spec.dim
     n = grid_size(int(np.max(np.abs(z_offsets), initial=0)))
     # the samples, transformed in place, and one block's theta and eval_fn work

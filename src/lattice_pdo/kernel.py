@@ -10,10 +10,10 @@ Every matrix is stored one way, decided in this module and nowhere else: as
 its nonzero (row, col, value) triplets, sorted row-major.  A closed form
 gives them from one table, at most 3^n a row (every built-in family has
 torus-frequency support radius at most 1).  A square array (a user's matrix,
-a series read or FFT quadrature, a plain array given to a reader, or
-`read_binary`'s ~1 MiB of rows at a time) gives its triplets through one
-reader, `np.flatnonzero` block by block, so an entry equal to 0 (-0.0 too)
-is never stored.  Every solve in `spectral` reads `reflection_blocks`: dense
+a plain array given to a reader, or ~1 MiB of rows at a time of a series
+read or of `read_binary`, or one row of FFT quadrature) gives its triplets
+through one reader, `np.flatnonzero` block by block, so an entry equal to 0
+(-0.0 too) is never stored.  Every solve in `spectral` reads `reflection_blocks`: dense
 blocks, one per parity pattern of the axis reflections that fix the triplets,
 each built (checked to fit in memory) when asked for, not kept, and yielded
 with the basis that maps its rows back onto the box.  No module of the package
@@ -238,16 +238,16 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     of all box rows at the offsets z = (m - k)/hbar with |z|_inf within its
     support radius and 2R, whose entries with a column in the box are kept
     as nonzero triplets (refused before anything is built if they could not
-    fit in physical memory).  Any other symbol is read row by row by
-    `fourier.coefficients` into a dense array, whose nonzeros are stored: a
-    series (the symbol of a matrix) exactly, by frequency index, with the
-    method "series"; a symbol given by its values by quadrature, each row
-    on the grid its offsets need, with the method naming the grid of the
-    widest rows, whose corner offsets reach 2R.  An array that would not
-    fit in physical memory is refused before any row is read.  Either way
-    `stored_entries` decides the dtype: float64 when every value is real,
-    complex128 otherwise.  ``threads`` is unused (rows are read in turn);
-    it is kept because perfbench/workloads.py passes it.
+    fit in physical memory).  Any other symbol is refused first if its dense
+    array would not fit, then read by blocks of rows whose nonzeros are
+    stored as they come (`_nonzeros`), so no dense array is built: a series
+    (the symbol of a matrix) exactly, ~1 MiB of box rows a row_series call,
+    with the method "series"; a symbol given by its values by quadrature,
+    row by row, each on the grid its offsets need (`fourier.coefficients`),
+    with the method naming the grid of the widest rows, whose corner
+    offsets reach 2R.  Either way `stored_entries` decides the dtype:
+    float64 when every value is real, complex128 otherwise.  ``threads`` is
+    unused; it is kept because perfbench/workloads.py passes it.
     """
     if spec != sym.spec:
         raise ValueError("lattice spec does not match the symbol's lattice")
@@ -269,10 +269,33 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
 
     check_dense_fits((size, size))
     zs = enumerate_box_integers(spec, box)
-    entries = np.array([coefficients(sym, zs[i:i + 1], zs - zs[i])[0] for i in range(size)])
-    method = "series" if sym.row_series is not None else f"quadrature(n={grid_size(2 * r)})"
-    return KernelMatrix(spec, box, entries, provenance={
-        "symbol": sym.name, "method": method, "radius": r})
+    if sym.row_series is not None:
+        step = _rows_per_block(size)
+        blocks = ((i, _series_block(sym.row_series, zs[i:i + step], r))
+                  for i in range(0, size, step))
+        method = "series"
+    else:
+        blocks = ((i, coefficients(sym, zs[i:i + 1], zs - zs[i])) for i in range(size))
+        method = f"quadrature(n={grid_size(2 * r)})"
+    return KernelMatrix._from_flat(spec, box, size, *_nonzeros(size, blocks),
+                                   {"symbol": sym.name, "method": method, "radius": r})
+
+
+def _series_block(row_series, z, r) -> np.ndarray:
+    # the box rows z (B, n) from one row_series call, as a (B, size) array.  Row z's
+    # columns m sit at tensor index m - z - low: on each axis a range of 2r + 1 from
+    # begin = -r - z - low, clipped to the tensor, so the rows that share a begin are
+    # placed with one slice
+    coeffs, low = row_series(z)
+    side = 2 * r + 1
+    block = np.zeros((len(z),) + (side,) * z.shape[1], dtype=coeffs.dtype)
+    begins, group = np.unique(-r - z - low, axis=0, return_inverse=True)
+    for g, begin in enumerate(begins):
+        lo, hi = np.maximum(begin, 0), np.minimum(begin + side, coeffs.shape[1:])
+        if np.all(lo < hi):
+            at = slice(None) if len(begins) == 1 else np.flatnonzero(group.ravel() == g)
+            block[(at, *map(slice, lo - begin, hi - begin))] = coeffs[(at, *map(slice, lo, hi))]
+    return block.reshape(len(z), -1)
 
 
 def as_kernel(K) -> KernelMatrix:

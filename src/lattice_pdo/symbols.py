@@ -46,10 +46,13 @@ class Symbol:
     complex, of the integer rows z_rows (S, n) at the integer frequencies
     z_offsets (M, n); column j is 0 where |z_offsets[j]|_inf exceeds the
     declared ``coeff_support_radius``, an integer r >= 0.  Else
-    row_series(z) gives the series of row z, the point hbar z, as
-    ``(coeffs, low)``: a coefficient tensor with one axis per torus axis,
-    and the lowest integer frequency (n,) of each axis, whose frequencies
-    are consecutive, low[j] + arange(coeffs.shape[j]).  Else the symbol is
+    row_series(z_rows) gives in one call the series of the integer rows
+    z_rows (S, n), row z the point hbar z, as ``(coeffs, low)``: coeffs
+    (S, *shape) holds one coefficient tensor a row, with one axis per torus
+    axis and one shape for the whole call, and low (S, n) the lowest integer
+    frequency of each row's axes, whose frequencies are consecutive,
+    low[s, j] + arange(shape[j]).  A row with no terms (such as a row
+    outside a matrix's box) has all-zero coefficients.  Else the symbol is
     its values alone, eval_fn(k, theta), for ``k`` of shape (n,) and
     ``theta`` of shape (..., n), vectorized to theta.shape[:-1].
 
@@ -137,7 +140,8 @@ def theta_derivative(sym: Symbol, k, theta, beta):
 def _series(sym: Symbol, z):
     # row z's (coeffs, low), the `Symbol` series form; None for a symbol given by its values
     if sym.row_series is not None:
-        return sym.row_series(z)
+        coeffs, low = sym.row_series(z[None])
+        return coeffs[0], low[0]
     if sym.closed_form_coeffs is None:
         return None
     box = BoxTruncation(sym.coeff_support_radius)
@@ -181,16 +185,22 @@ def _phase_sum(coeffs, low, theta, beta):
     return acc.reshape(theta.shape[:-1])
 
 
-def series_coefficients(sym: Symbol, z, z_offsets) -> np.ndarray:
-    """Coefficients of row z at the integer frequencies ``z_offsets`` (M, n), in their dtype.
+def series_coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
+    """Coefficients of the rows z_rows (S, n) at the frequencies ``z_offsets`` (M, n), (S, M).
 
-    Offset z_offsets[i] sits at index z_offsets[i] - low of row_series(z):
-    its coefficient where that index is inside the tensor, and 0 where not.
+    One row_series call reads every row, and one gather every (row, offset)
+    pair, in the tensors' dtype: offset z_offsets[j] of row s sits at index
+    z_offsets[j] - low[s], its coefficient where that index is inside the
+    tensor, and 0 where not.  The S tensors are held at once.
     """
-    coeffs, low = sym.row_series(z)
-    index = z_offsets - low
-    inside = ((index >= 0) & (index < coeffs.shape)).all(1)
-    return np.where(inside, coeffs[tuple(np.where(inside[:, None], index, 0).T)], 0)
+    coeffs, low = sym.row_series(z_rows)
+    shape = coeffs.shape[1:]
+    index = z_offsets[None] - low[:, None]
+    inside = ((index >= 0) & (index < shape)).all(2)
+    # each index's flat position in its row's tensor, in C order
+    flat = np.where(inside[..., None], index, 0) @ np.cumprod((1,) + shape[:0:-1])[::-1]
+    tensors = coeffs.reshape(len(coeffs), math.prod(shape))
+    return np.where(inside, np.take_along_axis(tensors, flat, 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +397,30 @@ def symbol_from_matrix(K) -> Symbol:
     symbol reads K back exactly (`series_coefficients`).  It has no closed
     form; its rows are trigonometric polynomials of per-axis degree up to 2R.
 
-    Its series is the row viewed as a (2R+1,)*n tensor over integer column
+    Its series is each row viewed as a (2R+1,)*n tensor over integer column
     coordinates a, with frequencies a - z_j along axis j (z the row's integer
     coordinates), lowest -R - z_j, so a theta point costs at most n(2R+1)
-    exponentials rather than (2R+1)^n, filled from the row's triplets.
+    exponentials rather than (2R+1)^n.  A call fills its rows' tensors with
+    one scatter of their triplets; a row outside the box has none.
     """
     spec, box = K.lattice()
     rows, cols, values = K._triplets
-    # box point z is row i = index[z] (none outside the box), its triplets starts[i]:starts[i + 1]
-    index = {z: i for i, z in enumerate(map(tuple, enumerate_box_integers(spec, box).tolist()))}
+    r, shape = box.radius, box_shape(spec, box)
+    # box point z is row (z + R) . strides, its triplets starts[i]:starts[i + 1]
+    strides = (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
     starts = np.searchsorted(rows, np.arange(K.size + 1))
-    outside = np.zeros((1,) * spec.dim), np.zeros(spec.dim, dtype=np.int64)
 
-    def row_series(z):
-        if (i := index.get(tuple(z.tolist()))) is None:
-            return outside
-        coeffs = np.zeros(K.size, dtype=values.dtype)
-        coeffs[cols[starts[i]:starts[i + 1]]] = values[starts[i]:starts[i + 1]]
-        return coeffs.reshape(box_shape(spec, box)), -box.radius - z
+    def row_series(z_rows):
+        inside = np.all(np.abs(z_rows) <= r, axis=1)
+        i = np.where(inside[:, None], z_rows + r, 0) @ strides
+        first = starts[i]
+        counts = np.where(inside, starts[i + 1] - first, 0)
+        # the block's triplets, row by row: their row in the call, and where they are stored
+        owner = np.repeat(np.arange(len(z_rows)), counts)
+        at = np.arange(len(owner)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        coeffs = np.zeros((len(z_rows), K.size), dtype=values.dtype)
+        coeffs[owner, cols[at]] = values[at]
+        return coeffs.reshape((len(z_rows),) + shape), -r - z_rows
 
     return Symbol(spec, SymbolOrder(0.0, 1.0, 0.0), row_series=row_series, name="matrix-symbol")
 

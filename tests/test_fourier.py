@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from lattice_pdo import fourier
-from lattice_pdo.lattice import BoxTruncation, LatticeSpec
+from lattice_pdo.kernel import KernelMatrix
+from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from lattice_pdo.fourier import (coefficient_table, estimate_decay_constant,
                                  table_to_csv, toroidal_coefficient)
 from lattice_pdo.symbols import (NonFiniteError, Symbol, SymbolOrder, constant_symbol,
                                  decaying_test_symbol, difference_symbol, eval_symbol,
                                  multiplication_symbol, polynomial_potential,
-                                 quadrature_only, schrodinger_symbol)
+                                 quadrature_only, schrodinger_symbol, symbol_from_matrix)
 
 SPEC1 = LatticeSpec(1.0, 1)
 
@@ -287,3 +288,17 @@ def test_forced_quadrature_refuses_non_finite_samples():
     assert toroidal_coefficient(nan_at_one, 0.0, 0.0) == 1.0
     with pytest.raises(NonFiniteError, match=r"'nan-at-1' .*not finite at k = \[1\.0\]"):
         coefficient_table(nan_at_one, BoxTruncation(1), 1)
+
+
+def test_no_rows_give_an_empty_table_of_every_kind():
+    # zero rows at three offsets give a (0, 3) table, whichever case reads the symbol: a
+    # closed form, a series (the symbol of a 2-d matrix) or quadrature
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(1)
+    closed = decaying_test_symbol(3.0, 1.0, 1.0, spec)
+    series = symbol_from_matrix(KernelMatrix(
+        spec, box, np.random.default_rng(4).normal(size=(9, 9))))
+    offsets = enumerate_box_integers(spec, box)[:3]
+    no_rows = np.zeros((0, 2), dtype=np.int64)
+    for sym, dtype in ((closed, float), (series, float), (quadrature_only(closed), complex)):
+        table = fourier.coefficients(sym, no_rows, offsets)
+        assert table.shape == (0, 3) and table.dtype == dtype, sym.name

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -410,6 +411,132 @@ def test_matrix_symbol_roundtrip_builds_no_dense_matrix(monkeypatch):
         for got, want in zip(K2._triplets, K._triplets):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def per_row_series_reader(K):
+    """coefficients(z_rows, z_offsets) of symbol_from_matrix(K), read one row at a time.
+
+    The reader the batched one replaced, kept as its reference: row z's tensor is
+    found by the tuple z (a row outside the box is one zero), and each row's
+    offsets are gathered by their index in it, 0 outside it.
+    """
+    spec, box = K.lattice()
+    rows, cols, values = K._triplets
+    index = {z: i for i, z in enumerate(map(tuple, enumerate_box_integers(spec, box).tolist()))}
+    starts = np.searchsorted(rows, np.arange(K.size + 1))
+    outside = np.zeros((1,) * spec.dim), np.zeros(spec.dim, dtype=np.int64)
+
+    def row_series(z):
+        if (i := index.get(tuple(z.tolist()))) is None:
+            return outside
+        coeffs = np.zeros(K.size, dtype=values.dtype)
+        coeffs[cols[starts[i]:starts[i + 1]]] = values[starts[i]:starts[i + 1]]
+        return coeffs.reshape((2 * box.radius + 1,) * spec.dim), -box.radius - z
+
+    def gather(z, z_offsets):
+        coeffs, low = row_series(z)
+        at = z_offsets - low
+        inside = ((at >= 0) & (at < coeffs.shape)).all(1)
+        return np.where(inside, coeffs[tuple(np.where(inside[:, None], at, 0).T)], 0)
+
+    return lambda z_rows, z_offsets: np.array([gather(z, z_offsets) for z in z_rows])
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim, radius", [(1, 3), (2, 2), (3, 1)])
+def test_batched_series_read_keeps_every_bit_of_the_per_row_read(dim, radius, complex_values):
+    # assemble (on a narrower, the same and a wider box), coefficient_table (rows one
+    # beyond the matrix's box, offsets one beyond its tensors) and toroidal_coefficient
+    # (rows and offsets inside and outside) give the per-row reader's values and dtype
+    rng = np.random.default_rng(10 * dim + complex_values)
+    spec, box = LatticeSpec(0.5, dim), BoxTruncation(radius)
+    size = box.size(dim)
+    a = rng.normal(size=(size, size)) + (1j * rng.normal(size=(size, size)) if complex_values else 0)
+    a[rng.random((size, size)) < 0.3] = 0
+    a[size // 3] = 0  # a row with no triplet
+    K = KernelMatrix(spec, box, a)
+    sym, reference = symbol_from_matrix(K), per_row_series_reader(K)
+    for r in (radius - 1, radius, radius + 1):
+        at = BoxTruncation(r)
+        zs = enumerate_box_integers(spec, at)
+        want = KernelMatrix(spec, at, np.array([reference(zs[i:i + 1], zs - zs[i])[0]
+                                                for i in range(len(zs))]))
+        got = assemble(sym, spec, at)
+        assert got.provenance["method"] == "series"
+        for g, w in zip(got._triplets, want._triplets):
+            assert same_bits(g, w), r
+    k_box = BoxTruncation(radius + 1)
+    table = coefficient_table(sym, k_box, 2 * radius + 1)
+    k_ints = enumerate_box_integers(spec, k_box)
+    m_ints = enumerate_box_integers(spec, BoxTruncation(2 * radius + 1))
+    assert same_bits(table.values, reference(k_ints, m_ints))
+    for zk in k_ints[::max(1, len(k_ints) // 7)]:
+        for zm in m_ints[::max(1, len(m_ints) // 11)]:
+            got = toroidal_coefficient(sym, spec.hbar * zk, spec.hbar * zm)
+            assert got == complex(reference(zk[None], zm[None])[0, 0]), (zk, zm)
+
+
+def test_series_rows_with_their_own_lowest_frequencies_are_placed_exactly():
+    # a series whose rows start at different frequencies (each row of the matrix's
+    # tensor padded with zeros, 0, 1 or 2 below it on each axis) is placed in groups
+    # of rows that share a start, and assembles to the matrix symbol's triplets on a
+    # narrower, the same and a wider box
+    spec, box = LatticeSpec(0.5, 2), BoxTruncation(2)
+    rng = np.random.default_rng(7)
+    sym = symbol_from_matrix(KernelMatrix(spec, box, rng.normal(size=(25, 25))))
+
+    def padded(z_rows):
+        coeffs, low = sym.row_series(z_rows)
+        pad = np.sum(z_rows, axis=1) % 3
+        out = np.zeros((len(z_rows), 7, 7))
+        for p in range(3):
+            out[pad == p, p:p + 5, p:p + 5] = coeffs[pad == p]
+        return out, low - pad[:, None]
+
+    for r in (1, 2, 3):
+        got = assemble(dataclasses.replace(sym, row_series=padded), spec, BoxTruncation(r))
+        for g, w in zip(got._triplets, assemble(sym, spec, BoxTruncation(r))._triplets):
+            assert same_bits(g, w), r
+
+
+def test_series_assembly_reads_blocks_of_rows_in_bounded_memory():
+    # a 2-d R=20 matrix symbol, real and complex, is read with one row_series call a
+    # block of ~1 MiB of rows, and builds no dense array of the box: its peak is below
+    # the dense array plus the stored triplets plus one block, and below a quarter of
+    # the dense array alone
+    spec, box = LatticeSpec(0.5, 2), BoxTruncation(20)
+    size, step = box.size(2), kernel._rows_per_block(box.size(2))
+    real = assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, box)
+    rows, cols, values = real._triplets
+    for K in (real, KernelMatrix._from_flat(spec, box, size, rows * size + cols,
+                                            values * (1 + 0.5j), None)):
+        sym = symbol_from_matrix(K)
+        calls = []
+
+        def counting(z_rows, read=sym.row_series):
+            calls.append(z_rows.copy())
+            return read(z_rows)
+
+        got = assemble(dataclasses.replace(sym, row_series=counting), spec, box)
+        assert len(calls) == math.ceil(size / step) < size
+        np.testing.assert_array_equal(np.concatenate(calls), enumerate_box_integers(spec, box))
+        assert all(len(z) <= step for z in calls)
+        for g, w in zip(got._triplets, K._triplets):
+            assert same_bits(g, w)
+        dense = size * size * K._triplets[2].itemsize
+        bound = dense + kernel.TRIPLET_BYTES * len(K._triplets[2]) + 16 * size * step
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assemble(sym, spec, box)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound and peak < dense / 4, (peak, dense, bound)
 
 
 def test_apply_adds_each_row_in_column_order(monkeypatch):

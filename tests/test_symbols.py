@@ -257,8 +257,9 @@ def test_matrix_symbol_matches_direct_phase_sum(case):
     n = K.spec.dim
     sym = symbol_from_matrix(K)
     z = np.rint(k / K.spec.hbar).astype(np.int64)
-    coeffs, low = sym.row_series(z)
-    assert coeffs.ndim == n and np.shape(low) == (n,)
+    coeffs, low = sym.row_series(z[None])
+    assert coeffs.shape[0] == 1 and coeffs.ndim == n + 1 and low.shape == (1, n)
+    coeffs = coeffs[0]
     values = eval_symbol(sym, k, theta)
     derivs = theta_derivative(sym, k, theta, beta)
     assert np.shape(values) == np.shape(derivs) == theta.shape[:-1]
