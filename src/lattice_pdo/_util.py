@@ -62,6 +62,15 @@ def check_fits(need: int, what: str) -> None:
                          f"more than the {have} bytes of physical memory")
 
 
+def rows_per_block(width: int) -> int:
+    """Rows of ``width`` complex128 entries in ~1 MiB, at least one.
+
+    The block of every reader that goes through a large array a few rows at
+    a time, so that it holds one block, not the array.
+    """
+    return max(1, 2 ** 20 // (16 * width))
+
+
 def check_dense_fits(shape) -> None:
     """`check_fits` for a dense array of ``shape``.
 

@@ -9,9 +9,9 @@ rule of three cases, checked in this order:
 
 1. a closed form returns the table of all rows and offsets in one call;
 2. otherwise a series (``row_series``, such as the symbol of a matrix) is
-   read for all rows in one call, and every (row, offset) pair is gathered
-   in one step: each coefficient is found by its index in its row's
-   consecutive frequencies, and is 0 outside them
+   read in blocks of rows of ~1 MiB of tensors, one call and one gather of
+   every (row, offset) pair a block: each coefficient is found by its index
+   in its row's consecutive frequencies, and is 0 outside them
    (`symbols.series_coefficients`);
 3. only a symbol given by its values alone (``eval_fn``) goes to FFT
    quadrature: the tensor trapezoid rule on N uniform points per axis

@@ -32,11 +32,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import BoxTruncation, LatticeSpec, enumerate_box, enumerate_box_integers
-from .symbols import NonFiniteError, Symbol, _finite_at
+from .lattice import (BoxTruncation, LatticeSpec, box_strides, enumerate_box,
+                      enumerate_box_integers)
+from .symbols import NonFiniteError, Symbol, _finite_at, _series_blocks, _series_gather
 from .fourier import coefficients, grid_size
 from . import _util
-from ._util import check_dense_fits, check_fits
+from ._util import check_dense_fits, check_fits, rows_per_block
 
 TRIPLET_BYTES = 32       # two int64 indices and a complex128 value
 HERMITIAN_TOL = 1e-9     # largest asymmetry `hermitian_check` accepts
@@ -171,7 +172,7 @@ def reflection_blocks(K: KernelMatrix):
         check_fits(176 * len(values) + (32 * n + 80) * size,
                    f"reflection blocks of {len(values)} triplets")
         side = 2 * r + 1
-        strides = side ** np.arange(n - 1, -1, -1)
+        strides = box_strides(K.spec, K.box)
         keys = rows * size + cols
 
         def fixes(a):
@@ -241,7 +242,8 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     fit in physical memory).  Any other symbol is refused first if its dense
     array would not fit, then read by blocks of rows whose nonzeros are
     stored as they come (`_nonzeros`), so no dense array is built: a series
-    (the symbol of a matrix) exactly, ~1 MiB of box rows a row_series call,
+    (the symbol of a matrix) exactly, one row_series call a block of ~1 MiB
+    of tensors and of box rows, gathered as `series_coefficients` gathers,
     with the method "series"; a symbol given by its values by quadrature,
     row by row, each on the grid its offsets need (`fourier.coefficients`),
     with the method naming the grid of the widest rows, whose corner
@@ -262,7 +264,7 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
         rows, cols = np.nonzero(np.logical_and.reduce(
             [np.abs(zj[:, None] + oj) <= r for zj, oj in zip(zs.T, offsets.T)]))
         # in box order, the column of row i at offset z is i + z . strides
-        shifts = offsets @ (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
+        shifts = offsets @ box_strides(spec, box)
         return KernelMatrix._from_flat(spec, box, size, rows * (size + 1) + shifts[cols],
                                        sym.closed_form_coeffs(zs, offsets)[rows, cols],
                                        {"symbol": sym.name, "method": "closed-form", "radius": r})
@@ -270,32 +272,15 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
     check_dense_fits((size, size))
     zs = enumerate_box_integers(spec, box)
     if sym.row_series is not None:
-        step = _rows_per_block(size)
-        blocks = ((i, _series_block(sym.row_series, zs[i:i + step], r))
-                  for i in range(0, size, step))
+        # column m of row z is the coefficient at frequency m - z, read as m with z added to low
+        blocks = ((i, _series_gather(coeffs, low + zs[i:i + len(coeffs)], zs))
+                  for i, coeffs, low in _series_blocks(sym, zs, size))
         method = "series"
     else:
         blocks = ((i, coefficients(sym, zs[i:i + 1], zs - zs[i])) for i in range(size))
         method = f"quadrature(n={grid_size(2 * r)})"
     return KernelMatrix._from_flat(spec, box, size, *_nonzeros(size, blocks),
                                    {"symbol": sym.name, "method": method, "radius": r})
-
-
-def _series_block(row_series, z, r) -> np.ndarray:
-    # the box rows z (B, n) from one row_series call, as a (B, size) array.  Row z's
-    # columns m sit at tensor index m - z - low: on each axis a range of 2r + 1 from
-    # begin = -r - z - low, clipped to the tensor, so the rows that share a begin are
-    # placed with one slice
-    coeffs, low = row_series(z)
-    side = 2 * r + 1
-    block = np.zeros((len(z),) + (side,) * z.shape[1], dtype=coeffs.dtype)
-    begins, group = np.unique(-r - z - low, axis=0, return_inverse=True)
-    for g, begin in enumerate(begins):
-        lo, hi = np.maximum(begin, 0), np.minimum(begin + side, coeffs.shape[1:])
-        if np.all(lo < hi):
-            at = slice(None) if len(begins) == 1 else np.flatnonzero(group.ravel() == g)
-            block[(at, *map(slice, lo - begin, hi - begin))] = coeffs[(at, *map(slice, lo, hi))]
-    return block.reshape(len(z), -1)
 
 
 def as_kernel(K) -> KernelMatrix:
@@ -395,17 +380,12 @@ def write_csv(K: KernelMatrix, path) -> None:
 _BIN_HEADER = struct.Struct("<qdq")  # dim, hbar, radius
 
 
-def _rows_per_block(size) -> int:
-    # kernel.bin is written and read ~1 MiB of rows at a time
-    return max(1, 2 ** 20 // (16 * size))
-
-
 def write_binary(K: KernelMatrix, path) -> None:
     """Compact binary: header (n int64, hbar float64, R int64), then row-major complex128."""
     (spec, box), size, (rows, cols, values) = K.lattice(), K.size, K._triplets
     check_dense_fits((size, size))
     # refused as `entries` is, but written from the triplets through ~1 MiB of zeroed rows
-    buf = np.zeros((_rows_per_block(size), size), dtype="<c16")
+    buf = np.zeros((rows_per_block(size), size), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(spec.dim, spec.hbar, box.radius))
         for start in range(0, size, len(buf)):
@@ -432,7 +412,7 @@ def read_binary(path) -> KernelMatrix:
         want = _BIN_HEADER.size + 16 * size * size
         if got != want:
             raise ValueError(f"{path} holds {got} bytes; a {size}x{size} matrix takes {want}")
-        step = _rows_per_block(size)
+        step = rows_per_block(size)
         flat, values = _nonzeros(size, ((i, np.frombuffer(fh.read(16 * size * step), "<c16"))
                                         for i in range(0, size, step)))
     # the box's integer coordinates, which `points` enumerates, must fit too

@@ -75,6 +75,15 @@ def box_shape(spec: LatticeSpec, box: BoxTruncation) -> tuple:
     return (2 * box.radius + 1,) * spec.dim
 
 
+def box_strides(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
+    """Strides of the box order: box point z is index (z + R) . box_strides.
+
+    So an offset z moves an index by z . box_strides, and axis j of index i
+    is i // box_strides[j] % (2R + 1) - R.
+    """
+    return (2 * box.radius + 1) ** np.arange(spec.dim - 1, -1, -1)
+
+
 def enumerate_box_integers(spec: LatticeSpec, box: BoxTruncation) -> np.ndarray:
     """Integer coordinates z of the box points, shape (size, dim), in box order."""
     z = np.indices(box_shape(spec, box), dtype=np.int64).reshape(spec.dim, -1).T

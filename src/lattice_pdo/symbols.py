@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape,
+from .lattice import (BoxTruncation, LatticeSpec, as_point, box_shape, box_strides,
                       enumerate_box_integers, integer_coords)
-from ._util import check_fits, float_pow
+from ._util import check_fits, float_pow, rows_per_block
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,11 @@ class Symbol:
     row_series(z_rows) gives in one call the series of the integer rows
     z_rows (S, n), row z the point hbar z, as ``(coeffs, low)``: coeffs
     (S, *shape) holds one coefficient tensor a row, with one axis per torus
-    axis and one shape for the whole call, and low (S, n) the lowest integer
-    frequency of each row's axes, whose frequencies are consecutive,
-    low[s, j] + arange(shape[j]).  A row with no terms (such as a row
-    outside a matrix's box) has all-zero coefficients.  Else the symbol is
+    axis and one shape, the same in every call (so a call with no rows gives
+    it, and readers size their blocks of rows from it), and low (S, n) the
+    lowest integer frequency of each row's axes, whose frequencies are
+    consecutive, low[s, j] + arange(shape[j]).  A row with no terms (such as
+    a row outside a matrix's box) has all-zero coefficients.  Else the symbol is
     its values alone, eval_fn(k, theta), for ``k`` of shape (n,) and
     ``theta`` of shape (..., n), vectorized to theta.shape[:-1].
 
@@ -141,6 +142,9 @@ def _series(sym: Symbol, z):
     # row z's (coeffs, low), the `Symbol` series form; None for a symbol given by its values
     if sym.row_series is not None:
         coeffs, low = sym.row_series(z[None])
+        if not coeffs.any():
+            # a row with no terms (off a matrix's box) is the constant 0, summed at once
+            return np.zeros((1,) * sym.spec.dim, coeffs.dtype), np.zeros(sym.spec.dim, np.int64)
         return coeffs[0], low[0]
     if sym.closed_form_coeffs is None:
         return None
@@ -188,19 +192,36 @@ def _phase_sum(coeffs, low, theta, beta):
 def series_coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     """Coefficients of the rows z_rows (S, n) at the frequencies ``z_offsets`` (M, n), (S, M).
 
-    One row_series call reads every row, and one gather every (row, offset)
-    pair, in the tensors' dtype: offset z_offsets[j] of row s sits at index
+    The rows are read in blocks, one row_series call each (`_series_blocks`),
+    and each block's (row, offset) pairs in one gather (`_series_gather`),
+    in the tensors' dtype: offset z_offsets[j] of row s sits at index
     z_offsets[j] - low[s], its coefficient where that index is inside the
-    tensor, and 0 where not.  The S tensors are held at once.
+    tensor, and 0 where not.
     """
-    coeffs, low = sym.row_series(z_rows)
+    return np.concatenate([_series_gather(coeffs, low, z_offsets)
+                           for _, coeffs, low in _series_blocks(sym, z_rows, len(z_offsets))])
+
+
+def _series_blocks(sym: Symbol, z_rows, width):
+    # (first row, coeffs, low) of one row_series call a block of rows z_rows, each block
+    # ~1 MiB of tensors and of ``width``-entry output rows, sized from the tensor shape
+    # that a call with no rows gives; at least one call, so no rows still give a dtype
+    coeffs, _ = sym.row_series(z_rows[:0])
+    step = rows_per_block(max(width, math.prod(coeffs.shape[1:])))
+    for i in range(0, max(len(z_rows), 1), step):
+        yield i, *sym.row_series(z_rows[i:i + step])
+
+
+def _series_gather(coeffs, low, z_offsets) -> np.ndarray:
+    # (B, M): row s's coefficient at frequency z_offsets[j], tensor index z_offsets[j] - low[s]
     shape = coeffs.shape[1:]
-    index = z_offsets[None] - low[:, None]
-    inside = ((index >= 0) & (index < shape)).all(2)
-    # each index's flat position in its row's tensor, in C order
-    flat = np.where(inside[..., None], index, 0) @ np.cumprod((1,) + shape[:0:-1])[::-1]
-    tensors = coeffs.reshape(len(coeffs), math.prod(shape))
-    return np.where(inside, np.take_along_axis(tensors, flat, 1), 0)
+    index = [zj - lj[:, None] for zj, lj in zip(z_offsets.T, low.T)]
+    inside = np.logical_and.reduce([(i >= 0) & (i < side) for i, side in zip(index, shape)])
+    flat = np.ravel_multi_index(index, shape, mode="clip")  # clipped where not inside
+    del index
+    out = np.take_along_axis(coeffs.reshape(len(coeffs), math.prod(shape)), flat, 1)
+    out[~inside] = 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +426,8 @@ def symbol_from_matrix(K) -> Symbol:
     """
     spec, box = K.lattice()
     rows, cols, values = K._triplets
-    r, shape = box.radius, box_shape(spec, box)
-    # box point z is row (z + R) . strides, its triplets starts[i]:starts[i + 1]
-    strides = (2 * r + 1) ** np.arange(spec.dim - 1, -1, -1)
+    r, shape, strides = box.radius, box_shape(spec, box), box_strides(spec, box)
+    # box row i holds triplets starts[i]:starts[i + 1]
     starts = np.searchsorted(rows, np.arange(K.size + 1))
 
     def row_series(z_rows):

@@ -482,8 +482,8 @@ def test_batched_series_read_keeps_every_bit_of_the_per_row_read(dim, radius, co
 
 def test_series_rows_with_their_own_lowest_frequencies_are_placed_exactly():
     # a series whose rows start at different frequencies (each row of the matrix's
-    # tensor padded with zeros, 0, 1 or 2 below it on each axis) is placed in groups
-    # of rows that share a start, and assembles to the matrix symbol's triplets on a
+    # tensor padded with zeros, 0, 1 or 2 below it on each axis) is gathered by each
+    # row's own lowest frequencies, and assembles to the matrix symbol's triplets on a
     # narrower, the same and a wider box
     spec, box = LatticeSpec(0.5, 2), BoxTruncation(2)
     rng = np.random.default_rng(7)
@@ -505,11 +505,11 @@ def test_series_rows_with_their_own_lowest_frequencies_are_placed_exactly():
 
 def test_series_assembly_reads_blocks_of_rows_in_bounded_memory():
     # a 2-d R=20 matrix symbol, real and complex, is read with one row_series call a
-    # block of ~1 MiB of rows, and builds no dense array of the box: its peak is below
-    # the dense array plus the stored triplets plus one block, and below a quarter of
-    # the dense array alone
+    # block of ~1 MiB of rows (after one call with no rows, which gives the tensor
+    # shape), and builds no dense array of the box: its peak is below the dense array
+    # plus the stored triplets plus one block, and below a quarter of the dense array
     spec, box = LatticeSpec(0.5, 2), BoxTruncation(20)
-    size, step = box.size(2), kernel._rows_per_block(box.size(2))
+    size, step = box.size(2), _util.rows_per_block(box.size(2))
     real = assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, box)
     rows, cols, values = real._triplets
     for K in (real, KernelMatrix._from_flat(spec, box, size, rows * size + cols,
@@ -522,7 +522,7 @@ def test_series_assembly_reads_blocks_of_rows_in_bounded_memory():
             return read(z_rows)
 
         got = assemble(dataclasses.replace(sym, row_series=counting), spec, box)
-        assert len(calls) == math.ceil(size / step) < size
+        assert len(calls) == 1 + math.ceil(size / step) < size and len(calls[0]) == 0
         np.testing.assert_array_equal(np.concatenate(calls), enumerate_box_integers(spec, box))
         assert all(len(z) <= step for z in calls)
         for g, w in zip(got._triplets, K._triplets):
@@ -537,6 +537,38 @@ def test_series_assembly_reads_blocks_of_rows_in_bounded_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound and peak < dense / 4, (peak, dense, bound)
+
+
+def test_series_reads_hold_one_block_of_tensors_however_few_outputs():
+    # a matrix symbol's row tensors are as large as its box, however few outputs a read
+    # gives: a coefficient table of a 3-d R=6 matrix symbol at frequency radius 1 (27
+    # offsets a row), and an assembly of a 2-d R=40 one on an R=8 box, each read ~1 MiB
+    # of tensors a call, so each peaks below its output twice plus 4 MiB, where one
+    # call for all its rows would hold more than that in tensors alone
+    def traced(read):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = read()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    spec, box = LatticeSpec(1.0, 3), BoxTruncation(6)
+    K = assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, box)
+    sym = symbol_from_matrix(K)
+    table, peak = traced(lambda: coefficient_table(sym, box, 1).values)
+    assert table.shape == (K.size, 27)
+    assert peak < 2 * table.nbytes + 4 * 2 ** 20 < K.size * K.size * 8, peak
+    spec = LatticeSpec(1.0, 2)
+    K = assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, BoxTruncation(40))
+    sym, narrow = symbol_from_matrix(K), BoxTruncation(8)
+    got, peak = traced(lambda: assemble(sym, spec, narrow))
+    stored = kernel.TRIPLET_BYTES * len(got._triplets[2])
+    assert peak < 2 * stored + 4 * 2 ** 20 < narrow.size(2) * K.size * 8, peak
+    want = assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, narrow)
+    for g, w in zip(got._triplets, want._triplets):
+        assert same_bits(g, w)
 
 
 def test_apply_adds_each_row_in_column_order(monkeypatch):

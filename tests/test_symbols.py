@@ -554,6 +554,31 @@ def test_phase_sums_preflight_refuses_before_any_table(monkeypatch):
     assert peak < 16 * len(theta)  # less than one complex value a point
 
 
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_matrix_symbol_off_its_box_is_zero_at_once(monkeypatch, complex_values):
+    # rows off a 3-d R=4 box have no terms: their value and a derivative at 2^14 theta
+    # points are exact zeros with no phase sum (a refusing check_fits is never reached),
+    # and their coefficients, asked for alone, are zeros of the matrix's dtype
+    spec, box = LatticeSpec(1.0, 3), BoxTruncation(4)
+    a = np.random.default_rng(2).normal(size=(box.size(3), box.size(3)))
+    sym = symbol_from_matrix(KernelMatrix(spec, box, a * (1 + 1j) if complex_values else a))
+
+    def refuse(need, what):
+        raise ValueError(f"{what} needs {need} bytes, more than the physical memory")
+
+    monkeypatch.setattr(symbols, "check_fits", refuse)
+    theta = np.random.default_rng(1).random((2 ** 14, 3))
+    off = np.array([[5, 0, 0], [0, -5, 3], [9, 9, 9]])
+    for k in off:
+        for beta in ((0, 0, 0), (1, 0, 2)):
+            got = theta_derivative(sym, k, theta, beta)
+            assert got.shape == (2 ** 14,) and got.dtype == complex
+            assert not np.any(got) and not np.signbit(got.view(float)).any(), (k, beta)
+    table = symbols.series_coefficients(sym, off, enumerate_box_integers(spec, BoxTruncation(1)))
+    assert table.shape == (3, 27) and table.dtype == (complex if complex_values else float)
+    assert not np.any(table)
+
+
 def c_pow_overflows(r, exponent):
     try:
         math.pow(r, exponent)
