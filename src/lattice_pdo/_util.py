@@ -63,12 +63,12 @@ def check_fits(need: int, what: str) -> None:
 
 
 def rows_per_block(width: int) -> int:
-    """Rows of ``width`` complex128 entries in ~1 MiB, at least one.
+    """Rows of ``width`` complex128 entries in ~1 MiB, at least one (any number at width 0).
 
     The block of every reader that goes through a large array a few rows at
     a time, so that it holds one block, not the array.
     """
-    return max(1, 2 ** 20 // (16 * width))
+    return max(1, 2 ** 20 // (16 * max(width, 1)))
 
 
 def check_dense_fits(shape) -> None:

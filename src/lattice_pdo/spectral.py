@@ -19,7 +19,8 @@ import numpy as np
 from .kernel import (KernelMatrix, as_kernel, hermitian_check, power_sums, reflection_blocks,
                      split_diagonal)
 from .symbols import SymbolOrder
-from ._util import check_dense_fits, rounded_up
+from . import _lapack
+from ._util import check_dense_fits, rounded_up, rows_per_block
 
 SANDWICH_SLACK = 1e-8   # rounding allowed at each link of the sandwich chain
 EPS = np.finfo(float).eps
@@ -45,7 +46,10 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 
     Solved in `kernel.reflection_blocks`, each block by `eigvalsh`, or by
     `eigh` with its vectors carried back onto the box; real input in real
-    arithmetic, with real eigenvectors.
+    arithmetic, with real eigenvectors.  A real block whose lower triangle
+    is tridiagonal (every block of a 1-d kernel) goes to LAPACK's dstevd
+    (`_lapack`), which runs dsyevd's own second stage with no reduction to
+    do: the same bits, so the error model below is unchanged.
 
     error_bound = scale * eps * ||K||_inf, with or without vectors, bounds
     each sorted value's distance from the exact one (Weyl).  A dense solve
@@ -67,28 +71,44 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     return _bounded(K, *_solve(K, want_vectors))
 
 
+def _eigh(block, want_vectors: bool):
+    # eigvalsh, or eigh with vectors: a real tridiagonal block by dstevd, dsyevd's own second
+    # stage, with the same bits (`_lapack`); any other block dense
+    solved = _lapack.tridiagonal_eigh(block, want_vectors)
+    if solved is not None:
+        return solved
+    return np.linalg.eigh(block) if want_vectors else np.linalg.eigvalsh(block)
+
+
 def _solve(K: KernelMatrix, want_vectors: bool):
-    # the one solve path, block by block: values by eigvalsh, or with vectors by eigh,
-    # each block's vectors carried back into the columns of one box-sized array; a
-    # stable sort, with the columns to match
-    parts, vecs = [], None
-    if want_vectors:
-        check_dense_fits((K.size, K.size))
-        vecs = np.zeros((K.size, K.size), dtype=K._triplets[2].dtype)
-    for block, (at, pos, coef) in reflection_blocks(K):
-        if not want_vectors:
-            parts.append(np.linalg.eigvalsh(block))
-        else:
-            done, (vals, v) = sum(map(len, parts)), np.linalg.eigh(block)
-            vecs[at, done:done + len(vals)] = coef[:, None] * v[pos]
-            parts.append(vals)
-    order = np.argsort(vals := np.concatenate(parts), kind="stable")
-    if vecs is not None:
-        vecs = vecs[:, order]
-        top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(K.size)]
-        # libm's hypot, as abs() of a complex scalar: np.abs of a complex
-        # array can round its last bit differently
-        vecs /= top / np.hypot(top.real, top.imag)
+    # the one solve path, block by block (`_eigh`); a stable sort of the values.  With
+    # vectors, each block's are held until every value is known, then carried back into
+    # their sorted columns of one box-sized array ~1 MiB of rows at a time, and the phase
+    # rule reads it ~1 MiB of columns at a time
+    if not want_vectors:
+        vals = np.concatenate([_eigh(block, False) for block, _ in reflection_blocks(K)])
+        return vals[np.argsort(vals, kind="stable")], None
+    check_dense_fits((K.size, K.size))
+    solved = [(*_eigh(block, True), basis) for block, basis in reflection_blocks(K)]
+    order = np.argsort(vals := np.concatenate([w for w, _, _ in solved]), kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(K.size)
+    vecs = np.zeros((K.size, K.size), dtype=K._triplets[2].dtype)
+    done = 0
+    while solved:
+        w, v, (at, pos, coef) = solved.pop(0)
+        cols = column[done:done + len(w)]
+        for i in range(0, len(at), step := rows_per_block(len(w))):
+            vecs[at[i:i + step, None], cols] = coef[i:i + step, None] * v[pos[i:i + step]]
+        done += len(w)
+        del v
+    top_row = np.empty(K.size, dtype=np.intp)
+    for c in range(0, K.size, step := rows_per_block(K.size)):
+        top_row[c:c + step] = np.argmax(np.abs(vecs[:, c:c + step]), axis=0)
+    top = vecs[top_row, np.arange(K.size)]
+    # libm's hypot, as abs() of a complex scalar: np.abs of a complex
+    # array can round its last bit differently
+    vecs /= top / np.hypot(top.real, top.imag)
     return vals[order], vecs
 
 
@@ -106,7 +126,9 @@ def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
     An exactly Hermitian residue (`kernel.split_diagonal`'s) gives
-    max |lambda| + error_bound (Weyl), rounded up once.  Any other gives the
+    max |lambda| + error_bound (Weyl), rounded up once; its real
+    tridiagonal blocks are solved by dstevd, dsyevd's own second stage, to
+    eigvalsh's bits, so that error model is unchanged.  Any other gives the
     largest 2-norm of its reflection blocks, whose singular values are its
     own.  Each is taken to be exact for a matrix within size * eps ||B||_2
     of the block B solved, which `rounded_up` adds back.  A box's blocks

@@ -193,13 +193,17 @@ def series_coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     """Coefficients of the rows z_rows (S, n) at the frequencies ``z_offsets`` (M, n), (S, M).
 
     The rows are read in blocks, one row_series call each (`_series_blocks`),
-    and each block's (row, offset) pairs in one gather (`_series_gather`),
-    in the tensors' dtype: offset z_offsets[j] of row s sits at index
-    z_offsets[j] - low[s], its coefficient where that index is inside the
-    tensor, and 0 where not.
+    and each block's (row, offset) pairs in one gather (`_series_gather`)
+    into its rows of the one (S, M) table, in the tensors' dtype: offset
+    z_offsets[j] of row s sits at index z_offsets[j] - low[s], its
+    coefficient where that index is inside the tensor, and 0 where not.
     """
-    return np.concatenate([_series_gather(coeffs, low, z_offsets)
-                           for _, coeffs, low in _series_blocks(sym, z_rows, len(z_offsets))])
+    table = None
+    for i, coeffs, low in _series_blocks(sym, z_rows, len(z_offsets)):
+        if table is None:
+            table = np.empty((len(z_rows), len(z_offsets)), dtype=coeffs.dtype)
+        _series_gather(coeffs, low, z_offsets, out=table[i:i + len(coeffs)])
+    return table
 
 
 def _series_blocks(sym: Symbol, z_rows, width):
@@ -212,14 +216,16 @@ def _series_blocks(sym: Symbol, z_rows, width):
         yield i, *sym.row_series(z_rows[i:i + step])
 
 
-def _series_gather(coeffs, low, z_offsets) -> np.ndarray:
-    # (B, M): row s's coefficient at frequency z_offsets[j], tensor index z_offsets[j] - low[s]
+def _series_gather(coeffs, low, z_offsets, out=None) -> np.ndarray:
+    # (B, M): row s's coefficient at frequency z_offsets[j], tensor index z_offsets[j] - low[s];
+    # written into ``out`` when given
     shape = coeffs.shape[1:]
     index = [zj - lj[:, None] for zj, lj in zip(z_offsets.T, low.T)]
     inside = np.logical_and.reduce([(i >= 0) & (i < side) for i, side in zip(index, shape)])
     flat = np.ravel_multi_index(index, shape, mode="clip")  # clipped where not inside
     del index
-    out = np.take_along_axis(coeffs.reshape(len(coeffs), math.prod(shape)), flat, 1)
+    flat += np.arange(len(coeffs))[:, None] * math.prod(shape)  # row s's tensor, flattened
+    out = np.take(coeffs.reshape(-1), flat, out=out, mode="clip")
     out[~inside] = 0
     return out
 

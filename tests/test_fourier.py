@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lattice_pdo import fourier
-from lattice_pdo.kernel import KernelMatrix
+from lattice_pdo.kernel import KernelMatrix, assemble
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
 from lattice_pdo.fourier import (coefficient_table, estimate_decay_constant,
                                  table_to_csv, toroidal_coefficient)
@@ -302,3 +302,29 @@ def test_no_rows_give_an_empty_table_of_every_kind():
     for sym, dtype in ((closed, float), (series, float), (quadrature_only(closed), complex)):
         table = fourier.coefficients(sym, no_rows, offsets)
         assert table.shape == (0, 3) and table.dtype == dtype, sym.name
+
+
+def test_matrix_symbol_table_is_filled_in_place():
+    # the coefficient table of a real 3-d R=4 matrix symbol at frequency radius 5, 729 x
+    # 1331 float64 (7.8 MB), is filled block by block: it peaks below the table plus
+    # 4 MiB, one ~1 MiB block of row tensors with what building and gathering it holds,
+    # where gathering the blocks into a list and then joining them holds the table twice
+    spec, box = LatticeSpec(1.0, 3), BoxTruncation(4)
+    K = KernelMatrix(spec, box,
+                     assemble(decaying_test_symbol(3.0, 1.0, 1.0, spec), spec, box).entries.real)
+    sym = symbol_from_matrix(K)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = coefficient_table(sym, box, 5).values
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (729, 1331) and table.dtype == np.float64
+    assert peak < table.nbytes + 4 * 2 ** 20, (peak, table.nbytes)
+    # the same coefficients as one row at a time, bit for bit
+    m_ints = enumerate_box_integers(spec, BoxTruncation(5))
+    z_rows = enumerate_box_integers(spec, box)
+    for i in (0, 364, 728):
+        row = fourier.coefficients(sym, z_rows[i:i + 1], m_ints)
+        assert row.tobytes() == table[i:i + 1].tobytes()

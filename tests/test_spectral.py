@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from lattice_pdo import kernel, spectral
+from lattice_pdo import _lapack, kernel, spectral
 from lattice_pdo.cli import main
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec, enumerate_box_integers, index_of
 from lattice_pdo.kernel import KernelMatrix, assemble, hermitian_check, hermitize, split_diagonal
@@ -563,3 +564,156 @@ def test_radius_zero_solves_in_every_parity_block(dim):
         d = K.entries[0, 0]
         assert np.array_equal(dec.eigenvalues, [d])
         assert dec.error_bound == (2 ** dim + 3) * np.finfo(float).eps * abs(d)
+
+
+# ---------------------------------------------------------------------------
+# real tridiagonal blocks by LAPACK's dstevd, bit for bit as numpy's dense solve
+# ---------------------------------------------------------------------------
+
+def _binding_expected():
+    # numpy's wheels bundle scipy-openblas, which exports the ILP64 LAPACKE symbol
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas"
+
+
+@pytest.fixture
+def bound():
+    if _lapack.dstevd() is None:
+        assert not _binding_expected(), "numpy's scipy-openblas was not bound or failed its probe"
+        pytest.skip("no dstevd binding for this numpy's BLAS")
+
+
+def tridiagonal(n, scale=1.0, seed=0, zero_at=None):
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.normal(size=n) * scale)
+    sub = rng.normal(size=max(n - 1, 0)) * scale
+    if zero_at is not None:
+        sub[zero_at] = 0.0
+    i = np.arange(n - 1)
+    a[i + 1, i] = a[i, i + 1] = sub
+    return a
+
+
+def assert_numpys_bits(block):
+    vals = _lapack.tridiagonal_eigh(block, False)
+    both = _lapack.tridiagonal_eigh(block, True)
+    assert vals is not None and both is not None
+    for got, want in zip((vals, *both), (np.linalg.eigvalsh(block), *np.linalg.eigh(block))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
+@pytest.mark.parametrize("n", [0, 1, 2, 26, 501])
+def test_tridiagonal_block_has_numpys_bits(bound, n, scale):
+    # past 1e+-150 both drivers scale the band first; 26 points reach dstedc's divide and
+    # conquer
+    assert_numpys_bits(tridiagonal(n, scale, seed=n))
+
+
+@pytest.mark.parametrize("n", [26, 501])
+def test_diagonal_and_split_blocks_have_numpys_bits(bound, n):
+    assert_numpys_bits(np.diag(np.random.default_rng(n).normal(size=n)))
+    assert_numpys_bits(tridiagonal(n, seed=n, zero_at=n // 3))
+    # numpy's eigh reads the lower triangle only, and so does the band
+    a = tridiagonal(n, seed=n)
+    a += np.triu(np.random.default_rng(n + 1).normal(size=(n, n)), 2) * 1e-12
+    assert_numpys_bits(a)
+
+
+def test_other_blocks_are_solved_dense(bound):
+    # one entry below the first subdiagonal, or a complex block: numpy's dense solve
+    a = tridiagonal(30)
+    a[20, 5] = a[5, 20] = 1e-3
+    assert _lapack.tridiagonal_eigh(a, False) is None
+    assert _lapack.tridiagonal_eigh(a, True) is None
+    c = tridiagonal(30) + 0j
+    assert _lapack.tridiagonal_eigh(c, False) is None
+    assert np.array_equal(eigendecompose_hermitian(a).eigenvalues, np.linalg.eigvalsh(a))
+    assert np.array_equal(eigendecompose_hermitian(c).eigenvalues, np.linalg.eigvalsh(c))
+
+
+def _counted_solves(monkeypatch):
+    # (blocks solved, blocks solved by dstevd)
+    counts = [0, 0]
+    eigh, call = spectral._eigh, _lapack._call
+
+    def counted_eigh(block, want_vectors):
+        counts[0] += 1
+        return eigh(block, want_vectors)
+
+    def counted_call(*args):
+        counts[1] += 1
+        return call(*args)
+
+    monkeypatch.setattr(spectral, "_eigh", counted_eigh)
+    monkeypatch.setattr(_lapack, "_call", counted_call)
+    return counts
+
+
+SCAN_1D = {f"growth-1d-l{l}": {
+    "lattice": {"hbar": 1.0, "dim": 1}, "truncation": {"radius": 25}, "task": "fit-growth",
+    "symbol": {"family": "schrodinger", "params": {"potential": {"c": 1.0, "l": l}, "lambda": 0.0}},
+    "params": {"j_max": 300, "tol": 1e-8, "j_range": [100, 300], "max_dim": 1001},
+    "output": {"directory": ".", "formats": ["csv", "json"]}} for l in (1, 2)}
+DIAG_1D = {"lattice": {"hbar": 1.0, "dim": 1}, "truncation": {"radius": 500},
+           "task": "diag-approx", "params": {},
+           "symbol": {"family": "decaying", "params": {"s": 3.0, "a": 2.0, "b": 1.0}},
+           "output": {"directory": ".", "formats": ["csv", "json"]}}
+GROWTH_2D = {"lattice": {"hbar": 1.0, "dim": 2}, "truncation": {"radius": 3}, "task": "fit-growth",
+             "symbol": {"family": "schrodinger",
+                        "params": {"potential": {"c": 1.0, "l": 1}, "lambda": 0.0}},
+             "params": {"j_max": 200, "tol": 1e-8, "j_range": [50, 200], "max_dim": 2401},
+             "output": {"directory": ".", "formats": ["csv", "json"]}}
+
+
+def _run(tmp_path, name, cfg):
+    (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+    return {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())
+            if p.suffix in (".csv", ".json") and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("name, cfg, one_d", [
+    ("diag-1d", DIAG_1D, True), *((n, c, True) for n, c in SCAN_1D.items()),
+    ("growth-2d-l1", GROWTH_2D, False)])
+def test_one_d_blocks_are_solved_by_dstevd(bound, tmp_path, monkeypatch, name, cfg, one_d):
+    # every block of a 1-d kernel and of its residue is tridiagonal; no 2-d block is
+    counts = _counted_solves(monkeypatch)
+    _run(tmp_path, name, cfg)
+    assert counts[0] > 0
+    assert counts[1] == (counts[0] if one_d else 0), counts
+
+
+@pytest.mark.parametrize("name, cfg", [("diag-1d", DIAG_1D), *SCAN_1D.items()])
+def test_without_the_binding_every_output_is_the_same(tmp_path, monkeypatch, name, cfg):
+    # with the library taken to be missing every block is solved dense, to the same bytes
+    for side in ("bound", "dense"):
+        (tmp_path / side).mkdir()
+    bound_outputs = _run(tmp_path / "bound", name, cfg)
+    monkeypatch.setattr(_lapack, "dstevd", lambda: None)
+    counts = _counted_solves(monkeypatch)
+    assert _run(tmp_path / "dense", name, cfg) == bound_outputs
+    assert counts[0] > 0 and counts[1] == 0
+
+
+def test_vector_solve_holds_no_second_box_sized_array():
+    # bound fixed before the first run: the 1-d R=500 decaying kernel's vector solve peaks
+    # below its box-sized eigenvector array, its two blocks' vectors held until every
+    # value is known, and 2 MiB for the ~1 MiB slices it places and phases the vectors in;
+    # a sorted copy of the box-sized array, or its absolute values, would exceed that
+    spec = LatticeSpec(1.0, 1)
+    K = hermitize(assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(500)))
+    sizes = [len(b) for b, _ in kernel.reflection_blocks(K)]
+    assert sizes == [501, 500]
+    eigendecompose_hermitian(K, want_vectors=True)  # binds and probes the solver first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = eigendecompose_hermitian(K, want_vectors=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = 8 * (K.size ** 2 + sum(m * m for m in sizes))
+    assert peak < held + 2 * 2 ** 20, (peak, held)
+    assert dec.eigenvectors.shape == (K.size, K.size)
