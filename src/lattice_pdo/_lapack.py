@@ -2,23 +2,21 @@
 
 numpy's eigvalsh and eigh run dsyevd, which reduces a symmetric matrix to
 tridiagonal form, then scales it and runs dsterf (values) or dstedc
-(vectors), as dstevd does.  On a real block whose lower triangle is already
+(vectors), as dstevd does.  On a real matrix whose lower triangle is already
 tridiagonal the reduction changes nothing (every Householder tau is 0), so
-dstevd gives the same bits without the O(n^3) reduction.  The binding is
-trusted only once it has reproduced np.linalg.eigvalsh and np.linalg.eigh
-bit for bit on a probe large enough for dstedc's divide and conquer; with
-no library, no symbol or a failed probe, `tridiagonal_eigh` solves nothing.
+dstevd of its band gives the same bits without the O(n^3) reduction.  The
+binding is trusted only once it has reproduced np.linalg.eigvalsh and
+np.linalg.eigh bit for bit on a probe large enough for dstedc's divide and
+conquer; with no library, no symbol or a failed probe, `tridiagonal_eigh`
+solves nothing.
 """
 
 import ctypes
 import functools
 import glob
-import math
 import os
 
 import numpy as np
-
-from ._util import rows_per_block
 
 SYMBOL = "scipy_LAPACKE_dstevd_work64_"   # ILP64 LAPACKE, numpy's wheel build of OpenBLAS
 COL_MAJOR = 102
@@ -52,12 +50,10 @@ def dstevd():
     # a fixed 40-point tridiagonal block (past dstedc's 25-point cut to divide and conquer)
     # with a zero on its subdiagonal, so LAPACK splits it
     n = 40
-    probe = np.diag(np.cos(np.arange(n) * 1.7) * 3.0)
-    sub = np.sin(np.arange(1, n) * 0.9)
-    sub[n // 2] = 0.0
-    probe[np.arange(1, n), np.arange(n - 1)] = probe[np.arange(n - 1), np.arange(1, n)] = sub
-    band = np.diagonal(probe), np.diagonal(probe, -1)
-    vals, both = (_call(fn, *(x.copy() for x in band), vectors) for vectors in (False, True))
+    d, e = np.cos(np.arange(n) * 1.7) * 3.0, np.sin(np.arange(1, n) * 0.9)
+    e[n // 2] = 0.0
+    probe = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+    vals, both = (_call(fn, d.copy(), e.copy(), vectors) for vectors in (False, True))
     if vals is None or both is None:
         return None
     same = all(a.tobytes() == b.tobytes() for a, b in
@@ -65,28 +61,19 @@ def dstevd():
     return fn if same else None
 
 
-def tridiagonal_eigh(block, want_vectors: bool):
-    """np.linalg.eigvalsh(block), or eigh(block) when ``want_vectors``, by dstevd.
+def tridiagonal_eigh(d, e, want_vectors: bool):
+    """eigvalsh, or eigh when ``want_vectors``, of the band d, e by dstevd; d and e overwritten.
 
-    Only for a float64 block whose lower triangle, the triangle numpy's eigh
-    reads, is zero below its diagonal and first subdiagonal, and whose band
-    has a finite largest |entry|: both drivers scale by it, dsyevd by dlascl
-    and dstevd by dscal, which agree when it is finite.  None for any other
-    block, without a trusted binding, or when LAPACK reports a failure; the
-    caller then solves the block dense, as numpy would have.
+    d is the diagonal and e the first subdiagonal, float64 and finite, of a
+    real symmetric tridiagonal matrix; numpy's eigvalsh and eigh of any
+    float64 matrix whose lower triangle is that band give the same bits
+    (both drivers scale by the band's largest |entry|, dsyevd by dlascl and
+    dstevd by dscal, which agree when it is finite).
+    None without a trusted binding, or when LAPACK reports a failure; the
+    caller then solves the matrix dense, as numpy would have.
     """
-    fn = dstevd() if block.dtype == np.float64 and block.ndim == 2 else None
-    if fn is None:
-        return None
-    n = len(block)
-    step = rows_per_block(n)
-    for lo in range(2, n, step):  # rows lo.. in ~1 MiB slices: zero left of the subdiagonal
-        if np.any(np.tril(block[lo:lo + step], lo - 2)):
-            return None
-    d, e = np.diagonal(block).copy(), np.diagonal(block, -1).copy()
-    if not math.isfinite(max(np.max(np.abs(d), initial=0.0), np.max(np.abs(e), initial=0.0))):
-        return None
-    return _call(fn, d, e, want_vectors)
+    fn = dstevd()
+    return None if fn is None else _call(fn, d, e, want_vectors)
 
 
 def _call(fn, d, e, want_vectors):

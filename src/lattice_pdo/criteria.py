@@ -43,16 +43,16 @@ def mixed_lp_sum(K, p: float) -> float:
 
 
 def nuclear_row_terms(K, r: float, p2: float) -> np.ndarray:
-    """Row contributions (sum_m |K(k, m)|^p2)^(r/p2) to nuclear_sum, in box order."""
+    """Each row's (sum_m |K(k, m)|^p2)^(r/p2), (max_m |K(k, m)|)^r at p2 = inf, in box order."""
     if not (0 < r <= 1):
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if p2 < 1:
         raise ValueError(f"p2 must be >= 1, got {p2}")
-    return power_sums(K, p2, 1) ** (r / p2)
+    return power_sums(K, p2, 1) ** (r if p2 == math.inf else r / p2)
 
 
 def nuclear_sum(K, r: float, p2: float) -> float:
-    """sum_k (sum_m |K(k, m)|^p2)^(r/p2), the nuclearity partial sum."""
+    """sum_k (sum_m |K(k, m)|^p2)^(r/p2), the nuclearity partial sum (`nuclear_row_terms`)."""
     return float(np.sum(nuclear_row_terms(K, r, p2)))
 
 

@@ -128,12 +128,13 @@ class DecayReport:
 
     ``constant`` is the max over the sampled (k, m) ranges of
     |coef(k, m)| * (1 + |m|/hbar)^(2 q_tilde) * (1 + |k|)^-(mu + 2 q_tilde delta);
-    it scopes a claim to the sample, it is not a proof.  It is the true
-    supremum over every k only where that ratio does not depend on k, as
-    for the built-in decaying family.  ``support_radius``
-    is the largest |m/hbar|_inf with a nonzero coefficient when that is
-    strictly inside the sampled range (None when coefficients reach the
-    boundary).
+    it scopes a claim to the sample, it is not a proof.  A coefficient that
+    is 0 or subnormal adds nothing; a normal one whose ratio is not finite
+    is refused (ValueError, naming its (k, m)).  It is the true supremum
+    over every k only where that ratio does not depend on k, as for the
+    built-in decaying family.  ``support_radius`` is the largest
+    |m/hbar|_inf with a nonzero coefficient when that is strictly inside
+    the sampled range (None when coefficients reach the boundary).
     """
 
     q_tilde: int
@@ -149,7 +150,7 @@ class DecayReport:
 
 def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int,
                             m_radius: int) -> DecayReport:
-    """Empirical constant for the coefficient decay inequality at order q_tilde."""
+    """Empirical constant for the coefficient decay inequality at order q_tilde (`DecayReport`)."""
     if q_tilde < 0:
         raise ValueError("q_tilde must be non-negative")
     spec = sym.spec
@@ -157,12 +158,19 @@ def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int,
     table = coefficient_table(sym, BoxTruncation(int(k_radius)), int(m_radius))
     k_norm = np.linalg.norm(table.k_points, axis=1)
     m_norm = np.linalg.norm(table.m_points, axis=1) / spec.hbar
-    weight = np.outer((1.0 + k_norm) ** (-(mu + 2 * q_tilde * delta)),
-                      (1.0 + m_norm) ** (2 * q_tilde))
-    constant = float(np.max(np.abs(table.values) * weight))
+    size = np.abs(table.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by (k, m) below
+        ratio = size * np.outer((1.0 + k_norm) ** (-(mu + 2 * q_tilde * delta)),
+                                (1.0 + m_norm) ** (2 * q_tilde))
+    ratio[size < np.finfo(float).tiny] = 0.0
+    if not np.all(np.isfinite(ratio)):
+        i, j = np.unravel_index(np.argmin(np.isfinite(ratio)), ratio.shape)
+        raise ValueError(f"the weighted ratio at (k, m) = ({table.k_points[i].tolist()}, "
+                         f"{table.m_points[j].tolist()}) is not finite: |coef| {size[i, j]}")
+    constant = float(np.max(ratio))
 
     m_sup = np.max(np.abs(enumerate_box_integers(spec, BoxTruncation(int(m_radius)))), axis=1)
-    nonzero = np.abs(table.values) > 1e-13
+    nonzero = size > 1e-13
     occupied = np.any(nonzero, axis=0)
     if not occupied.any():
         support = 0

@@ -7,19 +7,20 @@ difference operator this reproduces the textbook column: +1 at k = i - hbar
 and -1 at k = i.
 
 Every matrix is stored one way, decided in this module and nowhere else: as
-its nonzero (row, col, value) triplets, sorted row-major.  A closed form
-gives them from one table, at most 3^n a row (every built-in family has
-torus-frequency support radius at most 1).  A square array (a user's matrix,
-a plain array given to a reader, or ~1 MiB of rows at a time of a series
-read or of `read_binary`, or one row of FFT quadrature) gives its triplets
-through one reader, `np.flatnonzero` block by block, so an entry equal to 0
-(-0.0 too) is never stored.  Every solve in `spectral` reads `reflection_blocks`: dense
-blocks, one per parity pattern of the axis reflections that fix the triplets,
-each built (checked to fit in memory) when asked for, not kept, and yielded
-with the basis that maps its rows back onto the box.  No module of the package
-reads `entries`, the dense matrix of the whole box.  The values alone decide
-the dtype (`stored_entries`): real values are stored as float64 (so real
-symmetric operators get the real eigensolvers), anything else as complex128.
+its nonzero (row, col, value) triplets, sorted row-major, by one construction.
+A closed form gives them from one table, at most 3^n a row (every built-in
+family has torus-frequency support radius at most 1).  A square array (a
+user's matrix, a plain array given to a reader, or ~1 MiB of rows at a time
+of a series read or of `read_binary`, or one row of FFT quadrature) gives
+its triplets through one reader, `np.flatnonzero` block by block, so an
+entry equal to 0 (-0.0 too) is never stored.  Every solve in `spectral`
+reads `reflection_blocks`: matrices with no lattice, one per parity pattern
+of the axis reflections that fix the triplets (K itself when none does),
+each stored when asked for and yielded with the basis that maps its rows
+back onto the box.  A matrix is dense only through `entries`, built on each
+read and not kept.  The values alone decide the dtype (`stored_entries`):
+real values are stored as float64 (so real symmetric operators get the real
+eigensolvers), anything else as complex128.
 Truncation is plain restriction to the box (no boundary corrections).
 """
 
@@ -84,12 +85,19 @@ class KernelMatrix:
         return cls.__new__(cls)._store(spec, box, size, flat, values, provenance)
 
     def _store(self, spec, box, size, flat, values, provenance):
-        # the one construction, from values at distinct positions row * size + col; 0 is dropped
+        # the one construction, from values at positions row * size + col: the values at one
+        # position are added by np.add.reduceat in the order given (a lone value keeps its
+        # bits), a sum of 0 is not stored, and increasing positions are stored as they come
         values = stored_entries(values)
-        keep = np.flatnonzero(values)
-        order = keep[np.argsort(flat[keep], kind="stable")]
-        rows, cols = np.divmod(flat[order], size)
-        values = values[order]
+        if np.any(np.diff(flat) <= 0):
+            order = np.argsort(flat, kind="stable")
+            first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+            flat, values = flat[order[first]], np.add.reduceat(values[order], first)
+            del order, first  # before the triplets are built
+        if not np.all(values):
+            keep = np.flatnonzero(values)
+            flat, values = flat[keep], values[keep]
+        rows, cols = np.divmod(flat, size)
         finite = np.isfinite(values)
         if not finite.all():
             if spec is None:
@@ -127,7 +135,7 @@ class KernelMatrix:
 
 
 def _dense(size, rows, cols, values) -> np.ndarray:
-    # the only place a kernel becomes a dense matrix: each reflection block, and `entries`
+    # the only place a matrix becomes dense, read only through `entries`
     check_dense_fits((size, size))
     a = np.zeros((size, size), dtype=values.dtype)
     a[rows, cols] = values
@@ -136,11 +144,11 @@ def _dense(size, rows, cols, values) -> np.ndarray:
 
 
 def reflection_blocks(K: KernelMatrix):
-    """K's dense blocks in the basis adapted to the axis reflections z_a -> -z_a that fix it.
+    """K's blocks in the basis adapted to the axis reflections z_a -> -z_a that fix it.
 
-    A generator of (block, (at, pos, coef)): each block is built when it is
-    asked for, so a caller that lets go of one before the next holds one
-    block at a time.
+    A generator of (block, (at, pos, coef)), each block a KernelMatrix with
+    no lattice, stored by the one construction when it is asked for: a
+    caller that lets go of one before the next holds one block at a time.
 
     An axis is folded when its reflection maps the stored triplets onto
     themselves, keys and values exactly.  The representatives are the box
@@ -155,8 +163,8 @@ def reflection_blocks(K: KernelMatrix):
     The rows are orthonormal, so the eigenvalues (or singular values) of K
     are those of its 2^f blocks together, f folded axes (at R = 0 all but
     one block are 0x0).  With no folded axis (or no lattice) the one block
-    is the dense matrix, built from the triplets, and the basis the
-    identity; the rounding of the others is bounded in `spectral`.
+    is K itself and the basis the identity; the rounding of the others is
+    bounded in `spectral`.
     """
     rows, cols, values = K._triplets
     size, folded = K.size, []
@@ -164,11 +172,11 @@ def reflection_blocks(K: KernelMatrix):
         n, r = K.spec.dim, K.box.radius
         # bytes at the peak of a block's build, as if every selection kept everything.  A
         # triplet: its key (from the fold test), the representatives' positions, u, w, v (at
-        # most 16) and the weight (56); keep (8); in `_summed_dense` its arguments (32), the
-        # flat keys, their order and the sorted keys (24), the first of each run, its rows
-        # and cols (24), the sorted values and their sums (32): 176.  A point: z, |z| and
-        # two (size, n) temporaries (32 n); nz, 2^(-nz/2), chi_s and pos (32); the bases of
-        # this block and of the caller's last (48).  `_dense` checks each block.
+        # most 16) and the weight (56); keep (8); the block's positions and values (24); in
+        # `_store`, the order, the first of each run and the summed positions (24), the
+        # sorted values and their sums (32); the caller's last block (32): 176.  A point: z,
+        # |z| and two (size, n) temporaries (32 n); nz, 2^(-nz/2), chi_s and pos (32); the
+        # bases of this block and of the caller's last (48).  `entries` checks each block.
         check_fits(176 * len(values) + (32 * n + 80) * size,
                    f"reflection blocks of {len(values)} triplets")
         side = 2 * r + 1
@@ -185,7 +193,7 @@ def reflection_blocks(K: KernelMatrix):
         folded = [a for a in range(n) if fixes(a)]
     if not folded:
         every = np.arange(size)
-        yield _dense(size, rows, cols, values), (every, every, np.ones(size))
+        yield K, (every, every, np.ones(size))
         return
     # the fold, written once per box point: z, |z| and nz(z)
     z = np.arange(size)[:, None] // strides % side - r
@@ -201,9 +209,9 @@ def reflection_blocks(K: KernelMatrix):
         shape = r + 1 - low
         chi = np.prod(np.sign(z[:, [a for a, o in zip(folded, odd) if o]]), axis=1)
         pos = (z_abs - low) @ np.r_[np.cumprod(shape[:0:-1])[::-1], 1]
-        keep, at = np.flatnonzero(chi[u] * chi[w]), np.flatnonzero(chi)
-        yield (_summed_dense(math.prod(shape), pos[u[keep]], pos[w[keep]],
-                             _scaled(v[keep], chi[w[keep]] * weight[keep])),
+        keep, at, m = np.flatnonzero(chi[u] * chi[w]), np.flatnonzero(chi), math.prod(shape)
+        yield (KernelMatrix._from_flat(None, None, m, pos[u[keep]] * m + pos[w[keep]],
+                                       _scaled(v[keep], chi[w[keep]] * weight[keep]), None),
                (at, pos[at], chi[at] * unit[at]))
 
 
@@ -212,15 +220,6 @@ def _scaled(values, factors) -> np.ndarray:
     if values.dtype.kind != "c":
         return values * factors
     return (values.view(float).reshape(-1, 2) * factors[:, None]).view(complex)[:, 0]
-
-
-def _summed_dense(size, rows, cols, values) -> np.ndarray:
-    # `_dense` with the values at one position added up; a lone value keeps its bits
-    flat = rows * size + cols
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    first = np.flatnonzero(np.diff(flat, prepend=-1))
-    return _dense(size, *np.divmod(flat[first], size), np.add.reduceat(values[order], first))
 
 
 @dataclass
@@ -330,12 +329,11 @@ def split_diagonal(K: KernelMatrix) -> DiagonalSplit:
 
 
 def subtract_diagonal(K: KernelMatrix, d) -> KernelMatrix:
-    """K - diag(d); a diagonal entry that becomes 0 is not stored."""
-    split, size = split_diagonal(K), K.size
-    rows, cols, values = split.residue._triplets
+    """K - diag(d): K's triplets and -d on the diagonal, a diagonal entry of 0 not stored."""
+    size, (rows, cols, values) = K.size, K._triplets
     return KernelMatrix._from_flat(
         K.spec, K.box, size, np.concatenate([rows * size + cols, np.arange(size) * (size + 1)]),
-        np.concatenate([values, split.diagonal - d]), provenance=K.provenance)
+        np.concatenate([values, -np.asarray(d)]), provenance=K.provenance)
 
 
 def _lookup(size, rows, cols, values, at_rows, at_cols) -> np.ndarray:

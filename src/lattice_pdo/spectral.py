@@ -46,10 +46,11 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
 
     Solved in `kernel.reflection_blocks`, each block by `eigvalsh`, or by
     `eigh` with its vectors carried back onto the box; real input in real
-    arithmetic, with real eigenvectors.  A real block whose lower triangle
-    is tridiagonal (every block of a 1-d kernel) goes to LAPACK's dstevd
-    (`_lapack`), which runs dsyevd's own second stage with no reduction to
-    do: the same bits, so the error model below is unchanged.
+    arithmetic, with real eigenvectors.  A real block with no triplet below
+    its first subdiagonal (every block of a 1-d kernel) goes to LAPACK's
+    dstevd as that band, read from its triplets (`_lapack`): dsyevd's own
+    second stage with no reduction to do, the same bits, so the error model
+    below is unchanged.  Any other block is solved dense, from `entries`.
 
     error_bound = scale * eps * ||K||_inf, with or without vectors, bounds
     each sorted value's distance from the exact one (Weyl).  A dense solve
@@ -71,13 +72,19 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     return _bounded(K, *_solve(K, want_vectors))
 
 
-def _eigh(block, want_vectors: bool):
-    # eigvalsh, or eigh with vectors: a real tridiagonal block by dstevd, dsyevd's own second
-    # stage, with the same bits (`_lapack`); any other block dense
-    solved = _lapack.tridiagonal_eigh(block, want_vectors)
-    if solved is not None:
-        return solved
-    return np.linalg.eigh(block) if want_vectors else np.linalg.eigvalsh(block)
+def _eigh(block: KernelMatrix, want_vectors: bool):
+    # eigvalsh, or eigh with vectors: by dstevd of the band, with numpy's bits (`_lapack`),
+    # for a real block with no triplet below its first subdiagonal; any other block dense
+    rows, cols, values = block._triplets
+    if values.dtype == float and not np.any(rows > cols + 1):
+        d, e = np.zeros(block.size), np.zeros(max(block.size - 1, 0))
+        d[rows[rows == cols]] = values[rows == cols]
+        e[cols[rows > cols]] = values[rows > cols]
+        solved = _lapack.tridiagonal_eigh(d, e, want_vectors)
+        if solved is not None:
+            return solved
+    a = block.entries
+    return np.linalg.eigh(a) if want_vectors else np.linalg.eigvalsh(a)
 
 
 def _solve(K: KernelMatrix, want_vectors: bool):
@@ -126,11 +133,10 @@ def residue_norm(K) -> float:
     """Upper bound on the spectral norm of the off-diagonal part.
 
     An exactly Hermitian residue (`kernel.split_diagonal`'s) gives
-    max |lambda| + error_bound (Weyl), rounded up once; its real
-    tridiagonal blocks are solved by dstevd, dsyevd's own second stage, to
-    eigvalsh's bits, so that error model is unchanged.  Any other gives the
-    largest 2-norm of its reflection blocks, whose singular values are its
-    own.  Each is taken to be exact for a matrix within size * eps ||B||_2
+    max |lambda| + error_bound (Weyl), rounded up once, its blocks solved
+    as `eigendecompose_hermitian` solves them.  Any other gives the largest
+    2-norm of its reflection blocks' `entries`, whose singular values are
+    its own.  Each is taken to be exact for a matrix within size * eps ||B||_2
     of the block B solved, which `rounded_up` adds back.  A box's blocks
     are formed within (2^n + 2) eps || |R| ||_2 of R's (as in
     `eigendecompose_hermitian`); |R| need not be symmetric, so (2^n + 2) eps
@@ -148,7 +154,7 @@ def _residue_norm(K: KernelMatrix, res: KernelMatrix) -> float:
                           1, 0.0)
     formed = 0.0 if res.spec is None else (2 ** res.spec.dim + 2) * EPS * max(
         np.max(power_sums(res, 1.0, axis), initial=0.0) for axis in (0, 1))
-    norm = max(np.linalg.norm(block, 2) for block, _ in reflection_blocks(res))
+    norm = max(np.linalg.norm(block.entries, 2) for block, _ in reflection_blocks(res))
     return rounded_up(float(norm + formed), res.size, 0.0)
 
 

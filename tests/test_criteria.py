@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 
 from lattice_pdo.lattice import BoxTruncation, LatticeSpec
 from lattice_pdo import criteria
+from lattice_pdo.cli import main
 from lattice_pdo.criteria import (CriterionQuery, _power_ball_sum, _power_shell_sum,
                                   mixed_lp_sum, nuclear_row_terms,
                                   nuclear_sum, order_conditions, schur_l1_lp,
@@ -103,6 +106,25 @@ def test_nuclear_sum_analytic_series():
     # frozen truncated value: 1 + 2 sum_{j=1}^{1000} (1+j)^-2
     exact_truncated = 1.0 + 2.0 * sum((1.0 + j) ** -2 for j in range(1, 1001))
     assert value == pytest.approx(exact_truncated, rel=1e-12)
+
+
+def test_nuclear_sum_with_p2_infinity_takes_each_row_maximum(tmp_path):
+    # a row's term for p2 = inf is (max_m |K(k, m)|)^r: on the diagonal (1+|k|)^-3 kernel
+    # the sum is that of (1+|k|)^-3 over the box, at R and, through the CLI, at 2R
+    def box_sum(radius):
+        return math.fsum((1.0 + abs(k)) ** -3 for k in range(-radius, radius + 1))
+
+    K = diagonal_decay_kernel(3.0, 50)
+    assert nuclear_sum(K, 1.0, math.inf) == pytest.approx(box_sum(50), rel=1e-12, abs=0)
+    cfg = {"lattice": {"hbar": 1.0, "dim": 1}, "truncation": {"radius": 50},
+           "task": "check-nuclear", "params": {"p2": math.inf},
+           "symbol": {"family": "decaying", "params": {"s": 3.0, "a": 1.0, "b": 0.0}},
+           "output": {"directory": ".", "formats": ["csv", "json"]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["diverging"] is False
+    assert report["sums"]["nuclear_sum"] == pytest.approx(box_sum(100), rel=1e-12, abs=0)
 
 
 def test_nuclear_sum_difference_grows_linearly():
@@ -209,6 +231,31 @@ def test_tail_bound_refuses_an_order_the_decay_was_not_estimated_at():
     for other in (SymbolOrder(-6.0), SymbolOrder(-3.0, 1.0, 0.5)):
         with pytest.raises(ValueError, match="differs"):
             truncation_tail_bound(other, decay, 100)
+
+
+@pytest.mark.parametrize("s", [200.0, 400.0])
+def test_decay_constant_past_the_weight_overflow(s):
+    # (1+|k|)^s overflows at k_radius 100 where the coefficient (1+|k|)^-s is 0 or
+    # subnormal: those add nothing, so the constant is max(a, (b/2) 2^4) = 8, and the
+    # tail bound is finite and applicable
+    sym = decaying_test_symbol(s, 1.0, 1.0)
+    decay = estimate_decay_constant(sym, 2, 100, 3)
+    assert decay.constant == pytest.approx(8.0, rel=0, abs=1e-12)
+    bound = truncation_tail_bound(sym.order, decay, 100)
+    assert bound.applicable and math.isfinite(bound.value)
+
+
+def test_decay_constant_keeps_its_bits_where_the_ratio_is_finite():
+    for s in (100.0, 150.0):
+        decay = estimate_decay_constant(decaying_test_symbol(s, 1.0, 1.0), 2, 100, 3)
+        assert decay.constant == 8.000000000000002
+
+
+def test_decay_constant_refuses_a_normal_coefficient_with_an_infinite_ratio():
+    # a constant symbol of order mu = -400 weights its coefficient 1 at k = 100 by 101^400
+    sym = dataclasses.replace(constant_symbol(1.0), order=SymbolOrder(-400.0))
+    with pytest.raises(ValueError, match=r"at \(k, m\) = \(\[-100.0\], \[0.0\]\)"):
+        estimate_decay_constant(sym, 0, 100, 1)
 
 
 def test_tail_bound_infinite_frequency_support():

@@ -926,6 +926,45 @@ def test_triplet_readers_build_no_dense_matrix(monkeypatch, tmp_path):
     write_csv(K, tmp_path / "k.csv")
 
 
+def test_repeated_positions_add_in_the_order_given():
+    # the values at one position are added as np.add.reduceat adds a run, in the order
+    # given: 1.0 + (1e16 - 1e16) = 1.0 at position 1, and 1e16 + (1.0 - 1e16) = 0 at
+    # position 2, not stored; a cancelling pair is not stored either, and a lone value
+    # keeps its bits, a -0.0 imaginary part too
+    for dtype in (float, complex):
+        flat = np.array([8, 1, 2, 1, 2, 5, 1, 2, 5, 0])
+        values = np.array([0.1, 1.0, 1e16, 1e16, 1.0, 2.5, -1e16, -1e16, -2.5, 3.0], dtype)
+        if dtype is complex:
+            values[-1] = complex(3.0, -0.0)
+        K = KernelMatrix._from_flat(None, None, 3, flat, values, None)
+        rows, cols, stored = K._triplets
+        assert rows.tolist() == [0, 0, 2] and cols.tolist() == [0, 1, 2]
+        assert stored.tobytes() == np.array([values[-1], 1.0, 0.1], dtype).tobytes()
+
+
+def test_increasing_positions_are_not_sorted(monkeypatch):
+    # a dense array's nonzeros and a closed form's table come in increasing positions
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    spec, box = LatticeSpec(0.5, 2), BoxTruncation(3)
+    a = rng.normal(size=(49, 49)) + 1j * rng.normal(size=(49, 49))
+    a[rng.random((49, 49)) < 0.5] = 0
+    monkeypatch.setattr(np, "argsort", counted)
+    K = KernelMatrix(spec, box, a)
+    H = assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, box)
+    monkeypatch.undo()
+    assert calls == []
+    assert np.array_equal(K.entries, a)
+    for got, want in zip(H._triplets, KernelMatrix(spec, box, H.entries)._triplets):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dense_input_preflight_counts_its_nonzeros(monkeypatch):
     # 32 bytes a nonzero, counted and checked before the nonzeros are read
     counted = []

@@ -397,7 +397,7 @@ def test_folded_values_agree_with_dense(case):
     K = BOX_KERNELS[case]
     blocks = [b for b, _ in kernel.reflection_blocks(K)]
     assert len(blocks) == 2 ** K.spec.dim  # every axis folds
-    assert sum(len(b) for b in blocks) == K.size
+    assert sum(b.size for b in blocks) == K.size
     _agrees_with_dense(K)
 
 
@@ -427,11 +427,13 @@ def test_the_one_path_reads_no_dense_matrix_of_the_box(tmp_path, monkeypatch):
     spec = LatticeSpec(1.0, 1)
     K = assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(30))
     assert split_diagonal(K).residue.asymmetry > 0
-    assert sorted(len(b) for b, _ in kernel.reflection_blocks(K)) == [30, 31]
+    assert sorted(b.size for b, _ in kernel.reflection_blocks(K)) == [30, 31]
     dense = np.linalg.norm(split_diagonal(K).residue.entries, 2)
 
     def no_entries(self):
-        raise AssertionError("the dense matrix of the box was read")
+        if self.spec is not None:
+            raise AssertionError("the dense matrix of the box was read")
+        return kernel._dense(self.size, *self._triplets)
 
     monkeypatch.setattr(KernelMatrix, "entries", property(no_entries))
     cfg = {"lattice": {"hbar": 1.0, "dim": 1}, "truncation": {"radius": 30}, "task": "diag-approx",
@@ -454,8 +456,8 @@ def test_no_invariant_axis_keeps_every_bit(dtype):
         a = a + 0.25j * (hop - hop.T)
     K = KernelMatrix(spec, box, a)
     blocks = [b for b, _ in kernel.reflection_blocks(K)]
-    assert len(blocks) == 1 and np.array_equal(blocks[0], K.entries)
-    assert blocks[0].dtype == K.entries.dtype == dtype
+    assert len(blocks) == 1 and blocks[0] is K and np.array_equal(blocks[0].entries, K.entries)
+    assert blocks[0].entries.dtype == K.entries.dtype == dtype
     assert np.array_equal(eigendecompose_hermitian(K).eigenvalues, np.linalg.eigvalsh(K.entries))
 
 
@@ -469,7 +471,7 @@ def test_one_ulp_off_folds_the_other_axes_only():
         a[i, i] = np.nextafter(a[i, i], np.inf)
     K = KernelMatrix(spec, box, a)
     side, r = 2 * box.radius + 1, box.radius
-    assert sorted(len(b) for b, _ in kernel.reflection_blocks(K)) == [side * r, side * (r + 1)]
+    assert sorted(b.size for b, _ in kernel.reflection_blocks(K)) == [side * r, side * (r + 1)]
     _agrees_with_dense(K)
 
 
@@ -559,7 +561,7 @@ def test_radius_zero_solves_in_every_parity_block(dim):
     H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, dim), box, lam=0.25)
     for K in (H, neumann_truncation(H)):
         blocks = [b for b, _ in kernel.reflection_blocks(K)]
-        assert sorted(b.shape for b in blocks) == [(0, 0)] * (2 ** dim - 1) + [(1, 1)]
+        assert sorted(b.entries.shape for b in blocks) == [(0, 0)] * (2 ** dim - 1) + [(1, 1)]
         dec = eigendecompose_hermitian(K)
         d = K.entries[0, 0]
         assert np.array_equal(dec.eigenvalues, [d])
@@ -594,9 +596,13 @@ def tridiagonal(n, scale=1.0, seed=0, zero_at=None):
     return a
 
 
+def band(block):
+    return np.diagonal(block).copy(), np.diagonal(block, -1).copy()
+
+
 def assert_numpys_bits(block):
-    vals = _lapack.tridiagonal_eigh(block, False)
-    both = _lapack.tridiagonal_eigh(block, True)
+    vals = _lapack.tridiagonal_eigh(*band(block), False)
+    both = _lapack.tridiagonal_eigh(*band(block), True)
     assert vals is not None and both is not None
     for got, want in zip((vals, *both), (np.linalg.eigvalsh(block), *np.linalg.eigh(block))):
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -621,14 +627,16 @@ def test_diagonal_and_split_blocks_have_numpys_bits(bound, n):
     assert_numpys_bits(a)
 
 
-def test_other_blocks_are_solved_dense(bound):
+def test_other_blocks_are_solved_dense(bound, monkeypatch):
     # one entry below the first subdiagonal, or a complex block: numpy's dense solve
     a = tridiagonal(30)
     a[20, 5] = a[5, 20] = 1e-3
-    assert _lapack.tridiagonal_eigh(a, False) is None
-    assert _lapack.tridiagonal_eigh(a, True) is None
     c = tridiagonal(30) + 0j
-    assert _lapack.tridiagonal_eigh(c, False) is None
+    counts = _counted_solves(monkeypatch)
+    spectral._eigh(KernelMatrix(None, None, a), False)
+    spectral._eigh(KernelMatrix(None, None, a), True)
+    spectral._eigh(KernelMatrix(None, None, c), False)
+    assert counts == [3, 0]
     assert np.array_equal(eigendecompose_hermitian(a).eigenvalues, np.linalg.eigvalsh(a))
     assert np.array_equal(eigendecompose_hermitian(c).eigenvalues, np.linalg.eigvalsh(c))
 
@@ -685,6 +693,19 @@ def test_one_d_blocks_are_solved_by_dstevd(bound, tmp_path, monkeypatch, name, c
     assert counts[1] == (counts[0] if one_d else 0), counts
 
 
+def test_one_d_solves_build_no_dense_matrix(bound, tmp_path, monkeypatch):
+    # every 1-d block goes to dstevd as its band, read from the block's triplets
+    def no_dense(*args):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(kernel, "_dense", no_dense)
+    spec = LatticeSpec(0.5, 1)
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 2, 1), BoxTruncation(40))
+    assert len(eigendecompose_hermitian(H).eigenvalues) == 81
+    assert eigendecompose_hermitian(H, want_vectors=True).eigenvectors.shape == (81, 81)
+    _run(tmp_path, "diag-1d", DIAG_1D)
+
+
 @pytest.mark.parametrize("name, cfg", [("diag-1d", DIAG_1D), *SCAN_1D.items()])
 def test_without_the_binding_every_output_is_the_same(tmp_path, monkeypatch, name, cfg):
     # with the library taken to be missing every block is solved dense, to the same bytes
@@ -704,7 +725,7 @@ def test_vector_solve_holds_no_second_box_sized_array():
     # a sorted copy of the box-sized array, or its absolute values, would exceed that
     spec = LatticeSpec(1.0, 1)
     K = hermitize(assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(500)))
-    sizes = [len(b) for b, _ in kernel.reflection_blocks(K)]
+    sizes = [b.size for b, _ in kernel.reflection_blocks(K)]
     assert sizes == [501, 500]
     eigendecompose_hermitian(K, want_vectors=True)  # binds and probes the solver first
     tracemalloc.start()
