@@ -68,9 +68,9 @@ def tridiagonal_eigh(d, e, want_vectors: bool):
     real symmetric tridiagonal matrix; numpy's eigvalsh and eigh of any
     float64 matrix whose lower triangle is that band give the same bits
     (both drivers scale by the band's largest |entry|, dsyevd by dlascl and
-    dstevd by dscal, which agree when it is finite).
-    None without a trusted binding, or when LAPACK reports a failure; the
-    caller then solves the matrix dense, as numpy would have.
+    dstevd by dscal, which agree when it is finite).  None without a
+    trusted binding, or when LAPACK reports a failure; the caller then
+    solves the matrix dense, as numpy would have.
     """
     fn = dstevd()
     return None if fn is None else _call(fn, d, e, want_vectors)

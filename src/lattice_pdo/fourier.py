@@ -158,19 +158,19 @@ def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int,
     table = coefficient_table(sym, BoxTruncation(int(k_radius)), int(m_radius))
     k_norm = np.linalg.norm(table.k_points, axis=1)
     m_norm = np.linalg.norm(table.m_points, axis=1) / spec.hbar
-    size = np.abs(table.values)
+    magnitude = np.abs(table.values)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by (k, m) below
-        ratio = size * np.outer((1.0 + k_norm) ** (-(mu + 2 * q_tilde * delta)),
-                                (1.0 + m_norm) ** (2 * q_tilde))
-    ratio[size < np.finfo(float).tiny] = 0.0
-    if not np.all(np.isfinite(ratio)):
+        ratio = magnitude * np.outer((1.0 + k_norm) ** (-(mu + 2 * q_tilde * delta)),
+                                     (1.0 + m_norm) ** (2 * q_tilde))
+    ratio[magnitude < np.finfo(float).tiny] = 0.0
+    constant = float(np.max(ratio))
+    if not np.isfinite(constant):
         i, j = np.unravel_index(np.argmin(np.isfinite(ratio)), ratio.shape)
         raise ValueError(f"the weighted ratio at (k, m) = ({table.k_points[i].tolist()}, "
-                         f"{table.m_points[j].tolist()}) is not finite: |coef| {size[i, j]}")
-    constant = float(np.max(ratio))
+                         f"{table.m_points[j].tolist()}) is not finite: |coef| {magnitude[i, j]}")
 
     m_sup = np.max(np.abs(enumerate_box_integers(spec, BoxTruncation(int(m_radius)))), axis=1)
-    nonzero = size > 1e-13
+    nonzero = magnitude > 1e-13
     occupied = np.any(nonzero, axis=0)
     if not occupied.any():
         support = 0
