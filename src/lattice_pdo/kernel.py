@@ -89,7 +89,7 @@ class KernelMatrix:
         # position are added by np.add.reduceat in the order given (a lone value keeps its
         # bits), a sum of 0 is not stored, and increasing positions are stored as they come
         values = stored_entries(values)
-        if np.any(np.diff(flat) <= 0):
+        if np.any(flat[1:] <= flat[:-1]):
             order = np.argsort(flat, kind="stable")
             first = np.flatnonzero(np.diff(flat[order], prepend=-1))
             flat, values = flat[order[first]], np.add.reduceat(values[order], first)
