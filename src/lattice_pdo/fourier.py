@@ -184,7 +184,10 @@ def estimate_decay_constant(sym: Symbol, q_tilde: int, k_radius: int,
 def table_to_csv(table: CoefficientTable, path) -> None:
     """Write a coefficient table as CSV: k_1..k_n, m_1..m_n, re, im, k-major.
 
-    The points are broadcast against the (k, m) grid, never repeated in memory.
+    The points are broadcast against the (k, m) grid, never repeated in memory, and
+    formatted once per distinct row of their own: each k point once per chunk it is
+    in, each m point once per table when a chunk holds whole k points
+    (`_util.write_csv`).
     """
     n = table.k_points.shape[1]
     _util.write_csv(path, [f"{c}_{j + 1}" for c in "km" for j in range(n)] + ["re", "im"],

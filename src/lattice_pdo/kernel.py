@@ -164,7 +164,9 @@ def reflection_blocks(K: KernelMatrix):
     are those of its 2^f blocks together, f folded axes (at R = 0 all but
     one block are 0x0).  With no folded axis (or no lattice) the one block
     is K itself and the basis the identity; the rounding of the others is
-    bounded in `spectral`.
+    bounded in `spectral`.  A block whose weighted entries or sums leave
+    float64 (K's own are finite) raises NonFiniteError naming K's size and
+    its largest |entry|, with no floating-point warning.
     """
     rows, cols, values = K._triplets
     size, folded = K.size, []
@@ -210,9 +212,16 @@ def reflection_blocks(K: KernelMatrix):
         chi = np.prod(np.sign(z[:, [a for a, o in zip(folded, odd) if o]]), axis=1)
         pos = (z_abs - low) @ np.r_[np.cumprod(shape[:0:-1])[::-1], 1]
         keep, at, m = np.flatnonzero(chi[u] * chi[w]), np.flatnonzero(chi), math.prod(shape)
-        yield (KernelMatrix._from_flat(None, None, m, pos[u[keep]] * m + pos[w[keep]],
-                                       _scaled(v[keep], chi[w[keep]] * weight[keep]), None),
-               (at, pos[at], chi[at] * unit[at]))
+        try:  # K is finite, so a block that is not has left float64 in its weights or sums
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = KernelMatrix._from_flat(None, None, m, pos[u[keep]] * m + pos[w[keep]],
+                                                _scaled(v[keep], chi[w[keep]] * weight[keep]),
+                                                None)
+        except NonFiniteError:
+            raise NonFiniteError(f"the reflection blocks of the {size}x{size} matrix are not "
+                                 f"finite: its largest |entry| {np.max(np.abs(values))} is too "
+                                 f"near float64's limit") from None
+        yield block, (at, pos[at], chi[at] * unit[at])
 
 
 def _scaled(values, factors) -> np.ndarray:
@@ -356,8 +365,18 @@ def hermitian_check(K):
 
 
 def hermitize(K: KernelMatrix) -> KernelMatrix:
-    """(K + K^H) / 2, the Hermitian part, on the stored positions and their transposes."""
+    """(K + K^H) / 2, the Hermitian part, on the stored positions and their transposes.
+
+    Refused before anything is built if its peak, modelled below, would not fit in
+    physical memory.
+    """
     size, (rows, cols, _) = K.size, K._triplets
+    # bytes at the peak, in the second `_lookup`, of n triplets merged into u <= 2 n
+    # positions: held, the positions and their rows and columns (24 u) and the first
+    # lookup (16 u); in the lookup, K's keys (8 n), the wanted keys, their places, the keys
+    # found there (24 u), the match mask (u), the values found and the choice (32 u):
+    # 8 n + 97 u <= 202 n, values counted as complex128
+    check_fits(202 * len(rows), f"the Hermitian part of {len(rows)} triplets")
     flat = np.union1d(rows * size + cols, cols * size + rows)
     r, c = np.divmod(flat, size)
     sym = 0.5 * (_lookup(size, *K._triplets, r, c) + np.conj(_lookup(size, *K._triplets, c, r)))

@@ -213,11 +213,7 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     # clusters: runs of eigenvalues whose gaps are within gap_tol
     gap_tol = K.size * np.finfo(float).eps * np.max(np.abs(lam))
     cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
-    overlaps = np.abs(dec.eigenvectors[perm, np.arange(K.size)])
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, K.size]):
-        if b - a > 1:
-            overlaps[a:b] = np.linalg.norm(dec.eigenvectors[perm[a:b], a:b], axis=1)
-    low_overlap = overlaps < 0.5
+    low_overlap = _cluster_overlaps(dec.eigenvectors, perm, cuts) < 0.5
 
     rnorm = _residue_norm(K, split.residue)
 
@@ -236,6 +232,18 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
 
     return DiagApproxReport(matched_pts, diag[perm], lam, residuals, fit, rnorm,
                             applicable, low_overlap, float(np.max(np.abs(residuals))))
+
+
+def _cluster_overlaps(vecs, perm, cuts) -> np.ndarray:
+    # |vecs[perm[i], i]|, or for i in a cluster [a, b) of more than one the norm of
+    # vecs[perm[i], a:b]: gathered as (clusters, s, s) and reduced once per cluster size s
+    overlaps = np.abs(vecs[perm, np.arange(len(perm))])
+    starts, ends = np.r_[0, cuts], np.r_[cuts, len(perm)]
+    for s in np.unique(ends - starts):
+        if s > 1:
+            at = starts[ends - starts == s][:, None] + np.arange(s)
+            overlaps[at] = np.linalg.norm(vecs[perm[at][:, :, None], at[:, None, :]], axis=-1)
+    return overlaps
 
 
 @dataclass

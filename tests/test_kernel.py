@@ -904,6 +904,29 @@ def test_hermitize_drops_a_cancelled_pair():
     assert zero.asymmetry == 0.0
 
 
+@pytest.mark.parametrize("lower", [False, True])
+def test_hermitize_peaks_within_its_preflight(monkeypatch, lower):
+    # a random complex 2-d R=8 kernel, full (its transposes add no position) or lower
+    # triangular (they double the positions, the preflight's worst case); bound fixed
+    # before the first run: the `check_fits` need itself
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(8)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(289, 289)) + 1j * rng.normal(size=(289, 289))
+    K = KernelMatrix(spec, box, np.tril(a) if lower else a)
+    needs = []
+    monkeypatch.setattr(kernel, "check_fits",
+                        lambda need, what: needs.append(need) or _util.check_fits(need, what))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        H = hermitize(K)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(H._triplets[0]) == 289 ** 2
+    assert peak <= needs[0], (peak, needs)
+
+
 def test_triplet_readers_build_no_dense_matrix(monkeypatch, tmp_path):
     from lattice_pdo.schrodinger import PotentialSpec, build_hamiltonian, neumann_truncation
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -13,7 +14,7 @@ from lattice_pdo.schrodinger import (PotentialSpec, build_hamiltonian, neumann_t
                                      spectrum_converged)
 from lattice_pdo.spectral import (diagonal_approximation, eigendecompose_hermitian,
                                   residue_norm, sandwich_check)
-from lattice_pdo.symbols import (constant_symbol, decaying_test_symbol,
+from lattice_pdo.symbols import (NonFiniteError, constant_symbol, decaying_test_symbol,
                                  difference_symbol, schrodinger_symbol)
 
 SPEC1 = LatticeSpec(1.0, 1)
@@ -738,3 +739,61 @@ def test_vector_solve_holds_no_second_box_sized_array():
     held = 8 * (K.size ** 2 + sum(m * m for m in sizes))
     assert peak < held + 2 * 2 ** 20, (peak, held)
     assert dec.eigenvectors.shape == (K.size, K.size)
+
+
+def test_overflowing_reflection_blocks_are_refused_naming_the_box_matrix():
+    # the identity plus 1.5e308 on the four hops from the centre of a 2-d R=1 box: both axes
+    # fold, and the blocks' sqrt2-weighted entries and their sums are past float64
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(1)
+    a = np.eye(9)
+    centre = index_of(spec, box, np.zeros(2))
+    for hop in ([1, 0], [-1, 0], [0, 1], [0, -1]):
+        j = index_of(spec, box, np.array(hop, float))
+        a[centre, j] = a[j, centre] = 1.5e308
+    K = KernelMatrix(spec, box, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for want_vectors in (False, True):
+            with pytest.raises(NonFiniteError, match=r"9x9 matrix.*largest \|entry\| 1\.5e\+308"):
+                eigendecompose_hermitian(K, want_vectors)
+
+
+def _overlaps_by_cluster(vecs, perm, cuts):
+    # the per-cluster loop the flags were computed by
+    size = len(perm)
+    overlaps = np.abs(vecs[perm, np.arange(size)])
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, size]):
+        if b - a > 1:
+            overlaps[a:b] = np.linalg.norm(vecs[perm[a:b], a:b], axis=1)
+    return overlaps
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cluster_overlaps_have_the_per_cluster_bits(dtype):
+    # clusters of sizes 1, 2, 3 and 5 in a random order, over real and complex vectors
+    rng = np.random.default_rng(3)
+    sizes = rng.permutation([1] * 6 + [2] * 5 + [3] * 3 + [5] * 2)
+    cuts = np.cumsum(sizes)[:-1]
+    size = int(np.sum(sizes))
+    vecs = rng.normal(size=(size, size)).astype(dtype)
+    if dtype is complex:
+        vecs += 1j * rng.normal(size=(size, size))
+    perm = rng.permutation(size)
+    want = _overlaps_by_cluster(vecs, perm, cuts)
+    got = spectral._cluster_overlaps(vecs, perm, cuts)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_low_overlap_flags_of_the_one_d_kernel_keep_their_bits():
+    # the 1-d decaying(3, 2, 1) R=500 kernel: 513 clusters, 488 of them pairs
+    spec = LatticeSpec(1.0, 1)
+    sym = decaying_test_symbol(3.0, 2.0, 1.0, spec)
+    K = hermitize(assemble(sym, spec, BoxTruncation(500)))
+    dec = eigendecompose_hermitian(K, want_vectors=True)
+    diag = np.real(split_diagonal(K).diagonal)
+    perm = np.argsort(diag, kind="stable")
+    lam = dec.eigenvalues
+    cuts = np.flatnonzero(np.diff(lam) > K.size * np.finfo(float).eps * np.max(np.abs(lam))) + 1
+    assert len(cuts) + 1 == 513
+    want = _overlaps_by_cluster(dec.eigenvectors, perm, cuts) < 0.5
+    np.testing.assert_array_equal(diagonal_approximation(K, sym.order).low_overlap, want)

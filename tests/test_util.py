@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,3 +116,69 @@ def test_write_csv_broadcasts_in_row_major_order(tmp_path):
     assert lines[0] == "k,m,v,tag"
     assert lines[1:] == [f"{float(k[i])!r},{m[j]},{float(values[i, j])!r},7"
                          for i in range(3) for j in range(4)]
+
+
+def test_write_csv_formats_each_column_on_its_own_points(tmp_path):
+    # a 3-d broadcast of (A,1,1), (1,B,1) and (1,1,C) columns, over two chunks per first index
+    a, b, c = 3, 5, CSV_CHUNK // 3
+    columns = [np.arange(a)[:, None, None] / 3, np.array(["x", "y,z", "w", 'q"', "v"])[:, None],
+               np.linspace(-1.0, 1.0, c), np.arange(a * b * c).reshape(a, b, c) % 7 * 0.5]
+    text = assert_matches_csv_writer(tmp_path, ["a", "b", "c", "v"], columns)
+    assert len(text.splitlines()) == 1 + a * b * c
+
+
+@pytest.mark.parametrize("shape", [(1, 3 * CSV_CHUNK), (2, CSV_CHUNK + 1)])
+def test_write_csv_splits_trailing_axes_longer_than_a_chunk(tmp_path, shape):
+    # a k column constant along the trailing axis, an m column along the first, values on both
+    rng = np.random.default_rng(2)
+    k = np.arange(shape[0])[:, None] - 0.5
+    m = np.arange(shape[1])[None, :] * 0.25
+    assert_matches_csv_writer(tmp_path, ["k", "m_1", "m_2", "re"],
+                              [k, m, -m, rng.integers(-2, 3, size=shape) / 3])
+
+
+def test_write_csv_joins_same_pattern_columns_next_to_a_quoted_label(tmp_path):
+    # k_1, k_2 broadcast along the same axis, beside a label that needs quoting and a
+    # label column of its own pattern, over more than one chunk
+    k = np.arange(40.0)[:, None, None] / 7
+    labels = np.array(['a "b"', "c,d", "e\nf"])
+    text = assert_matches_csv_writer(
+        tmp_path, ["k_1", "k_2", "tag", "label", "v"],
+        [k, -3 * k, "say, \"x\"", labels[None, None, :],
+         np.arange(40 * 20 * 3).reshape(40, 20, 3) / 9])
+    assert text.splitlines()[1].startswith('0.0,-0.0,"say, ""x""","a ""b""",')
+
+
+def test_write_csv_of_a_zero_length_middle_axis(tmp_path):
+    text = assert_matches_csv_writer(tmp_path, ["a", "b", "c"],
+                                     [np.ones((3, 1, 1)), np.zeros((1, 0, 1)), np.ones((3, 0, 2))])
+    assert text == "a,b,c\n"
+
+
+def test_write_csv_of_scalars_only(tmp_path):
+    text = assert_matches_csv_writer(tmp_path, ["x", "n", "label", "flag"],
+                                     [-0.0, 7, "a,b", False])
+    assert text == 'x,n,label,flag\n-0.0,7,"a,b",False\n'
+
+
+def test_write_csv_of_a_wide_broadcast_table_stays_flat(tmp_path):
+    # a (1, 10^6) table: one k point against 10^6 m points.  Bound fixed before the first
+    # run: a chunk holds CSV_CHUNK rows of three texts of under 100 bytes, each in a few
+    # arrays and lists of 8-byte pointers, ~1 MB; 4 MiB allows for numpy's temporaries.  A
+    # writer that formats the m points of the whole slab at once holds ~100 MB.  The values
+    # repeat, so that few texts are made under tracing; the bound does not rely on it
+    n = 10 ** 6
+    rng = np.random.default_rng(4)
+    columns = [np.array([[0.5]]), np.arange(n)[None, :] % 8 * 0.25,
+               rng.integers(-2, 3, size=(1, n)) / 4]
+    write_csv(tmp_path / "warm.csv", ["k", "m", "v"], [c[:, :10] for c in columns])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_csv(tmp_path / "wide.csv", ["k", "m", "v"], columns)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    with open(tmp_path / "wide.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + n
