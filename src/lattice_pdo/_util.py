@@ -101,7 +101,7 @@ def write_csv(path, header, columns) -> None:
     columns = np.broadcast_arrays(*(np.asarray(c) for c in columns))
     shape = columns[0].shape
     groups, every = [], tuple(n > 1 for n in shape)
-    for c in columns:  # a column that varies along every axis stays alone
+    for c in columns:  # a column that varies along every axis stays alone: a join gains nothing
         if groups and _varies(c) == _varies(groups[-1][0]) != every:
             groups[-1].append(c)
         else:
@@ -111,7 +111,7 @@ def write_csv(path, header, columns) -> None:
         if columns[0].size == 0:
             return
         split = next(a for a in range(len(shape) + 1) if math.prod(shape[a:]) <= CSV_CHUNK)
-        chunks, kept, rows = [...], [None] * len(groups), shape
+        chunks, kept, rows = [...], [None] * len(groups), shape  # the whole table at once
         if split > 0:
             step = CSV_CHUNK // math.prod(shape[split:])
             chunks = ((*outer, slice(j, j + step)) for outer in np.ndindex(shape[:split - 1])
