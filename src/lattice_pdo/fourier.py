@@ -4,21 +4,15 @@ The coefficient of sigma(k, .) at a lattice frequency m is
 
     int_{T^n} sigma(k, theta) exp(-2 pi i m . theta / hbar) dtheta,
 
-with m/hbar an integer vector.  `coefficients` is the one reader, with one
-rule of three cases, checked in this order:
-
-1. a closed form returns the table of all rows and offsets in one call;
-2. otherwise a series (``row_series``, such as the symbol of a matrix) is
-   read in blocks of rows of ~1 MiB of tensors, one call and one gather of
-   every (row, offset) pair a block: each coefficient is found by its index
-   in its row's consecutive frequencies, and is 0 outside them
-   (`symbols.series_coefficients`);
-3. only a symbol given by its values alone (``eval_fn``) goes to FFT
-   quadrature: the tensor trapezoid rule on N uniform points per axis
-   (`spectrum_of_row`), read at bin z mod N.
-
-Cases 1 and 2 give each coefficient exactly as the symbol holds it, in the
-values' own dtype (float64 for a real symbol); case 3 gives complex128.
+with m/hbar an integer vector.  `coefficients` is the one reader, with two
+cases.  A finite series (a ``row_series``, such as the symbol of a matrix, or
+a closed form) is read in blocks of rows of ~1 MiB of tensors, each gathered
+at once: a coefficient is found by its index in its row's consecutive
+frequencies, and is 0 outside them (`symbols.series_coefficients`), exactly
+as the symbol holds it, in the values' own dtype whichever offsets are asked
+for.  A symbol given by its values alone (``eval_fn``) goes to FFT
+quadrature, in complex128: the tensor trapezoid rule on N uniform points per
+axis (`spectrum_of_row`), read at bin z mod N.
 `grid_size` is the one rule for N: the smallest power of two at least
 max(64, 2 radius + 1), radius the largest |z|_inf the call asks for, so no
 asked frequency folds onto another.  64, the bandwidth assumed for a
@@ -68,16 +62,14 @@ def spectrum_of_row(sym: Symbol, k, n: int) -> np.ndarray:
 def coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
     """Coefficient of sigma(hbar z_rows[i], .) at frequency z_offsets[j], shape (S, M).
 
-    Rows (S, n) and offsets (M, n) are integer coordinates; the three cases
+    Rows (S, n) and offsets (M, n) are integer coordinates; the two cases
     are the module docstring's rule.  Quadrature reads one `spectrum_of_row`
-    call per row on the `grid_size` of the widest offset, at bins z mod N.
-    A grid that would not fit in physical memory is refused before it is
-    built.
+    call per row on the `grid_size` of the widest offset, at bins z mod N,
+    and refuses a grid that would not fit in physical memory before it is built.
     """
-    if sym.closed_form_coeffs is not None:
-        return sym.closed_form_coeffs(z_rows, z_offsets)
-    if sym.row_series is not None:
-        return series_coefficients(sym, z_rows, z_offsets)
+    table = series_coefficients(sym, z_rows, z_offsets)
+    if table is not None:
+        return table
     dim = sym.spec.dim
     n = grid_size(int(np.max(np.abs(z_offsets), initial=0)))
     # the samples, transformed in place, and one block's theta and eval_fn work

@@ -8,12 +8,11 @@ and -1 at k = i.
 
 Every matrix is stored one way, decided in this module and nowhere else: as
 its nonzero (row, col, value) triplets, sorted row-major, by one construction.
-A closed form gives them from one table, at most 3^n a row (every built-in
-family has torus-frequency support radius at most 1).  A square array (a
-user's matrix, a plain array given to a reader, or ~1 MiB of rows at a time
-of a series read or of `read_binary`, or one row of FFT quadrature) gives
-its triplets through one reader, `np.flatnonzero` block by block, so an
-entry equal to 0 (-0.0 too) is never stored.  Every solve in `spectral`
+A finite series gives them by one scatter of its blocks of row tensors.  A
+square array (a user's matrix, a plain array given to a reader, ~1 MiB of
+rows of `read_binary`, or one row of FFT quadrature) gives them through one
+reader, `np.flatnonzero` block by block.  An entry equal to 0 (-0.0 too) is
+never stored.  Every solve in `spectral`
 reads `reflection_blocks`: matrices with no lattice, one per parity pattern
 of the axis reflections that fix the triplets (K itself when none does),
 each stored when asked for and yielded with the basis that maps its rows
@@ -35,7 +34,7 @@ import numpy as np
 
 from .lattice import (BoxTruncation, LatticeSpec, box_strides, enumerate_box,
                       enumerate_box_integers)
-from .symbols import NonFiniteError, Symbol, _finite_at, _series_blocks, _series_gather
+from .symbols import NonFiniteError, Symbol, _finite_at, _series_blocks
 from .fourier import coefficients, grid_size
 from . import _util
 from ._util import check_dense_fits, check_fits, rows_per_block
@@ -243,52 +242,60 @@ def assemble(sym: Symbol, spec: LatticeSpec, box: BoxTruncation,
              threads: int = 1) -> KernelMatrix:
     """Truncated matrix A(k, m) = coefficient of sigma(k, .) at frequency m - k.
 
-    A symbol with closed-form coefficients is read in one call: the table
-    of all box rows at the offsets z = (m - k)/hbar with |z|_inf within its
-    support radius and 2R, whose entries with a column in the box are kept
-    as nonzero triplets (refused before anything is built if they could not
-    fit in physical memory).  Any other symbol is refused first if its dense
-    array would not fit, then read by blocks of rows whose nonzeros are
-    stored as they come (`_nonzeros`), so no dense array is built: a series
-    (the symbol of a matrix) exactly, one row_series call a block of ~1 MiB
-    of tensors and of box rows, gathered as `series_coefficients` gathers,
-    with the method "series"; a symbol given by its values by quadrature,
-    row by row, each on the grid its offsets need (`fourier.coefficients`),
-    with the method naming the grid of the widest rows, whose corner
-    offsets reach 2R.  Either way `stored_entries` decides the dtype:
-    float64 when every value is real, complex128 otherwise.  ``threads`` is
-    unused; it is kept because perfbench/workloads.py passes it.
+    A finite series (a closed form or a row_series) is read exactly, by blocks of rows,
+    into one scatter (`_scatter`), with the method "series".  A symbol given by its
+    values is refused first if its dense array would not fit, then read by quadrature
+    row by row on the grid its offsets need (`fourier.coefficients`), its nonzeros
+    stored as they come (`_nonzeros`), with the method naming the widest rows' grid.
+    ``threads`` is unused; it is kept because perfbench/workloads.py passes it.
     """
     if spec != sym.spec:
         raise ValueError("lattice spec does not match the symbol's lattice")
-    size = box.size(spec.dim)
-    r = box.radius
-
-    if sym.closed_form_coeffs is not None:
-        reach = BoxTruncation(min(sym.coeff_support_radius, 2 * r))
-        bands = reach.size(spec.dim)
-        check_fits(bands * size * TRIPLET_BYTES, f"{bands} bands of a {size}-point box")
-        zs, offsets = enumerate_box_integers(spec, box), enumerate_box_integers(spec, reach)
-        rows, cols = np.nonzero(np.logical_and.reduce(
-            [np.abs(zj[:, None] + oj) <= r for zj, oj in zip(zs.T, offsets.T)]))
-        # in box order, the column of row i at offset z is i + z . strides
-        shifts = offsets @ box_strides(spec, box)
-        return KernelMatrix._from_flat(spec, box, size, rows * (size + 1) + shifts[cols],
-                                       sym.closed_form_coeffs(zs, offsets)[rows, cols],
-                                       {"symbol": sym.name, "method": "closed-form", "radius": r})
-
-    check_dense_fits((size, size))
-    zs = enumerate_box_integers(spec, box)
-    if sym.row_series is not None:
-        # column m of row z is the coefficient at frequency m - z, read as m with z added to low
-        blocks = ((i, _series_gather(coeffs, low + zs[i:i + len(coeffs)], zs))
-                  for i, coeffs, low in _series_blocks(sym, zs, size))
+    size, r = box.size(spec.dim), box.radius
+    series = _series_blocks(sym, 0)
+    if series is not None:
+        flat, values = _scatter(spec, box, *series)
         method = "series"
     else:
-        blocks = ((i, coefficients(sym, zs[i:i + 1], zs - zs[i])) for i in range(size))
+        check_dense_fits((size, size))
+        zs = enumerate_box_integers(spec, box)
+        flat, values = _nonzeros(size, ((i, coefficients(sym, zs[i:i + 1], zs - zs[i]))
+                                        for i in range(size)))
         method = f"quadrature(n={grid_size(2 * r)})"
-    return KernelMatrix._from_flat(spec, box, size, *_nonzeros(size, blocks),
+    return KernelMatrix._from_flat(spec, box, size, flat, values,
                                    {"symbol": sym.name, "method": method, "radius": r})
+
+
+def _scatter(spec, box, shape, blocks):
+    # a finite series' nonzeros, flat positions and values: each block's nonzero tensor entries
+    # whose column point z + low + (tensor index) is in the box, row by row in increasing
+    # columns.  Bytes at the peak, checked as the blocks come, w the stored values' itemsize:
+    # a kept triplet, its position and value in its block's part and in their concatenation,
+    # and a flag in `_store` (whose peak, 25 + w, is below), 17 + 2 w; a block, its tensors,
+    # their kept flags and the masks' buffers, w + 2 a tensor entry, and 8 (n + 4) a kept
+    # entry (row, tensor index, position, temporaries); a box point, 24 n while enumerated
+    size, r, n = box.size(spec.dim), box.radius, spec.dim
+    bands = min(math.prod(shape), size)
+    check_fits(bands * size * TRIPLET_BYTES, f"{bands} bands of a {size}-point box")
+    zs, strides = enumerate_box_integers(spec, box), box_strides(spec, box)
+    parts, nnz = [], 0
+    for first, coeffs, low in blocks(zs):
+        corner = zs[first:first + len(coeffs)] + low + r  # box coordinates of each entry 0
+        kept = coeffs != 0
+        for j, (cj, side) in enumerate(zip(corner.T, shape)):
+            c = cj.reshape((-1,) + (1,) * n) + np.arange(side).reshape((-1,) + (1,) * (n - 1 - j))
+            kept &= (c >= 0) & (c <= 2 * r)
+        row, *at = np.nonzero(kept)
+        nnz += len(row)
+        w = 16 if np.iscomplexobj(coeffs) else 8
+        check_fits((17 + 2 * w) * nnz + (w + 2) * coeffs.size + 8 * (n + 4) * len(row)
+                   + 24 * n * size, f"{nnz} nonzeros of a {size}x{size} matrix")
+        pos = ((first + np.arange(len(corner))) * size + corner @ strides)[row]
+        for aj, stride in zip(at, strides):
+            pos += aj * stride
+        parts.append((pos, coeffs[kept]))
+        del coeffs, kept, row, at, pos  # before the next block is read
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def as_kernel(K) -> KernelMatrix:

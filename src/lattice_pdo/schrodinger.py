@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lattice import BoxTruncation, LatticeSpec, enumerate_box_integers
+from .fourier import coefficients
 from .kernel import KernelMatrix, assemble, subtract_diagonal
 from .spectral import eigendecompose_hermitian
 from .symbols import anharmonic_of_norms, anharmonic_values, schrodinger_symbol
@@ -140,9 +141,9 @@ def weyl_oracle(spec: LatticeSpec, V, box: BoxTruncation, j_max: int,
     reference, not a rigorous bracket; no caller needs one, as each allows
     4n hbar^-2, twice the hopping norm.
     """
-    closed_form = _hamiltonian_symbol(spec, V, lam).closed_form_coeffs
-    diag = closed_form(enumerate_box_integers(spec, box), np.zeros((1, spec.dim), dtype=np.int64))
-    return np.sort(diag[:, 0])[:j_max]
+    diag = coefficients(_hamiltonian_symbol(spec, V, lam), enumerate_box_integers(spec, box),
+                        np.zeros((1, spec.dim), dtype=np.int64))[:, 0]
+    return np.sort(diag)[:j_max]
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernel import (KernelMatrix, as_kernel, hermitian_check, power_sums, reflection_blocks,
                      split_diagonal)
-from .symbols import SymbolOrder
+from .symbols import NonFiniteError, SymbolOrder
 from . import _lapack
 from ._util import check_dense_fits, rounded_up, rows_per_block
 
@@ -125,8 +125,17 @@ def _bounded(K: KernelMatrix, vals, vecs) -> SpectralResult:
     if K.spec is not None:
         n, r = K.spec.dim, K.box.radius
         scale = max(K.size, (r + 1) * (2 * r + 1) ** (n - 1) + 2 ** n + 2)
-    norm = np.max(power_sums(K, 1.0, 1), initial=0.0)
-    return SpectralResult(vals, vecs, float(scale * EPS * norm))
+    return SpectralResult(vals, vecs, float(scale * EPS * _norm(K, 1)))
+
+
+def _norm(K: KernelMatrix, axis: int) -> float:
+    # ||K||_1 (axis 0) or ||K||_inf (1); past float64, refused as `reflection_blocks` refuses
+    norm = float(np.max(power_sums(K, 1.0, axis), initial=0.0))
+    if norm == np.inf:
+        raise NonFiniteError(f"the normwise bound of the {K.size}x{K.size} matrix is not finite: "
+                             f"its largest |entry| {np.max(np.abs(K._triplets[2]))} is too near "
+                             f"float64's limit")
+    return norm
 
 
 def residue_norm(K) -> float:
@@ -153,7 +162,7 @@ def _residue_norm(K: KernelMatrix, res: KernelMatrix) -> float:
         return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
                           1, 0.0)
     formed = 0.0 if res.spec is None else (2 ** res.spec.dim + 2) * EPS * max(
-        np.max(power_sums(res, 1.0, axis), initial=0.0) for axis in (0, 1))
+        _norm(res, axis) for axis in (0, 1))
     norm = max(np.linalg.norm(block.entries, 2) for block, _ in reflection_blocks(res))
     return rounded_up(float(norm + formed), res.size, 0.0)
 

@@ -40,26 +40,20 @@ class SymbolOrder:
 class Symbol:
     """Evaluatable symbol with order metadata.
 
-    A symbol is given in one of three ways; `fourier.coefficients` reads the
-    first one present, in this order.  closed_form_coeffs(z_rows, z_offsets)
-    gives in one call the (S, M) table of torus Fourier coefficients, real or
-    complex, of the integer rows z_rows (S, n) at the integer frequencies
-    z_offsets (M, n); column j is 0 where |z_offsets[j]|_inf exceeds the
-    declared ``coeff_support_radius``, an integer r >= 0.  Else
-    row_series(z_rows) gives in one call the series of the integer rows
-    z_rows (S, n), row z the point hbar z, as ``(coeffs, low)``: coeffs
-    (S, *shape) holds one coefficient tensor a row, with one axis per torus
-    axis and one shape, the same in every call (so a call with no rows gives
-    it, and readers size their blocks of rows from it), and low (S, n) the
-    lowest integer frequency of each row's axes, whose frequencies are
-    consecutive, low[s, j] + arange(shape[j]).  A row with no terms (such as
-    a row outside a matrix's box) has all-zero coefficients.  Else the symbol is
-    its values alone, eval_fn(k, theta), for ``k`` of shape (n,) and
-    ``theta`` of shape (..., n), vectorized to theta.shape[:-1].
-
-    A symbol with a series (row_series or a closed form) takes its values
-    and its theta-derivatives of every order from it (`theta_derivative`).
-    A symbol given by values alone has no theta-derivative above order 0.
+    A symbol is a finite series, read by one reader (`_series_blocks`), or its
+    values alone, eval_fn(k, theta) for ``k`` (n,) and ``theta`` (..., n),
+    vectorized to theta.shape[:-1].  A series is row_series(z_rows), giving the
+    integer rows z_rows (S, n), row z the point hbar z, as ``(coeffs, low)``:
+    coeffs (S, *shape), a tensor a row with one axis per torus axis and one
+    shape in every call (a call with no rows gives it), all zeros for a row
+    with no terms, and low (S, n), each row's lowest integer frequency on each
+    axis, whose frequencies are low[s, j] + arange(shape[j]).  Or it is a
+    closed form closed_form_coeffs(z_rows, z_offsets), the (S, M) table at the
+    integer frequencies z_offsets (M, n), declared 0 past its
+    ``coeff_support_radius`` r >= 0 and read as its table at the (2r+1)^n
+    offsets of radius r.  A series gives the values, the theta-derivatives of
+    every order (`theta_derivative`) and the coefficients, exactly and whole:
+    one that is not finite is refused wherever its row is read.
     """
 
     spec: LatticeSpec
@@ -81,37 +75,9 @@ class Symbol:
             raise ValueError(f"symbol '{self.name}' has neither eval_fn nor a series")
 
 
-def _as_theta(spec: LatticeSpec, theta):
-    t = np.asarray(theta, dtype=float)
-    if t.ndim == 0:
-        t = t.reshape(1)
-    if t.shape[-1] != spec.dim:
-        raise ValueError(f"theta must have last axis of length {spec.dim}, got shape {t.shape}")
-    return t
-
-
-def _value(spec: LatticeSpec, theta, out):
-    # a scalar for a single theta point, else shape theta.shape[:-1]
-    out = np.asarray(out, dtype=complex)
-    if theta.shape == (spec.dim,):
-        return complex(out)
-    return out
-
-
 def eval_symbol(sym: Symbol, k, theta):
     """sigma(k, theta): `theta_derivative` of order 0."""
     return theta_derivative(sym, k, theta, (0,) * sym.spec.dim)
-
-
-def _normalize_beta(spec: LatticeSpec, beta):
-    if np.isscalar(beta):
-        if spec.dim != 1:
-            raise ValueError("scalar beta is only allowed for 1-dimensional symbols")
-        beta = (int(beta),)
-    b = tuple(int(x) for x in beta)
-    if len(b) != spec.dim or any(x < 0 for x in b):
-        raise ValueError(f"beta must be a multi-index of length {spec.dim}, got {beta}")
-    return b
 
 
 def theta_derivative(sym: Symbol, k, theta, beta):
@@ -123,10 +89,19 @@ def theta_derivative(sym: Symbol, k, theta, beta):
     alone gives eval_fn for beta = 0 and raises ValueError for any higher
     order.  A k off the lattice hbar Z^n raises ValueError.
     """
+    n = sym.spec.dim
     kk = as_point(sym.spec, k)
     z = integer_coords(sym.spec, kk)
-    b = _normalize_beta(sym.spec, beta)
-    tt = _as_theta(sym.spec, theta)
+    if np.isscalar(beta):
+        if n != 1:
+            raise ValueError("scalar beta is only allowed for 1-dimensional symbols")
+        beta = (int(beta),)
+    b = tuple(int(x) for x in beta)
+    if len(b) != n or any(x < 0 for x in b):
+        raise ValueError(f"beta must be a multi-index of length {n}, got {beta}")
+    tt = np.atleast_1d(np.asarray(theta, dtype=float))
+    if tt.shape[-1] != n:
+        raise ValueError(f"theta must have last axis of length {n}, got shape {tt.shape}")
     series = _series(sym, z)
     if series is not None:
         out = _phase_sum(*series, tt, b)
@@ -135,22 +110,16 @@ def theta_derivative(sym: Symbol, k, theta, beta):
     else:
         raise ValueError(f"symbol '{sym.name}' is given by its values alone and has no "
                          f"theta derivative of order {sum(b)}")
-    return _value(sym.spec, tt, out)
+    out = np.asarray(out, dtype=complex)
+    return complex(out) if tt.shape == (n,) else out
 
 
 def _series(sym: Symbol, z):
-    # row z's (coeffs, low), the `Symbol` series form; None for a symbol given by its values
-    if sym.row_series is not None:
-        coeffs, low = sym.row_series(z[None])
-        if not coeffs.any():
-            # a row with no terms (off a matrix's box) is the constant 0, summed at once
-            return np.zeros((1,) * sym.spec.dim, coeffs.dtype), np.zeros(sym.spec.dim, np.int64)
+    # row z's (coeffs, low), read as one block; None for a symbol given by its values
+    series = _series_blocks(sym, 0)
+    if series is not None:
+        _, coeffs, low = next(series[1](z[None]))
         return coeffs[0], low[0]
-    if sym.closed_form_coeffs is None:
-        return None
-    box = BoxTruncation(sym.coeff_support_radius)
-    coeffs = sym.closed_form_coeffs(z[None], enumerate_box_integers(sym.spec, box))[0]
-    return coeffs.reshape(box_shape(sym.spec, box)), np.full(sym.spec.dim, -box.radius)
 
 
 def _phase_sum(coeffs, low, theta, beta):
@@ -161,10 +130,11 @@ def _phase_sum(coeffs, low, theta, beta):
     sum_j coeffs.shape[j] exponentials a point, contracted last axis first.
     A zero frequency factor (2 pi i 0)^beta_j contributes exactly 0.
     """
-    if coeffs.size == 1 and not np.any(low):
-        # frequency 0 alone: its coefficient, inf + 0j included (never times the phase
-        # 1 + 0j, which makes inf nan), and 0 for a derivative
-        return np.full(theta.shape[:-1], 0j if any(beta) else coeffs.item(), dtype=complex)
+    if not coeffs.any() or (coeffs.size == 1 and not np.any(low)):
+        # no terms (a row off a matrix's box), or frequency 0 alone: its coefficient, inf + 0j
+        # included (never times the phase 1 + 0j, which makes inf nan), and 0 for a derivative
+        value = 0j if any(beta) or not coeffs.any() else coeffs.item()
+        return np.full(theta.shape[:-1], value, dtype=complex)
     freqs = [lj + np.arange(size) for lj, size in zip(low, coeffs.shape)]
     n = theta.shape[-1]
     t = theta.reshape(-1, n)
@@ -189,45 +159,71 @@ def _phase_sum(coeffs, low, theta, beta):
     return acc.reshape(theta.shape[:-1])
 
 
-def series_coefficients(sym: Symbol, z_rows, z_offsets) -> np.ndarray:
-    """Coefficients of the rows z_rows (S, n) at the frequencies ``z_offsets`` (M, n), (S, M).
+def series_coefficients(sym: Symbol, z_rows, z_offsets) -> Optional[np.ndarray]:
+    """Coefficients (S, M) of the rows z_rows (S, n) at the frequencies z_offsets (M, n).
 
-    The rows are read in blocks, one row_series call each (`_series_blocks`),
-    and each block's (row, offset) pairs in one gather (`_series_gather`)
-    into its rows of the one (S, M) table, in the tensors' dtype: offset
-    z_offsets[j] of row s sits at index z_offsets[j] - low[s], its
-    coefficient where that index is inside the tensor, and 0 where not.
+    One table in the tensors' dtype, filled by blocks of rows; None for values alone.
     """
+    series = _series_blocks(sym, len(z_offsets))
+    if series is None:
+        return None
     table = None
-    for i, coeffs, low in _series_blocks(sym, z_rows, len(z_offsets)):
+    for i, coeffs, low in series[1](z_rows):
         if table is None:
-            table = np.empty((len(z_rows), len(z_offsets)), dtype=coeffs.dtype)
+            table = np.zeros((len(z_rows), len(z_offsets)), dtype=coeffs.dtype)
         _series_gather(coeffs, low, z_offsets, out=table[i:i + len(coeffs)])
     return table
 
 
-def _series_blocks(sym: Symbol, z_rows, width):
-    # (first row, coeffs, low) of one row_series call a block of rows z_rows, each block
-    # ~1 MiB of tensors and of ``width``-entry output rows, sized from the tensor shape
-    # that a call with no rows gives; at least one call, so no rows still give a dtype
-    coeffs, _ = sym.row_series(z_rows[:0])
-    step = rows_per_block(max(width, math.prod(coeffs.shape[1:])))
-    for i in range(0, max(len(z_rows), 1), step):
-        yield i, *sym.row_series(z_rows[i:i + step])
+def _series_blocks(sym: Symbol, width: int):
+    """(tensor shape, blocks) of a finite series, the one reader of it; None for values alone.
+
+    blocks(z_rows) yields (first row, coeffs, low) of one read a block of at least one, each
+    ~1 MiB of tensors and of ``width``-entry output rows.  A closed form is read as its
+    (2r+1)^n table at lowest frequency -r; a row_series gives its shape in a call with no rows.
+    """
+    if sym.closed_form_coeffs is not None:
+        box = BoxTruncation(sym.coeff_support_radius)
+        offsets, shape = enumerate_box_integers(sym.spec, box), box_shape(sym.spec, box)
+        width = 0  # rows that share their low are gathered with no per-row index
+
+        def read(z_rows):
+            return (sym.closed_form_coeffs(z_rows, offsets).reshape((len(z_rows),) + shape),
+                    np.broadcast_to(-box.radius, z_rows.shape))
+    elif sym.row_series is not None:
+        read = sym.row_series
+        shape = read(np.zeros((0, sym.spec.dim), np.int64))[0].shape[1:]
+    else:
+        return None
+    step = rows_per_block(max(width, math.prod(shape)))
+
+    def blocks(z_rows):
+        try:
+            for i in range(0, max(len(z_rows), 1), step):
+                yield i, *read(z_rows[i:i + step])
+        except NonFiniteError:  # refused as one read of every row is, at the least norm
+            read(z_rows)
+            raise
+
+    return shape, blocks
 
 
-def _series_gather(coeffs, low, z_offsets, out=None) -> np.ndarray:
-    # (B, M): row s's coefficient at frequency z_offsets[j], tensor index z_offsets[j] - low[s];
-    # written into ``out`` when given
+def _series_gather(coeffs, low, z_offsets, out) -> None:
+    # into ``out`` (B, M) of zeros: row s's coefficient at frequency z_offsets[j], where its index
+    # z_offsets[j] - low[s] is in its tensor; one low broadcast to all rows, one pick of columns
     shape = coeffs.shape[1:]
-    index = [zj - lj[:, None] for zj, lj in zip(z_offsets.T, low.T)]
+    tensors = coeffs.reshape(len(coeffs), math.prod(shape))
+    shared = len(low) > 0 and low.strides[0] == 0
+    index = [zj - lj[:, None] for zj, lj in zip(z_offsets.T, (low[:1] if shared else low).T)]
     inside = np.logical_and.reduce([(i >= 0) & (i < side) for i, side in zip(index, shape)])
     flat = np.ravel_multi_index(index, shape, mode="clip")  # clipped where not inside
     del index
-    flat += np.arange(len(coeffs))[:, None] * math.prod(shape)  # row s's tensor, flattened
-    out = np.take(coeffs.reshape(-1), flat, out=out, mode="clip")
-    out[~inside] = 0
-    return out
+    if shared:
+        out[:, inside[0]] = tensors[:, flat[0, inside[0]]]
+    else:
+        flat += np.arange(len(coeffs))[:, None] * tensors.shape[1]  # row s's tensor, flattened
+        np.take(tensors, flat, out=out, mode="clip")
+        out[~inside] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +262,7 @@ def _multiplier(spec: LatticeSpec, order: SymbolOrder, values: Callable, name: s
     """sigma(k, theta) = v(k), for ``values`` mapping points (S, n) to their S values v."""
 
     def cf(z_rows, z_offsets):
-        at_zero = ~np.any(z_offsets, axis=1)
-        v = values(spec.hbar * z_rows) if at_zero.any() else np.zeros(len(z_rows))
-        return np.where(at_zero, v[:, None], 0)
+        return np.where(~np.any(z_offsets, axis=1), values(spec.hbar * z_rows)[:, None], 0)
 
     return Symbol(spec, order, closed_form_coeffs=cf, coeff_support_radius=0, name=name)
 
@@ -342,10 +336,9 @@ def schrodinger_symbol(V: Callable, lam: float, spec: LatticeSpec | None = None,
     def cf(z_rows, z_offsets):
         hops = np.sum(np.abs(z_offsets), axis=1)
         out = np.tile(np.where(hops == 1, -h2, 0.0), (len(z_rows), 1))
-        if np.any(hops == 0):
-            pts = spec.hbar * z_rows
-            v = _finite_at(pts, values(pts), "potential")
-            out[:, hops == 0] = (2 * spec.dim * h2 + v + lam)[:, None]
+        pts = spec.hbar * z_rows
+        out[:, hops == 0] = (2 * spec.dim * h2 + _finite_at(pts, values(pts), "potential")
+                             + lam)[:, None]
         return out
 
     return Symbol(spec, SymbolOrder(float(potential_order), 1.0, 0.0),
@@ -364,16 +357,13 @@ def decaying_test_symbol(s: float, a: float, b: float,
 
     def cf(z_rows, z_offsets):
         hops = np.where(np.any(z_offsets[:, 1:], axis=1), 2, np.abs(z_offsets[:, 0]))
-        out = np.zeros((len(z_rows), len(z_offsets)))
-        if np.all(hops > 1):
-            return out
         pts = spec.hbar * z_rows
         r = _finite_at(pts, float_pow(1.0 + _norms(pts), -s), f"(1+|k|)^-s with s={s}")
+        out = np.zeros((len(z_rows), len(z_offsets)))
         for hop, c, name in ((1, 0.5 * b, "b/2"), (0, a, "a")):  # the order a box meets them
-            if np.any(hops == hop):
-                with np.errstate(over="ignore"):  # refused by name below, not warned about
-                    out[:, hops == hop] = _finite_at(pts, c * r, f"{name} (1+|k|)^-s with "
-                                                                 f"a={a}, b={b}, s={s}")[:, None]
+            with np.errstate(over="ignore"):  # refused by name below, not warned about
+                out[:, hops == hop] = _finite_at(pts, c * r, f"{name} (1+|k|)^-s with "
+                                                             f"a={a}, b={b}, s={s}")[:, None]
         return out
 
     return Symbol(spec, SymbolOrder(-float(s), 1.0, 0.0), closed_form_coeffs=cf,

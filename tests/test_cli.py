@@ -791,6 +791,13 @@ EXITS = {
                       2, "lattice.dim", "one-dimensional"),
     "radius-negative": (base_config("assemble", truncation={"radius": -1}),
                         2, "truncation.radius", "at least 0, got -1"),
+    # a finite series is read whole: b/2 (1+|k|)^300 is past float64 at k = -1, so its
+    # coefficient table is refused at every frequency radius, 0 included
+    **{f"coeffs-decaying-b-past-float64-freq{fr}": (base_config(
+        "coeffs", symbol={"family": "decaying", "params": {"s": -300, "a": 1, "b": 1e300}},
+        params={"freq_radius": fr}),
+        2, "symbol.params", "b/2 (1+|k|)^-s with a=1.0, b=1e+300, s=-300.0 is not finite at "
+                            "k = [-1.0]") for fr in (0, 1)},
     # at the smallest hbar, |k| = 1e-100 tells the nearest points from the origin
     "coeffs-hbar-1e-100": (base_config(
         "coeffs", lattice={"hbar": 1e-100, "dim": 1}, truncation={"radius": 8},

@@ -328,3 +328,18 @@ def test_matrix_symbol_table_is_filled_in_place():
     for i in (0, 364, 728):
         row = fourier.coefficients(sym, z_rows[i:i + 1], m_ints)
         assert row.tobytes() == table[i:i + 1].tobytes()
+
+
+def test_a_table_dtype_depends_only_on_the_values():
+    # a finite series is read whole, so the dtype of its coefficients does not depend on
+    # which offsets are asked for: constant(1j) is complex at offset 1 alone, where it is 0,
+    # as at offsets 0 and 1; a real family is float64 however far its offsets reach
+    z = np.zeros((1, 1), dtype=np.int64)
+    for offsets in ([[1]], [[0], [1]], [[5]]):
+        table = fourier.coefficients(constant_symbol(1j), z, np.array(offsets))
+        assert table.dtype == np.complex128, offsets
+        assert np.array_equal(table, [[1j if m == [0] else 0 for m in offsets]])
+    decaying = decaying_test_symbol(3.0, 1.0, 1.0, LatticeSpec(1.0, 1))
+    for offsets in ([[2]], [[-1], [0]]):
+        table = fourier.coefficients(decaying, z, np.array(offsets))
+        assert table.dtype == np.float64, offsets

@@ -571,6 +571,53 @@ def test_series_reads_hold_one_block_of_tensors_however_few_outputs():
         assert same_bits(g, w)
 
 
+def test_series_scatter_peaks_within_its_preflight(monkeypatch):
+    # decaying(3, 1, 1) on the 2-d R=40 box (one block of 6561 rows, 3 nonzeros a row)
+    # and a dense random complex matrix symbol on the 2-d R=12 box (7 blocks): the peak
+    # of each assembly, after a warm-up call, is at most the largest `check_fits` need of
+    # its kept nonzeros, which it records as the blocks come
+    spec = LatticeSpec(1.0, 2)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(625, 625)) + 1j * rng.normal(size=(625, 625))
+    cases = [(decaying_test_symbol(3.0, 1.0, 1.0, spec), BoxTruncation(40)),
+             (symbol_from_matrix(KernelMatrix(spec, BoxTruncation(12), a)), BoxTruncation(12))]
+    for sym, box in cases:
+        needs = []
+        monkeypatch.setattr(kernel, "check_fits", lambda need, what: needs.append((need, what)))
+        assemble(sym, spec, box)
+        needs.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            K = assemble(sym, spec, box)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = [need for need, what in needs if "nonzeros" in what]
+        nnz = len(K._triplets[2])
+        assert kept and needs[-1][1] == f"{nnz} nonzeros of a {K.size}x{K.size} matrix"
+        assert peak <= max(kept), (sym.name, peak, max(kept))
+
+
+def test_a_matrix_symbol_assembles_without_the_dense_check(monkeypatch):
+    # a finite series is preflighted by the tensor entries it reaches, never as a dense
+    # array: with the dense check refusing everything, a matrix symbol still reassembles
+    spec, box = LatticeSpec(0.5, 2), BoxTruncation(3)
+    rng = np.random.default_rng(6)
+    K = KernelMatrix(spec, box, rng.normal(size=(49, 49)) * (rng.random((49, 49)) < 0.4))
+
+    def refuse(shape):
+        raise AssertionError(f"a dense {shape} matrix was checked")
+
+    monkeypatch.setattr(kernel, "check_dense_fits", refuse)
+    got = assemble(symbol_from_matrix(K), spec, box)
+    assert got.provenance["method"] == "series"
+    for g, w in zip(got._triplets, K._triplets):
+        assert same_bits(g, w)
+    with pytest.raises(AssertionError, match="dense"):
+        assemble(quadrature_only(symbol_from_matrix(K)), spec, box)
+
+
 def test_apply_adds_each_row_in_column_order(monkeypatch):
     # the triplet product: row k's terms A(k, m) v(m) added from 0 in increasing m
     rng = np.random.default_rng(12)

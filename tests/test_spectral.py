@@ -797,3 +797,22 @@ def test_low_overlap_flags_of_the_one_d_kernel_keep_their_bits():
     assert len(cuts) + 1 == 513
     want = _overlaps_by_cluster(dec.eigenvectors, perm, cuts) < 0.5
     np.testing.assert_array_equal(diagonal_approximation(K, sym.order).low_overlap, want)
+
+
+def test_an_overflowing_normwise_bound_is_refused_naming_the_matrix():
+    # the 1-d R=1 matrix with diagonal (1, 1, 2) and 1e308 on both off-diagonals: no axis
+    # folds, every entry is finite, but ||K||_inf is past float64, so the bound would be
+    # inf.  A solve, with or without vectors, and the Hermitian residue norm refuse it; so
+    # does the non-Hermitian residue norm (0.9e308 below the diagonal), at its rounding term
+    K = KernelMatrix(SPEC1, BoxTruncation(1), [[1.0, 1e308, 0.0], [1e308, 1.0, 1e308],
+                                               [0.0, 1e308, 2.0]])
+    skew = KernelMatrix(SPEC1, BoxTruncation(1), [[1.0, 1e308, 0.0], [0.9e308, 1.0, 1e308],
+                                                  [0.0, 0.9e308, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for want_vectors in (False, True):
+            with pytest.raises(NonFiniteError, match=r"3x3 matrix.*largest \|entry\| 1e\+308"):
+                eigendecompose_hermitian(K, want_vectors)
+        for matrix in (K, skew):
+            with pytest.raises(NonFiniteError, match=r"3x3 matrix.*largest \|entry\| 1e\+308"):
+                residue_norm(matrix)

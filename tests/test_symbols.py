@@ -606,6 +606,29 @@ def test_anharmonic_past_float64_names_the_first_point():
     assert not np.any(polynomial_potential(0.0, 64).closed_form_coeffs(zs, zero))
 
 
+def test_a_refusal_read_in_blocks_names_the_point_of_least_norm():
+    # a Schrodinger symbol whose potential |k|^126 leaves float64 past |k| ~ 279.6 is read
+    # on the 2-d R=300 box in 50 blocks of 7281 rows; the first block holding a point past
+    # float64 holds none of least norm, yet assemble and coefficient_table name the point
+    # of least norm of the whole box, as one read of every row does
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(300)
+    zs = enumerate_box_integers(spec, box)
+    norms = np.linalg.norm(zs, axis=1)
+    past = np.flatnonzero([c_pow_overflows(r, 126) for r in norms.tolist()])
+    first = zs[past[np.argmin(norms[past])]]
+    assert np.linalg.norm(first) < np.min(norms[past[past < 7281]])
+
+    def V(k):
+        return float(V.array_fn(k[None])[0])
+
+    V.array_fn = anharmonic_values(1.0, 63)
+    sym = schrodinger_symbol(V, 0.0, spec, potential_order=126.0)
+    for read in (lambda: assemble(sym, spec, box), lambda: coefficient_table(sym, box, 0)):
+        with pytest.raises(NonFiniteError, match=rf"potential is not finite at k = "
+                                                 rf"\[{first[0]:.1f}, {first[1]:.1f}\]"):
+            read()
+
+
 def scalar_anharmonic(c, l, r):
     """c r^(2l) in Python floats by the C pow, past float64 inf with the sign of c, 0 for c = 0."""
     power = c_pow(r, 2 * l)
@@ -651,4 +674,4 @@ def test_each_reader_calls_a_closed_form_once(monkeypatch):
                         lambda *args, **kw: counting(schrodinger_symbol(*args, **kw), calls))
     calls.clear()
     schrodinger.weyl_oracle(spec, lambda k: float(k @ k), BoxTruncation(2), 5)
-    assert calls == [1]
+    assert calls == [9]  # the closed form is read as its whole table, 3^2 offsets
