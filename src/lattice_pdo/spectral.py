@@ -20,7 +20,7 @@ from .kernel import (KernelMatrix, as_kernel, hermitian_check, power_sums, refle
                      split_diagonal)
 from .symbols import NonFiniteError, SymbolOrder
 from . import _lapack
-from ._util import check_dense_fits, rounded_up, rows_per_block
+from ._util import check_dense_fits, check_fits, rounded_up, rows_per_block
 
 SANDWICH_SLACK = 1e-8   # rounding allowed at each link of the sandwich chain
 EPS = np.finfo(float).eps
@@ -45,12 +45,13 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     """Full spectrum of a Hermitian kernel matrix (or plain square array).
 
     Solved in `kernel.reflection_blocks`, each block by `eigvalsh`, or by
-    `eigh` with its vectors carried back onto the box; real input in real
-    arithmetic, with real eigenvectors.  A real block with no triplet below
-    its first subdiagonal (every block of a 1-d kernel) goes to LAPACK's
-    dstevd as that band, read from its triplets (`_lapack`): dsyevd's own
-    second stage with no reduction to do, the same bits, so the error model
-    below is unchanged.  Any other block is solved dense, from `entries`.
+    `eigh` (`_block_solve`) with its vectors carried back into one box-sized
+    array; real input in real arithmetic, with real eigenvectors.  A real
+    block with no triplet below its first subdiagonal (every block of a 1-d
+    kernel) goes to LAPACK's dstevd as that band, read from its triplets
+    (`_lapack`): dsyevd's own second stage with no reduction to do, the same
+    bits, so the error model below is unchanged.  Any other block is solved
+    dense, from `entries`.
 
     error_bound = scale * eps * ||K||_inf, with or without vectors, bounds
     each sorted value's distance from the exact one (Weyl).  A dense solve
@@ -65,11 +66,17 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     scale = max(size, (R + 1)(2R + 1)^(n-1) + 2^n + 2), growing with R:
     the box size except in 1-d with R <= 3 and in 2-d and 3-d with R = 1.
     """
+    K = _hermitian(K)
+    return _bounded(K, *_solve(K, want_vectors))
+
+
+def _hermitian(K) -> KernelMatrix:
+    # the one Hermitian refusal of every eigensolve
     K = as_kernel(K)
     ok, asym = hermitian_check(K)
     if not ok:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    return _bounded(K, *_solve(K, want_vectors))
+    return K
 
 
 def _eigh(block: KernelMatrix, want_vectors: bool):
@@ -88,16 +95,14 @@ def _eigh(block: KernelMatrix, want_vectors: bool):
 
 
 def _solve(K: KernelMatrix, want_vectors: bool):
-    # the one solve path, block by block (`_eigh`); a stable sort of the values.  With
-    # vectors, each block's are held until every value is known, then carried back into
-    # their sorted columns of one box-sized array ~1 MiB of rows at a time, and the phase
-    # rule reads it ~1 MiB of columns at a time
+    # sorted values, and with vectors `_block_solve`'s carried back into their sorted columns
+    # of one box-sized array ~1 MiB of rows at a time, which the phase rule reads ~1 MiB of
+    # columns at a time
     if not want_vectors:
         vals = np.concatenate([_eigh(block, False) for block, _ in reflection_blocks(K)])
         return vals[np.argsort(vals, kind="stable")], None
     check_dense_fits((K.size, K.size))
-    solved = [(*_eigh(block, True), basis) for block, basis in reflection_blocks(K)]
-    order = np.argsort(vals := np.concatenate([w for w, _, _ in solved]), kind="stable")
+    vals, order, solved = _block_solve(K)
     column = np.empty_like(order)
     column[order] = np.arange(K.size)
     vecs = np.zeros((K.size, K.size), dtype=K._triplets[2].dtype)
@@ -117,6 +122,60 @@ def _solve(K: KernelMatrix, want_vectors: bool):
     # array can round its last bit differently
     vecs /= top / np.hypot(top.real, top.imag)
     return vals[order], vecs
+
+
+def _block_solve(K: KernelMatrix):
+    # the one vector solve, block by block (`_eigh`): each block's (values, vectors, basis
+    # (at, pos, coef)), held until every value is known, and the stable sort order of the
+    # values together.  Bytes held at its peak: the blocks and their bases as stored; for
+    # m-point blocks their values (8m each) and vectors (itemsize m^2 each); and the largest
+    # block's solve, dstevd's work and iwork (m^2 + 9m + 4 words) and its band (2m - 1).  A
+    # dense block's `entries` checks itself
+    blocks = list(reflection_blocks(K))
+    sizes = [int(block.size) for block, _ in blocks]
+    stored = sum(a.nbytes for block, basis in blocks for a in (*block._triplets, *basis))
+    vectors = K._triplets[2].itemsize * sum(m * m for m in sizes)
+    m = max(sizes)
+    check_fits(stored + vectors + 8 * (K.size + m * m + 11 * m + 3),
+               f"the {len(sizes)} reflection blocks of the {K.size}x{K.size} matrix with their "
+               f"eigenvectors ({vectors} bytes)")
+    solved = []
+    while blocks:  # each block let go once solved
+        block, basis = blocks.pop(0)
+        solved.append((*_eigh(block, True), basis))
+    vals = np.concatenate([w for w, _, _ in solved])
+    return vals, np.argsort(vals, kind="stable"), solved
+
+
+class _BlockVectors:
+    """The box-sized eigenvector matrix of `_block_solve`, read entry by entry, never built.
+
+    vecs[rows, cols], for integer arrays broadcast together, holds the entries
+    `_solve` carries back before its phase rule: sorted column i is local
+    column j of block b, and box row r of it is coef_b[k] v_b[pos_b[k], j]
+    where at_b[k] = r.  Each box row sits at most once in a block's basis
+    (at ascends), and the entry is 0 where the block has no such row.
+    """
+
+    def __init__(self, order, solved):
+        self._solved = solved
+        sizes = [len(w) for w, _, _ in solved]
+        self._block = np.repeat(np.arange(len(sizes)), sizes)[order]
+        self._local = order - np.cumsum([0, *sizes[:-1]], dtype=order.dtype)[self._block]
+        self._dtype = np.result_type(*(v for _, v, _ in solved))
+
+    def __getitem__(self, index):
+        rows, cols = np.broadcast_arrays(*index)
+        out = np.zeros(rows.shape, dtype=self._dtype)
+        block = self._block[cols]
+        for b, (_, v, (at, pos, coef)) in enumerate(self._solved):
+            mine = np.nonzero(block == b)
+            r = rows[mine]
+            k = np.minimum(np.searchsorted(at, r), len(at) - 1)
+            hit = at[k] == r
+            k, j = k[hit], self._local[cols[mine][hit]]
+            out[tuple(i[hit] for i in mine)] = coef[k] * v[pos[k], j]
+        return out
 
 
 def _bounded(K: KernelMatrix, vals, vecs) -> SpectralResult:
@@ -204,25 +263,29 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     """Compare eigenvalues of K with its diagonal, matched in sorted order.
 
     The order hypothesis mu < -(n+2) delta gates the verdict only; residuals
-    are computed either way (applicable=False withholds the claim).  A
-    non-Hermitian K is refused by the eigendecomposition.
+    are computed either way (applicable=False withholds the claim).  The
+    eigenvalues and vectors are solved as `eigendecompose_hermitian` solves
+    them, with its refusals: a non-Hermitian K, and a normwise bound past
+    float64.  The vectors stay in their reflection blocks: each entry the
+    overlaps read (`_BlockVectors`) is a basis coefficient times a block
+    vector entry, so no box-sized array is built.
     """
     n = K.lattice()[0].dim
     applicable = order.mu < -(n + 2) * order.delta
 
+    vals, by_value, solved = _block_solve(_hermitian(K))
+    lam = _bounded(K, vals[by_value], None).eigenvalues  # refused past float64 as every solve is
     split = split_diagonal(K)
     diag = np.real(split.diagonal)
     pts = K.points()
     perm = np.argsort(diag, kind="stable")
-
-    dec = eigendecompose_hermitian(K, want_vectors=True)
-    lam = dec.eigenvalues
     residuals = lam - diag[perm]
 
     # clusters: runs of eigenvalues whose gaps are within gap_tol
     gap_tol = K.size * np.finfo(float).eps * np.max(np.abs(lam))
     cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
-    low_overlap = _cluster_overlaps(dec.eigenvectors, perm, cuts) < 0.5
+    low_overlap = _cluster_overlaps(_BlockVectors(by_value, solved), perm, cuts) < 0.5
+    del solved  # before the residue is solved
 
     rnorm = _residue_norm(K, split.residue)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -251,8 +252,9 @@ def test_assemble_writes_a_binary_kernel_that_reads_back_to_the_csv(tmp_path):
 
 @pytest.mark.parametrize("task", ["assemble", "diag-approx"])
 def test_dense_size_preflight(tmp_path, capsys, time_limit, task):
-    # 61^3 = 226 981 points: a dense complex128 matrix of ~824 GB, which the
-    # binary export and the eigensolve need
+    # 61^3 = 226 981 points: a dense complex128 matrix of ~824 GB, which the binary
+    # export needs; diag-approx holds the eigenvectors of the hermitized real kernel's
+    # 8 reflection blocks, 8 (31^2 + 30^2)^3 bytes (~52 GB), and refuses them
     cfg = base_config(
         task,
         lattice={"hbar": 1.0, "dim": 3},
@@ -268,12 +270,14 @@ def test_dense_size_preflight(tmp_path, capsys, time_limit, task):
     payload = json.loads(err[0])
     assert payload["error"] == "numeric"
     assert "226981x226981" in payload["message"]
-    assert "824325989776 bytes" in payload["message"]
+    need = "824325989776 bytes" if task == "assemble" else "eigenvectors (51561923048 bytes)"
+    assert need in payload["message"]
 
 
 def test_criterion_sums_beyond_dense_memory(tmp_path, capsys, time_limit):
     # 2 000 001 points at R and 4 000 001 at 2R: dense matrices of 64 and 256 TB.
-    # The sums read the diagonal's triplets; the eigensolve still needs the dense matrix.
+    # The sums read the diagonal's triplets; the eigensolve holds the eigenvectors of
+    # the two reflection blocks, 8 (1000001^2 + 1000000^2) bytes (16 TB), and refuses them.
     cfg = base_config(
         "check-bounds",
         symbol={"family": "multiplication", "params": {"epsilon": 1.0}},
@@ -297,6 +301,7 @@ def test_criterion_sums_beyond_dense_memory(tmp_path, capsys, time_limit):
     payload = json.loads(err[0])
     assert payload["error"] == "numeric"
     assert "2000001x2000001" in payload["message"]
+    assert "eigenvectors (16000016000008 bytes)" in payload["message"]
 
 
 LATTICE1 = {"hbar": 1.0, "dim": 1}
@@ -499,11 +504,14 @@ def test_pinned_diag_approx_agrees_with_a_dense_solve(tmp_path, monkeypatch):
     # point or diag field and no low-overlap flag, and no eigenvalue by its solve's
     # error_bound from a dense eigh of the whole matrix
     run = PINNED_CSV["diag-approx"][0]
-    solve, bounds = spectral.eigendecompose_hermitian, []
+    bounds = []
 
-    def dense_solve(K, want_vectors=False):
-        bounds.append(solve(K).error_bound)
-        return SpectralResult(*np.linalg.eigh(K.entries), bounds[-1])
+    def dense_solve(K):
+        # one block, the whole matrix in the identity basis
+        bounds.append(spectral.eigendecompose_hermitian(K).error_bound)
+        w, v = np.linalg.eigh(K.entries)
+        every = np.arange(K.size)
+        return w, np.argsort(w, kind="stable"), [(w, v, (every, every, np.ones(K.size)))]
 
     def table(out):
         body = (out / "diag_approx.csv").read_text().splitlines()
@@ -511,7 +519,7 @@ def test_pinned_diag_approx_agrees_with_a_dense_solve(tmp_path, monkeypatch):
         return [line.split(",") for line in body], summary["low_overlap_pairs"]
 
     run(tmp_path / "folded")
-    monkeypatch.setattr(spectral, "eigendecompose_hermitian", dense_solve)
+    monkeypatch.setattr(spectral, "_block_solve", dense_solve)
     run(tmp_path / "dense")
     (folded, folded_low), (dense, dense_low) = table(tmp_path / "folded"), table(tmp_path / "dense")
     assert len(bounds) == 1 and len(folded) == len(dense) == 82
@@ -674,6 +682,23 @@ CHECKED_FIRST = {
         "spectrum", symbol=SCHRODINGER, truncation={"radius": 25}, params={"j_max": 5}),
         3, None, "bytes of physical memory"),
 }
+
+
+def test_a_dimension_past_the_bound_is_refused_at_once(tmp_path, capsys, time_limit):
+    # validating a potential takes O(dim^2) time (2.1 s at dim 10^4, over 100 s at 10^5):
+    # dim 10^5 is refused before it starts, the field named, well within a second
+    cfg = base_config("order-report", lattice={"hbar": 1.0, "dim": 10 ** 5}, symbol=SCHRODINGER,
+                      params={"p": 2.0, "r": 1.0})
+    start = time.monotonic()
+    with time_limit(2):
+        rc = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "config" and payload["field"] == "lattice.dim"
+    assert f"at most {cli.MAX_DIM}, got 100000" in payload["message"]
 
 
 @pytest.mark.parametrize("case", sorted(CHECKED_FIRST))

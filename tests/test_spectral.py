@@ -799,6 +799,64 @@ def test_low_overlap_flags_of_the_one_d_kernel_keep_their_bits():
     np.testing.assert_array_equal(diagonal_approximation(K, sym.order).low_overlap, want)
 
 
+def _overlap_kernels():
+    # (name, kernel): three real, two complex
+    yield "1d-R500", hermitize(assemble(decaying_test_symbol(3.0, 2.0, 1.0, SPEC1), SPEC1,
+                                        BoxTruncation(500)))
+    spec = LatticeSpec(0.5, 2)
+    yield "2d-R12", hermitize(assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec,
+                                       BoxTruncation(12)))
+    spec, box = LatticeSpec(1.0, 2), BoxTruncation(5)
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, 2), box)
+    yield "harmonic-real", H
+    yield "harmonic-complex", KernelMatrix(spec, box, H.entries.astype(complex))
+    rng, box = np.random.default_rng(5), BoxTruncation(4)
+    a = rng.normal(size=(81, 81)) + 1j * rng.normal(size=(81, 81))
+    yield "random-complex", KernelMatrix(spec, box, (a + a.conj().T) / 2)
+
+
+@pytest.mark.parametrize("name, K", list(_overlap_kernels()))
+def test_block_read_overlaps_match_the_box_eigenvectors(name, K):
+    # tolerance fixed before the first run: real blocks give the carried-back entries' bits
+    # (their phase is +-1), complex ones differ from them by the phase division alone
+    dec = eigendecompose_hermitian(K, want_vectors=True)
+    perm = np.argsort(np.real(split_diagonal(K).diagonal), kind="stable")
+    lam = dec.eigenvalues
+    cuts = np.flatnonzero(np.diff(lam) > K.size * np.finfo(float).eps * np.max(np.abs(lam))) + 1
+    want = spectral._cluster_overlaps(dec.eigenvectors, perm, cuts)
+    vals, order, solved = spectral._block_solve(K)
+    assert np.array_equal(vals[order], lam)
+    got = spectral._cluster_overlaps(spectral._BlockVectors(order, solved), perm, cuts)
+    if K._triplets[2].dtype == float:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+    order_of = decaying_test_symbol(3.0, 2.0, 1.0, K.spec).order
+    np.testing.assert_array_equal(diagonal_approximation(K, order_of).low_overlap, want < 0.5)
+
+
+def test_diag_approx_peaks_within_its_preflight_and_below_a_box_sized_array(monkeypatch):
+    # bound fixed before the first run: the 1-d R=500 kernel's diag-approx holds its two
+    # blocks' vectors and one block's solve, under the preflight `_block_solve` makes and
+    # under one box-sized float64 eigenvector array
+    spec = LatticeSpec(1.0, 1)
+    sym = decaying_test_symbol(3.0, 2.0, 1.0, spec)
+    K = hermitize(assemble(sym, spec, BoxTruncation(500)))
+    diagonal_approximation(K, sym.order)  # binds and probes the solver first
+    needs, check_fits = [], spectral.check_fits
+    monkeypatch.setattr(spectral, "check_fits",
+                        lambda need, what: check_fits(need, what) or needs.append(need))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diagonal_approximation(K, sym.order)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1
+    assert peak < needs[0] < 8 * K.size ** 2, (peak, needs)
+
+
 def test_an_overflowing_normwise_bound_is_refused_naming_the_matrix():
     # the 1-d R=1 matrix with diagonal (1, 1, 2) and 1e308 on both off-diagonals: no axis
     # folds, every entry is finite, but ||K||_inf is past float64, so the bound would be
