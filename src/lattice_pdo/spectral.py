@@ -44,14 +44,14 @@ class SpectralResult:
 def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     """Full spectrum of a Hermitian kernel matrix (or plain square array).
 
-    Solved in `kernel.reflection_blocks`, each block by `eigvalsh`, or by
-    `eigh` (`_block_solve`) with its vectors carried back into one box-sized
-    array; real input in real arithmetic, with real eigenvectors.  A real
-    block with no triplet below its first subdiagonal (every block of a 1-d
-    kernel) goes to LAPACK's dstevd as that band, read from its triplets
-    (`_lapack`): dsyevd's own second stage with no reduction to do, the same
-    bits, so the error model below is unchanged.  Any other block is solved
-    dense, from `entries`.
+    Solved in `kernel.reflection_blocks` by one loop (`_Blocks`), each block
+    by `eigvalsh`, or by `eigh` with its vectors carried back into one
+    box-sized array; real input in real arithmetic, with real eigenvectors.
+    A real block with no triplet below its first subdiagonal (every block of
+    a 1-d kernel) goes to LAPACK's dstevd as that band, read from its
+    triplets (`_lapack`): dsyevd's own second stage with no reduction to do,
+    the same bits, so the error model below is unchanged.  Any other block
+    is solved dense, from `entries`.
 
     error_bound = scale * eps * ||K||_inf, with or without vectors, bounds
     each sorted value's distance from the exact one (Weyl).  A dense solve
@@ -67,7 +67,10 @@ def eigendecompose_hermitian(K, want_vectors: bool = False) -> SpectralResult:
     the box size except in 1-d with R <= 3 and in 2-d and 3-d with R = 1.
     """
     K = _hermitian(K)
-    return _bounded(K, *_solve(K, want_vectors))
+    if want_vectors:
+        check_dense_fits((K.size, K.size))  # the box array, refused before any solve
+    blocks = _Blocks(K, want_vectors)
+    return _bounded(K, blocks.values, blocks.box() if want_vectors else None)
 
 
 def _hermitian(K) -> KernelMatrix:
@@ -94,88 +97,78 @@ def _eigh(block: KernelMatrix, want_vectors: bool):
     return np.linalg.eigh(a) if want_vectors else np.linalg.eigvalsh(a)
 
 
-def _solve(K: KernelMatrix, want_vectors: bool):
-    # sorted values, and with vectors `_block_solve`'s carried back into their sorted columns
-    # of one box-sized array ~1 MiB of rows at a time, which the phase rule reads ~1 MiB of
-    # columns at a time
-    if not want_vectors:
-        vals = np.concatenate([_eigh(block, False) for block, _ in reflection_blocks(K)])
-        return vals[np.argsort(vals, kind="stable")], None
-    check_dense_fits((K.size, K.size))
-    vals, order, solved = _block_solve(K)
-    column = np.empty_like(order)
-    column[order] = np.arange(K.size)
-    vecs = np.zeros((K.size, K.size), dtype=K._triplets[2].dtype)
-    done = 0
-    while solved:
-        w, v, (at, pos, coef) = solved.pop(0)
-        cols = column[done:done + len(w)]
-        for i in range(0, len(at), step := rows_per_block(len(w))):
-            vecs[at[i:i + step, None], cols] = coef[i:i + step, None] * v[pos[i:i + step]]
-        done += len(w)
-        del v
-    top_row = np.empty(K.size, dtype=np.intp)
-    for c in range(0, K.size, step := rows_per_block(K.size)):
-        top_row[c:c + step] = np.argmax(np.abs(vecs[:, c:c + step]), axis=0)
-    top = vecs[top_row, np.arange(K.size)]
-    # libm's hypot, as abs() of a complex scalar: np.abs of a complex
-    # array can round its last bit differently
-    vecs /= top / np.hypot(top.real, top.imag)
-    return vals[order], vecs
+class _Blocks:
+    """K's reflection blocks (`kernel.reflection_blocks`) solved by `_eigh` in one loop.
 
+    values are the eigenvalues, sorted stably.  Without vectors each block is
+    let go once solved.  With them, the blocks are listed for one preflight,
+    then each is let go once solved, its vectors and basis (at, pos, coef)
+    held.  Bytes held at the peak: the blocks and their bases as stored; for
+    m-point blocks their values (8m each) and vectors (itemsize m^2 each);
+    and the largest block's solve, dstevd's work and iwork (m^2 + 9m + 4
+    words) and its band (2m - 1).  A dense block's `entries` checks itself.
 
-def _block_solve(K: KernelMatrix):
-    # the one vector solve, block by block (`_eigh`): each block's (values, vectors, basis
-    # (at, pos, coef)), held until every value is known, and the stable sort order of the
-    # values together.  Bytes held at its peak: the blocks and their bases as stored; for
-    # m-point blocks their values (8m each) and vectors (itemsize m^2 each); and the largest
-    # block's solve, dstevd's work and iwork (m^2 + 9m + 4 words) and its band (2m - 1).  A
-    # dense block's `entries` checks itself
-    blocks = list(reflection_blocks(K))
-    sizes = [int(block.size) for block, _ in blocks]
-    stored = sum(a.nbytes for block, basis in blocks for a in (*block._triplets, *basis))
-    vectors = K._triplets[2].itemsize * sum(m * m for m in sizes)
-    m = max(sizes)
-    check_fits(stored + vectors + 8 * (K.size + m * m + 11 * m + 3),
-               f"the {len(sizes)} reflection blocks of the {K.size}x{K.size} matrix with their "
-               f"eigenvectors ({vectors} bytes)")
-    solved = []
-    while blocks:  # each block let go once solved
-        block, basis = blocks.pop(0)
-        solved.append((*_eigh(block, True), basis))
-    vals = np.concatenate([w for w, _, _ in solved])
-    return vals, np.argsort(vals, kind="stable"), solved
-
-
-class _BlockVectors:
-    """The box-sized eigenvector matrix of `_block_solve`, read entry by entry, never built.
-
-    vecs[rows, cols], for integer arrays broadcast together, holds the entries
-    `_solve` carries back before its phase rule: sorted column i is local
-    column j of block b, and box row r of it is coef_b[k] v_b[pos_b[k], j]
-    where at_b[k] = r.  Each box row sits at most once in a block's basis
-    (at ascends), and the entry is 0 where the block has no such row.
+    self[rows, cols], for integer arrays broadcast together, reads the
+    box-sized eigenvector matrix before its phase rule without building it:
+    sorted column i is local column j of block b, and box row r of it is
+    coef_b[k] v_b[pos_b[k], j] where at_b[k] = r, 0 where the block has no
+    such row (at ascends, each box row in it at most once).  box() builds
+    that matrix, lets each block go once placed, and phase-fixes it.
     """
 
-    def __init__(self, order, solved):
-        self._solved = solved
-        sizes = [len(w) for w, _, _ in solved]
-        self._block = np.repeat(np.arange(len(sizes)), sizes)[order]
-        self._local = order - np.cumsum([0, *sizes[:-1]], dtype=order.dtype)[self._block]
-        self._dtype = np.result_type(*(v for _, v, _ in solved))
+    def __init__(self, K: KernelMatrix, want_vectors: bool):
+        blocks = reflection_blocks(K)
+        if want_vectors:
+            listed = list(blocks)
+            sizes = [int(block.size) for block, _ in listed]
+            stored = sum(a.nbytes for block, basis in listed for a in (*block._triplets, *basis))
+            vectors = K._triplets[2].itemsize * sum(m * m for m in sizes)
+            m = max(sizes)
+            check_fits(stored + vectors + 8 * (K.size + m * m + 11 * m + 3),
+                       f"the {len(sizes)} reflection blocks of the {K.size}x{K.size} matrix "
+                       f"with their eigenvectors ({vectors} bytes)")
+            blocks = (listed.pop(0) for _ in sizes)
+        solved = [(_eigh(block, want_vectors), basis) for block, basis in blocks]
+        values = [s[0] if want_vectors else s for s, _ in solved]
+        self._solved = [(v, basis) for (_, v), basis in solved] if want_vectors else []
+        self._starts = np.cumsum([0] + [len(w) for w in values])
+        values = np.concatenate(values)
+        self._order = np.argsort(values, kind="stable")  # sorted column -> concatenated one
+        self.values = values[self._order]
+        self._dtype = K._triplets[2].dtype
 
     def __getitem__(self, index):
         rows, cols = np.broadcast_arrays(*index)
         out = np.zeros(rows.shape, dtype=self._dtype)
-        block = self._block[cols]
-        for b, (_, v, (at, pos, coef)) in enumerate(self._solved):
-            mine = np.nonzero(block == b)
+        joined = self._order[cols]
+        for start, (v, (at, pos, coef)) in zip(self._starts, self._solved):
+            mine = np.nonzero((joined >= start) & (joined < start + v.shape[1]))
             r = rows[mine]
             k = np.minimum(np.searchsorted(at, r), len(at) - 1)
             hit = at[k] == r
-            k, j = k[hit], self._local[cols[mine][hit]]
+            k, j = k[hit], joined[mine][hit] - start
             out[tuple(i[hit] for i in mine)] = coef[k] * v[pos[k], j]
         return out
+
+    def box(self) -> np.ndarray:
+        # each block's vectors carried back into its sorted columns (the inverse of `_order`,
+        # split by block) ~1 MiB of rows at a time and let go once placed, then phase-fixed
+        # ~1 MiB of columns at a time
+        size = len(self.values)
+        vecs = np.zeros((size, size), dtype=self._dtype)
+        for cols in np.split(np.argsort(self._order), self._starts[1:-1]):
+            v, (at, pos, coef) = self._solved.pop(0)
+            for i in range(0, len(at), step := rows_per_block(v.shape[1])):
+                vecs[at[i:i + step, None], cols] = coef[i:i + step, None] * v[pos[i:i + step]]
+            del v
+        top_row = np.empty(size, dtype=np.intp)
+        for c in range(0, size, step := rows_per_block(size)):
+            top_row[c:c + step] = np.argmax(np.abs(vecs[:, c:c + step]), axis=0)
+        top = vecs[top_row, np.arange(size)]
+        # libm's hypot, as abs() of a complex scalar: np.abs of a complex
+        # array can round its last bit differently
+        vecs /= top / np.hypot(top.real, top.imag)
+        return vecs
 
 
 def _bounded(K: KernelMatrix, vals, vecs) -> SpectralResult:
@@ -217,7 +210,7 @@ def residue_norm(K) -> float:
 
 def _residue_norm(K: KernelMatrix, res: KernelMatrix) -> float:
     if K.asymmetry == 0 or res.asymmetry == 0:  # dropping the diagonal adds no asymmetry
-        dec = _bounded(res, *_solve(res, False))
+        dec = _bounded(res, _Blocks(res, False).values, None)
         return rounded_up(float(np.max(np.abs(dec.eigenvalues), initial=0.0) + dec.error_bound),
                           1, 0.0)
     formed = 0.0 if res.spec is None else (2 ** res.spec.dim + 2) * EPS * max(
@@ -267,14 +260,14 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     eigenvalues and vectors are solved as `eigendecompose_hermitian` solves
     them, with its refusals: a non-Hermitian K, and a normwise bound past
     float64.  The vectors stay in their reflection blocks: each entry the
-    overlaps read (`_BlockVectors`) is a basis coefficient times a block
-    vector entry, so no box-sized array is built.
+    overlaps read (`_Blocks`) is a basis coefficient times a block vector
+    entry, so no box-sized array is built.
     """
     n = K.lattice()[0].dim
     applicable = order.mu < -(n + 2) * order.delta
 
-    vals, by_value, solved = _block_solve(_hermitian(K))
-    lam = _bounded(K, vals[by_value], None).eigenvalues  # refused past float64 as every solve is
+    blocks = _Blocks(_hermitian(K), True)
+    lam = _bounded(K, blocks.values, None).eigenvalues  # refused past float64 as every solve is
     split = split_diagonal(K)
     diag = np.real(split.diagonal)
     pts = K.points()
@@ -284,8 +277,8 @@ def diagonal_approximation(K: KernelMatrix, order: SymbolOrder) -> DiagApproxRep
     # clusters: runs of eigenvalues whose gaps are within gap_tol
     gap_tol = K.size * np.finfo(float).eps * np.max(np.abs(lam))
     cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
-    low_overlap = _cluster_overlaps(_BlockVectors(by_value, solved), perm, cuts) < 0.5
-    del solved  # before the residue is solved
+    low_overlap = _cluster_overlaps(blocks, perm, cuts) < 0.5
+    del blocks  # before the residue is solved
 
     rnorm = _residue_norm(K, split.residue)
 
@@ -348,11 +341,17 @@ def sandwich_check(K: KernelMatrix) -> SandwichReport:
     rnorm = _residue_norm(K, split.residue)
 
     lam = dec.eigenvalues
-    dist = np.abs(lam[:, None] - diag[None, :])
-    lower = np.min(dist, axis=1)
-    upper = np.minimum(np.max(dist, axis=1), rnorm)
-    dv = diag[:, None] * dec.eigenvectors - dec.eigenvectors * lam[None, :]
-    middle = np.linalg.norm(dv, axis=0)
+    # |lam - d| rounds monotonically in d, so its extremes over the diagonal are at lam's
+    # neighbours in the sorted diagonal and at its two ends
+    ends = np.sort(diag)
+    near = ends[np.clip(np.searchsorted(ends, lam) - [[1], [0]], 0, len(ends) - 1)]
+    lower = np.min(np.abs(lam - near), axis=0)
+    upper = np.minimum(np.max(np.abs(lam - ends[[0, -1], None]), axis=0), rnorm)
+    middle = np.empty(len(lam))  # ~1 MiB of eigenvector columns at a time
+    for c in range(0, len(lam), step := max(2, rows_per_block(len(lam)))):
+        c = max(min(c, len(lam) - step), 0)  # no one-column slice: numpy sums those pairwise
+        part = dec.eigenvectors[:, c:c + step]
+        middle[c:c + step] = np.linalg.norm(diag[:, None] * part - part * lam[c:c + step], axis=0)
 
     rep = SandwichReport(lam, lower, middle, upper)
     if not rep.chain_holds():

@@ -504,14 +504,18 @@ def test_pinned_diag_approx_agrees_with_a_dense_solve(tmp_path, monkeypatch):
     # point or diag field and no low-overlap flag, and no eigenvalue by its solve's
     # error_bound from a dense eigh of the whole matrix
     run = PINNED_CSV["diag-approx"][0]
-    bounds = []
+    bounds, blocks = [], spectral.reflection_blocks
 
     def dense_solve(K):
-        # one block, the whole matrix in the identity basis
-        bounds.append(spectral.eigendecompose_hermitian(K).error_bound)
-        w, v = np.linalg.eigh(K.entries)
+        # the kernel's blocks, asked for first: one, the whole matrix in the identity basis,
+        # which `_eigh` solves by one dense eigh of its entries (2-d, so not tridiagonal);
+        # the residue's as unpatched.  The kernel's error_bound depends on it alone
+        if bounds:
+            yield from blocks(K)
+            return
+        bounds.append(spectral._bounded(K, None, None).error_bound)
         every = np.arange(K.size)
-        return w, np.argsort(w, kind="stable"), [(w, v, (every, every, np.ones(K.size)))]
+        yield K, (every, every, np.ones(K.size))
 
     def table(out):
         body = (out / "diag_approx.csv").read_text().splitlines()
@@ -519,7 +523,7 @@ def test_pinned_diag_approx_agrees_with_a_dense_solve(tmp_path, monkeypatch):
         return [line.split(",") for line in body], summary["low_overlap_pairs"]
 
     run(tmp_path / "folded")
-    monkeypatch.setattr(spectral, "_block_solve", dense_solve)
+    monkeypatch.setattr(spectral, "reflection_blocks", dense_solve)
     run(tmp_path / "dense")
     (folded, folded_low), (dense, dense_low) = table(tmp_path / "folded"), table(tmp_path / "dense")
     assert len(bounds) == 1 and len(folded) == len(dense) == 82

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+import weakref
 from decimal import Decimal
 
 import numpy as np
@@ -304,6 +305,49 @@ def test_sandwich_schrodinger():
     assert np.max(rep.middle) <= 2 * np.cos(np.pi / 42) + 1e-10
 
 
+def _sandwich_kernels():
+    # (name, kernel) whose last ~1 MiB column slice would hold one column: 625 points
+    spec = LatticeSpec(1.0, 1)
+    yield "1d-R312", hermitize(assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec,
+                                        BoxTruncation(312)))
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(625, 625)) + 1j * rng.normal(size=(625, 625))
+    yield "random-complex", KernelMatrix(LatticeSpec(1.0, 2), BoxTruncation(12),
+                                         (a + a.conj().T) / 2)
+
+
+@pytest.mark.parametrize("name, K", list(_sandwich_kernels()))
+def test_sandwich_keeps_the_bits_of_its_box_sized_formulas(name, K):
+    # the eigenvalue-by-diagonal distances and the (D - lambda) phi columns, built whole
+    rep = sandwich_check(K)
+    dec = eigendecompose_hermitian(K, want_vectors=True)
+    split = split_diagonal(K)
+    diag, lam = np.real(split.diagonal), dec.eigenvalues
+    dist = np.abs(lam[:, None] - diag[None, :])
+    middle = np.linalg.norm(diag[:, None] * dec.eigenvectors - dec.eigenvectors * lam, axis=0)
+    upper = np.minimum(np.max(dist, axis=1), residue_norm(K))
+    for got, want in ((rep.lower, np.min(dist, axis=1)), (rep.middle, middle),
+                      (rep.upper, upper)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sandwich_holds_no_box_sized_array_beside_its_eigenvectors():
+    # bound fixed before the first run: the 1-d R=500 kernel's sandwich check peaks below
+    # 16 N^2 bytes, the dense preflight of its eigenvectors; the N x N distance table and
+    # the (D - lambda) phi temporaries beside the eigenvectors took 32.2 MB
+    spec = LatticeSpec(1.0, 1)
+    K = hermitize(assemble(decaying_test_symbol(3.0, 2.0, 1.0, spec), spec, BoxTruncation(500)))
+    sandwich_check(K)  # binds and probes the solver first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sandwich_check(K)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * K.size ** 2, peak
+
+
 def test_no_dense_copy_is_kept():
     # the dense matrix is built for each eigenvector solve and dropped after it
     sym = decaying_test_symbol(3.0, 2.0, 1.0)
@@ -569,6 +613,31 @@ def test_radius_zero_solves_in_every_parity_block(dim):
         assert dec.error_bound == (2 ** dim + 3) * np.finfo(float).eps * abs(d)
 
 
+def test_each_block_is_let_go_once_solved(monkeypatch):
+    # at each block solve, the other blocks still alive: none without vectors; with them,
+    # the blocks not yet solved (listed for the preflight) and none of those solved
+    yielded, alive = [], []
+    blocks, eigh = spectral.reflection_blocks, spectral._eigh
+
+    def watched_blocks(K):
+        for block, basis in blocks(K):
+            yielded.append(weakref.ref(block))
+            yield block, basis
+
+    def watched_eigh(block, want_vectors):
+        alive.append(sum(ref() is not None and ref() is not block for ref in yielded))
+        return eigh(block, want_vectors)
+
+    monkeypatch.setattr(spectral, "reflection_blocks", watched_blocks)
+    monkeypatch.setattr(spectral, "_eigh", watched_eigh)
+    spec = LatticeSpec(1.0, 2)
+    H = build_hamiltonian(spec, PotentialSpec.anharmonic(1.0, 1, 2), BoxTruncation(6))
+    for want_vectors, counts in ((False, [0, 0, 0, 0]), (True, [3, 2, 1, 0])):
+        yielded.clear(), alive.clear()
+        eigendecompose_hermitian(H, want_vectors)
+        assert alive == counts
+
+
 # ---------------------------------------------------------------------------
 # real tridiagonal blocks by LAPACK's dstevd, bit for bit as numpy's dense solve
 # ---------------------------------------------------------------------------
@@ -824,9 +893,9 @@ def test_block_read_overlaps_match_the_box_eigenvectors(name, K):
     lam = dec.eigenvalues
     cuts = np.flatnonzero(np.diff(lam) > K.size * np.finfo(float).eps * np.max(np.abs(lam))) + 1
     want = spectral._cluster_overlaps(dec.eigenvectors, perm, cuts)
-    vals, order, solved = spectral._block_solve(K)
-    assert np.array_equal(vals[order], lam)
-    got = spectral._cluster_overlaps(spectral._BlockVectors(order, solved), perm, cuts)
+    blocks = spectral._Blocks(K, True)
+    assert np.array_equal(blocks.values, lam)
+    got = spectral._cluster_overlaps(blocks, perm, cuts)
     if K._triplets[2].dtype == float:
         assert got.tobytes() == want.tobytes()
     else:
